@@ -17,6 +17,8 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, serialize
 from .data import (
     DEFAULT_DEAD_ZONE,
@@ -26,6 +28,7 @@ from .data import (
     build_dataset,
     load_dataset,
     load_frame,
+    sample_labels,
     save_dataset,
     write_frame,
 )
@@ -227,15 +230,16 @@ def cmd_prepare(args) -> int:
 
     counts = {}
     for name, part in split.splits().items():
+        y_m, y_v = sample_labels(part)
+        abstain = int(np.count_nonzero(y_m == ABSTAIN))
         counts[name] = {
             "samples": len(part),
-            "movement_up": sum(1 for s in part if s.y_m == 1),
-            "movement_down": sum(1 for s in part if s.y_m == 0),
-            "movement_abstain": sum(1 for s in part if s.y_m == ABSTAIN),
-            "volatility_positive": sum(1 for s in part if s.y_v == 1),
+            "movement_up": int(np.count_nonzero(y_m == 1)),
+            "movement_down": int(np.count_nonzero(y_m == 0)),
+            "movement_abstain": abstain,
+            "volatility_positive": int(np.count_nonzero(y_v == 1)),
+            "abstain_rate": abstain / max(1, len(part)),
         }
-        total = max(1, len(part))
-        counts[name]["abstain_rate"] = counts[name]["movement_abstain"] / total
     manifest.config = {
         "window": args.window, "dead_zone": list(dead_zone), "outlier": args.outlier,
         "train_frac": args.train_frac, "valid_frac": args.valid_frac,
@@ -303,16 +307,13 @@ def cmd_eval(args) -> int:
 
 
 def _metrics_row(label: str, report) -> dict:
-    def fmt(value):
-        return value if value is not None else None
-
     return {
         "label": label,
-        "movement_accuracy": fmt(report.movement.accuracy),
-        "movement_mcc": fmt(report.movement.mcc),
-        "volatility_accuracy": fmt(report.volatility.accuracy),
-        "volatility_mcc": fmt(report.volatility.mcc),
-        "volatility_auc": fmt(report.volatility.auc),
+        "movement_accuracy": report.movement.accuracy,
+        "movement_mcc": report.movement.mcc,
+        "volatility_accuracy": report.volatility.accuracy,
+        "volatility_mcc": report.volatility.mcc,
+        "volatility_auc": report.volatility.auc,
     }
 
 
@@ -469,6 +470,9 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        threshold = getattr(args, "threshold", 0.5)
+        if not 0.0 <= threshold <= 1.0:
+            raise ConfigError(f"--threshold must lie in [0, 1], got {threshold}")
         return args.func(args)
     except AlertaNetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -75,10 +75,18 @@ class FeatureFrame:
         for prev, cur in zip(self.dates, self.dates[1:]):
             if cur <= prev:
                 raise DataIntegrityError(f"{self.stock_id}: dates not strictly ascending at {cur}")
-        if np.any(self.adj_close <= 0):
-            bad = int(np.argmax(self.adj_close <= 0))
+        bad = np.flatnonzero(~(np.isfinite(self.adj_close) & (self.adj_close > 0)))
+        if bad.size:
             raise DataIntegrityError(
-                f"{self.stock_id}: nonpositive adj_close {self.adj_close[bad]} on {self.dates[bad]}"
+                f"{self.stock_id}: adj_close {self.adj_close[bad[0]]} on {self.dates[bad[0]]} "
+                "is not a positive finite number"
+            )
+        bad = np.argwhere(~np.isfinite(self.features))
+        if bad.size:
+            day, col = bad[0]
+            raise DataIntegrityError(
+                f"{self.stock_id}: non-finite value {self.features[day, col]} in feature "
+                f"{self.feature_names[col]!r} on {self.dates[day]}"
             )
 
     def __len__(self) -> int:
@@ -104,8 +112,8 @@ def load_frame(path: str | Path, schema: list[str] | None = None) -> FeatureFram
 
     ``schema`` selects and orders the feature columns; ``None`` takes every
     column after ``date``/``adj_close`` in header order.  Rows are sorted by
-    date; duplicate dates, non-numeric cells, nonpositive prices and negative
-    feature values are rejected.
+    date; duplicate dates, non-numeric or non-finite cells, nonpositive
+    prices and negative feature values are rejected.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -116,7 +124,8 @@ def load_frame(path: str | Path, schema: list[str] | None = None) -> FeatureFram
             raise SchemaError(f"{path}: empty file") from None
         if schema is None:
             schema = [h for h in header if h not in (DATE_COLUMN, PRICE_COLUMN)]
-        missing = [c for c in [DATE_COLUMN, PRICE_COLUMN, *schema] if c not in header]
+        columns = [PRICE_COLUMN, *schema]
+        missing = [c for c in [DATE_COLUMN, *columns] if c not in header]
         if missing:
             raise SchemaError(f"{path}: missing required columns {missing}")
         col_idx = {name: header.index(name) for name in header}
@@ -128,29 +137,34 @@ def load_frame(path: str | Path, schema: list[str] | None = None) -> FeatureFram
             if len(cells) != len(header):
                 raise ParseError(f"{path}: row {line_no}: expected {len(header)} cells, got {len(cells)}")
             day = _parse_date(cells[col_idx[DATE_COLUMN]], line_no, path)
-            price = _parse_float(cells[col_idx[PRICE_COLUMN]], line_no, PRICE_COLUMN, path)
-            feats = [_parse_float(cells[col_idx[c]], line_no, c, path) for c in schema]
-            rows.append((day, line_no, price, feats))
+            values = [_parse_float(cells[col_idx[c]], line_no, c, path) for c in columns]
+            rows.append((day, line_no, values))
 
     rows.sort(key=lambda r: r[0])
-    for (d1, ln1, _, _), (d2, ln2, _, _) in zip(rows, rows[1:]):
+    for (d1, ln1, _), (d2, ln2, _) in zip(rows, rows[1:]):
         if d1 == d2:
             raise DataIntegrityError(f"{path}: duplicate date {d1} (rows {ln1} and {ln2})")
 
-    for day, line_no, _, feats in rows:
-        for name, value in zip(schema, feats):
-            if value < 0:
-                raise PreprocessingError(
-                    f"{path}: row {line_no}: negative value {value} in feature column {name!r}; "
-                    "shift signed series before ingestion"
-                )
+    # price then features, one row per day in date order
+    block = np.array([r[2] for r in rows], dtype=np.float64).reshape(len(rows), len(columns))
+    bad = np.argwhere(~np.isfinite(block))
+    if bad.size:
+        i, j = bad[0]
+        raise ParseError(f"{path}: row {rows[i][1]}: non-finite value {block[i, j]} in column {columns[j]!r}")
+    bad = np.argwhere(block[:, 1:] < 0)
+    if bad.size:
+        i, j = bad[0]
+        raise PreprocessingError(
+            f"{path}: row {rows[i][1]}: negative value {block[i, j + 1]} in feature column {schema[j]!r}; "
+            "shift signed series before ingestion"
+        )
 
     return FeatureFrame(
         stock_id=path.stem,
         dates=[r[0] for r in rows],
-        adj_close=np.array([r[2] for r in rows], dtype=np.float64),
+        adj_close=block[:, 0],
         feature_names=list(schema),
-        features=np.array([r[3] for r in rows], dtype=np.float64).reshape(len(rows), len(schema)),
+        features=block[:, 1:],
     )
 
 
@@ -176,28 +190,35 @@ def normalize(window_values, epsilon: float = DEFAULT_EPSILON, feature_names: li
     return np.log(arr + epsilon)
 
 
-def _relative_change(p_prev: float, p_t: float) -> float:
-    if p_prev <= 0:
-        raise DomainError(f"previous price must be positive, got {p_prev}")
-    return (p_t - p_prev) / p_prev
+def label_prices(
+    p_prev,
+    p_t,
+    dead_zone: tuple[float, float] = DEFAULT_DEAD_ZONE,
+    outlier_threshold: float = DEFAULT_OUTLIER_THRESHOLD,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Movement and volatility labels (int8) for every pair of previous and current prices."""
+    lo, hi = dead_zone
+    if not lo < hi:
+        raise ConfigError(f"dead zone must satisfy lo < hi, got {dead_zone}")
+    if outlier_threshold <= 0:
+        raise ConfigError(f"outlier threshold must be positive, got {outlier_threshold}")
+    p_prev = np.asarray(p_prev, dtype=np.float64)
+    bad = p_prev[p_prev <= 0]
+    if bad.size:
+        raise DomainError(f"previous price must be positive, got {float(bad[0])}")
+    r = (np.asarray(p_t, dtype=np.float64) - p_prev) / p_prev
+    y_m = np.where((lo < r) & (r < hi), ABSTAIN, np.where(r >= hi, 1, 0)).astype(np.int8)
+    return y_m, (np.abs(r) >= outlier_threshold).astype(np.int8)
 
 
 def movement_label(p_prev: float, p_t: float, dead_zone: tuple[float, float] = DEFAULT_DEAD_ZONE) -> int:
     """Next-day direction: 1 up, 0 down, ABSTAIN inside the open dead zone."""
-    lo, hi = dead_zone
-    if not lo < hi:
-        raise ConfigError(f"dead zone must satisfy lo < hi, got {dead_zone}")
-    r = _relative_change(p_prev, p_t)
-    if lo < r < hi:
-        return ABSTAIN
-    return 1 if r >= hi else 0
+    return int(label_prices(p_prev, p_t, dead_zone)[0])
 
 
 def volatility_label(p_prev: float, p_t: float, outlier_threshold: float = DEFAULT_OUTLIER_THRESHOLD) -> int:
     """1 iff the absolute relative change is at or above the outlier threshold."""
-    if outlier_threshold <= 0:
-        raise ConfigError(f"outlier threshold must be positive, got {outlier_threshold}")
-    return 1 if abs(_relative_change(p_prev, p_t)) >= outlier_threshold else 0
+    return int(label_prices(p_prev, p_t, outlier_threshold=outlier_threshold)[1])
 
 
 @dataclass
@@ -232,21 +253,21 @@ def window(
             "frame %s has %d days, needs %d for one sample; skipped", frame.stock_id, n, window_len + 1
         )
         return []
-    samples = []
-    for t in range(window_len, n):
-        raw = frame.features[t - window_len : t, :].T  # (n_features, window)
-        x = normalize(raw, epsilon, frame.feature_names)
-        p_prev, p_t = float(frame.adj_close[t - 1]), float(frame.adj_close[t])
-        samples.append(
-            WindowedSample(
-                x=x,
-                y_m=movement_label(p_prev, p_t, dead_zone),
-                y_v=volatility_label(p_prev, p_t, outlier_threshold),
-                stock_id=frame.stock_id,
-                target_date=frame.dates[t],
-            )
+    # every window reads days [t - window_len, t) for a target day t in [window_len, n)
+    logged = normalize(frame.features[: n - 1].T, epsilon, frame.feature_names)
+    logged.flags.writeable = False  # neighbouring windows share this memory
+    y_m, y_v = label_prices(frame.adj_close[window_len - 1 : -1], frame.adj_close[window_len:],
+                            dead_zone, outlier_threshold)
+    return [
+        WindowedSample(
+            x=logged[:, t - window_len : t],
+            y_m=m,
+            y_v=v,
+            stock_id=frame.stock_id,
+            target_date=frame.dates[t],
         )
-    return samples
+        for t, m, v in zip(range(window_len, n), y_m.tolist(), y_v.tolist())
+    ]
 
 
 @dataclass
@@ -394,12 +415,26 @@ def ablation_feature_indices(feature_names: list[str], mode: str) -> list[int]:
 # --- dataset (de)serialization --------------------------------------------
 
 
-def _stack_samples(samples: list[WindowedSample]) -> dict:
+def sample_labels(samples: list[WindowedSample]) -> tuple[np.ndarray, np.ndarray]:
+    """Movement and volatility labels of a sample list, as int8 arrays."""
+    return (
+        np.array([s.y_m for s in samples], dtype=np.int8),
+        np.array([s.y_v for s in samples], dtype=np.int8),
+    )
+
+
+def sample_arrays(samples: list[WindowedSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked (n, features, window) windows plus :func:`sample_labels`."""
     x = np.stack([s.x for s in samples]) if samples else np.zeros((0, 0, 0))
+    return (x, *sample_labels(samples))
+
+
+def _stack_samples(samples: list[WindowedSample]) -> dict:
+    x, y_m, y_v = sample_arrays(samples)
     return {
         "x": serialize.encode_array(x),
-        "y_m": serialize.encode_array(np.array([s.y_m for s in samples], dtype=np.int8)),
-        "y_v": serialize.encode_array(np.array([s.y_v for s in samples], dtype=np.int8)),
+        "y_m": serialize.encode_array(y_m),
+        "y_v": serialize.encode_array(y_v),
         "stock_ids": [s.stock_id for s in samples],
         "target_dates": [s.target_date for s in samples],
     }
@@ -407,17 +442,11 @@ def _stack_samples(samples: list[WindowedSample]) -> dict:
 
 def _unstack_samples(obj: dict) -> list[WindowedSample]:
     x = serialize.decode_array(obj["x"])
-    y_m = serialize.decode_array(obj["y_m"])
-    y_v = serialize.decode_array(obj["y_v"])
+    y_m = serialize.decode_array(obj["y_m"]).tolist()
+    y_v = serialize.decode_array(obj["y_v"]).tolist()
     return [
-        WindowedSample(
-            x=x[i],
-            y_m=int(y_m[i]),
-            y_v=int(y_v[i]),
-            stock_id=obj["stock_ids"][i],
-            target_date=obj["target_dates"][i],
-        )
-        for i in range(x.shape[0])
+        WindowedSample(x=xi, y_m=m, y_v=v, stock_id=sid, target_date=day)
+        for xi, m, v, sid, day in zip(x, y_m, y_v, obj["stock_ids"], obj["target_dates"], strict=True)
     ]
 
 

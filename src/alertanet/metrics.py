@@ -38,18 +38,11 @@ class ConfusionCounts:
     def from_predictions(cls, y_true: Sequence[int], y_pred: Sequence[int]) -> "ConfusionCounts":
         if len(y_true) != len(y_pred):
             raise DimensionError(f"labels ({len(y_true)}) and predictions ({len(y_pred)}) differ in length")
-        tp = tn = fp = fn = 0
-        for t, p in zip(y_true, y_pred):
-            if t == 1:
-                if p == 1:
-                    tp += 1
-                else:
-                    fn += 1
-            else:
-                if p == 1:
-                    fp += 1
-                else:
-                    tn += 1
+        positive, predicted = np.asarray(y_true) == 1, np.asarray(y_pred) == 1
+        tp = int(np.count_nonzero(positive & predicted))
+        fn = int(np.count_nonzero(positive & ~predicted))
+        fp = int(np.count_nonzero(~positive & predicted))
+        tn = len(y_true) - tp - fn - fp
         return cls(tp=tp, tn=tn, fp=fp, fn=fn)
 
     def as_dict(self) -> dict[str, int]:
@@ -91,14 +84,11 @@ def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
         raise UndefinedMetricError(f"AUC undefined: {n_pos} positive / {n_neg} negative labels")
 
     order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    # tie group k covers sorted positions [starts[k], ends[k]) and gets their average 1-based rank
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(scores)]
     ranks = np.empty(len(scores))
-    i = 0
-    while i < len(scores):
-        j = i
-        while j < len(scores) and scores[order[j]] == scores[order[i]]:
-            j += 1
-        # average 1-based rank for the tie group [i, j)
-        ranks[order[i:j]] = 0.5 * (i + 1 + j)
-        i = j
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
     rank_sum_pos = float(np.sum(ranks[labels == 1]))
     return (rank_sum_pos - 0.5 * n_pos * (n_pos + 1)) / (n_pos * n_neg)

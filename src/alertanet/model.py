@@ -222,23 +222,11 @@ class ForwardTrace:
         return self.volatility_prob.value[0].copy()
 
 
-def forward_batch(
-    windows,
-    params: nx.ParamStore,
-    config: ModelConfig,
-    row_indices: list[int] | None = None,
-) -> ForwardTrace:
-    """Run the model over a (batch, features, window) array of inputs.
-
-    ``row_indices`` selects feature rows before anything else runs (ablation
-    by removal): the computation is identical to feeding pre-sliced windows
-    to a model configured with the smaller feature dimension.
-    """
+def forward_batch(windows, params: nx.ParamStore, config: ModelConfig) -> ForwardTrace:
+    """Run the model over a (batch, features, window) array of inputs."""
     x = np.asarray(windows, dtype=np.float64)
     if x.ndim != 3:
         raise DimensionError(f"expected (batch, features, window) input, got shape {x.shape}")
-    if row_indices is not None:
-        x = x[:, row_indices, :]
     batch, dim, steps = x.shape
     if dim != config.input_dim or steps != config.window:
         raise DimensionError(
@@ -276,17 +264,12 @@ def forward_batch(
     )
 
 
-def forward(
-    x,
-    params: nx.ParamStore,
-    config: ModelConfig,
-    row_indices: list[int] | None = None,
-) -> ForwardTrace:
+def forward(x, params: nx.ParamStore, config: ModelConfig) -> ForwardTrace:
     """Single-window forward pass; ``x`` has shape (features, window)."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionError(f"expected a (features, window) matrix, got shape {arr.shape}")
-    return forward_batch(arr[np.newaxis, :, :], params, config, row_indices)
+    return forward_batch(arr[np.newaxis, :, :], params, config)
 
 
 # --- checkpoints -----------------------------------------------------------
@@ -329,5 +312,7 @@ def load_checkpoint(path: str | Path) -> tuple[nx.ParamStore, ModelConfig, dict]
                 f"{path}: parameter {name!r} has shape {arr.shape}, expected {shape} "
                 f"for config {config.to_dict()}"
             )
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"{path}: parameter {name!r} has non-finite entries")
         params.add(name, arr)
     return params, config, obj.get("extra", {})

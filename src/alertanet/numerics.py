@@ -157,18 +157,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.value + b.value, (a, b), backward_fn)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-
-    def backward_fn(grad):
-        if a.requires_grad:
-            a.grad += grad
-        if b.requires_grad:
-            b.grad -= grad
-
-    return _result(a.value - b.value, (a, b), backward_fn)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise (Hadamard) product."""
     _check_same_shape(a, b, "mul")
@@ -431,13 +419,3 @@ class ParamStore:
                     f"parameter {name!r}: stored shape {arr.shape} vs expected {tensor.value.shape}"
                 )
             tensor.value[...] = arr
-
-    def global_grad_norm(self) -> float:
-        total = 0.0
-        for tensor in self._slots.values():
-            total += float(np.sum(tensor.grad * tensor.grad))
-        return float(np.sqrt(total))
-
-    def scale_grads(self, factor: float) -> None:
-        for tensor in self._slots.values():
-            tensor.grad *= factor

@@ -17,7 +17,15 @@ import numpy as np
 
 from . import metrics as mt
 from . import numerics as nx
-from .data import ABSTAIN, DatasetSplit, WindowedSample, ablation_feature_indices, normalize_ablation_mode
+from .data import (
+    ABSTAIN,
+    DatasetSplit,
+    WindowedSample,
+    ablation_feature_indices,
+    normalize_ablation_mode,
+    sample_arrays,
+    sample_labels,
+)
 from .errors import CheckpointError, ConfigError, TrainingError, UndefinedMetricError
 from .model import ForwardTrace, ModelConfig, forward_batch, init_params
 
@@ -178,15 +186,6 @@ class TrainReport:
         return obj
 
 
-def _sample_arrays(samples: list[WindowedSample], row_indices: list[int] | None):
-    x = np.stack([s.x for s in samples])
-    if row_indices is not None:
-        x = x[:, row_indices, :]
-    y_m = np.array([s.y_m for s in samples], dtype=np.int64)
-    y_v = np.array([s.y_v for s in samples], dtype=np.int64)
-    return np.ascontiguousarray(x), y_m, y_v
-
-
 def _dataset_loss(params, config, x, y_m, y_v, loss_weight, pos_weight, chunk=VALID_CHUNK):
     n = x.shape[0]
     movement = volatility = total = 0.0
@@ -224,15 +223,16 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
 
     start = time.perf_counter()
     if split.feature_names:
-        row_indices = ablation_feature_indices(split.feature_names, cfg.ablation)
-        names_used = [split.feature_names[i] for i in row_indices]
+        rows = ablation_feature_indices(split.feature_names, cfg.ablation)
+        names_used = [split.feature_names[i] for i in rows]
     else:
         if normalize_ablation_mode(cfg.ablation) != "full":
             raise ConfigError("ablation modes other than 'full' need dataset feature names")
-        row_indices, names_used = None, []
+        rows, names_used = slice(None), []
 
-    train_x, train_ym, train_yv = _sample_arrays(split.train, row_indices)
-    valid_x, valid_ym, valid_yv = _sample_arrays(split.validation, row_indices)
+    train_x, train_ym, train_yv = sample_arrays(split.train)
+    valid_x, valid_ym, valid_yv = sample_arrays(split.validation)
+    train_x, valid_x = train_x[:, rows], valid_x[:, rows]
     n_train, input_dim, window = train_x.shape
     if window != cfg.window:
         raise ConfigError(f"dataset window {window} does not match config window {cfg.window}")
@@ -395,8 +395,7 @@ class EvalReport:
 def _score_task(y_true: np.ndarray, probs: np.ndarray, threshold: float, task: str) -> TaskReport:
     if len(y_true) == 0:
         return TaskReport(0, 0, None, None, None, None, note=f"{task}: no scored samples; metrics undefined")
-    preds = (probs >= threshold).astype(np.int64)
-    counts = mt.ConfusionCounts.from_predictions(y_true.tolist(), preds.tolist())
+    counts = mt.ConfusionCounts.from_predictions(y_true, probs >= threshold)
     try:
         auc_value = mt.auc(probs, y_true)
         note = ""
@@ -424,18 +423,17 @@ def predict_probs(
     """Movement and volatility probabilities for a list of samples."""
     if not samples:
         raise ConfigError("no samples to evaluate")
-    row_indices = None
-    if config.feature_names:
-        if dataset_feature_names and dataset_feature_names != config.feature_names:
-            missing = [n for n in config.feature_names if n not in dataset_feature_names]
-            if missing:
-                raise CheckpointError(
-                    f"dataset lacks feature columns {missing} required by checkpoint config "
-                    f"(input_dim={config.input_dim}, features={config.feature_names})"
-                )
-            row_indices = [dataset_feature_names.index(n) for n in config.feature_names]
-    x = np.stack([s.x for s in samples])
-    if x.shape[1] != config.input_dim and row_indices is None:
+    rows = slice(None)
+    if config.feature_names and dataset_feature_names and dataset_feature_names != config.feature_names:
+        missing = [n for n in config.feature_names if n not in dataset_feature_names]
+        if missing:
+            raise CheckpointError(
+                f"dataset lacks feature columns {missing} required by checkpoint config "
+                f"(input_dim={config.input_dim}, features={config.feature_names})"
+            )
+        rows = [dataset_feature_names.index(n) for n in config.feature_names]
+    x = sample_arrays(samples)[0][:, rows]
+    if x.shape[1] != config.input_dim:
         raise CheckpointError(
             f"sample feature dimension {x.shape[1]} does not match checkpoint config "
             f"(input_dim={config.input_dim}, window={config.window})"
@@ -444,7 +442,7 @@ def predict_probs(
     v_probs = np.empty(len(samples))
     for lo in range(0, len(samples), chunk):
         hi = min(lo + chunk, len(samples))
-        trace = forward_batch(x[lo:hi], params, config, row_indices)
+        trace = forward_batch(x[lo:hi], params, config)
         m_probs[lo:hi] = trace.movement_probs
         v_probs[lo:hi] = trace.volatility_probs
     return m_probs, v_probs
@@ -459,8 +457,7 @@ def evaluate(
 ) -> EvalReport:
     """Score a sample set: movement over non-ABSTAIN samples, volatility over all."""
     m_probs, v_probs = predict_probs(params, config, samples, dataset_feature_names)
-    y_m = np.array([s.y_m for s in samples], dtype=np.int64)
-    y_v = np.array([s.y_v for s in samples], dtype=np.int64)
+    y_m, y_v = sample_labels(samples)
     scored = y_m != ABSTAIN
     movement = _score_task(y_m[scored], m_probs[scored], threshold, "movement")
     volatility = _score_task(y_v, v_probs, threshold, "volatility")

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import alertanet
 from alertanet import cli
 from alertanet.serialize import read_json
 
@@ -162,6 +166,36 @@ class TestDeterminism:
         assert (run_a / "checkpoint.json").read_bytes() == (run_b / "checkpoint.json").read_bytes()
         assert (run_a / "train_report.json").read_bytes() == (run_b / "train_report.json").read_bytes()
         assert (eval_a / "eval_report.json").read_bytes() == (eval_b / "eval_report.json").read_bytes()
+
+    def test_checkpoint_bytes_independent_of_blas_threads(self, tmp_path):
+        """The criterion-8 fixture, trained in child processes with 1 and with 2 BLAS threads."""
+        raw, prep = tmp_path / "raw", tmp_path / "prep"
+        assert run_cli("synth", "--out", raw, "--stocks", "2", "--days", "220",
+                       "--features", "6", "--seed", "9") == 0
+        assert run_cli("prepare", "--data", raw, "--out", prep, "--window", "8",
+                       "--train-frac", "0.6", "--valid-frac", "0.2") == 0
+        src = str(Path(alertanet.__file__).resolve().parents[1])
+        checkpoints = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"train_{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            subprocess.run([sys.executable, "-m", "alertanet.cli", "train", "--dataset",
+                            str(prep / "dataset.json"), "--out", str(out), "--epochs", "3",
+                            "--hidden", "6", "--seed", "13"], env=env, check=True, capture_output=True)
+            checkpoints.append((out / "checkpoint.json").read_bytes())
+        assert checkpoints[0] == checkpoints[1]
+
+
+class TestThreshold:
+    @pytest.mark.parametrize("command", ["eval", "ablate", "baseline"])
+    @pytest.mark.parametrize("threshold", ["-0.1", "1.5", "nan"])
+    def test_out_of_range_is_config_error(self, tmp_path, prepared, capsys, command, threshold):
+        extra = ["--checkpoint", tmp_path / "unused.json"] if command == "eval" else ["--epochs", "1"]
+        assert run_cli(command, "--dataset", prepared, "--out", tmp_path / "o",
+                       "--threshold", threshold, *extra) == 1
+        assert "--threshold must lie in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestAblateAndBaseline:

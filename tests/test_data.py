@@ -12,6 +12,7 @@ from alertanet.errors import (
     PreprocessingError,
     SchemaError,
 )
+from alertanet.synth import SynthSpec, generate
 
 from testutil import GOLDEN_PRICES, golden_label_oracle
 
@@ -96,6 +97,25 @@ class TestLoadFrame:
         with pytest.raises(PreprocessingError, match="macro_0"):
             dp.load_frame(path)
 
+    def test_negative_feature_names_first_offender_in_date_order(self, tmp_path):
+        path = write_csv(
+            tmp_path / "G2.csv",
+            ["date", "adj_close", "sent_0", "macro_0"],
+            [["2021-01-05", "1.0", "-1.0", "0.1"], ["2021-01-04", "1.0", "0.5", "-2.0"]],
+        )
+        with pytest.raises(PreprocessingError, match=r"row 3: negative value -2\.0 in feature column 'macro_0'"):
+            dp.load_frame(path)
+
+    @pytest.mark.parametrize("column, cell", [("adj_close", "nan"), ("sent_0", "inf"), ("macro_0", "-inf")])
+    def test_non_finite_cell_names_file_row_and_column(self, tmp_path, column, cell):
+        header = ["date", "adj_close", "sent_0", "macro_0"]
+        rows = [["2021-01-04", "10.0", "0.5", "1.0"], ["2021-01-05", "10.5", "0.25", "2.0"],
+                ["2021-01-06", "11.0", "0.75", "3.0"]]
+        rows[1][header.index(column)] = cell
+        path = write_csv(tmp_path / "NF.csv", header, rows)
+        with pytest.raises(ParseError, match=rf"NF\.csv: row 3: non-finite value .* in column '{column}'"):
+            dp.load_frame(path)
+
     def test_nonpositive_price_rejected(self, tmp_path):
         path = write_csv(
             tmp_path / "P.csv",
@@ -125,6 +145,18 @@ class TestLoadFrame:
         assert np.array_equal(loaded.adj_close, frame.adj_close)
         assert np.array_equal(loaded.features, frame.features)
         assert loaded.dates == frame.dates
+
+
+class TestFeatureFrame:
+    def test_non_finite_price_rejected(self):
+        with pytest.raises(DataIntegrityError, match="adj_close nan on 2022-01-02"):
+            make_frame("A", 3, prices=[10.0, np.nan, 11.0])
+
+    def test_non_finite_feature_rejected(self):
+        features = np.ones((3, 2))
+        features[2, 1] = np.inf
+        with pytest.raises(DataIntegrityError, match="non-finite value inf in feature 'price_0' on 2022-01-03"):
+            make_frame("A", 3, features=features)
 
 
 class TestNormalize:
@@ -196,15 +228,30 @@ class TestLabels:
         assert {0, 1} <= set(got_v)
 
 
-def make_frame(stock_id, n_days, seed=0, start_day=1):
+def make_frame(stock_id, n_days, seed=0, start_day=1, prices=None, features=None):
     rng = np.random.default_rng(seed)
     return dp.FeatureFrame(
         stock_id=stock_id,
         dates=[f"2022-01-{d:02d}" for d in range(start_day, start_day + n_days)],
-        adj_close=rng.uniform(50, 150, size=n_days),
+        adj_close=rng.uniform(50, 150, size=n_days) if prices is None else prices,
         feature_names=["sent_0", "price_0"],
-        features=rng.uniform(0, 1, size=(n_days, 2)),
+        features=rng.uniform(0, 1, size=(n_days, 2)) if features is None else features,
     )
+
+
+def window_oracle(frame, window_len, dead_zone=dp.DEFAULT_DEAD_ZONE,
+                  outlier_threshold=dp.DEFAULT_OUTLIER_THRESHOLD, epsilon=dp.DEFAULT_EPSILON):
+    """Per-window reference: slice, log, and label each price pair in Python floats."""
+    lo, hi = dead_zone
+    out = []
+    for t in range(window_len, len(frame)):
+        raw = frame.features[t - window_len : t, :].T
+        p_prev, p_t = float(frame.adj_close[t - 1]), float(frame.adj_close[t])
+        r = (p_t - p_prev) / p_prev
+        y_m = dp.ABSTAIN if lo < r < hi else (1 if r >= hi else 0)
+        y_v = 1 if abs(r) >= outlier_threshold else 0
+        out.append((np.log(raw + epsilon), y_m, y_v, frame.dates[t]))
+    return out
 
 
 class TestWindow:
@@ -239,6 +286,50 @@ class TestWindow:
             t = 10 + k
             assert sample.y_m == dp.movement_label(frame.adj_close[t - 1], frame.adj_close[t])
             assert sample.y_v == dp.volatility_label(frame.adj_close[t - 1], frame.adj_close[t])
+
+    def test_windows_are_read_only(self):
+        sample = dp.window(make_frame("A", 12), 10)[0]
+        with pytest.raises(ValueError):
+            sample.x[0, 0] = 1.0
+
+
+class TestWindowMatchesPerWindowOracle:
+    def check(self, frame, window_len, **kwargs):
+        samples = dp.window(frame, window_len, **kwargs)
+        expected = window_oracle(frame, window_len, **kwargs)
+        assert len(samples) == len(expected) == len(frame) - window_len
+        for sample, (x, y_m, y_v, target_date) in zip(samples, expected):
+            assert np.array_equal(sample.x, x)
+            assert (sample.y_m, sample.y_v, sample.target_date) == (y_m, y_v, target_date)
+            assert type(sample.y_m) is int and type(sample.y_v) is int
+
+    @pytest.mark.parametrize("seed, window_len", [(0, 1), (1, 5), (2, 10), (3, 30)])
+    def test_synth_frames(self, seed, window_len):
+        self.check(generate(SynthSpec(n_days=400, n_features=8, seed=seed)), window_len)
+
+    def test_synth_frame_with_custom_zones(self):
+        frame = generate(SynthSpec(n_days=300, n_features=4, seed=5))
+        self.check(frame, 7, dead_zone=(-0.01, 0.002), outlier_threshold=0.02, epsilon=1e-3)
+
+    @pytest.mark.parametrize("window_len", [1, 4])
+    def test_golden_prices(self, window_len):
+        n = len(GOLDEN_PRICES)
+        frame = make_frame("GOLD", n, seed=6, prices=[float(p) for p in GOLDEN_PRICES],
+                           features=np.random.default_rng(6).uniform(0, 3, size=(n, 2)))
+        self.check(frame, window_len)
+
+
+class TestSampleArrays:
+    def test_stacks_windows_and_int8_labels(self):
+        samples = dp.window(make_frame("A", 16, seed=2), 10)
+        x, y_m, y_v = dp.sample_arrays(samples)
+        assert x.shape == (6, 2, 10) and y_m.dtype == y_v.dtype == np.int8
+        assert all(np.array_equal(x[i], s.x) for i, s in enumerate(samples))
+        assert y_m.tolist() == [s.y_m for s in samples] and y_v.tolist() == [s.y_v for s in samples]
+
+    def test_empty_list(self):
+        x, y_m, y_v = dp.sample_arrays([])
+        assert x.shape == (0, 0, 0) and y_m.shape == y_v.shape == (0,)
 
 
 class TestChronoSplit:

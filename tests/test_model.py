@@ -203,22 +203,30 @@ class TestForward:
             assert 0.0 < trace.volatility_probability < 1.0
 
     def test_ablation_mask_removes_rows_exactly(self):
+        from alertanet.data import WindowedSample
+        from alertanet.training import predict_probs
+
+        names = ["macro_0", "sent_0", "macro_1", "sent_1", "macro_2"]
         keep = [1, 3]
-        config = md.ModelConfig(input_dim=2, hidden_dim=3, window=4)
+        config = md.ModelConfig(input_dim=2, hidden_dim=3, window=4, feature_names=["sent_0", "sent_1"])
         params = make_params(config, seed=8)
         rng = np.random.default_rng(9)
         x_full = rng.normal(size=(5, 4))
-        masked = md.forward(x_full, params, config, row_indices=keep)
+
+        def probs(x):
+            return predict_probs(params, config, [WindowedSample(x, 0, 0, "S", "2021-01-01")], names)
+
+        m_masked, v_masked = probs(x_full)
         direct = md.forward(x_full[keep, :], params, config)
-        assert masked.movement_probability == direct.movement_probability
-        assert masked.volatility_probability == direct.volatility_probability
+        assert m_masked[0] == direct.movement_probability
+        assert v_masked[0] == direct.volatility_probability
         # values outside the mask are irrelevant, not merely small
         x_altered = x_full.copy()
         x_altered[0, :] = 0.0
         x_altered[2, :] = 99.0
-        altered = md.forward(x_altered, params, config, row_indices=keep)
-        assert altered.movement_probability == masked.movement_probability
-        assert altered.volatility_probability == masked.volatility_probability
+        m_altered, v_altered = probs(x_altered)
+        assert m_altered[0] == m_masked[0]
+        assert v_altered[0] == v_masked[0]
 
     def test_movement_head_receives_volatility_gradient(self):
         from alertanet.training import joint_loss
@@ -297,6 +305,15 @@ class TestCheckpoint:
         obj["config"]["input_dim"] = 7  # shapes no longer match
         path.write_text(json.dumps(obj))
         with pytest.raises(CheckpointError, match="shape"):
+            md.load_checkpoint(path)
+
+    def test_rejects_non_finite_parameter_naming_it(self, tmp_path):
+        config = md.ModelConfig(input_dim=4, hidden_dim=3, window=5)
+        params = make_params(config)
+        params.value("R_h")[1, 2] = np.nan
+        path = tmp_path / "ckpt.json"
+        md.save_checkpoint(path, params, config)
+        with pytest.raises(CheckpointError, match=r"ckpt\.json: parameter 'R_h' has non-finite"):
             md.load_checkpoint(path)
 
     def test_rejects_non_checkpoint_file(self, tmp_path):

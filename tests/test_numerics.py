@@ -75,7 +75,7 @@ class TestElementwise:
 
     def test_binary_ops_reject_shape_mismatch(self):
         a, b = nx.constant(np.ones((2, 3))), nx.constant(np.ones((2, 1)))
-        for op in (nx.add, nx.sub, nx.mul):
+        for op in (nx.add, nx.mul):
             with pytest.raises(DimensionError):
                 op(a, b)
 
@@ -83,7 +83,6 @@ class TestElementwise:
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
         assert np.array_equal(nx.add(nx.constant(a), nx.constant(b)).value, a + b)
-        assert np.array_equal(nx.sub(nx.constant(a), nx.constant(b)).value, a - b)
         assert np.array_equal(nx.mul(nx.constant(a), nx.constant(b)).value, a * b)
 
 
@@ -170,14 +169,6 @@ class TestParamStore:
         params.add("w", np.ones((2, 3)))
         with pytest.raises(DimensionError):
             params.load_values({"w": np.ones((3, 2))})
-
-    def test_grad_clip_scaling(self):
-        params = nx.ParamStore()
-        params.add("w", np.ones((1, 2)))
-        params["w"].grad[...] = np.array([[3.0, 4.0]])
-        assert params.global_grad_norm() == pytest.approx(5.0)
-        params.scale_grads(0.5)
-        assert np.array_equal(params.grad("w"), np.array([[1.5, 2.0]]))
 
 
 def test_non_finite_input_rejected():
