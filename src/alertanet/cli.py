@@ -11,6 +11,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 import time
@@ -40,14 +41,28 @@ from .training import TrainConfig, evaluate, train
 OUT_DIR_ENV = "ALERTANET_OUT_DIR"
 MANIFEST_NAME = "manifest.json"
 
-_BLAS_THREADS: int | str = "default"
-try:  # pin BLAS to one thread so gradient reductions are machine-independent
-    from threadpoolctl import threadpool_limits
 
-    _LIMITER = threadpool_limits(limits=1)
-    _BLAS_THREADS = 1
-except Exception:  # pragma: no cover - optional dependency
-    pass
+def _pin_blas_threads() -> None:
+    """Pin BLAS to one thread, when threadpoolctl is installed, so gradient
+    reductions do not depend on the machine's core count."""
+    try:
+        from threadpoolctl import threadpool_limits
+    except ImportError:
+        return
+    threadpool_limits(limits=1)
+
+
+def _blas_threads() -> int | None:
+    """Thread count of the OpenBLAS bundled with numpy, or None when it cannot be asked."""
+    for path in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))  # the already loaded library, not a second copy
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype, fn.argtypes = ctypes.c_int, []
+                return int(fn())
+    return None
 
 
 def _resolve_out(args, command: str) -> Path:
@@ -93,7 +108,7 @@ class _ManifestWriter:
                 "outputs": self.outputs,
                 "warnings": self.warnings,
                 "seed": self.seed,
-                "blas_threads": _BLAS_THREADS,
+                "blas_threads": _blas_threads(),
                 "started_at": self.started_at,
                 "finished_at": datetime.now(timezone.utc).isoformat(),
                 "wall_time_seconds": time.perf_counter() - self.started,
@@ -469,6 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _pin_blas_threads()
     try:
         threshold = getattr(args, "threshold", 0.5)
         if not 0.0 <= threshold <= 1.0:

@@ -25,11 +25,12 @@ from . import numerics as nx
 from . import serialize
 from .errors import CheckpointError, ConfigError, DimensionError, DomainError
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 ARCHITECTURES = ("alerta", "gru")
 
-_GATES = ("z", "r", "h")
+# Cell matrices stack one hidden_dim-row block per gate, in the order z, r, h.
+_CELL_MATRICES = ("W", "R_zr", "R_h")
 
 
 @dataclass
@@ -72,17 +73,21 @@ class ModelConfig:
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
-    """Expected parameter names and shapes, in creation order."""
+    """Expected parameter names and shapes, in creation order.
+
+    A GRU cell is ``W`` (input weights of gates z, r, h stacked), ``R_zr``
+    (recurrent weights of z and r stacked), ``R_h`` and ``b`` (biases of z,
+    r, h stacked); a separate context cell repeats them with a ``ctx_``
+    prefix.
+    """
     d, u = config.input_dim, config.hidden_dim
     shapes: dict[str, tuple[int, int]] = {}
 
     def cell(prefix: str):
-        for g in _GATES:
-            shapes[f"{prefix}W_{g}"] = (u, d)
-        for g in _GATES:
-            shapes[f"{prefix}R_{g}"] = (u, u)
-        for g in _GATES:
-            shapes[f"{prefix}b_{g}"] = (u, 1)
+        shapes[f"{prefix}W"] = (3 * u, d)
+        shapes[f"{prefix}R_zr"] = (2 * u, u)
+        shapes[f"{prefix}R_h"] = (u, u)
+        shapes[f"{prefix}b"] = (3 * u, 1)
 
     cell("")
     if config.uses_context and not config.shared_context_cell:
@@ -95,55 +100,73 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
 
 
 def init_params(config: ModelConfig, rng: np.random.Generator) -> nx.ParamStore:
-    """Scaled uniform init (+-sqrt(6/(fan_in+fan_out))), zero biases, seeded."""
+    """Scaled uniform init (+-sqrt(6/(fan_in+fan_out))), zero biases, seeded.
+
+    A stacked cell matrix is drawn one gate block at a time, in gate order,
+    with the fan-out of one gate, so a seed gives the values that separately
+    stored per-gate matrices would get.
+    """
     params = nx.ParamStore()
     for name, (rows, cols) in param_shapes(config).items():
-        if name.startswith(("b_", "ctx_b_")):
+        base = name.removeprefix("ctx_")
+        if base.startswith("b"):
             params.add(name, np.zeros((rows, cols)))
-        else:
-            limit = float(np.sqrt(6.0 / (rows + cols)))
-            params.add(name, rng.uniform(-limit, limit, size=(rows, cols)))
+            continue
+        block = config.hidden_dim if base in _CELL_MATRICES else rows
+        limit = float(np.sqrt(6.0 / (block + cols)))
+        blocks = [rng.uniform(-limit, limit, size=(block, cols)) for _ in range(rows // block)]
+        params.add(name, np.concatenate(blocks))
     return params
 
 
-def _cell_step(x: nx.Tensor, h_prev: nx.Tensor, params: nx.ParamStore, prefix: str = "") -> nx.Tensor:
-    """One GRU cell update on a (dim x batch) column block.
+def cell_step(
+    wx: nx.Tensor,
+    h_prev: nx.Tensor,
+    params: nx.ParamStore,
+    prefix: str = "",
+    cols: slice = slice(None),
+) -> nx.Tensor:
+    """One GRU cell update on a (hidden x batch) block, recorded as one tape node.
 
-    z = sigma(W_z x + R_z h + b_z); r = sigma(W_r x + R_r h + b_r)
-    cand = tanh(W_h x + R_h (r*h) + b_h); out = (1-z)*h + z*cand
+    ``wx`` holds the input projection ``W x`` (rows z, r, h), usually of every
+    step side by side; ``cols`` selects this step's columns of it.
+
+    z, r = sigma((W_zr x + R_zr h) + b_zr); cand = tanh((W_h x + R_h (r*h)) + b_h)
+    out = (1-z)*h + z*cand
+
+    Every entry keeps the summation order and grouping of separate per-gate
+    products, so the value is bit-identical to composing the gates op by op.
     """
-    z = nx.sigmoid(
-        nx.bias_add(
-            nx.add(nx.matmul(params[prefix + "W_z"], x), nx.matmul(params[prefix + "R_z"], h_prev)),
-            params[prefix + "b_z"],
+    r_zr, r_h, b = params[prefix + "R_zr"], params[prefix + "R_h"], params[prefix + "b"]
+    u = r_h.rows
+    h = h_prev.value
+    wx_t = wx.value[:, cols]
+    if h.shape[0] != u or wx_t.shape != (3 * u, h.shape[1]):
+        raise DimensionError(
+            f"cell_step: projection {wx_t.shape} and state {h.shape} do not fit hidden_dim {u}"
         )
-    )
-    r = nx.sigmoid(
-        nx.bias_add(
-            nx.add(nx.matmul(params[prefix + "W_r"], x), nx.matmul(params[prefix + "R_r"], h_prev)),
-            params[prefix + "b_r"],
-        )
-    )
-    cand = nx.tanh(
-        nx.bias_add(
-            nx.add(
-                nx.matmul(params[prefix + "W_h"], x),
-                nx.matmul(params[prefix + "R_h"], nx.mul(r, h_prev)),
-            ),
-            params[prefix + "b_h"],
-        )
-    )
-    one_minus_z = nx.affine(z, -1.0, 1.0)
-    return nx.add(nx.mul(one_minus_z, h_prev), nx.mul(z, cand))
+    zr = nx.sigmoid_values((wx_t[: 2 * u] + nx.matmul_values(r_zr.value, h)) + b.value[: 2 * u])
+    z, r = zr[:u], zr[u:]
+    rh = r * h
+    cand = np.tanh((wx_t[2 * u :] + nx.matmul_values(r_h.value, rh)) + b.value[2 * u :])
+    out = (1.0 - z) * h + z * cand
 
+    def backward_fn(grad):
+        d_cand = grad * z * (1.0 - cand * cand)
+        d_rh = np.dot(r_h.value.T, d_cand)
+        d_zr = np.concatenate([grad * (cand - h), d_rh * h]) * zr * (1.0 - zr)
+        if h_prev.requires_grad:
+            h_prev.grad += grad * (1.0 - z) + d_rh * r + np.dot(r_zr.value.T, d_zr)
+        if wx.requires_grad:
+            wx.grad[: 2 * u, cols] += d_zr
+            wx.grad[2 * u :, cols] += d_cand
+        # ParamStore entries always require gradients
+        r_zr.grad += np.dot(d_zr, h.T)
+        r_h.grad += np.dot(d_cand, rh.T)
+        b.grad[: 2 * u] += np.sum(d_zr, axis=1, keepdims=True)
+        b.grad[2 * u :] += np.sum(d_cand, axis=1, keepdims=True)
 
-def gru_step(x, h_prev, params: nx.ParamStore, prefix: str = "") -> np.ndarray:
-    """Plain-array view of one GRU step; vectors in, vector out."""
-    squeeze = np.asarray(x).ndim == 1
-    xt = nx.constant(nx.as_column(x))
-    ht = nx.constant(nx.as_column(h_prev))
-    out = _cell_step(xt, ht, params, prefix).value
-    return out[:, 0] if squeeze else out
+    return nx.record(out, (wx, h_prev, r_zr, r_h, b), backward_fn)
 
 
 def tda_weights(t: int) -> np.ndarray:
@@ -151,31 +174,6 @@ def tda_weights(t: int) -> np.ndarray:
     if t < 1:
         raise DomainError(f"temporal-distance weights need t >= 1, got {t}")
     return 1.0 / np.arange(t, 0, -1, dtype=np.float64)
-
-
-def _context_tensor(
-    x_t: nx.Tensor,
-    hidden: list[nx.Tensor],
-    params: nx.ParamStore,
-    prefix: str,
-    normalize: bool,
-) -> nx.Tensor:
-    weights = tda_weights(len(hidden))
-    if normalize:
-        weights = weights / np.sum(weights)
-    mixed = nx.linear_combination(hidden, weights.tolist())
-    return _cell_step(x_t, mixed, params, prefix)
-
-
-def tda_context(x_t, h_all, params: nx.ParamStore, prefix: str = "", normalize: bool = False) -> np.ndarray:
-    """Plain-array view of the context computation over hidden states 1..t."""
-    if len(h_all) == 0:
-        raise DimensionError("tda_context needs at least one hidden state")
-    squeeze = np.asarray(x_t).ndim == 1
-    xt = nx.constant(nx.as_column(x_t))
-    hidden = [nx.constant(nx.as_column(h)) for h in h_all]
-    out = _context_tensor(xt, hidden, params, prefix, normalize).value
-    return out[:, 0] if squeeze else out
 
 
 @dataclass
@@ -233,16 +231,26 @@ def forward_batch(windows, params: nx.ParamStore, config: ModelConfig) -> Forwar
             f"window block {dim}x{steps} does not match model config "
             f"input_dim={config.input_dim} window={config.window}"
         )
-    cols = [nx.constant(np.ascontiguousarray(x[:, :, t].T)) for t in range(steps)]
+    # column t*batch + j of the input block holds step t of window j
+    x_block = nx.constant(x.transpose(1, 2, 0).reshape(dim, steps * batch))
+    wx = nx.matmul(params["W"], x_block)
     h = nx.constant(np.zeros((config.hidden_dim, batch)))
     hidden: list[nx.Tensor] = []
     for t in range(steps):
-        h = _cell_step(cols[t], h, params)
+        h = cell_step(wx, h, params, cols=slice(t * batch, (t + 1) * batch))
         hidden.append(h)
 
     if config.uses_context:
-        prefix = "" if config.shared_context_cell else "ctx_"
-        context = _context_tensor(cols[-1], hidden, params, prefix, config.tda_normalize)
+        weights = tda_weights(steps)
+        if config.tda_normalize:
+            weights = weights / np.sum(weights)
+        mixed = nx.linear_combination(hidden, weights.tolist())
+        last = slice((steps - 1) * batch, steps * batch)
+        if config.shared_context_cell:
+            context = cell_step(wx, mixed, params, cols=last)
+        else:
+            ctx_wx = nx.matmul(params["ctx_W"], nx.constant(x_block.value[:, last]))
+            context = cell_step(ctx_wx, mixed, params, "ctx_")
         fusion = nx.concat_rows([hidden[-1], context])
     else:
         context = None
@@ -292,8 +300,14 @@ def load_checkpoint(path: str | Path) -> tuple[nx.ParamStore, ModelConfig, dict]
     if not Path(path).is_file():
         raise CheckpointError(f"checkpoint file {path} not found; run the `train` step first")
     obj = serialize.read_json(path)
-    if obj.get("kind") != "alertanet-checkpoint" or obj.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: not a checkpoint file (or unsupported version)")
+    if obj.get("kind") != "alertanet-checkpoint":
+        raise CheckpointError(f"{path}: not a checkpoint file")
+    version = obj.get("format_version")
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{path}: checkpoint format version {version} is not supported (this version reads "
+            f"{CHECKPOINT_VERSION}, which stores stacked gate weights); retrain with `alertanet train`"
+        )
     try:
         config = ModelConfig.from_dict(obj["config"])
     except (KeyError, TypeError) as exc:

@@ -33,14 +33,6 @@ def as_matrix(data, require_finite: bool = True) -> np.ndarray:
     return arr
 
 
-def as_column(data) -> np.ndarray:
-    """Coerce a 1-D vector (or nx1 matrix) to an nx1 column matrix."""
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    return as_matrix(arr)
-
-
 class Tensor:
     """A float64 matrix plus the bookkeeping needed for reverse mode.
 
@@ -94,8 +86,11 @@ def constant(value, name: str | None = None) -> Tensor:
     return Tensor(value, requires_grad=False, name=name)
 
 
-def _result(value: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    # Internal op outputs skip re-validation; inputs were already validated.
+def record(value: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+    """Put an op's output on the tape with the function that pushes its gradient to ``parents``.
+
+    Op outputs skip re-validation; their inputs were already validated.
+    """
     return Tensor(value, parents=parents, backward_fn=backward_fn, _validate=False)
 
 
@@ -137,7 +132,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.grad += np.dot(a.value.T, grad)
 
-    return _result(out, (a, b), backward_fn)
+    return record(out, (a, b), backward_fn)
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -154,7 +149,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.grad += grad
 
-    return _result(a.value + b.value, (a, b), backward_fn)
+    return record(a.value + b.value, (a, b), backward_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -167,7 +162,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.grad += grad * a.value
 
-    return _result(a.value * b.value, (a, b), backward_fn)
+    return record(a.value * b.value, (a, b), backward_fn)
 
 
 def affine(a: Tensor, scale: float, shift: float = 0.0) -> Tensor:
@@ -178,7 +173,7 @@ def affine(a: Tensor, scale: float, shift: float = 0.0) -> Tensor:
         if a.requires_grad:
             a.grad += scale * grad
 
-    return _result(scale * a.value + shift, (a,), backward_fn)
+    return record(scale * a.value + shift, (a,), backward_fn)
 
 
 def mul_const(a: Tensor, const: np.ndarray) -> Tensor:
@@ -190,18 +185,18 @@ def mul_const(a: Tensor, const: np.ndarray) -> Tensor:
         if a.requires_grad:
             a.grad += grad * const
 
-    return _result(a.value * const, (a,), backward_fn)
+    return record(a.value * const, (a,), backward_fn)
 
 
 def sigmoid_values(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function (no overflow for any float64)."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    neg = ~pos
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[neg])
-    out[neg] = ex / (1.0 + ex)
-    return out
+    """Numerically stable logistic function (no overflow for any float64).
+
+    ``exp(-|x|)`` never overflows, and for negative ``x`` it is ``exp(x)``, so
+    the two branches are ``1/(1+exp(-x))`` and ``exp(x)/(1+exp(x))``.
+    """
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -211,7 +206,7 @@ def sigmoid(a: Tensor) -> Tensor:
         if a.requires_grad:
             a.grad += grad * out * (1.0 - out)
 
-    return _result(out, (a,), backward_fn)
+    return record(out, (a,), backward_fn)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -221,7 +216,7 @@ def tanh(a: Tensor) -> Tensor:
         if a.requires_grad:
             a.grad += grad * (1.0 - out * out)
 
-    return _result(out, (a,), backward_fn)
+    return record(out, (a,), backward_fn)
 
 
 def bias_add(a: Tensor, bias: Tensor) -> Tensor:
@@ -239,7 +234,7 @@ def bias_add(a: Tensor, bias: Tensor) -> Tensor:
         if bias.requires_grad:
             bias.grad += np.sum(grad, axis=1, keepdims=True)
 
-    return _result(a.value + bias.value, (a, bias), backward_fn)
+    return record(a.value + bias.value, (a, bias), backward_fn)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -260,7 +255,7 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
             if p.requires_grad:
                 p.grad += grad[lo:hi, :]
 
-    return _result(out, tuple(parts), backward_fn)
+    return record(out, tuple(parts), backward_fn)
 
 
 def linear_combination(parts: Sequence[Tensor], coeffs: Sequence[float]) -> Tensor:
@@ -282,7 +277,7 @@ def linear_combination(parts: Sequence[Tensor], coeffs: Sequence[float]) -> Tens
             if p.requires_grad:
                 p.grad += c * grad
 
-    return _result(out, tuple(parts), backward_fn)
+    return record(out, tuple(parts), backward_fn)
 
 
 def total_sum(a: Tensor) -> Tensor:
@@ -293,7 +288,7 @@ def total_sum(a: Tensor) -> Tensor:
         if a.requires_grad:
             a.grad += grad[0, 0]
 
-    return _result(out, (a,), backward_fn)
+    return record(out, (a,), backward_fn)
 
 
 def softplus_values(x: np.ndarray) -> np.ndarray:
@@ -320,7 +315,7 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray, pos_weight: float = 1.0
             dz = (1.0 - targets) * sigmoid_values(z) - pos_weight * targets * sigmoid_values(-z)
             logits.grad += grad * dz
 
-    return _result(out, (logits,), backward_fn)
+    return record(out, (logits,), backward_fn)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

@@ -142,13 +142,20 @@ class Adam:
             params.value(name)[...] -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-def clip_gradients(params: nx.ParamStore, names: list[str], max_norm: float) -> float:
-    """Scale the named gradients so their joint L2 norm is at most ``max_norm``."""
+def _global_norm(arrays) -> float:
+    """Joint L2 norm of several arrays, accumulated in the order given."""
     total = 0.0
-    for name in names:
-        g = params.grad(name)
-        total += float(np.sum(g * g))
-    norm = float(np.sqrt(total))
+    for arr in arrays:
+        total += float(np.sum(arr * arr))
+    return float(np.sqrt(total))
+
+
+def clip_gradients(params: nx.ParamStore, names: list[str], max_norm: float) -> float:
+    """Scale the named gradients so their joint L2 norm is at most ``max_norm``.
+
+    Returns the norm before clipping.
+    """
+    norm = _global_norm(params.grad(name) for name in names)
     if max_norm and norm > max_norm:
         factor = max_norm / norm
         for name in names:
@@ -279,6 +286,7 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
             global_epoch += 1
             perm = rng.permutation(n_train)
             movement_sum = volatility_sum = total_sum = 0.0
+            grad_norms: list[float] = []
             for lo in range(0, n_train, cfg.batch_size):
                 batch_idx = perm[lo : lo + cfg.batch_size]
                 trace = forward_batch(train_x[batch_idx], params, config)
@@ -294,7 +302,7 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
                     )
                 params.zero_grads()
                 nx.backward(loss)
-                clip_gradients(params, trainable, cfg.clip_norm)
+                grad_norms.append(clip_gradients(params, trainable, cfg.clip_norm))
                 optimizer.step(params, trainable)
                 weight = len(batch_idx)
                 movement_sum += m_term * weight
@@ -314,6 +322,12 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
                     "valid_movement": valid_m,
                     "valid_volatility": valid_v,
                     "valid_total": valid_total,
+                    "grad_norm_mean": sum(grad_norms) / len(grad_norms),
+                    "grad_norm_max": max(grad_norms),
+                    "clipped_fraction": (
+                        sum(n > cfg.clip_norm for n in grad_norms) / len(grad_norms) if cfg.clip_norm else 0.0
+                    ),
+                    "param_norm": _global_norm(t.value for _, t in params.items()),
                 }
             )
             if valid_total < best_valid:

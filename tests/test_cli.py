@@ -175,7 +175,7 @@ class TestDeterminism:
         assert run_cli("prepare", "--data", raw, "--out", prep, "--window", "8",
                        "--train-frac", "0.6", "--valid-frac", "0.2") == 0
         src = str(Path(alertanet.__file__).resolve().parents[1])
-        checkpoints = []
+        checkpoints, manifest_threads = [], []
         for threads in ("1", "2"):
             out = tmp_path / f"train_{threads}"
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
@@ -184,7 +184,10 @@ class TestDeterminism:
                             str(prep / "dataset.json"), "--out", str(out), "--epochs", "3",
                             "--hidden", "6", "--seed", "13"], env=env, check=True, capture_output=True)
             checkpoints.append((out / "checkpoint.json").read_bytes())
+            manifest_threads.append(read_json(out / "manifest.json")["blas_threads"])
         assert checkpoints[0] == checkpoints[1]
+        if cli._blas_threads() is not None:  # the manifest records the count in effect
+            assert manifest_threads[0] == 1 and manifest_threads[1] in (1, 2)
 
 
 class TestThreshold:

@@ -5,6 +5,8 @@ import pytest
 
 from alertanet import model as md
 from alertanet import numerics as nx
+from alertanet.data import ABSTAIN
+from alertanet.training import joint_loss
 from alertanet.errors import CheckpointError, ConfigError, DimensionError, DomainError
 
 
@@ -19,12 +21,20 @@ def scalar_sigmoid(a):
     return e / (1.0 + e)
 
 
+def gate_block(p, name, gate, prefix=""):
+    """One gate's rows of a stacked cell matrix (gate order z, r, h)."""
+    u = p.value(prefix + "R_h").shape[0]
+    i = "zrh".index(gate)
+    return p.value(prefix + name)[i * u : (i + 1) * u]
+
+
 def scalar_gru_step(x, h, p, prefix=""):
     """Independent loop implementation of the four cell equations."""
     u = len(h)
 
     def pre(gate):
-        w, r, b = p.value(f"{prefix}W_{gate}"), p.value(f"{prefix}R_{gate}"), p.value(f"{prefix}b_{gate}")
+        w, b = gate_block(p, "W", gate, prefix), gate_block(p, "b", gate, prefix)
+        r = p.value(prefix + "R_h") if gate == "h" else gate_block(p, "R_zr", gate, prefix)
         out = []
         for i in range(u):
             acc = 0.0
@@ -42,13 +52,22 @@ def scalar_gru_step(x, h, p, prefix=""):
     return [(1.0 - z) * hv + z * c for z, hv, c in zip(update, h, cand)]
 
 
+def fused_step(x, h, params, prefix=""):
+    """The model's cell step on plain arrays: vectors, or (dim x batch) blocks."""
+    squeeze = np.ndim(x) == 1
+    x, h = np.asarray(x, dtype=np.float64), np.asarray(h, dtype=np.float64)
+    wx = nx.matmul(params[prefix + "W"], nx.constant(x.reshape(x.shape[0], -1)))
+    out = md.cell_step(wx, nx.constant(h.reshape(h.shape[0], -1)), params, prefix).value
+    return out[:, 0] if squeeze else out
+
+
 class TestGruStep:
     def test_zero_params_zero_state(self):
         config = md.ModelConfig(input_dim=3, hidden_dim=4, window=2)
         params = make_params(config)
         for name in params.names():
             params.value(name)[...] = 0.0
-        out = md.gru_step(np.array([1.0, 2.0, 3.0]), np.zeros(4), params)
+        out = fused_step(np.array([1.0, 2.0, 3.0]), np.zeros(4), params)
         assert np.array_equal(out, np.zeros(4))
 
     def test_zero_params_halve_previous_state(self):
@@ -57,7 +76,7 @@ class TestGruStep:
         for name in params.names():
             params.value(name)[...] = 0.0
         v = np.array([0.4, -1.2, 2.0, 0.0])
-        out = md.gru_step(np.array([5.0, -1.0, 2.0]), v, params)
+        out = fused_step(np.array([5.0, -1.0, 2.0]), v, params)
         assert np.allclose(out, 0.5 * v, atol=0, rtol=0)
 
     def test_matches_scalar_oracle(self):
@@ -67,7 +86,7 @@ class TestGruStep:
         for _ in range(10):
             x = rng.normal(size=3)
             h = rng.normal(size=2)
-            ours = md.gru_step(x, h, params)
+            ours = fused_step(x, h, params)
             oracle = scalar_gru_step(x, h, params)
             assert np.max(np.abs(ours - np.array(oracle))) < 1e-12
 
@@ -77,10 +96,156 @@ class TestGruStep:
         rng = np.random.default_rng(6)
         xs = rng.normal(size=(3, 5))
         hs = rng.normal(size=(2, 5))
-        batched = md.gru_step(xs, hs, params)
+        batched = fused_step(xs, hs, params)
         for j in range(5):
-            single = md.gru_step(xs[:, j], hs[:, j], params)
+            single = fused_step(xs[:, j], hs[:, j], params)
             assert np.array_equal(batched[:, j], single)
+
+    def test_rejects_state_of_wrong_width(self):
+        config = md.ModelConfig(input_dim=3, hidden_dim=2, window=2)
+        params = make_params(config)
+        with pytest.raises(DimensionError, match="cell_step"):
+            fused_step(np.ones((3, 5)), np.ones((2, 1)), params)
+
+
+def oracle_cell_step(x, h_prev, gates, prefix=""):
+    """The per-gate tape composition the fused cell replaced: six products, one node per op."""
+    z = nx.sigmoid(
+        nx.bias_add(
+            nx.add(nx.matmul(gates[prefix + "W_z"], x), nx.matmul(gates[prefix + "R_z"], h_prev)),
+            gates[prefix + "b_z"],
+        )
+    )
+    r = nx.sigmoid(
+        nx.bias_add(
+            nx.add(nx.matmul(gates[prefix + "W_r"], x), nx.matmul(gates[prefix + "R_r"], h_prev)),
+            gates[prefix + "b_r"],
+        )
+    )
+    cand = nx.tanh(
+        nx.bias_add(
+            nx.add(
+                nx.matmul(gates[prefix + "W_h"], x),
+                nx.matmul(gates[prefix + "R_h"], nx.mul(r, h_prev)),
+            ),
+            gates[prefix + "b_h"],
+        )
+    )
+    one_minus_z = nx.affine(z, -1.0, 1.0)
+    return nx.add(nx.mul(one_minus_z, h_prev), nx.mul(z, cand))
+
+
+def oracle_forward_batch(x, gates, config):
+    """The per-gate forward pass: one column block and one oracle cell per step."""
+    batch, _, steps = x.shape
+    cols = [nx.constant(np.ascontiguousarray(x[:, :, t].T)) for t in range(steps)]
+    h = nx.constant(np.zeros((config.hidden_dim, batch)))
+    hidden = []
+    for t in range(steps):
+        h = oracle_cell_step(cols[t], h, gates)
+        hidden.append(h)
+    context, fusion = None, hidden[-1]
+    if config.uses_context:
+        weights = md.tda_weights(steps)
+        if config.tda_normalize:
+            weights = weights / np.sum(weights)
+        mixed = nx.linear_combination(hidden, weights.tolist())
+        prefix = "" if config.shared_context_cell else "ctx_"
+        context = oracle_cell_step(cols[-1], mixed, gates, prefix)
+        fusion = nx.concat_rows([hidden[-1], context])
+    movement_logit = nx.bias_add(nx.matmul(gates["W_m"], fusion), gates["b_m"])
+    movement_prob = nx.sigmoid(movement_logit)
+    volatility_logit = nx.bias_add(
+        nx.matmul(gates["W_v"], nx.concat_rows([fusion, movement_prob])), gates["b_v"]
+    )
+    return md.ForwardTrace(hidden, context, movement_logit, movement_prob,
+                           volatility_logit, nx.sigmoid(volatility_logit))
+
+
+# stacked parameter -> the per-gate parameters its row blocks hold, in order
+_GATE_NAMES = {"W": ("W_z", "W_r", "W_h"), "R_zr": ("R_z", "R_r"), "b": ("b_z", "b_r", "b_h")}
+
+
+def per_gate_store(params):
+    """Separate trainable per-gate matrices cut from the stacked parameters."""
+    gates = nx.ParamStore()
+    for name, tensor in params.items():
+        base = name.removeprefix("ctx_")
+        prefix = name[: len(name) - len(base)]
+        parts = _GATE_NAMES.get(base, (base,))
+        for part, block in zip(parts, np.split(tensor.value, len(parts))):
+            gates.add(prefix + part, block.copy())
+    return gates
+
+
+def stacked_grads(gates, params):
+    grads = {}
+    for name in params.names():
+        base = name.removeprefix("ctx_")
+        prefix = name[: len(name) - len(base)]
+        grads[name] = np.concatenate([gates.grad(prefix + part) for part in _GATE_NAMES.get(base, (base,))])
+    return grads
+
+
+FUSED_ORACLE_CONFIGS = {
+    "alerta-shared": {},
+    "alerta-ctx-normalized": {"shared_context_cell": False, "tda_normalize": True},
+    "gru": {"arch": "gru"},
+}
+
+
+class TestFusedCellMatchesPerGateOracle:
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    @pytest.mark.parametrize("kind", sorted(FUSED_ORACLE_CONFIGS))
+    def test_forward_equal_and_gradients_close(self, kind, batch):
+        config = md.ModelConfig(input_dim=5, hidden_dim=6, window=4, **FUSED_ORACLE_CONFIGS[kind])
+        params = make_params(config, seed=batch)
+        rng = np.random.default_rng(100 + batch)
+        for name in params.names():
+            if name.removeprefix("ctx_").startswith("b"):  # nonzero, so the grouping of + b shows
+                params.value(name)[...] = rng.normal(size=params.value(name).shape)
+        gates = per_gate_store(params)
+        x = rng.normal(size=(batch, 5, 4)) * 2.0
+        y_m = rng.integers(0, 2, size=batch)
+        y_m[::3] = ABSTAIN
+        y_v = rng.integers(0, 2, size=batch)
+
+        ours = md.forward_batch(x, params, config)
+        oracle = oracle_forward_batch(x, gates, config)
+        for got, want in zip(ours.hidden, oracle.hidden):
+            assert np.array_equal(got.value, want.value)
+        if config.uses_context:
+            assert np.array_equal(ours.context.value, oracle.context.value)
+        for field in ("movement_logit", "movement_prob", "volatility_logit", "volatility_prob"):
+            assert np.array_equal(getattr(ours, field).value, getattr(oracle, field).value)
+
+        loss = joint_loss(ours, y_m, y_v, 0.8, 1.5)
+        oracle_loss = joint_loss(oracle, y_m, y_v, 0.8, 1.5)
+        assert loss.item() == oracle_loss.item()
+        params.zero_grads()
+        nx.backward(loss)
+        gates.zero_grads()
+        nx.backward(oracle_loss)
+        for name, want in stacked_grads(gates, params).items():
+            got = params.grad(name)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+    def test_init_draws_gate_blocks_in_per_gate_order(self):
+        config = md.ModelConfig(input_dim=5, hidden_dim=6, window=4, shared_context_cell=False)
+        rng = np.random.default_rng(5)
+        d, u = 5, 6
+        expected = {}
+        for prefix in ("", "ctx_"):
+            for name, (rows, cols) in [(f"W_{g}", (u, d)) for g in "zrh"] + [(f"R_{g}", (u, u)) for g in "zrh"]:
+                limit = np.sqrt(6.0 / (rows + cols))
+                expected[prefix + name] = rng.uniform(-limit, limit, size=(rows, cols))
+        for name, cols in (("W_m", 2 * u), ("W_v", 2 * u + 1)):
+            limit = np.sqrt(6.0 / (1 + cols))
+            expected[name] = rng.uniform(-limit, limit, size=(1, cols))
+        gates = per_gate_store(md.init_params(config, np.random.default_rng(5)))
+        for name, tensor in gates.items():
+            want = expected.get(name, np.zeros_like(tensor.value))
+            assert np.array_equal(tensor.value, want), name
 
 
 class TestTdaWeights:
@@ -118,46 +283,48 @@ class TestTdaContext:
     def test_single_state_equals_plain_step(self):
         config = md.ModelConfig(input_dim=3, hidden_dim=4, window=1)
         params = make_params(config, seed=2)
-        rng = np.random.default_rng(3)
-        x, h = rng.normal(size=3), rng.normal(size=4)
-        assert np.array_equal(md.tda_context(x, [h], params), md.gru_step(x, h, params))
+        x = np.random.default_rng(3).normal(size=(3, 1))
+        trace = md.forward(x, params, config)
+        h1 = trace.hidden_states[:, 0]
+        assert np.array_equal(trace.context.value[:, 0], fused_step(x[:, 0], h1, params))
 
     def test_zero_states_equal_step_from_zero(self):
-        config = md.ModelConfig(input_dim=3, hidden_dim=4, window=1)
+        config = md.ModelConfig(input_dim=3, hidden_dim=4, window=5, shared_context_cell=False)
         params = make_params(config, seed=2)
-        x = np.array([0.3, -0.7, 1.1])
-        zeros = [np.zeros(4) for _ in range(5)]
-        assert np.array_equal(md.tda_context(x, zeros, params), md.gru_step(x, np.zeros(4), params))
+        for name in ("W", "R_zr", "R_h", "b"):
+            params.value(name)[...] = 0.0  # every encoder state is exactly zero
+        x = np.random.default_rng(4).normal(size=(3, 5))
+        trace = md.forward(x, params, config)
+        assert np.array_equal(trace.hidden_states, np.zeros((4, 5)))
+        want = fused_step(x[:, -1], np.zeros(4), params, prefix="ctx_")
+        assert np.array_equal(trace.context.value[:, 0], want)
 
     def test_matches_scalar_recomputation(self):
-        config = md.ModelConfig(input_dim=2, hidden_dim=3, window=1)
+        config = md.ModelConfig(input_dim=2, hidden_dim=3, window=4)
         params = make_params(config, seed=9)
-        rng = np.random.default_rng(10)
-        x = rng.normal(size=2)
-        states = [rng.normal(size=3) for _ in range(4)]
+        x = np.random.default_rng(10).normal(size=(2, 4))
+        trace = md.forward(x, params, config)
+        states = trace.hidden_states.T.tolist()
         weights = [1.0 / (4 - i + 1) for i in range(1, 5)]
         mixed = [0.0, 0.0, 0.0]
         for w, h in zip(weights, states):
             for i in range(3):
                 mixed[i] += w * h[i]
-        oracle = scalar_gru_step(x, mixed, params)
-        ours = md.tda_context(x, states, params)
-        assert np.max(np.abs(ours - np.array(oracle))) < 1e-12
+        oracle = scalar_gru_step(x[:, -1], mixed, params)
+        assert np.max(np.abs(trace.context.value[:, 0] - np.array(oracle))) < 1e-12
 
     def test_normalized_variant_divides_by_weight_total(self):
-        config = md.ModelConfig(input_dim=2, hidden_dim=3, window=1)
+        config = md.ModelConfig(input_dim=2, hidden_dim=3, window=6, tda_normalize=True)
         params = make_params(config, seed=9)
-        rng = np.random.default_rng(13)
-        x = rng.normal(size=2)
-        states = [rng.normal(size=3) for _ in range(6)]
+        x = np.random.default_rng(13).normal(size=(2, 6))
+        trace = md.forward(x, params, config)
         w = md.tda_weights(6)
         scaled = (w / np.sum(w)).tolist()
         mixed = np.zeros(3)
-        for c, h in zip(scaled, states):
-            mixed += c * np.asarray(h)
-        got = md.tda_context(x, states, params, normalize=True)
-        want = md.gru_step(x, mixed, params)
-        assert np.max(np.abs(got - want)) < 1e-12
+        for c, h in zip(scaled, trace.hidden_states.T):
+            mixed += c * h
+        want = fused_step(x[:, -1], mixed, params)
+        assert np.max(np.abs(trace.context.value[:, 0] - want)) < 1e-12
 
 
 class TestForward:
@@ -176,10 +343,10 @@ class TestForward:
         x = np.abs(np.random.default_rng(1).normal(size=(4, 1)))
         trace = md.forward(x, params, config)
         assert len(trace.hidden) == 1
-        h1 = md.gru_step(x[:, 0], np.zeros(3), params)
+        h1 = fused_step(x[:, 0], np.zeros(3), params)
         assert np.array_equal(trace.hidden_states[:, 0], h1)
         # context with a single state: weight vector is [1.0]
-        assert np.array_equal(trace.context.value[:, 0], md.tda_context(x[:, 0], [h1], params))
+        assert np.array_equal(trace.context.value[:, 0], fused_step(x[:, 0], h1, params))
 
     def test_bit_identical_across_runs(self):
         config = md.ModelConfig(input_dim=5, hidden_dim=4, window=6)
@@ -263,10 +430,10 @@ class TestForward:
     def test_separate_context_cell_params_exist_and_are_used(self):
         config = md.ModelConfig(input_dim=3, hidden_dim=2, window=4, shared_context_cell=False)
         params = make_params(config, seed=6)
-        assert "ctx_W_z" in params
+        assert "ctx_W" in params
         x = np.random.default_rng(7).normal(size=(3, 4))
         base = md.forward(x, params, config).movement_probability
-        params.value("ctx_W_z")[...] += 0.5
+        params.value("ctx_W")[...] += 0.5
         assert md.forward(x, params, config).movement_probability != base
 
 
@@ -314,6 +481,22 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         md.save_checkpoint(path, params, config)
         with pytest.raises(CheckpointError, match=r"ckpt\.json: parameter 'R_h' has non-finite"):
+            md.load_checkpoint(path)
+
+    def test_rejects_version_1_checkpoint_asking_to_retrain(self, tmp_path):
+        import json
+
+        from alertanet.serialize import encode_array
+
+        config = md.ModelConfig(input_dim=4, hidden_dim=3, window=5)
+        params = make_params(config)
+        path = tmp_path / "old.json"
+        md.save_checkpoint(path, params, config)
+        obj = json.loads(path.read_text())
+        obj["format_version"] = 1  # version 1 stored each gate's matrices under its own name
+        obj["params"] = {name: encode_array(t.value) for name, t in per_gate_store(params).items()}
+        path.write_text(json.dumps(obj))
+        with pytest.raises(CheckpointError, match=r"old\.json: checkpoint format version 1 .*retrain"):
             md.load_checkpoint(path)
 
     def test_rejects_non_checkpoint_file(self, tmp_path):

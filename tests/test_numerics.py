@@ -20,6 +20,17 @@ def triple_loop_matmul(a, b):
     return out
 
 
+def masked_sigmoid(x):
+    """The former mask-and-scatter body of ``sigmoid_values``, kept as its oracle."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    neg = ~pos
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[neg])
+    out[neg] = ex / (1.0 + ex)
+    return out
+
+
 class TestMatmul:
     def test_identity(self):
         a = nx.constant([[1.0, 2.0], [3.0, 4.0]])
@@ -72,6 +83,15 @@ class TestElementwise:
     def test_sigmoid_finite_for_huge_inputs(self):
         got = nx.sigmoid(nx.constant([[1e308, -1e308]])).value
         assert np.all(np.isfinite(got))
+
+    def test_sigmoid_bit_identical_to_masked_oracle(self):
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 709.0, -709.0, 745.0, -745.0, 1e308, -1e308])
+        rng = np.random.default_rng(21)
+        for n in (1, 2, 3, 7, 8, 15, 16, 17, 31, 64, 100, 1000, 4097):
+            x = np.concatenate([special, rng.normal(scale=10.0, size=n), rng.uniform(-800, 800, size=n)])
+            x = rng.permutation(x).reshape(1, -1)
+            got = nx.sigmoid_values(x)
+            assert np.array_equal(got.view(np.int64), masked_sigmoid(x).view(np.int64))
 
     def test_binary_ops_reject_shape_mismatch(self):
         a, b = nx.constant(np.ones((2, 3))), nx.constant(np.ones((2, 1)))

@@ -143,6 +143,27 @@ class TestTrain:
         for earlier, later in zip(totals, totals[1:]):
             assert later < earlier
 
+    def test_epoch_rows_report_gradient_and_parameter_norms(self):
+        split = toy_split(n_days=200)
+        cfg = tr.TrainConfig(window=5, hidden=4, epochs=1, batch_size=16, seed=7, clip_norm=1e-9)
+        params, _, report = tr.train(split, cfg)
+        row = report.epochs[0]
+        assert row["clipped_fraction"] == 1.0
+        assert 1e-6 < row["grad_norm_mean"] <= row["grad_norm_max"]  # norms before clipping
+        total = 0.0  # one epoch, so the returned parameters are the end-of-epoch ones
+        for _, tensor in params.items():
+            total += float(np.sum(tensor.value * tensor.value))
+        assert row["param_norm"] == math.sqrt(total)
+
+    def test_clipped_fraction_zero_when_clipping_is_off_or_never_triggers(self):
+        split = toy_split(n_days=200)
+        rows = []
+        for clip_norm in (0.0, 1e9):
+            cfg = tr.TrainConfig(window=5, hidden=4, epochs=2, batch_size=16, seed=7, clip_norm=clip_norm)
+            rows.append(tr.train(split, cfg)[2].epochs)
+        assert rows[0] == rows[1]
+        assert all(row["clipped_fraction"] == 0.0 for row in rows[0])
+
     def test_same_seed_bit_identical(self):
         split = toy_split(n_days=200)
         cfg = tr.TrainConfig(window=5, hidden=4, epochs=3, batch_size=16, seed=7, patience=5)
