@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import os
+import platform
 import sys
 import time
 from datetime import datetime, timezone
@@ -108,6 +109,9 @@ class _ManifestWriter:
                 "outputs": self.outputs,
                 "warnings": self.warnings,
                 "seed": self.seed,
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "cpu_count": os.cpu_count(),
                 "blas_threads": _blas_threads(),
                 "started_at": self.started_at,
                 "finished_at": datetime.now(timezone.utc).isoformat(),

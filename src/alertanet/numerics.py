@@ -5,7 +5,10 @@ is no implicit broadcasting, and any shape violation raises
 :class:`~alertanet.errors.DimensionError` naming both shapes.  ``matmul``
 accumulates its inner sum in a fixed left-to-right order over the contraction
 index, so results are bit-identical to a naive triple loop and reproducible
-across runs.
+across runs and BLAS thread counts.  It still uses BLAS: each step of the sum
+is a rank-1 product (inner dimension 1), in which every entry is one rounded
+IEEE product however the library computes it, and the steps are added in
+order into a block of output columns small enough to stay in cache.
 
 Gradients are computed with a small tape: every operation returns a
 :class:`Tensor` that remembers its parents and how to push gradients back to
@@ -94,12 +97,28 @@ def record(value: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tenso
     return Tensor(value, parents=parents, backward_fn=backward_fn, _validate=False)
 
 
+# Output entries per column block of ``matmul_values``: the accumulator and
+# the scratch product are 32 KB each, so both stay in L1/L2 during the sum.
+_BLOCK_ENTRIES = 4096
+
+
 def matmul_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with left-to-right accumulation over the inner index.
 
-    Each output entry is built as ``((a[i,0]*b[0,j] + a[i,1]*b[1,j]) + ...)``,
-    one addition per step, which makes the result bit-identical to a scalar
-    triple loop regardless of vectorization.
+    Each output entry is ``((0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ...``, one
+    addition per step, so the result is bit-identical to a scalar triple loop.
+
+    The columns of ``b`` go in blocks of ``max(1, 4096 // m)``, so the (m x w)
+    accumulator and scratch stay in cache.  For each ``k`` in order, BLAS
+    forms the rank-1 product of column ``k`` of ``a`` and row ``k`` of the
+    block, which is then added to the accumulator.  With inner dimension 1
+    each entry is one rounded IEEE product (an FMA onto a zero addend rounds
+    once too), and a sum that starts at +0.0 never becomes -0.0, so a +0.0
+    from BLAS in place of a -0.0 product cannot change a bit.  A product with
+    a 1x1 factor goes through ``np.multiply`` instead: numpy passes it to BLAS
+    ``axpy``, which skips a zero multiplier and would turn ``0 * inf`` into 0.
+    When one product multiplies two NaNs with different payloads, the
+    hardware's operand order decides which payload survives.
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
@@ -108,10 +127,22 @@ def matmul_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.zeros((m, n))
     if inner == 0 or m == 0 or n == 0:
         return out
-    tmp = np.empty((m, n))
-    for k in range(inner):
-        np.multiply(a[:, k].reshape(m, 1), b[k].reshape(1, n), out=tmp)
-        np.add(out, tmp, out=out)
+    a_cols = np.ascontiguousarray(a.T).reshape(inner, m, 1)
+    width = max(1, _BLOCK_ENTRIES // m)
+    acc_buf = np.empty(m * min(width, n))
+    scratch_buf = np.empty_like(acc_buf)
+    for lo in range(0, n, width):
+        block = np.ascontiguousarray(b[:, lo : lo + width])
+        w = block.shape[1]
+        # out= must be C-contiguous, so a narrower last block takes a prefix
+        acc = acc_buf[: m * w].reshape(m, w)
+        scratch = scratch_buf[: m * w].reshape(m, w)
+        acc.fill(0.0)
+        outer = np.dot if m > 1 and w > 1 else np.multiply
+        for a_col, b_row in zip(a_cols, block.reshape(inner, 1, w)):
+            outer(a_col, b_row, out=scratch)
+            np.add(acc, scratch, out=acc)
+        out[:, lo : lo + w] = acc
     return out
 
 
@@ -150,19 +181,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             b.grad += grad
 
     return record(a.value + b.value, (a, b), backward_fn)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise (Hadamard) product."""
-    _check_same_shape(a, b, "mul")
-
-    def backward_fn(grad):
-        if a.requires_grad:
-            a.grad += grad * b.value
-        if b.requires_grad:
-            b.grad += grad * a.value
-
-    return record(a.value * b.value, (a, b), backward_fn)
 
 
 def affine(a: Tensor, scale: float, shift: float = 0.0) -> Tensor:
@@ -205,16 +223,6 @@ def sigmoid(a: Tensor) -> Tensor:
     def backward_fn(grad):
         if a.requires_grad:
             a.grad += grad * out * (1.0 - out)
-
-    return record(out, (a,), backward_fn)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.value)
-
-    def backward_fn(grad):
-        if a.requires_grad:
-            a.grad += grad * (1.0 - out * out)
 
     return record(out, (a,), backward_fn)
 

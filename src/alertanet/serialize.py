@@ -20,6 +20,7 @@ _DTYPES = {"<f8": np.dtype("<f8"), "<i1": np.dtype("<i1")}
 
 
 def encode_array(arr: np.ndarray) -> dict:
+    shape = list(np.shape(arr))  # before ascontiguousarray, which makes a 0-d array 1-d
     arr = np.ascontiguousarray(arr)
     if arr.dtype == np.float64:
         dtype = "<f8"
@@ -29,7 +30,7 @@ def encode_array(arr: np.ndarray) -> dict:
         raise ParseError(f"unsupported dtype for serialization: {arr.dtype}")
     payload = arr.astype(_DTYPES[dtype], copy=False).tobytes(order="C")
     return {
-        "shape": list(arr.shape),
+        "shape": shape,
         "dtype": dtype,
         "data": base64.b64encode(payload).decode("ascii"),
     }

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +31,17 @@ def prepared(tmp_path, synth_dir):
     assert run_cli("prepare", "--data", synth_dir, "--out", out, "--window", "8",
                    "--train-frac", "0.6", "--valid-frac", "0.2") == 0
     return out / "dataset.json"
+
+
+@pytest.fixture
+def criterion8_prepared(tmp_path):
+    """The dataset of acceptance criterion 8."""
+    raw, prep = tmp_path / "raw8", tmp_path / "prep8"
+    assert run_cli("synth", "--out", raw, "--stocks", "2", "--days", "220",
+                   "--features", "6", "--seed", "9") == 0
+    assert run_cli("prepare", "--data", raw, "--out", prep, "--window", "8",
+                   "--train-frac", "0.6", "--valid-frac", "0.2") == 0
+    return prep / "dataset.json"
 
 
 class TestSynthCommand:
@@ -167,13 +179,25 @@ class TestDeterminism:
         assert (run_a / "train_report.json").read_bytes() == (run_b / "train_report.json").read_bytes()
         assert (eval_a / "eval_report.json").read_bytes() == (eval_b / "eval_report.json").read_bytes()
 
-    def test_checkpoint_bytes_independent_of_blas_threads(self, tmp_path):
+    def test_environment_fingerprint_only_in_manifest(self, tmp_path, criterion8_prepared):
+        """The fingerprint goes into manifest.json; the train report stays byte-identical."""
+        reports = []
+        for name in ("a", "b"):
+            out = tmp_path / f"train_{name}"
+            assert run_cli("train", "--dataset", criterion8_prepared, "--out", out,
+                           "--epochs", "3", "--hidden", "6", "--seed", "13") == 0
+            manifest = read_json(out / "manifest.json")
+            assert manifest["python"] == platform.python_version()
+            assert manifest["numpy"] == np.__version__
+            assert manifest["cpu_count"] == os.cpu_count()
+            assert "blas_threads" in manifest
+            reports.append((out / "train_report.json").read_bytes())
+        assert reports[0] == reports[1]
+        report = json.loads(reports[0])
+        assert not {"python", "numpy", "cpu_count", "blas_threads"} & set(report)
+
+    def test_checkpoint_bytes_independent_of_blas_threads(self, tmp_path, criterion8_prepared):
         """The criterion-8 fixture, trained in child processes with 1 and with 2 BLAS threads."""
-        raw, prep = tmp_path / "raw", tmp_path / "prep"
-        assert run_cli("synth", "--out", raw, "--stocks", "2", "--days", "220",
-                       "--features", "6", "--seed", "9") == 0
-        assert run_cli("prepare", "--data", raw, "--out", prep, "--window", "8",
-                       "--train-frac", "0.6", "--valid-frac", "0.2") == 0
         src = str(Path(alertanet.__file__).resolve().parents[1])
         checkpoints, manifest_threads = [], []
         for threads in ("1", "2"):
@@ -181,7 +205,7 @@ class TestDeterminism:
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                    "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
             subprocess.run([sys.executable, "-m", "alertanet.cli", "train", "--dataset",
-                            str(prep / "dataset.json"), "--out", str(out), "--epochs", "3",
+                            str(criterion8_prepared), "--out", str(out), "--epochs", "3",
                             "--hidden", "6", "--seed", "13"], env=env, check=True, capture_output=True)
             checkpoints.append((out / "checkpoint.json").read_bytes())
             manifest_threads.append(read_json(out / "manifest.json")["blas_threads"])

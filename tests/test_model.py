@@ -9,6 +9,8 @@ from alertanet.data import ABSTAIN
 from alertanet.training import joint_loss
 from alertanet.errors import CheckpointError, ConfigError, DimensionError, DomainError
 
+from testutil import mul, tanh
+
 
 def make_params(config, seed=0):
     return md.init_params(config, np.random.default_rng(seed))
@@ -122,17 +124,17 @@ def oracle_cell_step(x, h_prev, gates, prefix=""):
             gates[prefix + "b_r"],
         )
     )
-    cand = nx.tanh(
+    cand = tanh(
         nx.bias_add(
             nx.add(
                 nx.matmul(gates[prefix + "W_h"], x),
-                nx.matmul(gates[prefix + "R_h"], nx.mul(r, h_prev)),
+                nx.matmul(gates[prefix + "R_h"], mul(r, h_prev)),
             ),
             gates[prefix + "b_h"],
         )
     )
     one_minus_z = nx.affine(z, -1.0, 1.0)
-    return nx.add(nx.mul(one_minus_z, h_prev), nx.mul(z, cand))
+    return nx.add(mul(one_minus_z, h_prev), mul(z, cand))
 
 
 def oracle_forward_batch(x, gates, config):

@@ -4,7 +4,7 @@ import pytest
 from alertanet import numerics as nx
 from alertanet.errors import DimensionError, UsageError
 
-from testutil import finite_difference_grads, max_grad_violation
+from testutil import finite_difference_grads, max_grad_violation, mul, tanh
 
 
 def triple_loop_matmul(a, b):
@@ -17,6 +17,20 @@ def triple_loop_matmul(a, b):
             for k in range(inner):
                 acc += a[i, k] * b[k, j]
             out[i, j] = acc
+    return out
+
+
+def loop_matmul_oracle(a, b):
+    """The former per-index broadcast body of ``matmul_values``, kept as its oracle."""
+    m, inner = a.shape
+    n = b.shape[1]
+    out = np.zeros((m, n))
+    if inner == 0 or m == 0 or n == 0:
+        return out
+    tmp = np.empty((m, n))
+    for k in range(inner):
+        np.multiply(a[:, k].reshape(m, 1), b[k].reshape(1, n), out=tmp)
+        np.add(out, tmp, out=out)
     return out
 
 
@@ -62,12 +76,106 @@ class TestMatmul:
         assert np.array_equal(first, second)
 
 
+# every value class a product or a sum can meet; nan is numpy's default quiet nan
+SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 1e308, -1e308, 10.0])
+
+
+def _sprinkled(rng, shape, share=0.2):
+    """Normal entries with a share of them replaced by special values."""
+    x = rng.normal(size=shape)
+    hit = rng.random(shape) < share
+    x[hit] = rng.choice(SPECIAL, size=int(hit.sum()))
+    return x
+
+
+def _assert_bits_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _kernel_shapes():
+    """(m, inner, n) around every column-block edge, plus the degenerate shapes."""
+    shapes = []
+    for m, inner in ((64, 32), (96, 8), (3, 4)):
+        width = max(1, nx._BLOCK_ENTRIES // m)
+        shapes += [(m, inner, width - 1), (m, inner, width), (m, inner, width + 1)]
+    shapes += [(nx._BLOCK_ENTRIES + 7, 3, 4), (1, 5, 9), (1, 1, 1), (6, 0, 5), (6, 1, 5), (7, 3, 1)]
+    return shapes
+
+
+class TestMatmulKernelMatchesLoopOracle:
+    @pytest.mark.parametrize("m,inner,n", _kernel_shapes())
+    def test_bit_identical_with_special_values(self, m, inner, n):
+        rng = np.random.default_rng(m * 1000 + inner * 10 + n)
+        for share in (0.0, 0.2):
+            a, b = _sprinkled(rng, (m, inner), share), _sprinkled(rng, (inner, n), share)
+            with np.errstate(all="ignore"):
+                _assert_bits_equal(nx.matmul_values(a, b), loop_matmul_oracle(a, b))
+
+    @pytest.mark.parametrize("m,inner,n", [(1, 5, 9), (6, 1, 5), (7, 3, 1), (4, 6, 5), (6, 0, 5)])
+    def test_bit_identical_to_triple_loop_on_small_shapes(self, m, inner, n):
+        rng = np.random.default_rng(m + inner + n)
+        a, b = _sprinkled(rng, (m, inner), 0.3), _sprinkled(rng, (inner, n), 0.3)
+        with np.errstate(all="ignore"):
+            got, want = nx.matmul_values(a, b), triple_loop_matmul(a, b)
+        # The scalar ``acc += p`` may keep either nan when both are nan (the
+        # compiler may swap the operands); every other entry matches bit for bit.
+        both_nan = np.isnan(got) & np.isnan(want)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(got.view(np.int64)[~both_nan], want.view(np.int64)[~both_nan])
+
+    def test_zero_times_infinity_is_nan_in_every_layout(self):
+        # BLAS skips a zero multiplier in some layouts; the loop gives nan
+        for m, n in ((1, 1), (1, 4), (4, 1), (4, 4)):
+            a = np.zeros((m, 2))
+            b = np.full((2, n), np.inf)
+            with np.errstate(invalid="ignore"):
+                assert np.all(np.isnan(nx.matmul_values(a, b)))
+
+    def test_overflow_and_signed_zeros(self):
+        a = np.array([[1e308, 1e308], [-0.0, -0.0], [1e308, -1e308]] * 30)
+        b = np.array([[10.0, 1.0, -0.0], [1.0, 1.0, 5e-324]])
+        with np.errstate(all="ignore"):
+            got = nx.matmul_values(a, b)
+            _assert_bits_equal(got, loop_matmul_oracle(a, b))
+        assert np.isposinf(got[0, 0]) and np.isposinf(got[0, 1])
+        assert got[1, 2] == 0.0 and not np.signbit(got[1, 2])  # a sum from +0.0 never gives -0.0
+
+    def test_transposed_and_sliced_inputs(self):
+        rng = np.random.default_rng(3)
+        base_a, base_b = rng.normal(size=(32, 70)), rng.normal(size=(32, 300))
+        cases = [
+            (base_a.T[:64], base_b[:, 1:201]),   # transposed, column window
+            (base_a[:, ::2].T, base_b[:, ::3]),  # strided columns on both sides
+            (base_a.T[::3, :31], np.asfortranarray(base_b[:31, :90])),
+        ]
+        for a, b in cases:
+            assert not (a.flags.c_contiguous and b.flags.c_contiguous)
+            _assert_bits_equal(nx.matmul_values(a, b), loop_matmul_oracle(a, b))
+
+    def test_repeated_calls_give_the_same_bits(self):
+        rng = np.random.default_rng(9)
+        first = (rng.normal(size=(64, 32)), rng.normal(size=(32, 129)))
+        second = (rng.normal(size=(96, 8)), rng.normal(size=(8, 43)))
+        want = [loop_matmul_oracle(*first), loop_matmul_oracle(*second)]
+        for _ in range(3):
+            _assert_bits_equal(nx.matmul_values(*first), want[0])
+            _assert_bits_equal(nx.matmul_values(*second), want[1])
+
+    def test_inputs_are_not_modified(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=(64, 32)), rng.normal(size=(32, 65))
+        a_copy, b_copy = a.copy(), b.copy()
+        nx.matmul_values(a, b)
+        assert np.array_equal(a, a_copy) and np.array_equal(b, b_copy)
+
+
 class TestElementwise:
     def test_sigmoid_at_zero(self):
         assert nx.sigmoid(nx.constant([[0.0]])).value[0, 0] == 0.5
 
     def test_tanh_at_zero(self):
-        assert nx.tanh(nx.constant([[0.0]])).value[0, 0] == 0.0
+        assert tanh(nx.constant([[0.0]])).value[0, 0] == 0.0
 
     def test_sigmoid_extremes_no_overflow(self):
         import mpmath
@@ -95,7 +203,7 @@ class TestElementwise:
 
     def test_binary_ops_reject_shape_mismatch(self):
         a, b = nx.constant(np.ones((2, 3))), nx.constant(np.ones((2, 1)))
-        for op in (nx.add, nx.mul):
+        for op in (nx.add, mul):
             with pytest.raises(DimensionError):
                 op(a, b)
 
@@ -103,7 +211,7 @@ class TestElementwise:
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
         assert np.array_equal(nx.add(nx.constant(a), nx.constant(b)).value, a + b)
-        assert np.array_equal(nx.mul(nx.constant(a), nx.constant(b)).value, a * b)
+        assert np.array_equal(mul(nx.constant(a), nx.constant(b)).value, a * b)
 
 
 class TestBackprop:
@@ -121,7 +229,7 @@ class TestBackprop:
         params = nx.ParamStore()
         used = params.add("used", np.ones((2, 2)))
         unused = params.add("unused", np.ones((2, 2)))
-        loss = nx.total_sum(nx.mul(used, used))
+        loss = nx.total_sum(mul(used, used))
         params.zero_grads()
         nx.backward(loss)
         assert np.array_equal(params.grad("unused"), np.zeros((2, 2)))
@@ -140,7 +248,7 @@ class TestBackprop:
     def test_gradient_accumulates_over_shared_subexpressions(self):
         params = nx.ParamStore()
         w = params.add("W", np.array([[2.0]]))
-        y = nx.mul(w, w)  # w^2
+        y = mul(w, w)  # w^2
         loss = nx.total_sum(nx.add(y, y))  # 2 w^2 -> d/dw = 4w = 8
         params.zero_grads()
         nx.backward(loss)
@@ -155,7 +263,7 @@ class TestBackprop:
         target = rng.integers(0, 2, size=(1, 2)).astype(float)
 
         def compute():
-            h = nx.tanh(nx.bias_add(nx.matmul(params["a"], params["b"]), params["bias"]))
+            h = tanh(nx.bias_add(nx.matmul(params["a"], params["b"]), params["bias"]))
             s = nx.sigmoid(nx.affine(h, 0.7, -0.1))
             mixed = nx.linear_combination([h, s], [0.3, 1.2])
             row = nx.concat_rows([mixed, s])

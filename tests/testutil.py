@@ -1,8 +1,12 @@
-"""Shared test helpers: finite-difference gradients, tolerance checks, fixtures."""
+"""Shared test helpers: finite-difference gradients, tolerance checks, fixtures,
+and the tape ops that only the tests compose."""
 
 from fractions import Fraction
 
 import numpy as np
+
+from alertanet import numerics as nx
+from alertanet.errors import DimensionError
 
 # 51 hand-picked prices -> 50 labeled days.  Covers both dead-zone edges
 # (+0.5%, -0.5%), both outlier edges (+5%, -5%) at float-exact price pairs,
@@ -65,3 +69,28 @@ def max_grad_violation(analytic, numeric, rel=1e-5, floor=1e-8):
         allowed = np.maximum(floor, rel * np.maximum(np.abs(a), np.abs(n)))
         worst = max(worst, float(np.max(np.abs(a - n) / allowed)))
     return worst
+
+
+def mul(a, b):
+    """Elementwise (Hadamard) product on the tape, for the per-gate cell oracle."""
+    if a.shape != b.shape:
+        raise DimensionError(f"mul: shape {a.shape} does not match shape {b.shape}")
+
+    def backward_fn(grad):
+        if a.requires_grad:
+            a.grad += grad * b.value
+        if b.requires_grad:
+            b.grad += grad * a.value
+
+    return nx.record(a.value * b.value, (a, b), backward_fn)
+
+
+def tanh(a):
+    """Elementwise tanh on the tape, for the per-gate cell oracle."""
+    out = np.tanh(a.value)
+
+    def backward_fn(grad):
+        if a.requires_grad:
+            a.grad += grad * (1.0 - out * out)
+
+    return nx.record(out, (a,), backward_fn)
