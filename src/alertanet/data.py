@@ -31,6 +31,7 @@ from .errors import (
     ParseError,
     PreprocessingError,
     SchemaError,
+    UsageError,
 )
 
 logger = logging.getLogger(__name__)
@@ -43,7 +44,7 @@ DEFAULT_EPSILON = 1e-8
 DATE_COLUMN = "date"
 PRICE_COLUMN = "adj_close"
 
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 
 
 @dataclass
@@ -272,18 +273,23 @@ def window(
 
 @dataclass
 class DatasetSplit:
-    """Chronologically disjoint train/validation/test sample sets."""
+    """Chronologically disjoint train/validation/test sample sets and the frames that yield them."""
 
     train: list[WindowedSample]
     validation: list[WindowedSample]
     test: list[WindowedSample]
-    boundaries: dict[str, list[str]]
+    frames: list[FeatureFrame] = field(default_factory=list)
     feature_names: list[str] = field(default_factory=list)
     window: int = 0
     meta: dict = field(default_factory=dict)
 
     def splits(self) -> dict[str, list[WindowedSample]]:
         return {"train": self.train, "validation": self.validation, "test": self.test}
+
+    @property
+    def boundaries(self) -> dict[str, list[str]]:
+        """First and last target date of each part."""
+        return {name: [part[0].target_date, part[-1].target_date] for name, part in self.splits().items()}
 
 
 def chrono_split(samples: list[WindowedSample], train_frac: float, valid_frac: float) -> DatasetSplit:
@@ -311,12 +317,7 @@ def chrono_split(samples: list[WindowedSample], train_frac: float, valid_frac: f
             f"too few samples for the requested fractions: empty split(s) {empty} "
             f"(n={n}, train_frac={train_frac}, valid_frac={valid_frac})"
         )
-    boundaries = {
-        name: [part[0].target_date, part[-1].target_date] for name, part in parts.items()
-    }
-    return DatasetSplit(
-        train=parts["train"], validation=parts["validation"], test=parts["test"], boundaries=boundaries
-    )
+    return DatasetSplit(train=parts["train"], validation=parts["validation"], test=parts["test"])
 
 
 def build_dataset(
@@ -344,12 +345,16 @@ def build_dataset(
             )
     warnings: list[str] = []
     samples: list[WindowedSample] = []
+    windowed: list[FeatureFrame] = []
     for frame in sorted(frames, key=lambda f: f.stock_id):
         frame_samples = window(frame, window_len, dead_zone, outlier_threshold, epsilon)
-        if not frame_samples:
+        if frame_samples:
+            windowed.append(frame)
+        else:
             warnings.append(f"frame {frame.stock_id}: too short for window {window_len}, skipped")
         samples.extend(frame_samples)
     split = chrono_split(samples, train_frac, valid_frac)
+    split.frames = windowed
     split.feature_names = list(names)
     split.window = window_len
     split.meta = {
@@ -429,28 +434,14 @@ def sample_arrays(samples: list[WindowedSample]) -> tuple[np.ndarray, np.ndarray
     return (x, *sample_labels(samples))
 
 
-def _stack_samples(samples: list[WindowedSample]) -> dict:
-    x, y_m, y_v = sample_arrays(samples)
-    return {
-        "x": serialize.encode_array(x),
-        "y_m": serialize.encode_array(y_m),
-        "y_v": serialize.encode_array(y_v),
-        "stock_ids": [s.stock_id for s in samples],
-        "target_dates": [s.target_date for s in samples],
-    }
-
-
-def _unstack_samples(obj: dict) -> list[WindowedSample]:
-    x = serialize.decode_array(obj["x"])
-    y_m = serialize.decode_array(obj["y_m"]).tolist()
-    y_v = serialize.decode_array(obj["y_v"]).tolist()
-    return [
-        WindowedSample(x=xi, y_m=m, y_v=v, stock_id=sid, target_date=day)
-        for xi, m, v, sid, day in zip(x, y_m, y_v, obj["stock_ids"], obj["target_dates"], strict=True)
-    ]
-
-
 def save_dataset(path: str | Path, split: DatasetSplit) -> None:
+    """Write each source frame of ``split`` once, with the settings that rebuild its samples.
+
+    :func:`load_dataset` windows, labels and splits the frames again, so any change to
+    windowing, labelling or splitting semantics has to bump ``DATASET_VERSION``.
+    """
+    if not split.frames:
+        raise UsageError("the split has no source frames; build it with build_dataset to save it")
     serialize.write_json(
         path,
         {
@@ -459,24 +450,35 @@ def save_dataset(path: str | Path, split: DatasetSplit) -> None:
             "feature_names": split.feature_names,
             "window": split.window,
             "meta": split.meta,
-            "boundaries": split.boundaries,
-            "splits": {name: _stack_samples(part) for name, part in split.splits().items()},
+            "frames": [
+                {"stock_id": f.stock_id, "dates": f.dates, "adj_close": serialize.encode_array(f.adj_close),
+                 "features": serialize.encode_array(f.features)}
+                for f in split.frames
+            ],
         },
     )
 
 
 def load_dataset(path: str | Path) -> DatasetSplit:
+    """Rebuild the split of a :func:`save_dataset` file; its frames pass the :class:`FeatureFrame` checks."""
     if not Path(path).is_file():
         raise ConfigError(f"dataset file {path} not found; run the `prepare` step first")
     obj = serialize.read_json(path)
-    if obj.get("kind") != "alertanet-dataset" or obj.get("format_version") != DATASET_VERSION:
-        raise ParseError(f"{path}: not a dataset file (or unsupported version)")
-    return DatasetSplit(
-        train=_unstack_samples(obj["splits"]["train"]),
-        validation=_unstack_samples(obj["splits"]["validation"]),
-        test=_unstack_samples(obj["splits"]["test"]),
-        boundaries=obj["boundaries"],
-        feature_names=list(obj["feature_names"]),
-        window=int(obj["window"]),
-        meta=obj["meta"],
-    )
+    if obj.get("kind") != "alertanet-dataset":
+        raise ParseError(f"{path}: not a dataset file")
+    if obj.get("format_version") != DATASET_VERSION:
+        raise ParseError(
+            f"{path}: dataset format version {obj.get('format_version')} is not supported (this version "
+            f"reads {DATASET_VERSION}, which stores each source frame once); rerun `alertanet prepare`"
+        )
+    try:
+        frames = [FeatureFrame(r["stock_id"], r["dates"], serialize.decode_array(r["adj_close"]),
+                               list(obj["feature_names"]), serialize.decode_array(r["features"]))
+                  for r in obj["frames"]]
+    except DataIntegrityError as exc:
+        raise DataIntegrityError(f"{path}: {exc}") from exc
+    meta = obj["meta"]
+    settings = {k: meta[k] for k in ("dead_zone", "outlier_threshold", "epsilon", "train_frac", "valid_frac")}
+    split, _ = build_dataset(frames, int(obj["window"]), **settings)
+    split.meta = meta
+    return split

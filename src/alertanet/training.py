@@ -176,8 +176,8 @@ class TrainReport:
     checkpoint_file: str | None = None
     wall_time_seconds: float = 0.0
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
-        obj = {
+    def to_json_dict(self) -> dict:
+        return {
             "epochs": self.epochs,
             "best_epoch": self.best_epoch,
             "stop_reason": self.stop_reason,
@@ -188,9 +188,6 @@ class TrainReport:
             "stages": self.stages,
             "checkpoint_file": self.checkpoint_file,
         }
-        if include_timing:
-            obj["wall_time_seconds"] = self.wall_time_seconds
-        return obj
 
 
 def _dataset_loss(params, config, x, y_m, y_v, loss_weight, pos_weight, chunk=VALID_CHUNK):

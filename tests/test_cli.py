@@ -67,6 +67,11 @@ class TestPrepareCommand:
             assert total == part["samples"]
         assert split_manifest["manifest_file"] == "manifest.json"
 
+    def test_dataset_smaller_than_its_csvs(self, criterion8_prepared):
+        """Each day is stored once, not once per window that reads it."""
+        csv_bytes = sum(p.stat().st_size for p in (criterion8_prepared.parent.parent / "raw8").glob("*.csv"))
+        assert 0 < criterion8_prepared.stat().st_size < csv_bytes
+
     def test_empty_dir_fails_with_message(self, tmp_path, capsys):
         empty = tmp_path / "none"
         empty.mkdir()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from alertanet import data as dp
+from alertanet import serialize
 from alertanet.errors import (
     ConfigError,
     DataIntegrityError,
@@ -11,6 +12,7 @@ from alertanet.errors import (
     ParseError,
     PreprocessingError,
     SchemaError,
+    UsageError,
 )
 from alertanet.synth import SynthSpec, generate
 
@@ -394,22 +396,65 @@ class TestAblationTaxonomy:
 
 
 class TestDatasetRoundTrip:
-    def test_save_load_bitwise(self, tmp_path):
+    @pytest.mark.parametrize(
+        "settings, short_frame",
+        [
+            ({"window_len": 10, "train_frac": 0.6, "valid_frac": 0.2}, False),
+            ({"window_len": 7, "dead_zone": (-0.01, 0.002), "outlier_threshold": 0.03, "epsilon": 1e-4,
+              "train_frac": 0.5, "valid_frac": 0.3}, True),
+        ],
+        ids=["defaults", "custom-settings-short-frame"],
+    )
+    def test_save_load_bitwise(self, tmp_path, caplog, settings, short_frame):
         frames = [make_frame(sid, 26, seed=i) for i, sid in enumerate(["AAA", "BBB"])]
-        split, warnings = dp.build_dataset(frames, window_len=10, train_frac=0.6, valid_frac=0.2)
-        assert warnings == []
+        if short_frame:
+            frames.append(make_frame("SHORT", 6, seed=9))
+        split, warnings = dp.build_dataset(frames, **settings)
+        assert len(warnings) == short_frame
+        assert [f.stock_id for f in split.frames] == ["AAA", "BBB"]
+        split.meta["manifest_file"] = "manifest.json"  # as `prepare` adds it
         path = tmp_path / "dataset.json"
         dp.save_dataset(path, split)
-        loaded = dp.load_dataset(path)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="alertanet.data"):
+            loaded = dp.load_dataset(path)
+        assert caplog.records == []
         assert loaded.feature_names == split.feature_names
         assert loaded.window == split.window
         assert loaded.boundaries == split.boundaries
+        assert loaded.meta == split.meta
         for name in ("train", "validation", "test"):
             original, restored = split.splits()[name], loaded.splits()[name]
             assert len(original) == len(restored)
             for a, b in zip(original, restored):
                 assert np.array_equal(a.x, b.x)
                 assert (a.y_m, a.y_v, a.stock_id, a.target_date) == (b.y_m, b.y_v, b.stock_id, b.target_date)
+
+    def test_other_version_is_rejected(self, tmp_path):
+        path = tmp_path / "old.json"
+        serialize.write_json(path, {"format_version": 1, "kind": "alertanet-dataset", "splits": {}})
+        with pytest.raises(ParseError, match=r"old\.json: dataset format version 1 .*rerun `alertanet prepare`"):
+            dp.load_dataset(path)
+
+    def test_stored_nan_price_fails_like_a_bad_csv(self, tmp_path):
+        split, _ = dp.build_dataset([make_frame("AAA", 26), make_frame("BBB", 26, seed=1)], window_len=10,
+                                    train_frac=0.6, valid_frac=0.2)
+        path = tmp_path / "dataset.json"
+        dp.save_dataset(path, split)
+        obj = serialize.read_json(path)
+        prices = serialize.decode_array(obj["frames"][1]["adj_close"])
+        prices[3] = np.nan
+        obj["frames"][1]["adj_close"] = serialize.encode_array(prices)
+        serialize.write_json(path, obj)
+        with pytest.raises(DataIntegrityError, match=r"dataset\.json: BBB: adj_close nan on 2022-01-04"):
+            dp.load_dataset(path)
+
+    def test_save_without_frames_is_usage_error(self, tmp_path):
+        split = dp.chrono_split(dp.window(make_frame("A", 20), 10), 0.6, 0.2)
+        path = tmp_path / "dataset.json"
+        with pytest.raises(UsageError, match="no source frames"):
+            dp.save_dataset(path, split)
+        assert not path.exists()
 
     def test_build_dataset_warns_on_short_frame(self):
         frames = [make_frame("AAA", 26), make_frame("SHORT", 5, seed=9)]
