@@ -1,6 +1,6 @@
 """ALERTA-Net: temporal-distance-aware recurrent prediction of stock movement and volatility."""
 
-from .data import ABSTAIN, FeatureFrame, WindowedSample, build_dataset, load_frame, write_frame
+from .data import ABSTAIN, FeatureFrame, SampleSet, WindowedSample, build_dataset, load_frame, write_frame
 from .errors import AlertaNetError
 from .model import ModelConfig, forward, load_checkpoint, save_checkpoint, tda_weights
 from .synth import SynthSpec, bayes_rate, generate
@@ -14,6 +14,7 @@ __all__ = [
     "EvalReport",
     "FeatureFrame",
     "ModelConfig",
+    "SampleSet",
     "SynthSpec",
     "TrainConfig",
     "TrainReport",

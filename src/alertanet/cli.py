@@ -30,7 +30,6 @@ from .data import (
     build_dataset,
     load_dataset,
     load_frame,
-    sample_labels,
     save_dataset,
     write_frame,
 )
@@ -249,14 +248,13 @@ def cmd_prepare(args) -> int:
 
     counts = {}
     for name, part in split.splits().items():
-        y_m, y_v = sample_labels(part)
-        abstain = int(np.count_nonzero(y_m == ABSTAIN))
+        abstain = int(np.count_nonzero(part.y_m == ABSTAIN))
         counts[name] = {
             "samples": len(part),
-            "movement_up": int(np.count_nonzero(y_m == 1)),
-            "movement_down": int(np.count_nonzero(y_m == 0)),
+            "movement_up": int(np.count_nonzero(part.y_m == 1)),
+            "movement_down": int(np.count_nonzero(part.y_m == 0)),
             "movement_abstain": abstain,
-            "volatility_positive": int(np.count_nonzero(y_v == 1)),
+            "volatility_positive": int(np.count_nonzero(part.y_v == 1)),
             "abstain_rate": abstain / max(1, len(part)),
         }
     manifest.config = {

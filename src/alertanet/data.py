@@ -20,6 +20,7 @@ import logging
 from dataclasses import dataclass, field
 from datetime import date as _date
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -212,25 +213,76 @@ def label_prices(
     return y_m, (np.abs(r) >= outlier_threshold).astype(np.int8)
 
 
-def movement_label(p_prev: float, p_t: float, dead_zone: tuple[float, float] = DEFAULT_DEAD_ZONE) -> int:
-    """Next-day direction: 1 up, 0 down, ABSTAIN inside the open dead zone."""
-    return int(label_prices(p_prev, p_t, dead_zone)[0])
+class WindowedSample(NamedTuple):
+    """One sample as a record: what indexing or iterating a :class:`SampleSet` yields."""
 
-
-def volatility_label(p_prev: float, p_t: float, outlier_threshold: float = DEFAULT_OUTLIER_THRESHOLD) -> int:
-    """1 iff the absolute relative change is at or above the outlier threshold."""
-    return int(label_prices(p_prev, p_t, outlier_threshold=outlier_threshold)[1])
-
-
-@dataclass
-class WindowedSample:
-    """One training instance: a normalized feature window plus next-day labels."""
-
-    x: np.ndarray  # shape (n_features, window)
+    x: np.ndarray  # (n_features, window), a read-only view of the set's days
     y_m: int  # 0, 1, or ABSTAIN
     y_v: int  # 0 or 1
     stock_id: str
     target_date: str
+
+
+@dataclass(frozen=True, eq=False)
+class SampleSet:
+    """Samples as columns over one shared, read-only array of logged feature days.
+
+    Row ``i`` reads the window ``days[start[i] : start[i] + window].T``, of shape
+    (n_features, window), and is labelled at its target date.  Slices, index
+    arrays and sums of the parts of one split share ``days``; :meth:`windows`
+    gathers the rows' windows into a new array.
+    """
+
+    days: np.ndarray  # (n_days, n_features) float64
+    window: int
+    start: np.ndarray  # (n,) int: first day of each row's window
+    y_m: np.ndarray  # (n,) int8: 0, 1, or ABSTAIN
+    y_v: np.ndarray  # (n,) int8: 0 or 1
+    stock_ids: np.ndarray  # (n,) str
+    target_dates: np.ndarray  # (n,) str, ISO dates
+
+    @staticmethod
+    def concat(sets: list[SampleSet]) -> SampleSet:
+        """The rows of ``sets`` in order, over a new array that concatenates their days."""
+        days = np.concatenate([s.days for s in sets])
+        days.flags.writeable = False
+        start, *rest = map(np.concatenate, zip(*(s._columns() for s in sets)))
+        offsets = np.cumsum([0] + [len(s.days) for s in sets[:-1]])
+        return SampleSet(days, sets[0].window, start + np.repeat(offsets, [len(s) for s in sets]), *rest)
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.start, self.y_m, self.y_v, self.stock_ids, self.target_dates
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    def __getitem__(self, key):
+        """A :class:`WindowedSample` for an int, else a :class:`SampleSet` of those rows over the same days."""
+        if isinstance(key, (int, np.integer)):
+            s = int(self.start[key])
+            return WindowedSample(self.days[s : s + self.window].T, int(self.y_m[key]), int(self.y_v[key]),
+                                  str(self.stock_ids[key]), str(self.target_dates[key]))
+        return SampleSet(self.days, self.window, *(c[key] for c in self._columns()))
+
+    def __iter__(self):
+        for s, *rest in zip(*(c.tolist() for c in self._columns())):
+            yield WindowedSample(self.days[s : s + self.window].T, *rest)
+
+    def __add__(self, other: SampleSet) -> SampleSet:
+        """The rows of ``self`` then ``other``, which must read the same days (as the parts of one split do)."""
+        if not isinstance(other, SampleSet):
+            return NotImplemented
+        if other.days is not self.days or other.window != self.window:
+            raise ValueError("only sample sets over the same days add up, such as the parts of one split; "
+                             "use SampleSet.concat to join others")
+        return SampleSet(self.days, self.window, *map(np.concatenate, zip(self._columns(), other._columns())))
+
+    def windows(self, features: list[int] | None = None) -> np.ndarray:
+        """The rows' windows as a new (n, n_features, window) array; ``features`` selects and orders columns."""
+        if not len(self):
+            return np.empty((0, self.days.shape[1] if features is None else len(features), self.window))
+        view = np.lib.stride_tricks.sliding_window_view(self.days, self.window, axis=0)
+        return view[self.start] if features is None else view[self.start[:, None], np.asarray(features)]
 
 
 def window(
@@ -239,12 +291,12 @@ def window(
     dead_zone: tuple[float, float] = DEFAULT_DEAD_ZONE,
     outlier_threshold: float = DEFAULT_OUTLIER_THRESHOLD,
     epsilon: float = DEFAULT_EPSILON,
-) -> list[WindowedSample]:
+) -> SampleSet:
     """Slice a frame into samples: features from days [t-window, t), labels at day t.
 
     Every feature date is strictly before the target date, so there is no
-    temporal leakage.  A frame shorter than window+1 days yields no samples
-    (logged as a warning).
+    temporal leakage.  Samples read the frame's logged days in place; a frame
+    shorter than window+1 days yields none (logged as a warning).
     """
     if window_len < 1:
         raise ConfigError(f"window length must be >= 1, got {window_len}")
@@ -253,65 +305,59 @@ def window(
         logger.warning(
             "frame %s has %d days, needs %d for one sample; skipped", frame.stock_id, n, window_len + 1
         )
-        return []
-    # every window reads days [t - window_len, t) for a target day t in [window_len, n)
-    logged = normalize(frame.features[: n - 1].T, epsilon, frame.feature_names)
-    logged.flags.writeable = False  # neighbouring windows share this memory
-    y_m, y_v = label_prices(frame.adj_close[window_len - 1 : -1], frame.adj_close[window_len:],
+    # windows read days [t - window_len, t) for targets t in [window_len, n): day n - 1 is only a target
+    n_days = n - 1 if n > window_len else 0
+    days = normalize(frame.features[:n_days].T, epsilon, frame.feature_names).T
+    days.flags.writeable = False  # neighbouring windows share this memory
+    y_m, y_v = label_prices(frame.adj_close[window_len - 1 : n_days], frame.adj_close[window_len : n_days + 1],
                             dead_zone, outlier_threshold)
-    return [
-        WindowedSample(
-            x=logged[:, t - window_len : t],
-            y_m=m,
-            y_v=v,
-            stock_id=frame.stock_id,
-            target_date=frame.dates[t],
-        )
-        for t, m, v in zip(range(window_len, n), y_m.tolist(), y_v.tolist())
-    ]
+    return SampleSet(days, window_len, np.arange(len(y_m)), y_m, y_v, np.full(len(y_m), frame.stock_id),
+                     np.array(frame.dates[window_len : n_days + 1], dtype=str))
 
 
 @dataclass
 class DatasetSplit:
     """Chronologically disjoint train/validation/test sample sets and the frames that yield them."""
 
-    train: list[WindowedSample]
-    validation: list[WindowedSample]
-    test: list[WindowedSample]
+    train: SampleSet
+    validation: SampleSet
+    test: SampleSet
     frames: list[FeatureFrame] = field(default_factory=list)
     feature_names: list[str] = field(default_factory=list)
     window: int = 0
     meta: dict = field(default_factory=dict)
 
-    def splits(self) -> dict[str, list[WindowedSample]]:
+    def splits(self) -> dict[str, SampleSet]:
         return {"train": self.train, "validation": self.validation, "test": self.test}
 
     @property
     def boundaries(self) -> dict[str, list[str]]:
         """First and last target date of each part."""
-        return {name: [part[0].target_date, part[-1].target_date] for name, part in self.splits().items()}
+        return {name: [str(p.target_dates[0]), str(p.target_dates[-1])] for name, p in self.splits().items()}
 
 
-def chrono_split(samples: list[WindowedSample], train_frac: float, valid_frac: float) -> DatasetSplit:
-    """Split by target-date order; a calendar date never straddles two splits."""
+def chrono_split(samples: SampleSet, train_frac: float, valid_frac: float) -> DatasetSplit:
+    """Split by (target date, stock) order; a calendar date never straddles two splits.
+
+    The three parts share the days of ``samples``.
+    """
     if train_frac <= 0 or valid_frac <= 0 or train_frac + valid_frac >= 1:
         raise ConfigError(
             f"fractions must be positive and sum below 1, got train={train_frac} valid={valid_frac}"
         )
-    ordered = sorted(samples, key=lambda s: (s.target_date, s.stock_id))
+    ordered = samples[np.lexsort((samples.stock_ids, samples.target_dates))]
+    dates = ordered.target_dates
     n = len(ordered)
-    cut1 = int(n * train_frac)
-    cut2 = int(n * (train_frac + valid_frac))
 
     def _advance_to_date_boundary(cut: int) -> int:
-        while 0 < cut < n and ordered[cut].target_date == ordered[cut - 1].target_date:
-            cut += 1
-        return cut
+        if not 0 < cut < n:
+            return cut
+        return int(np.searchsorted(dates, dates[cut - 1], side="right"))
 
-    cut1 = _advance_to_date_boundary(cut1)
-    cut2 = _advance_to_date_boundary(max(cut2, cut1))
+    cut1 = _advance_to_date_boundary(int(n * train_frac))
+    cut2 = _advance_to_date_boundary(max(int(n * (train_frac + valid_frac)), cut1))
     parts = {"train": ordered[:cut1], "validation": ordered[cut1:cut2], "test": ordered[cut2:]}
-    empty = [name for name, part in parts.items() if not part]
+    empty = [name for name, part in parts.items() if not len(part)]
     if empty:
         raise ConfigError(
             f"too few samples for the requested fractions: empty split(s) {empty} "
@@ -344,16 +390,16 @@ def build_dataset(
                 f"feature columns differ between stocks: {names} vs {frame.feature_names} ({frame.stock_id})"
             )
     warnings: list[str] = []
-    samples: list[WindowedSample] = []
+    parts: list[SampleSet] = []
     windowed: list[FeatureFrame] = []
     for frame in sorted(frames, key=lambda f: f.stock_id):
-        frame_samples = window(frame, window_len, dead_zone, outlier_threshold, epsilon)
-        if frame_samples:
+        part = window(frame, window_len, dead_zone, outlier_threshold, epsilon)
+        if len(part):
             windowed.append(frame)
         else:
             warnings.append(f"frame {frame.stock_id}: too short for window {window_len}, skipped")
-        samples.extend(frame_samples)
-    split = chrono_split(samples, train_frac, valid_frac)
+        parts.append(part)
+    split = chrono_split(SampleSet.concat(parts), train_frac, valid_frac)
     split.frames = windowed
     split.feature_names = list(names)
     split.window = window_len
@@ -420,20 +466,6 @@ def ablation_feature_indices(feature_names: list[str], mode: str) -> list[int]:
 # --- dataset (de)serialization --------------------------------------------
 
 
-def sample_labels(samples: list[WindowedSample]) -> tuple[np.ndarray, np.ndarray]:
-    """Movement and volatility labels of a sample list, as int8 arrays."""
-    return (
-        np.array([s.y_m for s in samples], dtype=np.int8),
-        np.array([s.y_v for s in samples], dtype=np.int8),
-    )
-
-
-def sample_arrays(samples: list[WindowedSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked (n, features, window) windows plus :func:`sample_labels`."""
-    x = np.stack([s.x for s in samples]) if samples else np.zeros((0, 0, 0))
-    return (x, *sample_labels(samples))
-
-
 def save_dataset(path: str | Path, split: DatasetSplit) -> None:
     """Write each source frame of ``split`` once, with the settings that rebuild its samples.
 
@@ -472,13 +504,15 @@ def load_dataset(path: str | Path) -> DatasetSplit:
             f"reads {DATASET_VERSION}, which stores each source frame once); rerun `alertanet prepare`"
         )
     try:
+        meta, names, window_len = obj["meta"], obj["feature_names"], int(obj["window"])
+        settings = {k: meta[k] for k in ("dead_zone", "outlier_threshold", "epsilon", "train_frac", "valid_frac")}
         frames = [FeatureFrame(r["stock_id"], r["dates"], serialize.decode_array(r["adj_close"]),
-                               list(obj["feature_names"]), serialize.decode_array(r["features"]))
+                               list(names), serialize.decode_array(r["features"]))
                   for r in obj["frames"]]
-    except DataIntegrityError as exc:
-        raise DataIntegrityError(f"{path}: {exc}") from exc
-    meta = obj["meta"]
-    settings = {k: meta[k] for k in ("dead_zone", "outlier_threshold", "epsilon", "train_frac", "valid_frac")}
-    split, _ = build_dataset(frames, int(obj["window"]), **settings)
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing key {exc.args[0]!r}; rerun `alertanet prepare`") from None
+    except (DataIntegrityError, ParseError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+    split, _ = build_dataset(frames, window_len, **settings)
     split.meta = meta
     return split

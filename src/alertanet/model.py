@@ -192,26 +192,6 @@ class ForwardTrace:
         return self.movement_logit.cols
 
     @property
-    def hidden_states(self) -> np.ndarray:
-        """Hidden sequence as a (hidden_dim x window) matrix; batch size 1 only."""
-        self._require_single()
-        return np.concatenate([h.value for h in self.hidden], axis=1)
-
-    def _require_single(self):
-        if self.batch_size != 1:
-            raise DimensionError(f"single-sample accessor on batch of {self.batch_size}")
-
-    @property
-    def movement_probability(self) -> float:
-        self._require_single()
-        return float(self.movement_prob.value[0, 0])
-
-    @property
-    def volatility_probability(self) -> float:
-        self._require_single()
-        return float(self.volatility_prob.value[0, 0])
-
-    @property
     def movement_probs(self) -> np.ndarray:
         return self.movement_prob.value[0].copy()
 

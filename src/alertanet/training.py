@@ -20,14 +20,12 @@ from . import numerics as nx
 from .data import (
     ABSTAIN,
     DatasetSplit,
-    WindowedSample,
+    SampleSet,
     ablation_feature_indices,
     normalize_ablation_mode,
-    sample_arrays,
-    sample_labels,
 )
 from .errors import CheckpointError, ConfigError, TrainingError, UndefinedMetricError
-from .model import ForwardTrace, ModelConfig, forward_batch, init_params
+from .model import ModelConfig, forward_batch, init_params
 
 VALID_CHUNK = 1024
 
@@ -81,18 +79,6 @@ class TrainConfig:
         if unknown:
             raise ConfigError(f"unknown training config keys: {sorted(unknown)}")
         return cls(**obj)
-
-
-def joint_loss(
-    trace: ForwardTrace,
-    y_m,
-    y_v,
-    loss_weight: float,
-    volatility_pos_weight: float = 1.0,
-) -> nx.Tensor:
-    """Joint objective as a recorded scalar; accepts one sample or a batch."""
-    loss, _, _ = _loss_terms(trace, y_m, y_v, loss_weight, volatility_pos_weight)
-    return loss
 
 
 def _loss_terms(trace, y_m, y_v, loss_weight, pos_weight):
@@ -232,11 +218,10 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
     else:
         if normalize_ablation_mode(cfg.ablation) != "full":
             raise ConfigError("ablation modes other than 'full' need dataset feature names")
-        rows, names_used = slice(None), []
+        rows, names_used = None, []
 
-    train_x, train_ym, train_yv = sample_arrays(split.train)
-    valid_x, valid_ym, valid_yv = sample_arrays(split.validation)
-    train_x, valid_x = train_x[:, rows], valid_x[:, rows]
+    train_x, train_ym, train_yv = split.train.windows(rows), split.train.y_m, split.train.y_v
+    valid_x, valid_ym, valid_yv = split.validation.windows(rows), split.validation.y_m, split.validation.y_v
     n_train, input_dim, window = train_x.shape
     if window != cfg.window:
         raise ConfigError(f"dataset window {window} does not match config window {cfg.window}")
@@ -427,14 +412,14 @@ def _score_task(y_true: np.ndarray, probs: np.ndarray, threshold: float, task: s
 def predict_probs(
     params: nx.ParamStore,
     config: ModelConfig,
-    samples: list[WindowedSample],
+    samples: SampleSet,
     dataset_feature_names: list[str] | None = None,
     chunk: int = 512,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Movement and volatility probabilities for a list of samples."""
-    if not samples:
+    """Movement and volatility probabilities for every sample, gathering windows one chunk at a time."""
+    if not len(samples):
         raise ConfigError("no samples to evaluate")
-    rows = slice(None)
+    rows = None
     if config.feature_names and dataset_feature_names and dataset_feature_names != config.feature_names:
         missing = [n for n in config.feature_names if n not in dataset_feature_names]
         if missing:
@@ -443,17 +428,17 @@ def predict_probs(
                 f"(input_dim={config.input_dim}, features={config.feature_names})"
             )
         rows = [dataset_feature_names.index(n) for n in config.feature_names]
-    x = sample_arrays(samples)[0][:, rows]
-    if x.shape[1] != config.input_dim:
+    n_features = samples.days.shape[1] if rows is None else len(rows)
+    if n_features != config.input_dim:
         raise CheckpointError(
-            f"sample feature dimension {x.shape[1]} does not match checkpoint config "
+            f"sample feature dimension {n_features} does not match checkpoint config "
             f"(input_dim={config.input_dim}, window={config.window})"
         )
     m_probs = np.empty(len(samples))
     v_probs = np.empty(len(samples))
     for lo in range(0, len(samples), chunk):
         hi = min(lo + chunk, len(samples))
-        trace = forward_batch(x[lo:hi], params, config)
+        trace = forward_batch(samples[lo:hi].windows(rows), params, config)
         m_probs[lo:hi] = trace.movement_probs
         v_probs[lo:hi] = trace.volatility_probs
     return m_probs, v_probs
@@ -462,16 +447,15 @@ def predict_probs(
 def evaluate(
     params: nx.ParamStore,
     config: ModelConfig,
-    samples: list[WindowedSample],
+    samples: SampleSet,
     threshold: float = 0.5,
     dataset_feature_names: list[str] | None = None,
 ) -> EvalReport:
     """Score a sample set: movement over non-ABSTAIN samples, volatility over all."""
     m_probs, v_probs = predict_probs(params, config, samples, dataset_feature_names)
-    y_m, y_v = sample_labels(samples)
-    scored = y_m != ABSTAIN
-    movement = _score_task(y_m[scored], m_probs[scored], threshold, "movement")
-    volatility = _score_task(y_v, v_probs, threshold, "volatility")
+    scored = samples.y_m != ABSTAIN
+    movement = _score_task(samples.y_m[scored], m_probs[scored], threshold, "movement")
+    volatility = _score_task(samples.y_v, v_probs, threshold, "volatility")
     return EvalReport(
         movement=movement,
         volatility=volatility,

@@ -20,7 +20,7 @@ from alertanet.serialize import read_json
 from alertanet.synth import SynthSpec, bayes_rate, generate
 from alertanet.training import TrainConfig, evaluate, train
 
-from testutil import GOLDEN_PRICES, finite_difference_grads, golden_label_oracle, max_grad_violation
+from testutil import GOLDEN_PRICES, finite_difference_grads, golden_label_oracle, joint_loss, max_grad_violation
 from test_metrics import auc_all_pairs, mcc_exact_integer
 
 
@@ -50,7 +50,7 @@ def test_criterion_1_gradient_correctness():
         pos_w = float(rng.uniform(1.0, 2.0))
 
         def compute():
-            return tr.joint_loss(md.forward(x, params, config), y_m, y_v, lam, pos_w)
+            return joint_loss(md.forward(x, params, config), y_m, y_v, lam, pos_w)
 
         params.zero_grads()
         nx.backward(compute())

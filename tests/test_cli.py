@@ -269,3 +269,12 @@ class TestParser:
     def test_missing_dataset_is_actionable(self, tmp_path, capsys):
         assert run_cli("train", "--dataset", tmp_path / "nope.json",
                        "--out", tmp_path / "o") == 1
+
+    def test_dataset_missing_a_key_fails_with_message(self, tmp_path, prepared, capsys):
+        obj = read_json(prepared)
+        del obj["frames"]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(obj), encoding="utf-8")
+        assert run_cli("train", "--dataset", broken, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert "broken.json: missing key 'frames'" in err and "Traceback" not in err

@@ -1,4 +1,5 @@
 import logging
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -193,36 +194,37 @@ class TestNormalize:
         assert np.all(nb > na)
 
 
+def labels(p_prev, p_t, **kwargs):
+    """Movement and volatility label of one price pair."""
+    y_m, y_v = dp.label_prices([p_prev], [p_t], **kwargs)
+    return int(y_m[0]), int(y_v[0])
+
+
 class TestLabels:
     def test_movement_examples(self):
-        assert dp.movement_label(100, 101) == 1
-        assert dp.movement_label(100, 100.3) == dp.ABSTAIN
-        assert dp.movement_label(100, 99.0) == 0
+        assert labels(100, 101)[0] == 1
+        assert labels(100, 100.3)[0] == dp.ABSTAIN
+        assert labels(100, 99.0)[0] == 0
 
     def test_movement_boundaries_belong_to_directional_classes(self):
-        assert dp.movement_label(100, 100.5) == 1
-        assert dp.movement_label(100, 99.5) == 0
+        assert labels(100, 100.5)[0] == 1
+        assert labels(100, 99.5)[0] == 0
 
-    def test_movement_domain_error(self):
+    def test_domain_error(self):
         with pytest.raises(DomainError):
-            dp.movement_label(0.0, 1.0)
+            labels(0.0, 1.0)
         with pytest.raises(DomainError):
-            dp.movement_label(-5.0, 1.0)
+            labels(-5.0, 1.0)
 
     def test_volatility_examples(self):
-        assert dp.volatility_label(100, 106) == 1
-        assert dp.volatility_label(100, 95.0) == 1  # |-5%| sits exactly on the closed boundary
-        assert dp.volatility_label(100, 102) == 0
-
-    def test_volatility_domain_error(self):
-        with pytest.raises(DomainError):
-            dp.volatility_label(0.0, 1.0)
+        assert labels(100, 106)[1] == 1
+        assert labels(100, 95.0)[1] == 1  # |-5%| sits exactly on the closed boundary
+        assert labels(100, 102)[1] == 0
 
     def test_golden_fixture_matches_rational_oracle(self):
         prices = [float(p) for p in GOLDEN_PRICES]
         expect_m, expect_v = golden_label_oracle(GOLDEN_PRICES, dp.ABSTAIN)
-        got_m = [dp.movement_label(a, b) for a, b in zip(prices, prices[1:])]
-        got_v = [dp.volatility_label(a, b) for a, b in zip(prices, prices[1:])]
+        got_m, got_v = (y.tolist() for y in dp.label_prices(prices[:-1], prices[1:]))
         assert got_m == expect_m
         assert got_v == expect_v
         # fixture exercises every outcome
@@ -265,7 +267,7 @@ class TestWindow:
     def test_ten_days_window_ten_gives_zero_samples(self, caplog):
         with caplog.at_level(logging.WARNING):
             samples = dp.window(make_frame("A", 10), 10)
-        assert samples == []
+        assert len(samples) == 0 and samples.windows().shape == (0, 2, 10)
         assert any("too short" in r.message or "skipped" in r.message for r in caplog.records)
 
     def test_sample_count(self):
@@ -286,8 +288,7 @@ class TestWindow:
         frame = make_frame("A", 12, seed=4)
         for k, sample in enumerate(dp.window(frame, 10)):
             t = 10 + k
-            assert sample.y_m == dp.movement_label(frame.adj_close[t - 1], frame.adj_close[t])
-            assert sample.y_v == dp.volatility_label(frame.adj_close[t - 1], frame.adj_close[t])
+            assert (sample.y_m, sample.y_v) == labels(frame.adj_close[t - 1], frame.adj_close[t])
 
     def test_windows_are_read_only(self):
         sample = dp.window(make_frame("A", 12), 10)[0]
@@ -300,6 +301,7 @@ class TestWindowMatchesPerWindowOracle:
         samples = dp.window(frame, window_len, **kwargs)
         expected = window_oracle(frame, window_len, **kwargs)
         assert len(samples) == len(expected) == len(frame) - window_len
+        assert np.array_equal(samples.windows(), np.array([x for x, *_ in expected]))
         for sample, (x, y_m, y_v, target_date) in zip(samples, expected):
             assert np.array_equal(sample.x, x)
             assert (sample.y_m, sample.y_v, sample.target_date) == (y_m, y_v, target_date)
@@ -321,17 +323,35 @@ class TestWindowMatchesPerWindowOracle:
         self.check(frame, window_len)
 
 
-class TestSampleArrays:
-    def test_stacks_windows_and_int8_labels(self):
+class TestSampleSet:
+    def test_columns_gather_and_records_agree(self):
         samples = dp.window(make_frame("A", 16, seed=2), 10)
-        x, y_m, y_v = dp.sample_arrays(samples)
-        assert x.shape == (6, 2, 10) and y_m.dtype == y_v.dtype == np.int8
-        assert all(np.array_equal(x[i], s.x) for i, s in enumerate(samples))
-        assert y_m.tolist() == [s.y_m for s in samples] and y_v.tolist() == [s.y_v for s in samples]
+        x = samples.windows()
+        assert x.shape == (6, 2, 10) and samples.y_m.dtype == samples.y_v.dtype == np.int8
+        records = list(samples)
+        assert all(np.array_equal(x[i], r.x) and np.array_equal(samples[i].x, r.x) for i, r in enumerate(records))
+        assert [r.y_m for r in records] == samples.y_m.tolist() and samples[-1][1:] == records[5][1:]
+        assert [type(v) for v in samples[0][1:]] == [int, int, str, str]
+        assert np.array_equal(samples.windows([1]), x[:, [1]])
+        assert np.array_equal(samples.windows([1, 0]), x[:, ::-1])
 
-    def test_empty_list(self):
-        x, y_m, y_v = dp.sample_arrays([])
-        assert x.shape == (0, 0, 0) and y_m.shape == y_v.shape == (0,)
+    def test_slices_and_parts_of_one_split_share_days(self):
+        split = dp.chrono_split(dp.window(make_frame("A", 20), 10), 0.6, 0.2)
+        whole = split.train + split.validation + split.test
+        head = whole[:3]
+        assert isinstance(head, dp.SampleSet) and len(head) == 3
+        assert head.days is whole.days is split.train.days is split.test.days
+        assert np.array_equal(whole.windows(), np.concatenate([p.windows() for p in split.splits().values()]))
+        assert whole.target_dates.tolist() == sorted(whole.target_dates.tolist())
+
+    def test_sets_over_different_days_do_not_add(self):
+        a, b = dp.window(make_frame("A", 14), 5), dp.window(make_frame("B", 14), 5)
+        with pytest.raises(ValueError, match="same days"):
+            a + b
+        joined = dp.SampleSet.concat([a, b])
+        assert not joined.days.flags.writeable
+        assert np.array_equal(joined.windows(), np.concatenate([a.windows(), b.windows()]))
+        assert joined.stock_ids.tolist() == ["A"] * 9 + ["B"] * 9
 
 
 class TestChronoSplit:
@@ -354,7 +374,7 @@ class TestChronoSplit:
 
     def test_multi_stock_dates_never_straddle(self):
         frames = [make_frame(sid, 24, seed=i) for i, sid in enumerate(["AAA", "BBB", "CCC"])]
-        samples = [s for f in frames for s in dp.window(f, 10)]
+        samples = dp.SampleSet.concat([dp.window(f, 10) for f in frames])
         split = dp.chrono_split(samples, 0.6, 0.2)
         max_train = max(s.target_date for s in split.train)
         min_valid = min(s.target_date for s in split.validation)
@@ -366,6 +386,58 @@ class TestChronoSplit:
         valid_dates = {s.target_date for s in split.validation}
         test_dates = {s.target_date for s in split.test}
         assert not (train_dates & valid_dates) and not (valid_dates & test_dates) and not (train_dates & test_dates)
+
+
+def dated_frame(stock_id, n_days, first_day, seed):
+    """A frame of ``n_days`` consecutive calendar days from ``first_day`` days after 2022-01-01."""
+    rng = np.random.default_rng(seed)
+    first = date(2022, 1, 1) + timedelta(days=first_day)
+    return dp.FeatureFrame(stock_id, [(first + timedelta(days=i)).isoformat() for i in range(n_days)],
+                           rng.uniform(50, 150, size=n_days), ["sent_0", "price_0"],
+                           rng.uniform(0, 1, size=(n_days, 2)))
+
+
+def split_oracle(frames, window_len, train_frac, valid_frac):
+    """Per-sample reference split: window_oracle per frame, sorted by (date, stock), each
+    cut moved one row at a time past rows that share the date before it."""
+    rows = [(day, f.stock_id, x, y_m, y_v) for f in frames for x, y_m, y_v, day in window_oracle(f, window_len)]
+    rows.sort(key=lambda r: (r[0], r[1]))
+    n = len(rows)
+
+    def advance(cut):
+        while 0 < cut < n and rows[cut][0] == rows[cut - 1][0]:
+            cut += 1
+        return cut
+
+    cut1 = advance(int(n * train_frac))
+    cut2 = advance(max(int(n * (train_frac + valid_frac)), cut1))
+    moved = cut1 != int(n * train_frac) or cut2 != max(int(n * (train_frac + valid_frac)), cut1)
+    return {"train": rows[:cut1], "validation": rows[cut1:cut2], "test": rows[cut2:]}, moved
+
+
+class TestBuildDatasetMatchesPerSampleOracle:
+    # unequal lengths and offset first days: the stocks share most dates but not all
+    FRAMES = [("ZZZ", 90, 0), ("AAA", 61, 7), ("MMM", 120, 3), ("BBB", 44, 30), ("SHORT", 5, 12)]
+
+    @pytest.mark.parametrize("window_len, train_frac, valid_frac",
+                             [(5, 0.6, 0.2), (1, 0.7, 0.15), (10, 0.5, 0.3), (3, 0.33, 0.33)])
+    def test_windows_labels_ids_dates_and_boundaries(self, window_len, train_frac, valid_frac):
+        frames = [dated_frame(sid, n, first, seed) for seed, (sid, n, first) in enumerate(self.FRAMES)]
+        split, warnings = dp.build_dataset(frames, window_len, train_frac=train_frac, valid_frac=valid_frac)
+        expected, moved = split_oracle(frames, window_len, train_frac, valid_frac)
+        skipped = [] if window_len < 5 else [f"frame SHORT: too short for window {window_len}, skipped"]
+        assert moved and warnings == skipped
+        for name, part in split.splits().items():
+            rows = expected[name]
+            assert len(part) == len(rows)
+            for record, (day, stock_id, x, y_m, y_v) in zip(part, rows):
+                assert np.array_equal(record.x, x)
+                assert (record.y_m, record.y_v, record.stock_id, record.target_date) == (y_m, y_v, stock_id, day)
+            assert np.array_equal(part.windows(), np.array([r[2] for r in rows]))
+            assert split.boundaries[name] == [rows[0][0], rows[-1][0]]
+        whole = split.train + split.validation + split.test
+        assert whole.days is split.train.days is split.validation.days is split.test.days
+        assert not whole.days.flags.writeable
 
 
 class TestAblationTaxonomy:
@@ -447,6 +519,25 @@ class TestDatasetRoundTrip:
         obj["frames"][1]["adj_close"] = serialize.encode_array(prices)
         serialize.write_json(path, obj)
         with pytest.raises(DataIntegrityError, match=r"dataset\.json: BBB: adj_close nan on 2022-01-04"):
+            dp.load_dataset(path)
+
+    @pytest.mark.parametrize("keys", [
+        ("meta",), ("meta", "dead_zone"), ("meta", "outlier_threshold"), ("meta", "epsilon"),
+        ("meta", "train_frac"), ("meta", "valid_frac"), ("window",), ("feature_names",), ("frames",),
+        ("frames", 1, "stock_id"), ("frames", 1, "dates"), ("frames", 1, "adj_close"), ("frames", 1, "features"),
+    ], ids=lambda keys: "/".join(map(str, keys)))
+    def test_missing_key_is_parse_error_naming_file_and_key(self, tmp_path, keys):
+        split, _ = dp.build_dataset([make_frame("AAA", 26), make_frame("BBB", 26, seed=1)], window_len=10,
+                                    train_frac=0.6, valid_frac=0.2)
+        path = tmp_path / "dataset.json"
+        dp.save_dataset(path, split)
+        obj = serialize.read_json(path)
+        owner = obj
+        for key in keys[:-1]:
+            owner = owner[key]
+        del owner[keys[-1]]
+        serialize.write_json(path, obj)
+        with pytest.raises(ParseError, match=rf"dataset\.json: missing key '{keys[-1]}'"):
             dp.load_dataset(path)
 
     def test_save_without_frames_is_usage_error(self, tmp_path):

@@ -6,10 +6,9 @@ import pytest
 from alertanet import model as md
 from alertanet import numerics as nx
 from alertanet.data import ABSTAIN
-from alertanet.training import joint_loss
 from alertanet.errors import CheckpointError, ConfigError, DimensionError, DomainError
 
-from testutil import mul, tanh
+from testutil import hidden_states, joint_loss, mul, sample_set, tanh
 
 
 def make_params(config, seed=0):
@@ -287,7 +286,7 @@ class TestTdaContext:
         params = make_params(config, seed=2)
         x = np.random.default_rng(3).normal(size=(3, 1))
         trace = md.forward(x, params, config)
-        h1 = trace.hidden_states[:, 0]
+        h1 = hidden_states(trace)[:, 0]
         assert np.array_equal(trace.context.value[:, 0], fused_step(x[:, 0], h1, params))
 
     def test_zero_states_equal_step_from_zero(self):
@@ -297,7 +296,7 @@ class TestTdaContext:
             params.value(name)[...] = 0.0  # every encoder state is exactly zero
         x = np.random.default_rng(4).normal(size=(3, 5))
         trace = md.forward(x, params, config)
-        assert np.array_equal(trace.hidden_states, np.zeros((4, 5)))
+        assert np.array_equal(hidden_states(trace), np.zeros((4, 5)))
         want = fused_step(x[:, -1], np.zeros(4), params, prefix="ctx_")
         assert np.array_equal(trace.context.value[:, 0], want)
 
@@ -306,7 +305,7 @@ class TestTdaContext:
         params = make_params(config, seed=9)
         x = np.random.default_rng(10).normal(size=(2, 4))
         trace = md.forward(x, params, config)
-        states = trace.hidden_states.T.tolist()
+        states = hidden_states(trace).T.tolist()
         weights = [1.0 / (4 - i + 1) for i in range(1, 5)]
         mixed = [0.0, 0.0, 0.0]
         for w, h in zip(weights, states):
@@ -323,7 +322,7 @@ class TestTdaContext:
         w = md.tda_weights(6)
         scaled = (w / np.sum(w)).tolist()
         mixed = np.zeros(3)
-        for c, h in zip(scaled, trace.hidden_states.T):
+        for c, h in zip(scaled, hidden_states(trace).T):
             mixed += c * h
         want = fused_step(x[:, -1], mixed, params)
         assert np.max(np.abs(trace.context.value[:, 0] - want)) < 1e-12
@@ -336,8 +335,8 @@ class TestForward:
         for name in params.names():
             params.value(name)[...] = 0.0
         trace = md.forward(np.random.default_rng(0).normal(size=(4, 5)), params, config)
-        assert trace.movement_probability == 0.5
-        assert trace.volatility_probability == 0.5
+        assert trace.movement_probs[0] == 0.5
+        assert trace.volatility_probs[0] == 0.5
 
     def test_window_of_one(self):
         config = md.ModelConfig(input_dim=4, hidden_dim=3, window=1)
@@ -346,7 +345,7 @@ class TestForward:
         trace = md.forward(x, params, config)
         assert len(trace.hidden) == 1
         h1 = fused_step(x[:, 0], np.zeros(3), params)
-        assert np.array_equal(trace.hidden_states[:, 0], h1)
+        assert np.array_equal(hidden_states(trace)[:, 0], h1)
         # context with a single state: weight vector is [1.0]
         assert np.array_equal(trace.context.value[:, 0], fused_step(x[:, 0], h1, params))
 
@@ -356,9 +355,9 @@ class TestForward:
         x = rng_x.normal(size=(5, 6))
         t1 = md.forward(x, make_params(config, seed=3), config)
         t2 = md.forward(x.copy(), make_params(config, seed=3), config)
-        assert t1.movement_probability == t2.movement_probability
-        assert t1.volatility_probability == t2.volatility_probability
-        assert np.array_equal(t1.hidden_states, t2.hidden_states)
+        assert t1.movement_probs[0] == t2.movement_probs[0]
+        assert t1.volatility_probs[0] == t2.volatility_probs[0]
+        assert np.array_equal(hidden_states(t1), hidden_states(t2))
 
     def test_probabilities_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(123)
@@ -368,11 +367,10 @@ class TestForward:
             for name in params.names():
                 params.value(name)[...] *= 10.0  # exaggerate magnitudes
             trace = md.forward(rng.normal(size=(3, 4)) * 5, params, config)
-            assert 0.0 < trace.movement_probability < 1.0
-            assert 0.0 < trace.volatility_probability < 1.0
+            assert 0.0 < trace.movement_probs[0] < 1.0
+            assert 0.0 < trace.volatility_probs[0] < 1.0
 
     def test_ablation_mask_removes_rows_exactly(self):
-        from alertanet.data import WindowedSample
         from alertanet.training import predict_probs
 
         names = ["macro_0", "sent_0", "macro_1", "sent_1", "macro_2"]
@@ -383,12 +381,12 @@ class TestForward:
         x_full = rng.normal(size=(5, 4))
 
         def probs(x):
-            return predict_probs(params, config, [WindowedSample(x, 0, 0, "S", "2021-01-01")], names)
+            return predict_probs(params, config, sample_set([(x, 0, 0, "S", "2021-01-01")]), names)
 
         m_masked, v_masked = probs(x_full)
         direct = md.forward(x_full[keep, :], params, config)
-        assert m_masked[0] == direct.movement_probability
-        assert v_masked[0] == direct.volatility_probability
+        assert m_masked[0] == direct.movement_probs[0]
+        assert v_masked[0] == direct.volatility_probs[0]
         # values outside the mask are irrelevant, not merely small
         x_altered = x_full.copy()
         x_altered[0, :] = 0.0
@@ -398,8 +396,6 @@ class TestForward:
         assert v_altered[0] == v_masked[0]
 
     def test_movement_head_receives_volatility_gradient(self):
-        from alertanet.training import joint_loss
-
         config = md.ModelConfig(input_dim=3, hidden_dim=2, window=4)
         params = make_params(config, seed=14)
         x = np.random.default_rng(15).normal(size=(3, 4))
@@ -434,9 +430,9 @@ class TestForward:
         params = make_params(config, seed=6)
         assert "ctx_W" in params
         x = np.random.default_rng(7).normal(size=(3, 4))
-        base = md.forward(x, params, config).movement_probability
+        base = md.forward(x, params, config).movement_probs[0]
         params.value("ctx_W")[...] += 0.5
-        assert md.forward(x, params, config).movement_probability != base
+        assert md.forward(x, params, config).movement_probs[0] != base
 
 
 class TestModelConfig:

@@ -13,7 +13,7 @@ from alertanet import data as dp
 from alertanet.errors import ConfigError
 from alertanet.serialize import decode_array, encode_array
 
-from testutil import golden_label_oracle
+from testutil import golden_label_oracle, sample_set
 
 # Derandomized and without an example database, so every run draws the same examples.
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -56,15 +56,18 @@ def test_labels_match_exact_rational_oracle_off_the_edges(pairs):
 
 @st.composite
 def sample_sets(draw):
-    """Samples with unique (stock, date) keys, most dates shared by several stocks, in any order."""
+    """Samples with unique (stock, date) keys, most dates shared by several stocks, in any order.
+
+    Sample ``i`` has the 1x1 window ``[[i]]``.
+    """
     keys = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 14)),
                          min_size=1, max_size=60, unique=True))
     start = date(2021, 1, 4)
-    return [
+    return sample_set([
         dp.WindowedSample(x=np.full((1, 1), float(i)), y_m=0, y_v=0, stock_id=f"S{stock}",
                           target_date=(start + timedelta(days=day)).isoformat())
         for i, (stock, day) in enumerate(keys)
-    ]
+    ])
 
 
 @st.composite
@@ -85,14 +88,15 @@ def test_chrono_split_separates_dates_without_leakage(samples, fractions):
         return
     parts = [split.train, split.validation, split.test]
     # a partition of the input: every sample once, none invented
-    assert sorted(id(s) for part in parts for s in part) == sorted(id(s) for s in samples)
+    assert sorted(s.x.item() for part in parts for s in part) == list(range(len(samples)))
     dates = [{s.target_date for s in part} for part in parts]
     # no calendar date in two sets, and every earlier set ends before the next begins
     assert not (dates[0] & dates[1] or dates[0] & dates[2] or dates[1] & dates[2])
     assert max(dates[0]) < min(dates[1]) and max(dates[1]) < min(dates[2])
     for name, part in split.splits().items():
         assert split.boundaries[name] == [part[0].target_date, part[-1].target_date]
-        assert part == sorted(part, key=lambda s: (s.target_date, s.stock_id))
+        keys = [(s.target_date, s.stock_id) for s in part]
+        assert keys == sorted(keys)
 
 
 _SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from alertanet import synth
-from alertanet.data import build_dataset, load_frame, movement_label, volatility_label, write_frame
+from alertanet.data import build_dataset, label_prices, load_frame, write_frame
 from alertanet.errors import ConfigError
 
 
@@ -61,17 +61,16 @@ class TestGenerate:
     def test_movement_labels_never_abstain(self):
         spec = synth.SynthSpec(n_days=500, seed=5)
         frame, _ = synth.generate_with_truth(spec)
-        for prev, cur in zip(frame.adj_close, frame.adj_close[1:]):
-            assert movement_label(prev, cur) in (0, 1)
+        y_m, _ = label_prices(frame.adj_close[:-1], frame.adj_close[1:])
+        assert set(y_m.tolist()) <= {0, 1}
 
     def test_generator_and_labeler_agree_on_every_day(self):
         spec = synth.SynthSpec(n_days=1500, seed=11)
         frame, truth = synth.generate_with_truth(spec)
         prices = frame.adj_close
-        got_m = [movement_label(prices[t - 1], prices[t]) for t in range(1, len(prices))]
-        got_v = [volatility_label(prices[t - 1], prices[t]) for t in range(1, len(prices))]
-        assert np.array_equal(np.array(got_m), truth["movement"])
-        assert np.array_equal(np.array(got_v), truth["volatility"])
+        got_m, got_v = label_prices(prices[:-1], prices[1:])
+        assert np.array_equal(got_m, truth["movement"])
+        assert np.array_equal(got_v, truth["volatility"])
 
     def test_volatility_events_follow_lagged_driver(self):
         spec = synth.SynthSpec(n_days=800, seed=13, volatility_lag=7)

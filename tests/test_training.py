@@ -6,11 +6,11 @@ import pytest
 from alertanet import model as md
 from alertanet import numerics as nx
 from alertanet import training as tr
-from alertanet.data import ABSTAIN, WindowedSample, build_dataset
+from alertanet.data import ABSTAIN, build_dataset
 from alertanet.errors import CheckpointError, ConfigError, TrainingError
 from alertanet.synth import SynthSpec, generate
 
-from testutil import finite_difference_grads, max_grad_violation
+from testutil import finite_difference_grads, joint_loss, max_grad_violation, sample_set
 from test_metrics import auc_all_pairs, mcc_exact_integer
 
 
@@ -37,11 +37,11 @@ class TestJointLoss:
         )
 
     def test_zero_logit_positive_label(self):
-        loss = tr.joint_loss(self._trace(0.0, 3.0), 1, 0, loss_weight=0.0)
+        loss = joint_loss(self._trace(0.0, 3.0), 1, 0, loss_weight=0.0)
         assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_abstain_drops_movement_term(self):
-        loss = tr.joint_loss(self._trace(7.0, 0.0), ABSTAIN, 0, loss_weight=1.0)
+        loss = joint_loss(self._trace(7.0, 0.0), ABSTAIN, 0, loss_weight=1.0)
         assert loss.item() == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_matches_naive_formula_at_moderate_logits(self):
@@ -51,7 +51,7 @@ class TestJointLoss:
             ym = int(rng.integers(0, 2))
             yv = int(rng.integers(0, 2))
             lam = float(rng.uniform(0, 2))
-            loss = tr.joint_loss(self._trace(zm, zv), ym, yv, loss_weight=lam).item()
+            loss = joint_loss(self._trace(zm, zv), ym, yv, loss_weight=lam).item()
             pm, pv = 1 / (1 + math.exp(-zm)), 1 / (1 + math.exp(-zv))
             naive = -(ym * math.log(pm) + (1 - ym) * math.log(1 - pm)) - lam * (
                 yv * math.log(pv) + (1 - yv) * math.log(1 - pv)
@@ -60,14 +60,14 @@ class TestJointLoss:
 
     def test_finite_for_extreme_logits(self):
         for z in (-500.0, -250.0, 250.0, 500.0):
-            loss = tr.joint_loss(self._trace(z, -z), 1, 1, loss_weight=1.0)
+            loss = joint_loss(self._trace(z, -z), 1, 1, loss_weight=1.0)
             assert np.isfinite(loss.item())
 
     def test_pos_weight_scales_positive_term_only(self):
-        base = tr.joint_loss(self._trace(0.0, 0.0), ABSTAIN, 1, 1.0, volatility_pos_weight=1.0).item()
-        heavy = tr.joint_loss(self._trace(0.0, 0.0), ABSTAIN, 1, 1.0, volatility_pos_weight=3.0).item()
+        base = joint_loss(self._trace(0.0, 0.0), ABSTAIN, 1, 1.0, volatility_pos_weight=1.0).item()
+        heavy = joint_loss(self._trace(0.0, 0.0), ABSTAIN, 1, 1.0, volatility_pos_weight=3.0).item()
         assert heavy == pytest.approx(3.0 * base, abs=1e-12)
-        neg = tr.joint_loss(self._trace(0.0, 0.0), ABSTAIN, 0, 1.0, volatility_pos_weight=3.0).item()
+        neg = joint_loss(self._trace(0.0, 0.0), ABSTAIN, 0, 1.0, volatility_pos_weight=3.0).item()
         assert neg == pytest.approx(base, abs=1e-12)
 
     def test_full_model_gradients_match_finite_differences(self):
@@ -79,7 +79,7 @@ class TestJointLoss:
 
         def compute():
             trace = md.forward(x, params, config)
-            return tr.joint_loss(trace, y_m, y_v, loss_weight=0.7, volatility_pos_weight=1.3)
+            return joint_loss(trace, y_m, y_v, loss_weight=0.7, volatility_pos_weight=1.3)
 
         params.zero_grads()
         nx.backward(compute())
@@ -229,19 +229,11 @@ class TestTrain:
 
 def random_samples(n, d=3, t=4, seed=0, abstain_rate=0.2):
     rng = np.random.default_rng(seed)
-    samples = []
+    records = []
     for i in range(n):
         y_m = ABSTAIN if rng.random() < abstain_rate else int(rng.integers(0, 2))
-        samples.append(
-            WindowedSample(
-                x=rng.normal(size=(d, t)),
-                y_m=y_m,
-                y_v=int(rng.integers(0, 2)),
-                stock_id="R",
-                target_date=f"2023-01-{i % 28 + 1:02d}",
-            )
-        )
-    return samples
+        records.append((rng.normal(size=(d, t)), y_m, int(rng.integers(0, 2)), "R", f"2023-01-{i % 28 + 1:02d}"))
+    return sample_set(records)
 
 
 class TestEvaluate:
@@ -297,8 +289,7 @@ class TestEvaluate:
         config = md.ModelConfig(input_dim=3, hidden_dim=2, window=4)
         params = md.init_params(config, np.random.default_rng(1))
         samples = random_samples(20, seed=3, abstain_rate=0.0)
-        for s in samples:
-            s.y_v = 0
+        samples.y_v[:] = 0
         report = tr.evaluate(params, config, samples)
         assert report.volatility.auc is None
         assert report.volatility.accuracy is not None

@@ -1,11 +1,14 @@
 """Shared test helpers: finite-difference gradients, tolerance checks, fixtures,
-and the tape ops that only the tests compose."""
+sample sets built from windows, and the tape ops and accessors that only the
+tests compose."""
 
 from fractions import Fraction
 
 import numpy as np
 
 from alertanet import numerics as nx
+from alertanet import training as tr
+from alertanet.data import SampleSet
 from alertanet.errors import DimensionError
 
 # 51 hand-picked prices -> 50 labeled days.  Covers both dead-zone edges
@@ -34,6 +37,31 @@ def golden_label_oracle(price_strings, abstain, dead=Fraction(1, 200), outlier=F
             movement.append(0)
         volatility.append(1 if abs(r) >= outlier else 0)
     return movement, volatility
+
+
+def sample_set(records):
+    """A :class:`SampleSet` with one row per ``(x, y_m, y_v, stock_id, target_date)`` record, in order.
+
+    Every record's (features, window) array ``x`` gets its own days, so windows
+    need not overlap as they do in a set built from a frame.
+    """
+    x = np.asarray([r[0] for r in records], dtype=np.float64)
+    n, d, w = x.shape
+    days = x.transpose(0, 2, 1).reshape(n * w, d)
+    days.flags.writeable = False
+    columns = [np.array([r[i] for r in records], dtype=dtype)
+               for i, dtype in ((1, np.int8), (2, np.int8), (3, str), (4, str))]
+    return SampleSet(days, w, np.arange(n) * w, *columns)
+
+
+def joint_loss(trace, y_m, y_v, loss_weight, volatility_pos_weight=1.0):
+    """The recorded training objective of one sample or a batch, as ``train`` computes it."""
+    return tr._loss_terms(trace, y_m, y_v, loss_weight, volatility_pos_weight)[0]
+
+
+def hidden_states(trace):
+    """The encoder states of a forward trace as a (hidden_dim, window * batch) matrix."""
+    return np.concatenate([h.value for h in trace.hidden], axis=1)
 
 
 def finite_difference_grads(loss_fn, params, h=1e-6):
