@@ -279,10 +279,11 @@ class SampleSet:
 
     def windows(self, features: list[int] | None = None) -> np.ndarray:
         """The rows' windows as a new (n, n_features, window) array; ``features`` selects and orders columns."""
+        cols = np.arange(self.days.shape[1]) if features is None else np.asarray(features)
         if not len(self):
-            return np.empty((0, self.days.shape[1] if features is None else len(features), self.window))
-        view = np.lib.stride_tricks.sliding_window_view(self.days, self.window, axis=0)
-        return view[self.start] if features is None else view[self.start[:, None], np.asarray(features)]
+            return np.empty((0, len(cols), self.window))
+        # indexing rows and columns together gives a C-ordered result, as np.stack of the records would
+        return np.lib.stride_tricks.sliding_window_view(self.days, self.window, axis=0)[self.start[:, None], cols]
 
 
 def window(
@@ -496,7 +497,7 @@ def load_dataset(path: str | Path) -> DatasetSplit:
     if not Path(path).is_file():
         raise ConfigError(f"dataset file {path} not found; run the `prepare` step first")
     obj = serialize.read_json(path)
-    if obj.get("kind") != "alertanet-dataset":
+    if not isinstance(obj, dict) or obj.get("kind") != "alertanet-dataset":
         raise ParseError(f"{path}: not a dataset file")
     if obj.get("format_version") != DATASET_VERSION:
         raise ParseError(
@@ -511,6 +512,8 @@ def load_dataset(path: str | Path) -> DatasetSplit:
                   for r in obj["frames"]]
     except KeyError as exc:
         raise ParseError(f"{path}: missing key {exc.args[0]!r}; rerun `alertanet prepare`") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed dataset ({exc}); rerun `alertanet prepare`") from exc
     except (DataIntegrityError, ParseError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
     split, _ = build_dataset(frames, window_len, **settings)

@@ -540,6 +540,17 @@ class TestDatasetRoundTrip:
         with pytest.raises(ParseError, match=rf"dataset\.json: missing key '{keys[-1]}'"):
             dp.load_dataset(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "not a dataset file"),
+        ('{"kind": "alertanet-dataset", "format_version": 2, "meta": {}, "feature_names": [], "window": "ten"}',
+         "malformed dataset"),
+    ], ids=["not-an-object", "window-not-an-int"])
+    def test_malformed_file_is_parse_error_naming_file(self, tmp_path, text, message):
+        path = tmp_path / "dataset.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"dataset\.json: {message}"):
+            dp.load_dataset(path)
+
     def test_save_without_frames_is_usage_error(self, tmp_path):
         split = dp.chrono_split(dp.window(make_frame("A", 20), 10), 0.6, 0.2)
         path = tmp_path / "dataset.json"
