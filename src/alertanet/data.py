@@ -358,7 +358,7 @@ def chrono_split(samples: SampleSet, train_frac: float, valid_frac: float) -> Da
     cut1 = _advance_to_date_boundary(int(n * train_frac))
     cut2 = _advance_to_date_boundary(max(int(n * (train_frac + valid_frac)), cut1))
     parts = {"train": ordered[:cut1], "validation": ordered[cut1:cut2], "test": ordered[cut2:]}
-    empty = [name for name, part in parts.items() if not len(part)]
+    empty = [name for name, part in parts.items() if not part]
     if empty:
         raise ConfigError(
             f"too few samples for the requested fractions: empty split(s) {empty} "
@@ -395,7 +395,7 @@ def build_dataset(
     windowed: list[FeatureFrame] = []
     for frame in sorted(frames, key=lambda f: f.stock_id):
         part = window(frame, window_len, dead_zone, outlier_threshold, epsilon)
-        if len(part):
+        if part:
             windowed.append(frame)
         else:
             warnings.append(f"frame {frame.stock_id}: too short for window {window_len}, skipped")

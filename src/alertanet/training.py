@@ -417,7 +417,7 @@ def predict_probs(
     chunk: int = 512,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Movement and volatility probabilities for every sample, gathering windows one chunk at a time."""
-    if not len(samples):
+    if not samples:
         raise ConfigError("no samples to evaluate")
     rows = None
     if config.feature_names and dataset_feature_names and dataset_feature_names != config.feature_names:
