@@ -127,24 +127,6 @@ def _write_report(out_dir: Path, name: str, kind: str, payload: dict, manifest: 
 
 # --- train-config layering --------------------------------------------------
 
-_TRAIN_OVERRIDES = (
-    ("seed", "seed"),
-    ("hidden", "hidden"),
-    ("window", "window"),
-    ("epochs", "epochs"),
-    ("batch_size", "batch_size"),
-    ("learning_rate", "learning_rate"),
-    ("loss_weight", "loss_weight"),
-    ("ablation", "ablation"),
-    ("model", "arch"),
-    ("tda_normalize", "tda_normalize"),
-    ("two_stage", "two_stage"),
-    ("patience", "patience"),
-    ("clip_norm", "clip_norm"),
-    ("pos_weight_auto", "pos_weight_auto"),
-)
-
-
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with TrainConfig fields")
     parser.add_argument("--seed", type=int, default=None)
@@ -156,7 +138,7 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lambda", dest="loss_weight", type=float, default=None,
                         help="weight on the volatility loss term")
     parser.add_argument("--ablation", choices=["full", "p", "s", "wo-m"], default=None)
-    parser.add_argument("--model", choices=["alerta", "gru"], default=None)
+    parser.add_argument("--model", dest="arch", choices=["alerta", "gru"], default=None)
     parser.add_argument("--tda-normalize", action=argparse.BooleanOptionalAction, default=None,
                         help="divide the temporal-distance sum by its weight total")
     parser.add_argument("--two-stage", action=argparse.BooleanOptionalAction, default=None,
@@ -173,10 +155,10 @@ def _resolve_train_config(args, dataset_window: int) -> TrainConfig:
     if unknown:
         raise ConfigError(f"{args.config}: unknown training config keys {sorted(unknown)}")
     base.update(file_cfg)
-    for arg_name, cfg_name in _TRAIN_OVERRIDES:
-        value = getattr(args, arg_name, None)
+    for name in base:
+        value = getattr(args, name, None)
         if value is not None:
-            base[cfg_name] = value
+            base[name] = value
     # window precedence: CLI flag > config file > the prepared dataset itself
     if args.window is None and "window" not in file_cfg:
         base["window"] = dataset_window

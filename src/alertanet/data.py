@@ -492,6 +492,20 @@ def save_dataset(path: str | Path, split: DatasetSplit) -> None:
     )
 
 
+def _stored_setting(key: str, value):
+    """``value``, if a stored setting is an int window, two dead-zone numbers, or a number; else ``ValueError``."""
+    if key == "window":
+        ok, want = type(value) is int, "an integer"
+    elif key == "dead_zone":
+        ok = isinstance(value, list) and len(value) == 2 and all(type(v) in (int, float) for v in value)
+        want = "a list of two numbers"
+    else:
+        ok, want = type(value) in (int, float), "a number"
+    if not ok:
+        raise ValueError(f"{key!r} is {value!r}, expected {want}")
+    return value
+
+
 def load_dataset(path: str | Path) -> DatasetSplit:
     """Rebuild the split of a :func:`save_dataset` file; its frames pass the :class:`FeatureFrame` checks."""
     if not Path(path).is_file():
@@ -505,8 +519,9 @@ def load_dataset(path: str | Path) -> DatasetSplit:
             f"reads {DATASET_VERSION}, which stores each source frame once); rerun `alertanet prepare`"
         )
     try:
-        meta, names, window_len = obj["meta"], obj["feature_names"], int(obj["window"])
-        settings = {k: meta[k] for k in ("dead_zone", "outlier_threshold", "epsilon", "train_frac", "valid_frac")}
+        meta, names, window_len = obj["meta"], obj["feature_names"], _stored_setting("window", obj["window"])
+        settings = {k: _stored_setting(k, meta[k])
+                    for k in ("dead_zone", "outlier_threshold", "epsilon", "train_frac", "valid_frac")}
         frames = [FeatureFrame(r["stock_id"], r["dates"], serialize.decode_array(r["adj_close"]),
                                list(names), serialize.decode_array(r["features"]))
                   for r in obj["frames"]]

@@ -176,28 +176,63 @@ def tda_weights(t: int) -> np.ndarray:
     return 1.0 / np.arange(t, 0, -1, dtype=np.float64)
 
 
+def heads(fusion: list[nx.Tensor], params: nx.ParamStore) -> tuple[nx.Tensor, np.ndarray]:
+    """Both head logits from the fusion blocks, recorded as one tape node.
+
+    ``fusion`` is [h^T, c] (or [h^T] for the plain GRU), stacked into f.
+    m = W_m f + b_m and v = W_v [f; sigma(m)] + b_v; returns the 2 x batch
+    logits [m; v] and their probabilities.  The products run in the fixed
+    order and the backward keeps the grouping of the separate per-op nodes,
+    so values and gradients are bit-identical to composing them op by op.
+    """
+    w_m, b_m, w_v, b_v = (params[name] for name in ("W_m", "b_m", "W_v", "b_v"))
+    f = np.concatenate([part.value for part in fusion])
+    m = nx.matmul_values(w_m.value, f) + b_m.value
+    p_m = nx.sigmoid_values(m)
+    f_p = np.concatenate([f, p_m])
+    v = nx.matmul_values(w_v.value, f_p) + b_v.value
+    probs = np.concatenate([p_m, nx.sigmoid_values(v)])
+
+    def backward_fn(grad):
+        g_v = grad[1:]
+        d_fp = np.dot(w_v.value.T, g_v)
+        g_m = grad[:1] + d_fp[-1:] * p_m * (1.0 - p_m)
+        d_f = d_fp[:-1] + np.dot(w_m.value.T, g_m)
+        lo = 0
+        for part in fusion:
+            if part.requires_grad:
+                part.grad += d_f[lo : lo + part.rows]
+            lo += part.rows
+        # ParamStore entries always require gradients
+        w_m.grad += np.dot(g_m, f.T)
+        b_m.grad += np.sum(g_m, axis=1, keepdims=True)
+        w_v.grad += np.dot(g_v, f_p.T)
+        b_v.grad += np.sum(g_v, axis=1, keepdims=True)
+
+    logits = nx.record(np.concatenate([m, v]), (*fusion, w_m, b_m, w_v, b_v), backward_fn)
+    return logits, probs
+
+
 @dataclass
 class ForwardTrace:
     """Recorded forward pass over a batch (batch size 1 for a single window)."""
 
     hidden: list[nx.Tensor]  # window-many (hidden_dim x batch) states
     context: nx.Tensor | None
-    movement_logit: nx.Tensor  # 1 x batch
-    movement_prob: nx.Tensor
-    volatility_logit: nx.Tensor
-    volatility_prob: nx.Tensor
+    logits: nx.Tensor  # 2 x batch: movement row, volatility row
+    probs: np.ndarray  # sigmoid of the logits
 
     @property
     def batch_size(self) -> int:
-        return self.movement_logit.cols
+        return self.logits.cols
 
     @property
     def movement_probs(self) -> np.ndarray:
-        return self.movement_prob.value[0].copy()
+        return self.probs[0].copy()
 
     @property
     def volatility_probs(self) -> np.ndarray:
-        return self.volatility_prob.value[0].copy()
+        return self.probs[1].copy()
 
 
 def forward_batch(windows, params: nx.ParamStore, config: ModelConfig) -> ForwardTrace:
@@ -220,6 +255,7 @@ def forward_batch(windows, params: nx.ParamStore, config: ModelConfig) -> Forwar
         h = cell_step(wx, h, params, cols=slice(t * batch, (t + 1) * batch))
         hidden.append(h)
 
+    context = None
     if config.uses_context:
         weights = tda_weights(steps)
         if config.tda_normalize:
@@ -231,25 +267,8 @@ def forward_batch(windows, params: nx.ParamStore, config: ModelConfig) -> Forwar
         else:
             ctx_wx = nx.matmul(params["ctx_W"], nx.constant(x_block.value[:, last]))
             context = cell_step(ctx_wx, mixed, params, "ctx_")
-        fusion = nx.concat_rows([hidden[-1], context])
-    else:
-        context = None
-        fusion = hidden[-1]
-
-    movement_logit = nx.bias_add(nx.matmul(params["W_m"], fusion), params["b_m"])
-    movement_prob = nx.sigmoid(movement_logit)
-    volatility_logit = nx.bias_add(
-        nx.matmul(params["W_v"], nx.concat_rows([fusion, movement_prob])), params["b_v"]
-    )
-    volatility_prob = nx.sigmoid(volatility_logit)
-    return ForwardTrace(
-        hidden=hidden,
-        context=context,
-        movement_logit=movement_logit,
-        movement_prob=movement_prob,
-        volatility_logit=volatility_logit,
-        volatility_prob=volatility_prob,
-    )
+    logits, probs = heads([hidden[-1]] if context is None else [hidden[-1], context], params)
+    return ForwardTrace(hidden=hidden, context=context, logits=logits, probs=probs)
 
 
 def forward(x, params: nx.ParamStore, config: ModelConfig) -> ForwardTrace:

@@ -166,46 +166,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return record(out, (a, b), backward_fn)
 
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise DimensionError(f"{op}: shape {a.shape} does not match shape {b.shape}")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
-
-    def backward_fn(grad):
-        if a.requires_grad:
-            a.grad += grad
-        if b.requires_grad:
-            b.grad += grad
-
-    return record(a.value + b.value, (a, b), backward_fn)
-
-
-def affine(a: Tensor, scale: float, shift: float = 0.0) -> Tensor:
-    """``scale * a + shift`` with scalar constants."""
-    scale = float(scale)
-
-    def backward_fn(grad):
-        if a.requires_grad:
-            a.grad += scale * grad
-
-    return record(scale * a.value + shift, (a,), backward_fn)
-
-
-def mul_const(a: Tensor, const: np.ndarray) -> Tensor:
-    """Elementwise product with a fixed (non-trainable) matrix."""
-    const = as_matrix(const)
-    _check_same_shape(a, constant(const), "mul_const")
-
-    def backward_fn(grad):
-        if a.requires_grad:
-            a.grad += grad * const
-
-    return record(a.value * const, (a,), backward_fn)
-
-
 def sigmoid_values(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function (no overflow for any float64).
 
@@ -217,55 +177,6 @@ def sigmoid_values(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / d, e / d)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out = sigmoid_values(a.value)
-
-    def backward_fn(grad):
-        if a.requires_grad:
-            a.grad += grad * out * (1.0 - out)
-
-    return record(out, (a,), backward_fn)
-
-
-def bias_add(a: Tensor, bias: Tensor) -> Tensor:
-    """Add an mx1 bias column to every column of an mxn matrix.
-
-    This is the one deliberate shape extension in the module; it is an
-    explicit named operation rather than silent broadcasting.
-    """
-    if bias.cols != 1 or bias.rows != a.rows:
-        raise DimensionError(f"bias_add: bias shape {bias.shape} does not fit matrix shape {a.shape}")
-
-    def backward_fn(grad):
-        if a.requires_grad:
-            a.grad += grad
-        if bias.requires_grad:
-            bias.grad += np.sum(grad, axis=1, keepdims=True)
-
-    return record(a.value + bias.value, (a, bias), backward_fn)
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack matrices with equal column counts on top of each other."""
-    if not parts:
-        raise UsageError("concat_rows: empty input")
-    ncols = parts[0].cols
-    for p in parts:
-        if p.cols != ncols:
-            raise DimensionError(
-                f"concat_rows: column counts differ ({[p.shape for p in parts]})"
-            )
-    out = np.concatenate([p.value for p in parts], axis=0)
-    offsets = np.cumsum([0] + [p.rows for p in parts])
-
-    def backward_fn(grad):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                p.grad += grad[lo:hi, :]
-
-    return record(out, tuple(parts), backward_fn)
-
-
 def linear_combination(parts: Sequence[Tensor], coeffs: Sequence[float]) -> Tensor:
     """``sum(c_i * M_i)`` accumulated left to right over same-shaped matrices."""
     if not parts:
@@ -274,7 +185,8 @@ def linear_combination(parts: Sequence[Tensor], coeffs: Sequence[float]) -> Tens
         raise UsageError(f"linear_combination: {len(parts)} matrices vs {len(coeffs)} coefficients")
     shape = parts[0].shape
     for p in parts:
-        _check_same_shape(p, parts[0], "linear_combination")
+        if p.shape != shape:
+            raise DimensionError(f"linear_combination: shape {p.shape} does not match shape {shape}")
     coeffs = [float(c) for c in coeffs]
     out = np.zeros(shape)
     for p, c in zip(parts, coeffs):
@@ -288,33 +200,25 @@ def linear_combination(parts: Sequence[Tensor], coeffs: Sequence[float]) -> Tens
     return record(out, tuple(parts), backward_fn)
 
 
-def total_sum(a: Tensor) -> Tensor:
-    """Sum all entries down to a 1x1 scalar."""
-    out = np.array([[np.sum(a.value)]])
-
-    def backward_fn(grad):
-        if a.requires_grad:
-            a.grad += grad[0, 0]
-
-    return record(out, (a,), backward_fn)
-
-
 def softplus_values(x: np.ndarray) -> np.ndarray:
     """``log(1 + exp(x))`` computed as ``max(x, 0) + log1p(exp(-|x|))``."""
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def bce_with_logits(logits: Tensor, targets: np.ndarray, pos_weight: float = 1.0) -> Tensor:
+def bce_with_logits(logits: Tensor, targets: np.ndarray, pos_weight=1.0) -> Tensor:
     """Elementwise binary cross-entropy computed in logit space.
 
-    ``pos_weight`` scales the positive-class term, for imbalanced targets.
+    ``pos_weight`` scales the positive-class term, for imbalanced targets: a
+    scalar, or an (m x 1) column with one weight per row of the m x n logits.
     With ``pos_weight=1`` each entry equals the standard stable form
     ``max(z, 0) - z*y + log(1 + exp(-|z|))``.
     """
     targets = as_matrix(targets)
     if targets.shape != logits.shape:
         raise DimensionError(f"bce_with_logits: targets {targets.shape} vs logits {logits.shape}")
-    pos_weight = float(pos_weight)
+    pos_weight = np.asarray(pos_weight, dtype=np.float64)
+    if pos_weight.ndim and pos_weight.shape != (logits.rows, 1):
+        raise DimensionError(f"bce_with_logits: pos_weight {pos_weight.shape} vs logits {logits.shape}")
     z = logits.value
     out = pos_weight * targets * softplus_values(-z) + (1.0 - targets) * softplus_values(z)
 

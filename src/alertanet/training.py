@@ -27,7 +27,9 @@ from .data import (
 from .errors import CheckpointError, ConfigError, TrainingError, UndefinedMetricError
 from .model import ModelConfig, forward_batch, init_params
 
+# windows per forward pass when scoring the validation set and when predicting
 VALID_CHUNK = 1024
+PREDICT_CHUNK = 512
 
 
 @dataclass
@@ -82,21 +84,30 @@ class TrainConfig:
 
 
 def _loss_terms(trace, y_m, y_v, loss_weight, pos_weight):
+    """The recorded batch loss and its movement and volatility means.
+
+    One BCE node covers both logit rows; one more node forms the means and
+    the lambda-weighted sum.  Each sum and scale keeps the grouping of the
+    separate per-op nodes these replaced, so values and gradients are
+    bit-identical to them.
+    """
     batch = trace.batch_size
     y_m = np.atleast_1d(np.asarray(y_m))
     y_v = np.atleast_1d(np.asarray(y_v))
     if y_m.shape != (batch,) or y_v.shape != (batch,):
         raise ConfigError(f"labels {y_m.shape}/{y_v.shape} do not match batch size {batch}")
-    mask = (y_m != ABSTAIN).astype(np.float64).reshape(1, batch)
-    targets_m = np.where(y_m == ABSTAIN, 0, y_m).astype(np.float64).reshape(1, batch)
-    targets_v = y_v.astype(np.float64).reshape(1, batch)
+    weights_m = (y_m != ABSTAIN).astype(np.float64) / batch
+    targets = np.stack([np.where(y_m == ABSTAIN, 0, y_m), y_v]).astype(np.float64)
+    terms = nx.bce_with_logits(trace.logits, targets, np.array([[1.0], [pos_weight]]))
+    movement = float(np.sum(terms.value[0] * weights_m))
+    volatility = 1.0 / batch * float(np.sum(terms.value[1]))
 
-    movement_vec = nx.bce_with_logits(trace.movement_logit, targets_m)
-    movement_mean = nx.total_sum(nx.mul_const(movement_vec, mask / batch))
-    volatility_vec = nx.bce_with_logits(trace.volatility_logit, targets_v, pos_weight)
-    volatility_mean = nx.affine(nx.total_sum(volatility_vec), 1.0 / batch)
-    loss = nx.add(movement_mean, nx.affine(volatility_mean, loss_weight))
-    return loss, movement_mean.item(), volatility_mean.item()
+    def backward_fn(grad):
+        terms.grad[0] += grad[0, 0] * weights_m
+        terms.grad[1] += 1.0 / batch * (loss_weight * grad[0, 0])
+
+    loss = nx.record(np.array([[movement + loss_weight * volatility]]), (terms,), backward_fn)
+    return loss, movement, volatility
 
 
 class Adam:
@@ -176,11 +187,11 @@ class TrainReport:
         }
 
 
-def _dataset_loss(params, config, x, y_m, y_v, loss_weight, pos_weight, chunk=VALID_CHUNK):
+def _dataset_loss(params, config, x, y_m, y_v, loss_weight, pos_weight):
     n = x.shape[0]
     movement = volatility = total = 0.0
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo in range(0, n, VALID_CHUNK):
+        hi = min(lo + VALID_CHUNK, n)
         trace = forward_batch(x[lo:hi], params, config)
         loss, m_term, v_term = _loss_terms(trace, y_m[lo:hi], y_v[lo:hi], loss_weight, pos_weight)
         weight = hi - lo
@@ -414,7 +425,6 @@ def predict_probs(
     config: ModelConfig,
     samples: SampleSet,
     dataset_feature_names: list[str] | None = None,
-    chunk: int = 512,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Movement and volatility probabilities for every sample, gathering windows one chunk at a time."""
     if not samples:
@@ -436,8 +446,8 @@ def predict_probs(
         )
     m_probs = np.empty(len(samples))
     v_probs = np.empty(len(samples))
-    for lo in range(0, len(samples), chunk):
-        hi = min(lo + chunk, len(samples))
+    for lo in range(0, len(samples), PREDICT_CHUNK):
+        hi = min(lo + PREDICT_CHUNK, len(samples))
         trace = forward_batch(samples[lo:hi].windows(rows), params, config)
         m_probs[lo:hi] = trace.movement_probs
         v_probs[lo:hi] = trace.volatility_probs

@@ -134,6 +134,25 @@ class TestTrainEval:
         assert manifest["config"]["hidden"] == 4  # from file
         assert manifest["config"]["epochs"] == 1  # CLI wins
 
+    def test_every_train_flag_overrides_the_config_file(self, tmp_path):
+        from_file = {"seed": 1, "hidden": 3, "window": 8, "epochs": 2, "batch_size": 16, "learning_rate": 0.1,
+                     "loss_weight": 2.0, "ablation": "p", "arch": "alerta", "tda_normalize": True,
+                     "two_stage": True, "patience": 4, "clip_norm": 1.0, "pos_weight_auto": True}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(from_file))
+        args = cli.build_parser().parse_args([
+            "train", "--dataset", "d.json", "--config", str(cfg_path), "--seed", "7", "--hidden", "5",
+            "--window", "9", "--epochs", "6", "--batch-size", "8", "--learning-rate", "0.01", "--lambda", "0.3",
+            "--ablation", "s", "--model", "gru", "--no-tda-normalize", "--no-two-stage", "--patience", "9",
+            "--clip-norm", "2.5", "--no-pos-weight-auto",
+        ])
+        cfg = cli._resolve_train_config(args, dataset_window=9)
+        assert {name: getattr(cfg, name) for name in from_file} == {
+            "seed": 7, "hidden": 5, "window": 9, "epochs": 6, "batch_size": 8, "learning_rate": 0.01,
+            "loss_weight": 0.3, "ablation": "s", "arch": "gru", "tda_normalize": False,
+            "two_stage": False, "patience": 9, "clip_norm": 2.5, "pos_weight_auto": False,
+        }
+
     def test_unknown_config_key_rejected(self, tmp_path, prepared, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"hidden_size": 4}))

@@ -1,3 +1,4 @@
+import json
 import logging
 from datetime import date, timedelta
 
@@ -467,6 +468,14 @@ class TestAblationTaxonomy:
             dp.normalize_ablation_mode("everything")
 
 
+def dataset_header(window=10, **meta):
+    """A dataset file's text without its frames, with the given settings replacing valid ones."""
+    settings = {"dead_zone": [-0.005, 0.005], "outlier_threshold": 0.05, "epsilon": 1e-8,
+                "train_frac": 0.7, "valid_frac": 0.15, **meta}
+    return json.dumps({"kind": "alertanet-dataset", "format_version": 2, "meta": settings,
+                       "feature_names": [], "window": window})
+
+
 class TestDatasetRoundTrip:
     @pytest.mark.parametrize(
         "settings, short_frame",
@@ -544,7 +553,12 @@ class TestDatasetRoundTrip:
         ("[1, 2]", "not a dataset file"),
         ('{"kind": "alertanet-dataset", "format_version": 2, "meta": {}, "feature_names": [], "window": "ten"}',
          "malformed dataset"),
-    ], ids=["not-an-object", "window-not-an-int"])
+        (dataset_header(dead_zone=[0.01]), r"malformed dataset \('dead_zone' is \[0.01\]"),
+        (dataset_header(train_frac="0.7"), r"malformed dataset \('train_frac' is '0.7'"),
+        (dataset_header(outlier_threshold=None), r"malformed dataset \('outlier_threshold' is None"),
+        (dataset_header(window=8.5), r"malformed dataset \('window' is 8.5"),
+    ], ids=["not-an-object", "window-not-an-int", "dead-zone-one-number", "train-frac-a-string",
+            "outlier-null", "window-a-float"])
     def test_malformed_file_is_parse_error_naming_file(self, tmp_path, text, message):
         path = tmp_path / "dataset.json"
         path.write_text(text, encoding="utf-8")

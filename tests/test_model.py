@@ -5,10 +5,14 @@ import pytest
 
 from alertanet import model as md
 from alertanet import numerics as nx
+from alertanet import training as tr
 from alertanet.data import ABSTAIN
 from alertanet.errors import CheckpointError, ConfigError, DimensionError, DomainError
 
-from testutil import hidden_states, joint_loss, mul, sample_set, tanh
+from testutil import (
+    add, affine, bias_add, concat_rows, hidden_states, joint_loss, mul, per_op_heads, per_op_loss, sample_set,
+    sigmoid, tanh,
+)
 
 
 def make_params(config, seed=0):
@@ -111,29 +115,29 @@ class TestGruStep:
 
 def oracle_cell_step(x, h_prev, gates, prefix=""):
     """The per-gate tape composition the fused cell replaced: six products, one node per op."""
-    z = nx.sigmoid(
-        nx.bias_add(
-            nx.add(nx.matmul(gates[prefix + "W_z"], x), nx.matmul(gates[prefix + "R_z"], h_prev)),
+    z = sigmoid(
+        bias_add(
+            add(nx.matmul(gates[prefix + "W_z"], x), nx.matmul(gates[prefix + "R_z"], h_prev)),
             gates[prefix + "b_z"],
         )
     )
-    r = nx.sigmoid(
-        nx.bias_add(
-            nx.add(nx.matmul(gates[prefix + "W_r"], x), nx.matmul(gates[prefix + "R_r"], h_prev)),
+    r = sigmoid(
+        bias_add(
+            add(nx.matmul(gates[prefix + "W_r"], x), nx.matmul(gates[prefix + "R_r"], h_prev)),
             gates[prefix + "b_r"],
         )
     )
     cand = tanh(
-        nx.bias_add(
-            nx.add(
+        bias_add(
+            add(
                 nx.matmul(gates[prefix + "W_h"], x),
                 nx.matmul(gates[prefix + "R_h"], mul(r, h_prev)),
             ),
             gates[prefix + "b_h"],
         )
     )
-    one_minus_z = nx.affine(z, -1.0, 1.0)
-    return nx.add(mul(one_minus_z, h_prev), mul(z, cand))
+    one_minus_z = affine(z, -1.0, 1.0)
+    return add(mul(one_minus_z, h_prev), mul(z, cand))
 
 
 def oracle_forward_batch(x, gates, config):
@@ -153,14 +157,10 @@ def oracle_forward_batch(x, gates, config):
         mixed = nx.linear_combination(hidden, weights.tolist())
         prefix = "" if config.shared_context_cell else "ctx_"
         context = oracle_cell_step(cols[-1], mixed, gates, prefix)
-        fusion = nx.concat_rows([hidden[-1], context])
-    movement_logit = nx.bias_add(nx.matmul(gates["W_m"], fusion), gates["b_m"])
-    movement_prob = nx.sigmoid(movement_logit)
-    volatility_logit = nx.bias_add(
-        nx.matmul(gates["W_v"], nx.concat_rows([fusion, movement_prob])), gates["b_v"]
-    )
-    return md.ForwardTrace(hidden, context, movement_logit, movement_prob,
-                           volatility_logit, nx.sigmoid(volatility_logit))
+        fusion = concat_rows([hidden[-1], context])
+    movement_logit, movement_prob, volatility_logit, volatility_prob = per_op_heads(fusion, gates)
+    probs = np.concatenate([movement_prob.value, volatility_prob.value])
+    return md.ForwardTrace(hidden, context, concat_rows([movement_logit, volatility_logit]), probs)
 
 
 # stacked parameter -> the per-gate parameters its row blocks hold, in order
@@ -217,8 +217,8 @@ class TestFusedCellMatchesPerGateOracle:
             assert np.array_equal(got.value, want.value)
         if config.uses_context:
             assert np.array_equal(ours.context.value, oracle.context.value)
-        for field in ("movement_logit", "movement_prob", "volatility_logit", "volatility_prob"):
-            assert np.array_equal(getattr(ours, field).value, getattr(oracle, field).value)
+        assert np.array_equal(ours.logits.value, oracle.logits.value)
+        assert np.array_equal(ours.probs, oracle.probs)
 
         loss = joint_loss(ours, y_m, y_v, 0.8, 1.5)
         oracle_loss = joint_loss(oracle, y_m, y_v, 0.8, 1.5)
@@ -247,6 +247,53 @@ class TestFusedCellMatchesPerGateOracle:
         for name, tensor in gates.items():
             want = expected.get(name, np.zeros_like(tensor.value))
             assert np.array_equal(tensor.value, want), name
+
+
+class TestHeadsAndLossMatchPerOpOracle:
+    """The heads node and the one-node loss against the per-op heads and loss they replaced.
+
+    At batch 13, unlike 1, 7 and 64, ``0.7 / batch`` and ``(1 / batch) * 0.7``
+    differ, so a regrouped volatility scale shows in the gradients.
+    """
+
+    @pytest.mark.parametrize("batch", [1, 7, 13, 64])
+    @pytest.mark.parametrize("kind", sorted(FUSED_ORACLE_CONFIGS))
+    def test_values_and_gradients_bit_identical(self, kind, batch):
+        config = md.ModelConfig(input_dim=5, hidden_dim=6, window=4, **FUSED_ORACLE_CONFIGS[kind])
+        params = make_params(config, seed=batch)
+        rng = np.random.default_rng(200 + batch)
+        for name in params.names():
+            if name.removeprefix("ctx_").startswith("b"):
+                params.value(name)[...] = rng.normal(size=params.value(name).shape)
+        x = rng.normal(size=(batch, 5, 4)) * 2.0
+        y_m = rng.integers(0, 2, size=batch)
+        y_m[::3] = ABSTAIN
+        y_v = rng.integers(0, 2, size=batch)
+
+        trace = md.forward_batch(x, params, config)
+        loss, movement, volatility = tr._loss_terms(trace, y_m, y_v, 0.7, 1.3)
+        params.zero_grads()
+        nx.backward(loss)
+        grads = {name: tensor.grad.copy() for name, tensor in params.items()}
+
+        # a fresh pass through the real encoder, then the heads and the loss op by op
+        encoder = md.forward_batch(x, params, config)
+        fusion = encoder.hidden[-1]
+        if config.uses_context:
+            fusion = concat_rows([fusion, encoder.context])
+        movement_logit, movement_prob, volatility_logit, volatility_prob = per_op_heads(fusion, params)
+        want_loss, want_movement, want_volatility = per_op_loss(
+            movement_logit, volatility_logit, y_m, y_v, 0.7, 1.3
+        )
+        params.zero_grads()
+        nx.backward(want_loss)
+
+        assert np.array_equal(trace.logits.value, np.concatenate([movement_logit.value, volatility_logit.value]))
+        assert np.array_equal(trace.probs, np.concatenate([movement_prob.value, volatility_prob.value]))
+        assert np.array_equal(loss.value, want_loss.value)
+        assert movement == want_movement.item() and volatility == want_volatility.item()
+        for name, got in grads.items():
+            assert np.array_equal(got, params.grad(name)), name
 
 
 class TestTdaWeights:

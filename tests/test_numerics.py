@@ -4,7 +4,9 @@ import pytest
 from alertanet import numerics as nx
 from alertanet.errors import DimensionError, UsageError
 
-from testutil import finite_difference_grads, max_grad_violation, mul, tanh
+from testutil import (
+    add, affine, bias_add, concat_rows, finite_difference_grads, max_grad_violation, mul, sigmoid, tanh, total_sum,
+)
 
 
 def triple_loop_matmul(a, b):
@@ -172,7 +174,7 @@ class TestMatmulKernelMatchesLoopOracle:
 
 class TestElementwise:
     def test_sigmoid_at_zero(self):
-        assert nx.sigmoid(nx.constant([[0.0]])).value[0, 0] == 0.5
+        assert sigmoid(nx.constant([[0.0]])).value[0, 0] == 0.5
 
     def test_tanh_at_zero(self):
         assert tanh(nx.constant([[0.0]])).value[0, 0] == 0.0
@@ -181,7 +183,7 @@ class TestElementwise:
         import mpmath
 
         with np.errstate(over="raise"):
-            got = nx.sigmoid(nx.constant([[40.0, -40.0]])).value
+            got = sigmoid(nx.constant([[40.0, -40.0]])).value
         expected_hi = float(1 / (1 + mpmath.exp(-40)))
         expected_lo = float(1 / (1 + mpmath.exp(40)))
         assert abs(got[0, 0] - 1.0) < 1e-15 and abs(got[0, 1] - 0.0) < 1e-15
@@ -189,7 +191,7 @@ class TestElementwise:
         assert got[0, 1] == pytest.approx(expected_lo, rel=1e-12)
 
     def test_sigmoid_finite_for_huge_inputs(self):
-        got = nx.sigmoid(nx.constant([[1e308, -1e308]])).value
+        got = sigmoid(nx.constant([[1e308, -1e308]])).value
         assert np.all(np.isfinite(got))
 
     def test_sigmoid_bit_identical_to_masked_oracle(self):
@@ -201,16 +203,27 @@ class TestElementwise:
             got = nx.sigmoid_values(x)
             assert np.array_equal(got.view(np.int64), masked_sigmoid(x).view(np.int64))
 
+    def test_bce_pos_weight_column_weights_each_row(self):
+        rng = np.random.default_rng(8)
+        z = nx.constant(rng.normal(size=(2, 9)) * 3.0)
+        y = rng.integers(0, 2, size=(2, 9)).astype(float)
+        both = nx.bce_with_logits(z, y, np.array([[1.0], [2.5]])).value
+        for row, weight in ((0, 1.0), (1, 2.5)):
+            alone = nx.bce_with_logits(nx.constant(z.value[row : row + 1]), y[row : row + 1], weight).value
+            assert np.array_equal(both[row : row + 1], alone)
+        with pytest.raises(DimensionError, match="pos_weight"):
+            nx.bce_with_logits(z, y, np.ones((1, 9)))
+
     def test_binary_ops_reject_shape_mismatch(self):
         a, b = nx.constant(np.ones((2, 3))), nx.constant(np.ones((2, 1)))
-        for op in (nx.add, mul):
+        for op in (add, mul):
             with pytest.raises(DimensionError):
                 op(a, b)
 
     def test_elementwise_values(self):
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
-        assert np.array_equal(nx.add(nx.constant(a), nx.constant(b)).value, a + b)
+        assert np.array_equal(add(nx.constant(a), nx.constant(b)).value, a + b)
         assert np.array_equal(mul(nx.constant(a), nx.constant(b)).value, a * b)
 
 
@@ -220,7 +233,7 @@ class TestBackprop:
         params = nx.ParamStore()
         w = params.add("W", np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
         x = nx.constant([[0.5], [-2.0]])
-        loss = nx.total_sum(nx.matmul(w, x))
+        loss = total_sum(nx.matmul(w, x))
         nx.backward(loss)
         expected = np.outer(np.ones(3), x.value[:, 0])
         assert np.array_equal(params.grad("W"), expected)
@@ -229,7 +242,7 @@ class TestBackprop:
         params = nx.ParamStore()
         used = params.add("used", np.ones((2, 2)))
         unused = params.add("unused", np.ones((2, 2)))
-        loss = nx.total_sum(mul(used, used))
+        loss = total_sum(mul(used, used))
         params.zero_grads()
         nx.backward(loss)
         assert np.array_equal(params.grad("unused"), np.zeros((2, 2)))
@@ -239,7 +252,7 @@ class TestBackprop:
         params = nx.ParamStore()
         w = params.add("W", np.ones((2, 2)))
         with pytest.raises(UsageError):
-            nx.backward(nx.add(w, w))
+            nx.backward(add(w, w))
 
     def test_backward_requires_recorded_computation(self):
         with pytest.raises(UsageError):
@@ -249,7 +262,7 @@ class TestBackprop:
         params = nx.ParamStore()
         w = params.add("W", np.array([[2.0]]))
         y = mul(w, w)  # w^2
-        loss = nx.total_sum(nx.add(y, y))  # 2 w^2 -> d/dw = 4w = 8
+        loss = total_sum(add(y, y))  # 2 w^2 -> d/dw = 4w = 8
         params.zero_grads()
         nx.backward(loss)
         assert params.grad("W")[0, 0] == pytest.approx(8.0)
@@ -263,12 +276,12 @@ class TestBackprop:
         target = rng.integers(0, 2, size=(1, 2)).astype(float)
 
         def compute():
-            h = tanh(nx.bias_add(nx.matmul(params["a"], params["b"]), params["bias"]))
-            s = nx.sigmoid(nx.affine(h, 0.7, -0.1))
+            h = tanh(bias_add(nx.matmul(params["a"], params["b"]), params["bias"]))
+            s = sigmoid(affine(h, 0.7, -0.1))
             mixed = nx.linear_combination([h, s], [0.3, 1.2])
-            row = nx.concat_rows([mixed, s])
+            row = concat_rows([mixed, s])
             picked = nx.matmul(nx.constant(np.ones((1, 6))), row)
-            return nx.total_sum(nx.bce_with_logits(picked, target, pos_weight=1.7))
+            return total_sum(nx.bce_with_logits(picked, target, pos_weight=1.7))
 
         params.zero_grads()
         nx.backward(compute())

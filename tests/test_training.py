@@ -25,16 +25,8 @@ def toy_split(n_days=320, n_features=4, seed=0, window=5, noise=0.0, lag=2):
 
 class TestJointLoss:
     def _trace(self, m_logit, v_logit):
-        movement = nx.constant([[float(m_logit)]])
-        volatility = nx.constant([[float(v_logit)]])
-        return md.ForwardTrace(
-            hidden=[],
-            context=None,
-            movement_logit=movement,
-            movement_prob=nx.sigmoid(movement),
-            volatility_logit=volatility,
-            volatility_prob=nx.sigmoid(volatility),
-        )
+        logits = nx.constant([[float(m_logit)], [float(v_logit)]])
+        return md.ForwardTrace(hidden=[], context=None, logits=logits, probs=nx.sigmoid_values(logits.value))
 
     def test_zero_logit_positive_label(self):
         loss = joint_loss(self._trace(0.0, 3.0), 1, 0, loss_weight=0.0)

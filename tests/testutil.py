@@ -1,6 +1,7 @@
 """Shared test helpers: finite-difference gradients, tolerance checks, fixtures,
 sample sets built from windows, and the tape ops and accessors that only the
-tests compose."""
+tests compose.  The per-op tape ops rebuild the per-gate cell and the per-op
+heads and loss that the fused model nodes replaced, as oracles."""
 
 from fractions import Fraction
 
@@ -8,8 +9,8 @@ import numpy as np
 
 from alertanet import numerics as nx
 from alertanet import training as tr
-from alertanet.data import SampleSet
-from alertanet.errors import DimensionError
+from alertanet.data import ABSTAIN, SampleSet
+from alertanet.errors import DimensionError, UsageError
 
 # 51 hand-picked prices -> 50 labeled days.  Covers both dead-zone edges
 # (+0.5%, -0.5%), both outlier edges (+5%, -5%) at float-exact price pairs,
@@ -122,3 +123,116 @@ def tanh(a):
             a.grad += grad * (1.0 - out * out)
 
     return nx.record(out, (a,), backward_fn)
+
+
+def _check_same_shape(a, b, op):
+    if a.shape != b.shape:
+        raise DimensionError(f"{op}: shape {a.shape} does not match shape {b.shape}")
+
+
+def add(a, b):
+    _check_same_shape(a, b, "add")
+
+    def backward_fn(grad):
+        if a.requires_grad:
+            a.grad += grad
+        if b.requires_grad:
+            b.grad += grad
+
+    return nx.record(a.value + b.value, (a, b), backward_fn)
+
+
+def affine(a, scale, shift=0.0):
+    """``scale * a + shift`` with scalar constants."""
+    scale = float(scale)
+
+    def backward_fn(grad):
+        if a.requires_grad:
+            a.grad += scale * grad
+
+    return nx.record(scale * a.value + shift, (a,), backward_fn)
+
+
+def mul_const(a, const):
+    """Elementwise product with a fixed (non-trainable) matrix."""
+    const = nx.as_matrix(const)
+    _check_same_shape(a, nx.constant(const), "mul_const")
+
+    def backward_fn(grad):
+        if a.requires_grad:
+            a.grad += grad * const
+
+    return nx.record(a.value * const, (a,), backward_fn)
+
+
+def sigmoid(a):
+    out = nx.sigmoid_values(a.value)
+
+    def backward_fn(grad):
+        if a.requires_grad:
+            a.grad += grad * out * (1.0 - out)
+
+    return nx.record(out, (a,), backward_fn)
+
+
+def bias_add(a, bias):
+    """Add an mx1 bias column to every column of an mxn matrix."""
+    if bias.cols != 1 or bias.rows != a.rows:
+        raise DimensionError(f"bias_add: bias shape {bias.shape} does not fit matrix shape {a.shape}")
+
+    def backward_fn(grad):
+        if a.requires_grad:
+            a.grad += grad
+        if bias.requires_grad:
+            bias.grad += np.sum(grad, axis=1, keepdims=True)
+
+    return nx.record(a.value + bias.value, (a, bias), backward_fn)
+
+
+def concat_rows(parts):
+    """Stack matrices with equal column counts on top of each other."""
+    if not parts:
+        raise UsageError("concat_rows: empty input")
+    if len({p.cols for p in parts}) != 1:
+        raise DimensionError(f"concat_rows: column counts differ ({[p.shape for p in parts]})")
+    out = np.concatenate([p.value for p in parts], axis=0)
+    offsets = np.cumsum([0] + [p.rows for p in parts])
+
+    def backward_fn(grad):
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            if p.requires_grad:
+                p.grad += grad[lo:hi, :]
+
+    return nx.record(out, tuple(parts), backward_fn)
+
+
+def total_sum(a):
+    """Sum all entries down to a 1x1 scalar."""
+    out = np.array([[np.sum(a.value)]])
+
+    def backward_fn(grad):
+        if a.requires_grad:
+            a.grad += grad[0, 0]
+
+    return nx.record(out, (a,), backward_fn)
+
+
+def per_op_heads(fusion, params):
+    """The heads as separate tape ops: movement and volatility logits and probabilities."""
+    movement_logit = bias_add(nx.matmul(params["W_m"], fusion), params["b_m"])
+    movement_prob = sigmoid(movement_logit)
+    volatility_logit = bias_add(nx.matmul(params["W_v"], concat_rows([fusion, movement_prob])), params["b_v"])
+    return movement_logit, movement_prob, volatility_logit, sigmoid(volatility_logit)
+
+
+def per_op_loss(movement_logit, volatility_logit, y_m, y_v, loss_weight, pos_weight):
+    """The joint loss as separate tape ops: ``(loss, movement mean, volatility mean)``."""
+    batch = movement_logit.cols
+    y_m, y_v = np.asarray(y_m).reshape(1, batch), np.asarray(y_v).reshape(1, batch)
+    mask = (y_m != ABSTAIN).astype(np.float64)
+    movement_vec = nx.bce_with_logits(movement_logit, np.where(y_m == ABSTAIN, 0, y_m).astype(np.float64))
+    movement_mean = total_sum(mul_const(movement_vec, mask / batch))
+    volatility_vec = nx.bce_with_logits(volatility_logit, y_v.astype(np.float64), pos_weight)
+    volatility_mean = affine(total_sum(volatility_vec), 1.0 / batch)
+    loss = add(movement_mean, affine(volatility_mean, loss_weight))
+    return loss, movement_mean, volatility_mean
