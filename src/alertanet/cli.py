@@ -16,6 +16,7 @@ import os
 import platform
 import sys
 import time
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -149,26 +150,25 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_train_config(args, dataset_window: int) -> TrainConfig:
-    base = TrainConfig().to_dict()
-    file_cfg = serialize.read_json(args.config) if args.config else {}
-    unknown = set(file_cfg) - set(base)
-    if unknown:
-        raise ConfigError(f"{args.config}: unknown training config keys {sorted(unknown)}")
-    base.update(file_cfg)
-    for name in base:
-        value = getattr(args, name, None)
-        if value is not None:
-            base[name] = value
-    # window precedence: CLI flag > config file > the prepared dataset itself
-    if args.window is None and "window" not in file_cfg:
-        base["window"] = dataset_window
-    cfg = TrainConfig.from_dict(base)
-    if cfg.window != dataset_window:
-        raise ConfigError(
-            f"config window {cfg.window} does not match prepared dataset window {dataset_window}"
-        )
-    cfg.validate()
-    return cfg
+    """Defaults, then the ``--config`` file, then flags; the window defaults to the prepared dataset's.
+
+    The file's values are validated here, so that an error names the file; ``train`` validates the rest.
+    """
+    cfg = TrainConfig(window=dataset_window)
+    if args.config:
+        file_cfg = serialize.read_json(args.config)
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"{args.config}: expected a JSON object of training config keys")
+        unknown = set(file_cfg) - set(cfg.to_dict())
+        if unknown:
+            raise ConfigError(f"{args.config}: unknown training config keys {sorted(unknown)}")
+        cfg = replace(cfg, **file_cfg)
+        try:
+            cfg.validate()
+        except ConfigError as exc:
+            raise ConfigError(f"{args.config}: {exc}") from None
+    flags = {name: getattr(args, name, None) for name in cfg.to_dict()}
+    return replace(cfg, **{name: value for name, value in flags.items() if value is not None})
 
 
 # --- commands ---------------------------------------------------------------
@@ -351,13 +351,11 @@ def _run_variants(args, variants: list[tuple[str, dict]], command: str, report_s
     split = load_dataset(args.dataset)
     manifest = _ManifestWriter(command, out, None)
     manifest.add_input("dataset", args.dataset)
+    base = _resolve_train_config(args, split.window)
     rows = []
     results = {}
     for label, overrides in variants:
-        cfg = _resolve_train_config(args, split.window)
-        for key, value in overrides.items():
-            setattr(cfg, key, value)
-        cfg.validate()
+        cfg = replace(base, **overrides)
         safe = label.replace("/", "").replace(" ", "_").lower()
         params, config, train_report = _train_once(
             split, cfg, out, manifest, f"checkpoint_{safe}.json", None

@@ -16,7 +16,6 @@ outlier threshold (default 5%).
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass, field
 from datetime import date as _date
 from pathlib import Path
@@ -34,8 +33,6 @@ from .errors import (
     SchemaError,
     UsageError,
 )
-
-logger = logging.getLogger(__name__)
 
 ABSTAIN = -1
 DEFAULT_DEAD_ZONE = (-0.005, 0.005)
@@ -296,16 +293,14 @@ def window(
     """Slice a frame into samples: features from days [t-window, t), labels at day t.
 
     Every feature date is strictly before the target date, so there is no
-    temporal leakage.  Samples read the frame's logged days in place; a frame
-    shorter than window+1 days yields none (logged as a warning).
+    temporal leakage.  Samples read the frame's logged days ``log(x + epsilon)``
+    in place; a frame shorter than window+1 days yields none.
     """
     if window_len < 1:
         raise ConfigError(f"window length must be >= 1, got {window_len}")
+    if not 0 < epsilon < np.inf:
+        raise ConfigError(f"epsilon must be a finite number > 0, got {epsilon}")
     n = len(frame)
-    if n < window_len + 1:
-        logger.warning(
-            "frame %s has %d days, needs %d for one sample; skipped", frame.stock_id, n, window_len + 1
-        )
     # windows read days [t - window_len, t) for targets t in [window_len, n): day n - 1 is only a target
     n_days = n - 1 if n > window_len else 0
     days = normalize(frame.features[:n_days].T, epsilon, frame.feature_names).T
@@ -525,12 +520,12 @@ def load_dataset(path: str | Path) -> DatasetSplit:
         frames = [FeatureFrame(r["stock_id"], r["dates"], serialize.decode_array(r["adj_close"]),
                                list(names), serialize.decode_array(r["features"]))
                   for r in obj["frames"]]
+        split, _ = build_dataset(frames, window_len, **settings)
     except KeyError as exc:
         raise ParseError(f"{path}: missing key {exc.args[0]!r}; rerun `alertanet prepare`") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
         raise ParseError(f"{path}: malformed dataset ({exc}); rerun `alertanet prepare`") from exc
     except (DataIntegrityError, ParseError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
-    split, _ = build_dataset(frames, window_len, **settings)
     split.meta = meta
     return split

@@ -67,10 +67,6 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ModelConfig":
-        return cls(**obj)
-
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
     """Expected parameter names and shapes, in creation order.
@@ -308,7 +304,7 @@ def load_checkpoint(path: str | Path) -> tuple[nx.ParamStore, ModelConfig, dict]
             f"{CHECKPOINT_VERSION}, which stores stacked gate weights); retrain with `alertanet train`"
         )
     try:
-        config = ModelConfig.from_dict(obj["config"])
+        config = ModelConfig(**obj["config"])
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed config ({exc})") from exc
     expected = param_shapes(config)

@@ -19,7 +19,7 @@ the generator rejects specs that put signal weight on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -184,17 +184,4 @@ def generate_universe(spec: SynthSpec, n_stocks: int) -> list[FeatureFrame]:
     """Independent frames SYN00.. with per-stock seeds derived from the base seed."""
     if n_stocks < 1:
         raise ConfigError(f"n_stocks must be >= 1, got {n_stocks}")
-    frames = []
-    for i in range(n_stocks):
-        stock_spec = SynthSpec(
-            n_days=spec.n_days,
-            n_features=spec.n_features,
-            seed=spec.seed + i,
-            signal_weights=spec.signal_weights.copy(),
-            noise_flip_prob=spec.noise_flip_prob,
-            volatility_lag=spec.volatility_lag,
-            base_price=spec.base_price,
-            feature_names=list(spec.feature_names),
-        )
-        frames.append(generate(stock_spec, stock_id=f"SYN{i:02d}"))
-    return frames
+    return [generate(replace(spec, seed=spec.seed + i), stock_id=f"SYN{i:02d}") for i in range(n_stocks)]

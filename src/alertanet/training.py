@@ -10,8 +10,9 @@ everything downstream of (dataset, config) is a pure function of the seed.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, fields
 
 import numpy as np
 
@@ -30,6 +31,16 @@ from .model import ModelConfig, forward_batch, init_params
 # windows per forward pass when scoring the validation set and when predicting
 VALID_CHUNK = 1024
 PREDICT_CHUNK = 512
+
+
+# the types a TrainConfig value may have, and how to name them, by the type of the field's default;
+# bools pass isinstance(value, int), so validate() rejects them outside switches by hand
+_FIELD_TYPES = {
+    bool: ((bool, np.bool_), "true or false"),
+    int: ((int, np.integer), "an integer"),
+    float: ((int, float, np.integer, np.floating), "a finite number"),
+    str: (str, "a string"),
+}
 
 
 @dataclass
@@ -56,6 +67,13 @@ class TrainConfig:
     shared_context_cell: bool = True
 
     def validate(self) -> None:
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            types, want = _FIELD_TYPES[kind]
+            is_bool = isinstance(value, (bool, np.bool_))
+            if (not isinstance(value, types) or is_bool != (kind is bool)
+                    or (kind is float and not abs(value) < math.inf)):
+                raise ConfigError(f"training config {f.name!r} is {value!r}, expected {want}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError(f"epochs and batch_size must be >= 1, got {self.epochs}/{self.batch_size}")
         # learning_rate == 0 is allowed deliberately: it must leave parameters unchanged.
@@ -73,14 +91,6 @@ class TrainConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
-        if unknown:
-            raise ConfigError(f"unknown training config keys: {sorted(unknown)}")
-        return cls(**obj)
 
 
 def _loss_terms(trace, y_m, y_v, loss_weight, pos_weight):
@@ -174,27 +184,20 @@ class TrainReport:
     wall_time_seconds: float = 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "best_epoch": self.best_epoch,
-            "stop_reason": self.stop_reason,
-            "pos_weight": self.pos_weight,
-            "ablation": self.ablation,
-            "feature_names_used": self.feature_names_used,
-            "seed": self.seed,
-            "stages": self.stages,
-            "checkpoint_file": self.checkpoint_file,
-        }
+        """Every field but the wall time, so reruns write the same report."""
+        report = asdict(self)
+        del report["wall_time_seconds"]
+        return report
 
 
-def _dataset_loss(params, config, x, y_m, y_v, loss_weight, pos_weight):
-    n = x.shape[0]
+def _dataset_loss(params, config, samples: SampleSet, rows, loss_weight, pos_weight):
+    n = len(samples)
     movement = volatility = total = 0.0
     for lo in range(0, n, VALID_CHUNK):
-        hi = min(lo + VALID_CHUNK, n)
-        trace = forward_batch(x[lo:hi], params, config)
-        loss, m_term, v_term = _loss_terms(trace, y_m[lo:hi], y_v[lo:hi], loss_weight, pos_weight)
-        weight = hi - lo
+        chunk = samples[lo : lo + VALID_CHUNK]
+        trace = forward_batch(chunk.windows(rows), params, config)
+        loss, m_term, v_term = _loss_terms(trace, chunk.y_m, chunk.y_v, loss_weight, pos_weight)
+        weight = len(chunk)
         movement += m_term * weight
         volatility += v_term * weight
         total += loss.item() * weight
@@ -214,7 +217,8 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
     """Fit the model on ``split.train``, early-stopping on validation loss.
 
     Returns the parameters restored to the best validation epoch.  Two runs
-    with the same split and config produce bit-identical parameters.
+    with the same split and config produce bit-identical parameters.  Windows
+    are gathered one batch, or one validation chunk, at a time.
     """
     cfg.validate()
     if not split.train:
@@ -231,9 +235,8 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
             raise ConfigError("ablation modes other than 'full' need dataset feature names")
         rows, names_used = None, []
 
-    train_x, train_ym, train_yv = split.train.windows(rows), split.train.y_m, split.train.y_v
-    valid_x, valid_ym, valid_yv = split.validation.windows(rows), split.validation.y_m, split.validation.y_v
-    n_train, input_dim, window = train_x.shape
+    n_train, window = len(split.train), split.train.window
+    input_dim = split.train.days.shape[1] if rows is None else len(rows)
     if window != cfg.window:
         raise ConfigError(f"dataset window {window} does not match config window {cfg.window}")
 
@@ -249,8 +252,8 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
     rng = np.random.default_rng(cfg.seed)
     params = init_params(config, rng)
 
-    n_pos = int(np.sum(train_yv == 1))
-    n_neg = int(np.sum(train_yv == 0))
+    n_pos = int(np.sum(split.train.y_v == 1))
+    n_neg = int(np.sum(split.train.y_v == 0))
     pos_weight = (n_neg / n_pos) if (cfg.pos_weight_auto and n_pos > 0 and n_neg > 0) else 1.0
 
     if cfg.two_stage:
@@ -281,11 +284,9 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
             movement_sum = volatility_sum = total_sum = 0.0
             grad_norms: list[float] = []
             for lo in range(0, n_train, cfg.batch_size):
-                batch_idx = perm[lo : lo + cfg.batch_size]
-                trace = forward_batch(train_x[batch_idx], params, config)
-                loss, m_term, v_term = _loss_terms(
-                    trace, train_ym[batch_idx], train_yv[batch_idx], loss_weight, pos_weight
-                )
+                batch = split.train[perm[lo : lo + cfg.batch_size]]
+                trace = forward_batch(batch.windows(rows), params, config)
+                loss, m_term, v_term = _loss_terms(trace, batch.y_m, batch.y_v, loss_weight, pos_weight)
                 loss_value = loss.item()
                 if not np.isfinite(loss_value):
                     culprit = _first_nonfinite_param(params) or "batch inputs"
@@ -297,13 +298,13 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
                 nx.backward(loss)
                 grad_norms.append(clip_gradients(params, trainable, cfg.clip_norm))
                 optimizer.step(params, trainable)
-                weight = len(batch_idx)
+                weight = len(batch)
                 movement_sum += m_term * weight
                 volatility_sum += v_term * weight
                 total_sum += loss_value * weight
 
             valid_m, valid_v, valid_total = _dataset_loss(
-                params, config, valid_x, valid_ym, valid_yv, loss_weight, pos_weight
+                params, config, split.validation, rows, loss_weight, pos_weight
             )
             epoch_rows.append(
                 {
@@ -375,9 +376,6 @@ class TaskReport:
     confusion: dict | None
     note: str = ""
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class EvalReport:
@@ -389,14 +387,7 @@ class EvalReport:
     metadata: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "movement": self.movement.to_json_dict(),
-            "volatility": self.volatility.to_json_dict(),
-            "n_samples": self.n_samples,
-            "n_abstained": self.n_abstained,
-            "threshold": self.threshold,
-            "metadata": self.metadata,
-        }
+        return asdict(self)
 
 
 def _score_task(y_true: np.ndarray, probs: np.ndarray, threshold: float, task: str) -> TaskReport:

@@ -93,6 +93,27 @@ class TestPrepareCommand:
         manifest = read_json(out / "manifest.json")
         assert any("TINY" in w for w in manifest["warnings"])
 
+    def test_short_frame_warned_once_on_stderr(self, tmp_path, synth_dir):
+        """In a child process, so that a log record reaching stderr would show."""
+        (synth_dir / "TINY.csv").write_text(
+            "date,adj_close,sent_0,sent_1,sent_2,macro_0,macro_1,price_0\n"
+            "2020-01-01,100,0.1,0.2,0.3,0.4,0.5,1.0\n"
+        )
+        src = str(Path(alertanet.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "alertanet.cli", "prepare", "--data", str(synth_dir),
+                               "--out", str(tmp_path / "prep2"), "--window", "8", "--train-frac", "0.6",
+                               "--valid-frac", "0.2"], env=env, check=True, capture_output=True, text=True)
+        assert done.stderr.count("TINY") == 1
+
+    @pytest.mark.parametrize("epsilon", ["-1", "0"])
+    def test_nonpositive_epsilon_fails_without_a_dataset(self, tmp_path, synth_dir, capsys, epsilon):
+        out = tmp_path / "prep_eps"
+        assert run_cli("prepare", "--data", synth_dir, "--out", out, "--window", "8",
+                       "--epsilon", epsilon) == 1
+        assert "epsilon" in capsys.readouterr().err
+        assert not (out / "dataset.json").exists()
+
     def test_schema_error_names_file(self, tmp_path, capsys):
         bad = tmp_path / "bad"
         bad.mkdir()
@@ -159,6 +180,25 @@ class TestTrainEval:
         assert run_cli("train", "--dataset", prepared, "--out", tmp_path / "x",
                        "--config", cfg_path) == 1
         assert "hidden_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("two_stage", "false"), ("tda_normalize", "no"), ("epochs", "2"), ("hidden", 2.5), ("ablation", 3),
+    ])
+    def test_config_value_of_wrong_type_names_file_and_key(self, tmp_path, prepared, capsys, key, value):
+        cfg_path = tmp_path / "typed.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        out = tmp_path / "x"
+        assert run_cli("train", "--dataset", prepared, "--out", out, "--config", cfg_path, "--epochs", "1") == 1
+        err = capsys.readouterr().err
+        assert f"typed.json: training config {key!r} is {value!r}" in err and "Traceback" not in err
+        assert not (out / "checkpoint.json").exists()
+
+    def test_config_file_not_an_object_names_file(self, tmp_path, prepared, capsys):
+        cfg_path = tmp_path / "scalar.json"
+        cfg_path.write_text("5")
+        assert run_cli("train", "--dataset", prepared, "--out", tmp_path / "x", "--config", cfg_path) == 1
+        err = capsys.readouterr().err
+        assert "scalar.json: expected a JSON object" in err and "Traceback" not in err
 
     def test_eval_checkpoint_feature_mismatch_fails(self, tmp_path, prepared, synth_dir, capsys):
         train_out = tmp_path / "run3"
@@ -265,6 +305,17 @@ class TestAblateAndBaseline:
         # all four share one seed
         seeds = {report["results"][l]["train_config"]["seed"] for l in labels}
         assert seeds == {2}
+
+    @pytest.mark.parametrize("command", ["ablate", "baseline"])
+    def test_config_file_read_once(self, tmp_path, prepared, monkeypatch, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"hidden": 3}))
+        reads = []
+        read_json = cli.serialize.read_json
+        monkeypatch.setattr(cli.serialize, "read_json", lambda path: reads.append(path) or read_json(path))
+        assert run_cli(command, "--dataset", prepared, "--out", tmp_path / command, "--config", cfg_path,
+                       "--epochs", "1") == 0
+        assert [Path(p) for p in reads].count(cfg_path) == 1
 
     def test_baseline_compares_archs(self, tmp_path, prepared):
         out = tmp_path / "base"

@@ -265,11 +265,14 @@ class TestWindow:
         assert len(samples) == 1
         assert samples[0].x.shape == (2, 10)
 
-    def test_ten_days_window_ten_gives_zero_samples(self, caplog):
-        with caplog.at_level(logging.WARNING):
-            samples = dp.window(make_frame("A", 10), 10)
+    def test_ten_days_window_ten_gives_zero_samples(self):
+        samples = dp.window(make_frame("A", 10), 10)
         assert len(samples) == 0 and samples.windows().shape == (0, 2, 10)
-        assert any("too short" in r.message or "skipped" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("epsilon", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_epsilon_must_be_finite_and_positive(self, epsilon):
+        with pytest.raises(ConfigError, match=r"epsilon must be a finite number > 0"):
+            dp.window(make_frame("A", 12), 10, epsilon=epsilon)
 
     def test_sample_count(self):
         assert len(dp.window(make_frame("A", 25), 10)) == 15
@@ -468,12 +471,16 @@ class TestAblationTaxonomy:
             dp.normalize_ablation_mode("everything")
 
 
-def dataset_header(window=10, **meta):
-    """A dataset file's text without its frames, with the given settings replacing valid ones."""
+def dataset_text(window=10, **meta):
+    """A dataset file's text with two 26-day frames, with the given settings replacing valid ones."""
     settings = {"dead_zone": [-0.005, 0.005], "outlier_threshold": 0.05, "epsilon": 1e-8,
                 "train_frac": 0.7, "valid_frac": 0.15, **meta}
+    frames = [make_frame("AAA", 26), make_frame("BBB", 26, seed=1)]
     return json.dumps({"kind": "alertanet-dataset", "format_version": 2, "meta": settings,
-                       "feature_names": [], "window": window})
+                       "feature_names": frames[0].feature_names, "window": window,
+                       "frames": [{"stock_id": f.stock_id, "dates": f.dates,
+                                   "adj_close": serialize.encode_array(f.adj_close),
+                                   "features": serialize.encode_array(f.features)} for f in frames]})
 
 
 class TestDatasetRoundTrip:
@@ -553,12 +560,17 @@ class TestDatasetRoundTrip:
         ("[1, 2]", "not a dataset file"),
         ('{"kind": "alertanet-dataset", "format_version": 2, "meta": {}, "feature_names": [], "window": "ten"}',
          "malformed dataset"),
-        (dataset_header(dead_zone=[0.01]), r"malformed dataset \('dead_zone' is \[0.01\]"),
-        (dataset_header(train_frac="0.7"), r"malformed dataset \('train_frac' is '0.7'"),
-        (dataset_header(outlier_threshold=None), r"malformed dataset \('outlier_threshold' is None"),
-        (dataset_header(window=8.5), r"malformed dataset \('window' is 8.5"),
+        (dataset_text(dead_zone=[0.01]), r"malformed dataset \('dead_zone' is \[0.01\]"),
+        (dataset_text(train_frac="0.7"), r"malformed dataset \('train_frac' is '0.7'"),
+        (dataset_text(outlier_threshold=None), r"malformed dataset \('outlier_threshold' is None"),
+        (dataset_text(window=8.5), r"malformed dataset \('window' is 8.5"),
+        (dataset_text(dead_zone=[0.01, -0.01]), r"malformed dataset \(dead zone must satisfy lo < hi"),
+        (dataset_text(train_frac=0.9, valid_frac=0.5), r"malformed dataset \(fractions must be positive"),
+        (dataset_text(window=0), r"malformed dataset \(window length must be >= 1"),
+        (dataset_text(epsilon=-1.0), r"malformed dataset \(epsilon must be a finite number > 0"),
     ], ids=["not-an-object", "window-not-an-int", "dead-zone-one-number", "train-frac-a-string",
-            "outlier-null", "window-a-float"])
+            "outlier-null", "window-a-float", "dead-zone-reversed", "fractions-sum-above-1", "window-0",
+            "epsilon-negative"])
     def test_malformed_file_is_parse_error_naming_file(self, tmp_path, text, message):
         path = tmp_path / "dataset.json"
         path.write_text(text, encoding="utf-8")

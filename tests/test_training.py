@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -205,9 +206,9 @@ class TestTrain:
 
     def test_non_finite_loss_aborts_with_diagnostic(self):
         split = toy_split(n_days=200)
-        cfg = tr.TrainConfig(window=5, hidden=4, epochs=1, batch_size=16,
-                             loss_weight=float("inf"))
-        with pytest.raises(TrainingError, match="non-finite loss"):
+        # finite, so the config is valid, but the weighted volatility term overflows
+        cfg = tr.TrainConfig(window=5, hidden=4, epochs=1, batch_size=16, loss_weight=1e308)
+        with np.errstate(over="ignore"), pytest.raises(TrainingError, match="non-finite loss"):
             tr.train(split, cfg)
 
     def test_ablation_mode_changes_input_dim(self):
@@ -313,9 +314,27 @@ class TestEvaluate:
 
 
 class TestTrainConfig:
-    def test_rejects_unknown_keys(self):
-        with pytest.raises(ConfigError, match="mystery"):
-            tr.TrainConfig.from_dict({"mystery": 1})
+    @pytest.mark.parametrize("key, value, want", [
+        ("two_stage", "false", "true or false"),
+        ("tda_normalize", "no", "true or false"),
+        ("pos_weight_auto", 1, "true or false"),
+        ("epochs", "2", "an integer"),
+        ("hidden", 2.5, "an integer"),
+        ("seed", True, "an integer"),
+        ("learning_rate", False, "a finite number"),
+        ("learning_rate", "0.1", "a finite number"),
+        ("clip_norm", float("nan"), "a finite number"),
+        ("loss_weight", float("inf"), "a finite number"),
+        ("ablation", 3, "a string"),
+        ("arch", None, "a string"),
+    ])
+    def test_each_field_takes_the_type_of_its_default(self, key, value, want):
+        with pytest.raises(ConfigError, match=rf"'{key}' is {re.escape(repr(value))}, expected {want}"):
+            tr.TrainConfig(**{key: value}).validate()
+
+    def test_numpy_scalars_are_accepted(self):
+        tr.TrainConfig(epochs=np.int64(2), learning_rate=np.float32(0.5), loss_weight=np.int32(1),
+                       two_stage=np.bool_(True)).validate()
 
     def test_validation_rules(self):
         with pytest.raises(ConfigError):
