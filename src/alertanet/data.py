@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from datetime import date as _date
+from itertools import compress, count, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -112,71 +113,123 @@ def load_frame(path: str | Path, schema: list[str] | None = None) -> FeatureFram
     ``schema`` selects and orders the feature columns; ``None`` takes every
     column after ``date``/``adj_close`` in header order.  Rows are sorted by
     date; duplicate dates, non-numeric or non-finite cells, nonpositive
-    prices and negative feature values are rejected.
+    prices and negative feature values are rejected, as are files that are
+    not UTF-8 or that the CSV reader cannot split.
+
+    Each selected column is converted in one pass of ``float`` (or of
+    ``date.fromisoformat``) over the transposed records.  Only when a pass
+    fails, or a record has the wrong width, do the records go through one at
+    a time, to name the first bad cell in file order.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if schema is None:
-            schema = [h for h in header if h not in (DATE_COLUMN, PRICE_COLUMN)]
-        columns = [PRICE_COLUMN, *schema]
-        missing = [c for c in [DATE_COLUMN, *columns] if c not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing required columns {missing}")
-        col_idx = {name: header.index(name) for name in header}
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise SchemaError(f"{path}: empty file") from None
+            if schema is None:
+                schema = [h for h in header if h not in (DATE_COLUMN, PRICE_COLUMN)]
+            columns = [PRICE_COLUMN, *schema]
+            missing = [c for c in [DATE_COLUMN, *columns] if c not in header]
+            if missing:
+                raise SchemaError(f"{path}: missing required columns {missing}")
+            records = list(reader)
+    except UnicodeDecodeError as exc:
+        raise _decode_error(path) from exc
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: unreadable CSV ({exc})") from None
+    # a record with no cells or only blank ones is skipped; the header is row 1
+    kept = list(map(any, map(map, repeat(str.strip), records)))
+    line_nos = list(compress(count(2), kept))
+    records = list(compress(records, kept))
+    col_idx = {name: header.index(name) for name in header}
+    dates, block = _convert_columns(records, len(header), col_idx[DATE_COLUMN], [col_idx[c] for c in columns])
+    if dates is None:
+        _raise_first_bad_cell(path, header, col_idx, columns, zip(line_nos, records))
 
-        rows = []
-        for line_no, cells in enumerate(reader, start=2):
-            if not cells or all(not c.strip() for c in cells):
-                continue
-            if len(cells) != len(header):
-                raise ParseError(f"{path}: row {line_no}: expected {len(header)} cells, got {len(cells)}")
-            day = _parse_date(cells[col_idx[DATE_COLUMN]], line_no, path)
-            values = [_parse_float(cells[col_idx[c]], line_no, c, path) for c in columns]
-            rows.append((day, line_no, values))
-
-    rows.sort(key=lambda r: r[0])
-    for (d1, ln1, _), (d2, ln2, _) in zip(rows, rows[1:]):
-        if d1 == d2:
-            raise DataIntegrityError(f"{path}: duplicate date {d1} (rows {ln1} and {ln2})")
-
-    # price then features, one row per day in date order
-    block = np.array([r[2] for r in rows], dtype=np.float64).reshape(len(rows), len(columns))
+    order = sorted(range(len(dates)), key=dates.__getitem__)  # stable: duplicates keep file order
+    dates = list(map(dates.__getitem__, order))
+    line_nos = list(map(line_nos.__getitem__, order))
+    block = block[order]  # price then features, one row per day in date order
+    same = list(map(str.__eq__, dates, dates[1:]))
+    if True in same:
+        i = same.index(True)
+        raise DataIntegrityError(f"{path}: duplicate date {dates[i]} (rows {line_nos[i]} and {line_nos[i + 1]})")
     bad = np.argwhere(~np.isfinite(block))
     if bad.size:
         i, j = bad[0]
-        raise ParseError(f"{path}: row {rows[i][1]}: non-finite value {block[i, j]} in column {columns[j]!r}")
+        raise ParseError(f"{path}: row {line_nos[i]}: non-finite value {block[i, j]} in column {columns[j]!r}")
     bad = np.argwhere(block[:, 1:] < 0)
     if bad.size:
         i, j = bad[0]
         raise PreprocessingError(
-            f"{path}: row {rows[i][1]}: negative value {block[i, j + 1]} in feature column {schema[j]!r}; "
+            f"{path}: row {line_nos[i]}: negative value {block[i, j + 1]} in feature column {schema[j]!r}; "
             "shift signed series before ingestion"
         )
 
     return FeatureFrame(
         stock_id=path.stem,
-        dates=[r[0] for r in rows],
+        dates=dates,
         adj_close=block[:, 0],
         feature_names=list(schema),
         features=block[:, 1:],
     )
 
 
+def _convert_columns(records: list[list[str]], width: int, date_col: int, value_cols: list[int]):
+    """ISO dates and the (n, len(value_cols)) float block of ``records``, or ``(None, None)`` if a cell fails.
+
+    ``records`` is emptied: its cells live on only in the transposed columns,
+    and for the row-by-row error path ``records`` is rebuilt from those.
+    """
+    if not set(map(len, records)) <= {width}:
+        return None, None
+    n = len(records)
+    cols = list(zip(*records)) or [()] * width
+    records.clear()
+    try:
+        dates = list(map(_date.isoformat, map(_date.fromisoformat, map(str.strip, cols[date_col]))))
+        block = np.empty((n, len(value_cols)))
+        for j, c in enumerate(value_cols):
+            block[:, j] = np.fromiter(map(float, cols[c]), np.float64, count=n)
+    except ValueError:
+        records.extend(zip(*cols))
+        return None, None
+    return dates, block
+
+
+def _raise_first_bad_cell(path, header, col_idx, columns, numbered_records) -> None:
+    """Check the records one at a time, in file order, and raise for the first bad one."""
+    for line_no, cells in numbered_records:
+        if len(cells) != len(header):
+            raise ParseError(f"{path}: row {line_no}: expected {len(header)} cells, got {len(cells)}")
+        _parse_date(cells[col_idx[DATE_COLUMN]], line_no, path)
+        for c in columns:
+            _parse_float(cells[col_idx[c]], line_no, c, path)
+    raise AssertionError(f"{path}: a column failed to convert but no record has a bad cell")
+
+
+def _decode_error(path: Path) -> ParseError:
+    """A :class:`ParseError` naming the line and byte of the first bytes of ``path`` that are not UTF-8."""
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        return ParseError(f"{path}: line {line}: not UTF-8 text (byte 0x{raw[exc.start]:02x}: {exc.reason})")
+    return ParseError(f"{path}: not UTF-8 text")
+
+
 def write_frame(frame: FeatureFrame, path: str | Path) -> None:
-    """Write a frame back to CSV with full float64 round-trip precision."""
+    """Write a frame back to CSV with full float64 round-trip precision (``repr`` of every value)."""
     path = Path(path)
+    values = np.column_stack([frame.adj_close, frame.features]).T.tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([DATE_COLUMN, PRICE_COLUMN, *frame.feature_names])
-        for i, day in enumerate(frame.dates):
-            writer.writerow(
-                [day, repr(float(frame.adj_close[i])), *(repr(float(v)) for v in frame.features[i])]
-            )
+        writer.writerows(zip(frame.dates, *(map(repr, col) for col in values)))
 
 
 def normalize(window_values, epsilon: float = DEFAULT_EPSILON, feature_names: list[str] | None = None) -> np.ndarray:

@@ -119,11 +119,23 @@ def matmul_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``axpy``, which skips a zero multiplier and would turn ``0 * inf`` into 0.
     When one product multiplies two NaNs with different payloads, the
     hardware's operand order decides which payload survives.
+
+    A one-row product with more than one column (the heads' ``W f``) skips
+    the rank-1 loop: one ``np.multiply`` writes all k products under a row of
+    +0.0, and ``np.add.reduce`` over that outer axis sums them.  The order
+    rests on numpy reducing an outer axis in index order, one elementwise
+    ``np.add`` of a row at a time; it sums a contiguous axis pairwise, which
+    is why a single column stays on the loop.
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     m, inner = a.shape
     n = b.shape[1]
+    if m == 1 and n > 1:
+        terms = np.empty((inner + 1, n))
+        terms[0] = 0.0
+        np.multiply(a.reshape(inner, 1), b, out=terms[1:])
+        return np.add.reduce(terms, axis=0, keepdims=True)
     out = np.zeros((m, n))
     if inner == 0 or m == 0 or n == 0:
         return out

@@ -81,6 +81,11 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.loss_weight < 0:
             raise ConfigError(f"loss_weight must be >= 0, got {self.loss_weight}")
+        # clip_norm == 0 turns clipping off; a negative one would scale gradients uphill.
+        if self.clip_norm < 0:
+            raise ConfigError(f"clip_norm must be >= 0 (0 turns clipping off), got {self.clip_norm}")
+        if self.adam_eps <= 0:
+            raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
         if self.window < 1 or self.hidden < 1:
             raise ConfigError(f"window and hidden must be >= 1, got {self.window}/{self.hidden}")
         if self.patience < 1:

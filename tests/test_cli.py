@@ -114,6 +114,24 @@ class TestPrepareCommand:
         assert "epsilon" in capsys.readouterr().err
         assert not (out / "dataset.json").exists()
 
+    def test_undecodable_csv_fails_naming_file_and_line(self, tmp_path, synth_dir, capsys):
+        (synth_dir / "LATIN1.csv").write_bytes(b"date,adj_close,sent_0\n2020-01-01,1.0,0.5\n2020-01-02,1.0,caf\xe9\n")
+        out = tmp_path / "prep_bad"
+        assert run_cli("prepare", "--data", synth_dir, "--out", out, "--window", "8") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "LATIN1.csv: line 3: not UTF-8 text (byte 0xe9" in err
+        assert not (out / "dataset.json").exists()
+
+    def test_oversized_cell_fails_naming_file_and_line(self, tmp_path, synth_dir, capsys):
+        (synth_dir / "HUGE.csv").write_text("date,adj_close,sent_0\n2020-01-01,1.0," + "1" * 131_073 + "\n")
+        out = tmp_path / "prep_huge"
+        assert run_cli("prepare", "--data", synth_dir, "--out", out, "--window", "8") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "HUGE.csv: line 2: unreadable CSV (field larger than field limit (131072))" in err
+        assert not (out / "dataset.json").exists()
+
     def test_schema_error_names_file(self, tmp_path, capsys):
         bad = tmp_path / "bad"
         bad.mkdir()
@@ -192,6 +210,21 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert f"typed.json: training config {key!r} is {value!r}" in err and "Traceback" not in err
         assert not (out / "checkpoint.json").exists()
+
+    def test_negative_clip_norm_flag_fails(self, tmp_path, prepared, capsys):
+        out = tmp_path / "x"
+        assert run_cli("train", "--dataset", prepared, "--out", out, "--epochs", "1", "--clip-norm=-1") == 1
+        err = capsys.readouterr().err
+        assert "clip_norm must be >= 0 (0 turns clipping off), got -1.0" in err and "Traceback" not in err
+        assert not (out / "checkpoint.json").exists()
+
+    def test_nonpositive_adam_eps_in_config_file_fails(self, tmp_path, prepared, capsys):
+        cfg_path = tmp_path / "eps.json"
+        cfg_path.write_text(json.dumps({"adam_eps": 0}))
+        assert run_cli("train", "--dataset", prepared, "--out", tmp_path / "x", "--config", cfg_path,
+                       "--epochs", "1") == 1
+        err = capsys.readouterr().err
+        assert "eps.json: adam_eps must be > 0, got 0" in err and "Traceback" not in err
 
     def test_config_file_not_an_object_names_file(self, tmp_path, prepared, capsys):
         cfg_path = tmp_path / "scalar.json"

@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 from datetime import date, timedelta
@@ -18,7 +19,7 @@ from alertanet.errors import (
 )
 from alertanet.synth import SynthSpec, generate
 
-from testutil import GOLDEN_PRICES, golden_label_oracle
+from testutil import GOLDEN_PRICES, golden_label_oracle, load_frame_oracle
 
 
 def write_csv(path, header, rows):
@@ -149,6 +150,54 @@ class TestLoadFrame:
         assert np.array_equal(loaded.adj_close, frame.adj_close)
         assert np.array_equal(loaded.features, frame.features)
         assert loaded.dates == frame.dates
+
+    def test_write_frame_bytes_match_a_row_by_row_writer(self, tmp_path):
+        values = np.array([[-0.0, 5e-324, 1e300], [0.1, 1 / 3, 2.0], [1e-7, 123456789.125, 0.0]])
+        frame = dp.FeatureFrame("W", ["2021-02-01", "2021-02-02", "2021-02-03"], [1.5, 1e-300, 7.0],
+                                ["sent_0", "trend_0", "macro_0"], values)
+        dp.write_frame(frame, tmp_path / "W.csv")
+        with open(tmp_path / "rows.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["date", "adj_close", *frame.feature_names])
+            for i, day in enumerate(frame.dates):
+                writer.writerow([day, repr(float(frame.adj_close[i])), *(repr(float(v)) for v in frame.features[i])])
+        assert (tmp_path / "W.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_first_defect_in_row_order_is_named(self, tmp_path):
+        """The column passes meet the bad date of row 4 first; the row check names row 3's cell."""
+        path = write_csv(tmp_path / "M.csv", ["date", "adj_close", "sent_0", "macro_0"], [
+            ["2021-01-06", "1.0", "0.5", "1.0"],
+            ["2021-01-05", "1.0", "0.5", "x1"],
+            ["2021-13-01", "1.0", "bad", "1.0"],
+            ["2021-01-07", "1.0", "0.5"],
+            ["2021-01-06", "nan", "-1", "1.0"],
+        ])
+        with pytest.raises(ParseError) as caught:
+            dp.load_frame(path)
+        assert str(caught.value) == f"{path}: row 3: non-numeric value 'x1' in column 'macro_0'"
+        with pytest.raises(ParseError) as oracle:
+            load_frame_oracle(path)
+        assert str(caught.value) == str(oracle.value)
+
+    def test_cells_are_checked_one_by_one_only_on_the_error_path(self, simple_csv, monkeypatch):
+        def called(*args):
+            raise AssertionError(f"called with {args}")
+
+        monkeypatch.setattr(dp, "_parse_date", called)
+        monkeypatch.setattr(dp, "_parse_float", called)
+        assert len(dp.load_frame(simple_csv)) == 3
+
+    def test_undecodable_file_names_line_and_byte(self, tmp_path):
+        path = tmp_path / "U.csv"
+        path.write_bytes(b"date,adj_close\n2021-01-04,1.0\n2021-01-05,caf\xe9\n")
+        with pytest.raises(ParseError, match=r"U\.csv: line 3: not UTF-8 text \(byte 0xe9: invalid continuation byte\)"):
+            dp.load_frame(path)
+
+    def test_cell_over_the_csv_field_limit_names_line(self, tmp_path):
+        path = tmp_path / "L.csv"
+        path.write_text("date,adj_close\n2021-01-04,1.0\n2021-01-05," + "2" * (csv.field_size_limit() + 1) + "\n")
+        with pytest.raises(ParseError, match=r"L\.csv: line 3: unreadable CSV \(field larger than field limit"):
+            dp.load_frame(path)
 
 
 class TestFeatureFrame:

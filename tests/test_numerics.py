@@ -172,6 +172,43 @@ class TestMatmulKernelMatchesLoopOracle:
         assert np.array_equal(a, a_copy) and np.array_equal(b, b_copy)
 
 
+class TestOneRowProductsMatchTripleLoop:
+    """The one-row path sums all k products at once; the scalar triple loop is its oracle."""
+
+    SHAPES = [(1, 64, 64), (1, 65, 64), (1, 64, 512), (1, 65, 512), (1, 9, 2), (1, 0, 3)]
+
+    @pytest.mark.parametrize("m,inner,n", SHAPES)
+    def test_bit_identical_with_special_values(self, m, inner, n):
+        rng = np.random.default_rng(inner * 1000 + n)
+        for share in (0.0, 0.2):
+            a, b = _sprinkled(rng, (m, inner), share), _sprinkled(rng, (inner, n), share)
+            with np.errstate(all="ignore"):
+                got, want = nx.matmul_values(a, b), triple_loop_matmul(a, b)
+            # as on the small shapes above, a sum of two nans may keep either one
+            both_nan = np.isnan(got) & np.isnan(want)
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert np.array_equal(got.view(np.int64)[~both_nan], want.view(np.int64)[~both_nan])
+
+    @pytest.mark.parametrize("inner, n", [(64, 64), (65, 512), (17, 2)])
+    def test_sum_runs_left_to_right(self, inner, n):
+        """Cancelling terms give 0 only when the products are added in index order, one at a time."""
+        a = np.ones((1, inner))
+        a[0, 0], a[0, -1] = 1e16, -1e16
+        b = np.ones((inner, n))
+        got = nx.matmul_values(a, b)
+        _assert_bits_equal(got, triple_loop_matmul(a, b))
+        assert np.array_equal(got, np.zeros((1, n)))
+        _assert_bits_equal(nx.matmul_values(a[:, ::-1], b), triple_loop_matmul(a[:, ::-1], b))
+
+    def test_signed_zeros_and_zero_times_infinity(self):
+        a = np.array([[-0.0, 0.0, -0.0]])
+        b = np.array([[1.0, np.inf, -0.0, 1.0], [-1.0, 1.0, -0.0, 1.0], [1.0, 1.0, 1.0, -0.0]])
+        with np.errstate(invalid="ignore"):
+            got = nx.matmul_values(a, b)
+        _assert_bits_equal(np.where(np.isnan(got), 0.0, got), np.array([[0.0, 0.0, 0.0, 0.0]]))
+        assert np.isnan(got[0, 1]) and not np.signbit(got[0, 0])  # a sum from +0.0 never gives -0.0
+
+
 class TestElementwise:
     def test_sigmoid_at_zero(self):
         assert sigmoid(nx.constant([[0.0]])).value[0, 0] == 0.5

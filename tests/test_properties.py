@@ -1,7 +1,9 @@
-"""Property tests: labelling, chronological splitting and array serialization."""
+"""Property tests: CSV loading, labelling, chronological splitting and array serialization."""
 
 import json
+import tempfile
 from datetime import date, timedelta
+from pathlib import Path
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +15,7 @@ from alertanet import data as dp
 from alertanet.errors import ConfigError
 from alertanet.serialize import decode_array, encode_array
 
-from testutil import golden_label_oracle, sample_set
+from testutil import golden_label_oracle, load_frame_oracle, sample_set
 
 # Derandomized and without an example database, so every run draws the same examples.
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -116,3 +118,70 @@ def test_encode_decode_round_trip_keeps_bits(arr, transposed):
     assert back.dtype == arr.dtype and back.shape == arr.shape
     assert back.tobytes() == np.ascontiguousarray(arr).tobytes()
     assert back.flags.c_contiguous and back.flags.writeable
+
+
+# Cells that ``float`` reads in odd ways but accepts, values that the checks
+# after parsing reject, and cells that stop parsing.
+_ODD_VALID = [" 2.5 ", '"3.0"', '" 4 "', "1_000", "1e3", "-0.0", "0"]
+_BAD_VALUES = ["nan", "inf", "-inf", "-1"]
+_UNPARSED = ["", "abc", '"1,5"']
+_BAD_DATES = ["2021-02-30", "2021/01/05", "soon", ""]
+_BLANK_LINES = ["", " ", " , , , , ", ",,,,", ",,"]
+_CSV_HEADER = ["date", "adj_close", "sent_0", "note", "macro_0"]
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text with the header above, in one of three kinds, each with empty and blank lines.
+
+    A ``clean`` file has distinct dates, in any order, and cells that
+    ``float`` accepts.  A ``values`` file parses but may repeat a date, and holds
+    one kind of non-finite or negative value.  A ``messy`` file may also hold bad dates,
+    cells that do not parse, and rows a cell short or over.  The ``note``
+    column holds junk, which only a schema that selects it reads, except in
+    some clean files.
+    """
+    kind = draw(st.sampled_from(["clean", "values", "messy"]))
+    days = draw(st.lists(st.integers(0, 25), max_size=12, unique=kind == "clean"))
+    valid = st.one_of(st.floats(0.5, 1e6).map(repr), st.sampled_from(_ODD_VALID))
+    number = {"clean": valid, "values": st.one_of(valid, valid, st.just(draw(st.sampled_from(_BAD_VALUES)))),
+              "messy": valid | st.sampled_from(_BAD_VALUES + _UNPARSED)}[kind]
+    price = st.floats(0.5, 1e6).map(repr) | st.just(" 2.5 ") if kind == "clean" else number
+    note = valid if kind == "clean" and draw(st.booleans()) else number | st.sampled_from(["n/a", "?", "  "])
+    lines = []
+    for d in days:
+        iso = (date(2021, 1, 4) + timedelta(days=d)).isoformat()
+        day = st.sampled_from([iso, f" {iso} ", iso.replace("-", "")])
+        cells = [draw(day | st.sampled_from(_BAD_DATES) if kind == "messy" else day), draw(price),
+                 draw(number), draw(note), draw(number)]
+        if kind == "messy":
+            cells = cells[: draw(st.sampled_from([4, 5, 5, 5]))] + ["1.0"] * draw(st.sampled_from([0, 0, 0, 1]))
+        lines.append(",".join(cells))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(_BLANK_LINES)))
+    return "\n".join([",".join(_CSV_HEADER), *lines]) + "\n"
+
+
+def _outcome(load, path, schema):
+    try:
+        frame = load(path, schema)
+    except Exception as exc:  # the exception type and message are the outcome
+        return type(exc), str(exc)
+    return frame
+
+
+@PROPERTY
+@given(csv_texts(), st.sampled_from([None, ["macro_0", "sent_0"], ["sent_0"]]))
+def test_load_frame_matches_row_by_row_oracle(text, schema):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "S.csv"
+        path.write_text(text, encoding="utf-8")
+        got, want = _outcome(dp.load_frame, path, schema), _outcome(load_frame_oracle, path, schema)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, dp.FeatureFrame), got
+    assert (got.stock_id, got.dates, got.feature_names) == (want.stock_id, want.dates, want.feature_names)
+    assert np.array_equal(got.adj_close, want.adj_close) and np.array_equal(got.features, want.features)
+    assert got.adj_close.tobytes() == want.adj_close.tobytes()
+    assert got.features.tobytes() == want.features.tobytes()

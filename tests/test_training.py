@@ -336,6 +336,20 @@ class TestTrainConfig:
         tr.TrainConfig(epochs=np.int64(2), learning_rate=np.float32(0.5), loss_weight=np.int32(1),
                        two_stage=np.bool_(True)).validate()
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"clip_norm": -1.0}, "clip_norm must be >= 0 (0 turns clipping off), got -1.0"),
+        ({"clip_norm": -1.0, "adam_eps": -1.0}, "clip_norm must be >= 0 (0 turns clipping off), got -1.0"),
+        ({"adam_eps": 0.0}, "adam_eps must be > 0, got 0.0"),
+        ({"adam_eps": -1e-8}, "adam_eps must be > 0, got -1e-08"),
+    ])
+    def test_negative_clip_norm_and_nonpositive_adam_eps_rejected(self, changes, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            tr.TrainConfig(**changes).validate()
+
+    def test_zero_clip_norm_turns_clipping_off_and_is_valid(self):
+        tr.TrainConfig(clip_norm=0.0).validate()
+        tr.TrainConfig(clip_norm=0).validate()
+
     def test_validation_rules(self):
         with pytest.raises(ConfigError):
             tr.TrainConfig(epochs=0).validate()

@@ -1,16 +1,19 @@
 """Shared test helpers: finite-difference gradients, tolerance checks, fixtures,
-sample sets built from windows, and the tape ops and accessors that only the
-tests compose.  The per-op tape ops rebuild the per-gate cell and the per-op
+sample sets built from windows, the row-by-row CSV loader kept as an oracle,
+and the tape ops and accessors that only the tests compose.  The per-op tape ops rebuild the per-gate cell and the per-op
 heads and loss that the fused model nodes replaced, as oracles."""
 
+import csv
+from datetime import date
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
 from alertanet import numerics as nx
 from alertanet import training as tr
-from alertanet.data import ABSTAIN, SampleSet
-from alertanet.errors import DimensionError, UsageError
+from alertanet.data import ABSTAIN, DATE_COLUMN, PRICE_COLUMN, FeatureFrame, SampleSet
+from alertanet.errors import DataIntegrityError, DimensionError, ParseError, PreprocessingError, SchemaError, UsageError
 
 # 51 hand-picked prices -> 50 labeled days.  Covers both dead-zone edges
 # (+0.5%, -0.5%), both outlier edges (+5%, -5%) at float-exact price pairs,
@@ -53,6 +56,64 @@ def sample_set(records):
     columns = [np.array([r[i] for r in records], dtype=dtype)
                for i, dtype in ((1, np.int8), (2, np.int8), (3, str), (4, str))]
     return SampleSet(days, w, np.arange(n) * w, *columns)
+
+
+def load_frame_oracle(path, schema=None):
+    """The former row-by-row body of ``data.load_frame``: one record, then one cell, at a time."""
+    path = Path(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file") from None
+        if schema is None:
+            schema = [h for h in header if h not in (DATE_COLUMN, PRICE_COLUMN)]
+        columns = [PRICE_COLUMN, *schema]
+        missing = [c for c in [DATE_COLUMN, *columns] if c not in header]
+        if missing:
+            raise SchemaError(f"{path}: missing required columns {missing}")
+        col_idx = {name: header.index(name) for name in header}
+
+        rows = []
+        for line_no, cells in enumerate(reader, start=2):
+            if not cells or all(not c.strip() for c in cells):
+                continue
+            if len(cells) != len(header):
+                raise ParseError(f"{path}: row {line_no}: expected {len(header)} cells, got {len(cells)}")
+            cell = cells[col_idx[DATE_COLUMN]]
+            try:
+                day = date.fromisoformat(cell.strip()).isoformat()
+            except ValueError as exc:
+                raise ParseError(f"{path}: row {line_no}: bad date {cell!r} ({exc})") from exc
+            values = []
+            for c in columns:
+                try:
+                    values.append(float(cells[col_idx[c]]))
+                except (TypeError, ValueError):
+                    raise ParseError(f"{path}: row {line_no}: non-numeric value {cells[col_idx[c]]!r} "
+                                     f"in column {c!r}") from None
+            rows.append((day, line_no, values))
+
+    rows.sort(key=lambda r: r[0])
+    for (d1, ln1, _), (d2, ln2, _) in zip(rows, rows[1:]):
+        if d1 == d2:
+            raise DataIntegrityError(f"{path}: duplicate date {d1} (rows {ln1} and {ln2})")
+
+    block = np.array([r[2] for r in rows], dtype=np.float64).reshape(len(rows), len(columns))
+    bad = np.argwhere(~np.isfinite(block))
+    if bad.size:
+        i, j = bad[0]
+        raise ParseError(f"{path}: row {rows[i][1]}: non-finite value {block[i, j]} in column {columns[j]!r}")
+    bad = np.argwhere(block[:, 1:] < 0)
+    if bad.size:
+        i, j = bad[0]
+        raise PreprocessingError(
+            f"{path}: row {rows[i][1]}: negative value {block[i, j + 1]} in feature column {schema[j]!r}; "
+            "shift signed series before ingestion"
+        )
+    return FeatureFrame(stock_id=path.stem, dates=[r[0] for r in rows], adj_close=block[:, 0],
+                        feature_names=list(schema), features=block[:, 1:])
 
 
 def joint_loss(trace, y_m, y_v, loss_weight, volatility_pos_weight=1.0):
