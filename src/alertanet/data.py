@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from datetime import date as _date
-from itertools import compress, count, repeat
+from itertools import compress, count, islice, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -45,6 +45,10 @@ PRICE_COLUMN = "adj_close"
 
 DATASET_VERSION = 2
 
+# Records that load_frame converts at a time.  Converting all of a file's
+# cells at once raised the peak RSS of the benchmark's 16-file `prepare` by
+# about 2 MB, through heap fragmentation; 512 at a time, by about 0.4 MB.
+_RECORDS_PER_PASS = 512
 
 @dataclass
 class FeatureFrame:
@@ -116,12 +120,14 @@ def load_frame(path: str | Path, schema: list[str] | None = None) -> FeatureFram
     prices and negative feature values are rejected, as are files that are
     not UTF-8 or that the CSV reader cannot split.
 
-    Each selected column is converted in one pass of ``float`` (or of
-    ``date.fromisoformat``) over the transposed records.  Only when a pass
-    fails, or a record has the wrong width, do the records go through one at
-    a time, to name the first bad cell in file order.
+    Records are read ``_RECORDS_PER_PASS`` at a time, and each selected
+    column of them is converted in one pass of ``float`` (the date column in
+    one of ``date.fromisoformat``).  Only when a pass fails, or a record has
+    the wrong width, do that pass's records go through one at a time, to name
+    the first bad cell in file order.
     """
     path = Path(path)
+    line_nos, dates, parts = [], [], []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -135,30 +141,35 @@ def load_frame(path: str | Path, schema: list[str] | None = None) -> FeatureFram
             missing = [c for c in [DATE_COLUMN, *columns] if c not in header]
             if missing:
                 raise SchemaError(f"{path}: missing required columns {missing}")
-            records = list(reader)
+            col_idx = {name: header.index(name) for name in header}
+            value_cols = [col_idx[c] for c in columns]
+            first = 2  # the header is row 1
+            while records := list(islice(reader, _RECORDS_PER_PASS)):
+                # a record with no cells or only blank ones is skipped
+                kept = list(map(any, map(map, repeat(str.strip), records)))
+                numbers = list(compress(count(first), kept))
+                first += len(records)
+                records = list(compress(records, kept))
+                converted = _convert_columns(records, len(header), col_idx[DATE_COLUMN], value_cols)
+                if converted is None:
+                    _raise_first_bad_cell(path, header, col_idx, columns, zip(numbers, records))
+                line_nos += numbers
+                dates += converted[0]
+                parts.append(converted[1])
     except UnicodeDecodeError as exc:
         raise _decode_error(path) from exc
     except csv.Error as exc:
         raise ParseError(f"{path}: line {reader.line_num}: unreadable CSV ({exc})") from None
-    # a record with no cells or only blank ones is skipped; the header is row 1
-    kept = list(map(any, map(map, repeat(str.strip), records)))
-    line_nos = list(compress(count(2), kept))
-    records = list(compress(records, kept))
-    col_idx = {name: header.index(name) for name in header}
-    dates, values = _convert_columns(records, len(header), col_idx[DATE_COLUMN], [col_idx[c] for c in columns])
-    if dates is None:
-        _raise_first_bad_cell(path, header, col_idx, columns, zip(line_nos, records))
 
     order = sorted(range(len(dates)), key=dates.__getitem__)  # stable: duplicates keep file order
     dates = list(map(dates.__getitem__, order))
     line_nos = list(map(line_nos.__getitem__, order))
-    # Price then features, one row per day in date order.  The block is filled
-    # in date order, not sorted once built: freeing a frame-sized temporary
-    # block raised the peak RSS of a 16-file `prepare` by about 2 MB.
+    # Price then features, one row per day in date order, filled in place
+    # rather than sorted once built, which would allocate and free a second block.
     block = np.empty((len(dates), len(columns)))
     rows = np.array(order, dtype=np.intp)
-    for j, column in enumerate(values):
-        block[:, j] = column[rows]
+    for j, column in enumerate(zip(*parts)):
+        block[:, j] = np.concatenate(column)[rows]
     same = list(map(str.__eq__, dates, dates[1:]))
     if True in same:
         i = same.index(True)
@@ -185,23 +196,15 @@ def load_frame(path: str | Path, schema: list[str] | None = None) -> FeatureFram
 
 
 def _convert_columns(records: list[list[str]], width: int, date_col: int, value_cols: list[int]):
-    """ISO dates and a float array per value column of ``records``, or ``(None, None)`` if a cell fails.
-
-    ``records`` is emptied: its cells live on only in the transposed columns,
-    and for the row-by-row error path ``records`` is rebuilt from those.
-    """
+    """ISO dates and a float array per value column of ``records``, or None if a record or cell is bad."""
     if not set(map(len, records)) <= {width}:
-        return None, None
-    n = len(records)
+        return None
     cols = list(zip(*records)) or [()] * width
-    records.clear()
     try:
         dates = list(map(_date.isoformat, map(_date.fromisoformat, map(str.strip, cols[date_col]))))
-        values = [np.fromiter(map(float, cols[c]), np.float64, count=n) for c in value_cols]
+        return dates, [np.fromiter(map(float, cols[c]), np.float64, count=len(records)) for c in value_cols]
     except ValueError:
-        records.extend(zip(*cols))
-        return None, None
-    return dates, values
+        return None
 
 
 def _raise_first_bad_cell(path, header, col_idx, columns, numbered_records) -> None:

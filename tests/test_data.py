@@ -179,6 +179,27 @@ class TestLoadFrame:
             load_frame_oracle(path)
         assert str(caught.value) == str(oracle.value)
 
+    def test_long_shuffled_file_matches_oracle_across_passes(self, tmp_path):
+        rng = np.random.default_rng(5)
+        days = [(date(2015, 1, 1) + timedelta(days=int(d))).isoformat() for d in rng.permutation(1300)]
+        rows = [[day, repr(rng.uniform(1, 9)), repr(rng.uniform(0, 1)), "junk"] for day in days]
+        for i in (3, 511, 512, 900):
+            rows.insert(i, [" ", "", "", ""])
+        path = write_csv(tmp_path / "LONG.csv", ["date", "adj_close", "sent_0", "note"], rows)
+        got, want = dp.load_frame(path, ["sent_0"]), load_frame_oracle(path, ["sent_0"])
+        assert got.dates == want.dates
+        assert got.adj_close.tobytes() == want.adj_close.tobytes()
+        assert got.features.tobytes() == want.features.tobytes()
+
+        rows[1100][1], rows[1200][0], rows[20][0] = "x", "2015-02-30", rows[1250][0]
+        path = write_csv(tmp_path / "LONG.csv", ["date", "adj_close", "sent_0", "note"], rows)
+        with pytest.raises(ParseError) as caught:
+            dp.load_frame(path, ["sent_0"])
+        with pytest.raises(ParseError) as oracle:
+            load_frame_oracle(path, ["sent_0"])
+        assert str(caught.value) == str(oracle.value)
+        assert "row 1102: non-numeric value 'x' in column 'adj_close'" in str(caught.value)
+
     def test_cells_are_checked_one_by_one_only_on_the_error_path(self, simple_csv, monkeypatch):
         def called(*args):
             raise AssertionError(f"called with {args}")

@@ -4,6 +4,7 @@ import json
 import tempfile
 from datetime import date, timedelta
 from pathlib import Path
+from unittest import mock
 from fractions import Fraction
 
 import numpy as np
@@ -171,9 +172,11 @@ def _outcome(load, path, schema):
 
 
 @PROPERTY
-@given(csv_texts(), st.sampled_from([None, ["macro_0", "sent_0"], ["sent_0"]]))
-def test_load_frame_matches_row_by_row_oracle(text, schema):
-    with tempfile.TemporaryDirectory() as tmp:
+@given(csv_texts(), st.sampled_from([None, ["macro_0", "sent_0"], ["sent_0"]]),
+       st.sampled_from([1, 3, dp._RECORDS_PER_PASS]))
+def test_load_frame_matches_row_by_row_oracle(text, schema, records_per_pass):
+    """Small passes put defects, blank lines and duplicates on both sides of a pass boundary."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(dp, "_RECORDS_PER_PASS", records_per_pass):
         path = Path(tmp) / "S.csv"
         path.write_text(text, encoding="utf-8")
         got, want = _outcome(dp.load_frame, path, schema), _outcome(load_frame_oracle, path, schema)
