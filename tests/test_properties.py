@@ -3,9 +3,9 @@
 import json
 import tempfile
 from datetime import date, timedelta
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
-from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -136,11 +136,11 @@ def csv_texts(draw):
     """CSV text with the header above, in one of three kinds, each with empty and blank lines.
 
     A ``clean`` file has distinct dates, in any order, and cells that
-    ``float`` accepts.  A ``values`` file parses but may repeat a date, and holds
-    one kind of non-finite or negative value.  A ``messy`` file may also hold bad dates,
-    cells that do not parse, and rows a cell short or over.  The ``note``
-    column holds junk, which only a schema that selects it reads, except in
-    some clean files.
+    ``float`` accepts.  A ``values`` file parses but may repeat a date, and
+    holds one kind of non-finite or negative value.  A ``messy`` file may also
+    hold bad dates, cells that do not parse, and rows a cell short or over.
+    The ``note`` column holds junk, which only a schema that selects it reads,
+    except in some clean files.
     """
     kind = draw(st.sampled_from(["clean", "values", "messy"]))
     days = draw(st.lists(st.integers(0, 25), max_size=12, unique=kind == "clean"))
