@@ -15,6 +15,7 @@ outlier threshold (default 5%).
 
 from __future__ import annotations
 
+import codecs
 import csv
 from dataclasses import dataclass, field
 from datetime import date as _date
@@ -120,7 +121,9 @@ def load_frame(path: str | Path, schema: list[str] | None = None) -> FeatureFram
     column after ``date``/``adj_close`` in header order.  Rows are sorted by
     date; duplicate dates, non-numeric or non-finite cells, nonpositive
     prices and negative feature values are rejected, as are files that are
-    not UTF-8 or that the CSV reader cannot split.
+    not UTF-8 or that the CSV reader cannot split, and headers that name
+    ``date``, ``adj_close`` or a selected feature more than once.  A leading
+    UTF-8 byte-order mark is skipped.
 
     Records are read ``_RECORDS_PER_PASS`` at a time, and each selected
     column of them is converted in one pass of ``float`` (the date column in
@@ -131,7 +134,7 @@ def load_frame(path: str | Path, schema: list[str] | None = None) -> FeatureFram
     path = Path(path)
     line_nos, dates, parts = [], [], []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = [h.strip() for h in next(reader)]
@@ -143,6 +146,9 @@ def load_frame(path: str | Path, schema: list[str] | None = None) -> FeatureFram
             missing = [c for c in [DATE_COLUMN, *columns] if c not in header]
             if missing:
                 raise SchemaError(f"{path}: missing required columns {missing}")
+            repeated = [c for c in dict.fromkeys([DATE_COLUMN, *columns]) if header.count(c) > 1]
+            if repeated:
+                raise SchemaError(f"{path}: column {repeated[0]!r} appears more than once in the header")
             col_idx = {name: header.index(name) for name in header}
             value_cols = [col_idx[c] for c in columns]
             first = 2  # the header is row 1
@@ -222,7 +228,8 @@ def _raise_first_bad_cell(path, header, col_idx, columns, numbered_records) -> N
 
 def _decode_error(path: Path) -> ParseError:
     """A :class:`ParseError` naming the line and byte of the first bytes of ``path`` that are not UTF-8."""
-    raw = path.read_bytes()
+    # the "utf-8-sig" reader skips a byte-order mark, and so do the offsets here
+    raw = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         raw.decode("utf-8")
     except UnicodeDecodeError as exc:

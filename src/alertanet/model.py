@@ -23,6 +23,7 @@ import numpy as np
 
 from . import numerics as nx
 from . import serialize
+from .data import SampleSet
 from .errors import CheckpointError, ConfigError, DimensionError, DomainError
 
 CHECKPOINT_VERSION = 2
@@ -132,6 +133,11 @@ def cell_step(
 
     Every entry keeps the summation order and grouping of separate per-gate
     products, so the value is bit-identical to composing the gates op by op.
+
+    When ``h`` is all zeros, as the initial state is, and the recurrent
+    matrices are finite, ``R_zr h`` and ``R_h (r*h)`` are not formed: each
+    of their entries sums ±0.0 products onto +0.0 and so is exactly +0.0.
+    A non-finite ``R`` still takes the product, where ``inf * 0`` gives NaN.
     """
     r_zr, r_h, b = params[prefix + "R_zr"], params[prefix + "R_h"], params[prefix + "b"]
     u = r_h.rows
@@ -141,10 +147,17 @@ def cell_step(
         raise DimensionError(
             f"cell_step: projection {wx_t.shape} and state {h.shape} do not fit hidden_dim {u}"
         )
-    zr = nx.sigmoid_values((wx_t[: 2 * u] + nx.matmul_values(r_zr.value, h)) + b.value[: 2 * u])
+    zero_state = not h.any()
+
+    def recurrent(r_mat, state):
+        if zero_state and np.isfinite(r_mat).all():
+            return np.zeros((r_mat.shape[0], state.shape[1]))
+        return nx.matmul_values(r_mat, state)
+
+    zr = nx.sigmoid_values((wx_t[: 2 * u] + recurrent(r_zr.value, h)) + b.value[: 2 * u])
     z, r = zr[:u], zr[u:]
     rh = r * h
-    cand = np.tanh((wx_t[2 * u :] + nx.matmul_values(r_h.value, rh)) + b.value[2 * u :])
+    cand = np.tanh((wx_t[2 * u :] + recurrent(r_h.value, rh)) + b.value[2 * u :])
     out = (1.0 - z) * h + z * cand
 
     def backward_fn(grad):
@@ -231,20 +244,40 @@ class ForwardTrace:
         return self.probs[1].copy()
 
 
-def forward_batch(windows, params: nx.ParamStore, config: ModelConfig) -> ForwardTrace:
-    """Run the model over a (batch, features, window) array of inputs."""
-    x = np.asarray(windows, dtype=np.float64)
-    if x.ndim != 3:
-        raise DimensionError(f"expected (batch, features, window) input, got shape {x.shape}")
-    batch, dim, steps = x.shape
+def forward_batch(windows: SampleSet | np.ndarray, params: nx.ParamStore, config: ModelConfig,
+                  features: list[int] | None = None) -> ForwardTrace:
+    """Run the model over a :class:`SampleSet`, or a (batch, features, window) array, of windows.
+
+    ``features`` selects and orders feature columns, as
+    :meth:`SampleSet.windows` does.  The input projection ``W x`` is formed
+    once per distinct day the windows read, then gathered to one column per
+    (step, window): consecutive windows share all but one day.  Values and
+    gradients are bit-identical to projecting every column.
+    """
+    if isinstance(windows, SampleSet):
+        days, start, steps = windows.days, windows.start, windows.window
+    else:
+        x = np.asarray(windows, dtype=np.float64)
+        if x.ndim != 3:
+            raise DimensionError(f"expected (batch, features, window) input, got shape {x.shape}")
+        steps = x.shape[2]
+        # one day row per (window, step), window j starting at row j*steps
+        days, start = x.transpose(0, 2, 1).reshape(len(x) * steps, x.shape[1]), np.arange(len(x)) * steps
+    feature_cols = np.arange(days.shape[1]) if features is None else np.asarray(features)
+    batch, dim = len(start), len(feature_cols)
     if dim != config.input_dim or steps != config.window:
         raise DimensionError(
             f"window block {dim}x{steps} does not match model config "
             f"input_dim={config.input_dim} window={config.window}"
         )
-    # column t*batch + j of the input block holds step t of window j
-    x_block = nx.constant(x.transpose(1, 2, 0).reshape(dim, steps * batch))
-    wx = nx.matmul(params["W"], x_block)
+    # column t*batch + j of the projection holds step t of window j, which reads day start[j] + t
+    day_of_col = (np.arange(steps)[:, None] + start).reshape(-1)
+
+    def project(w: nx.Tensor, col_days: np.ndarray) -> nx.Tensor:
+        used, inv = np.unique(col_days, return_inverse=True)
+        return nx.matmul(w, nx.constant(days[used][:, feature_cols].T), cols=inv)
+
+    wx = project(params["W"], day_of_col)
     h = nx.constant(np.zeros((config.hidden_dim, batch)))
     hidden: list[nx.Tensor] = []
     for t in range(steps):
@@ -261,8 +294,7 @@ def forward_batch(windows, params: nx.ParamStore, config: ModelConfig) -> Forwar
         if config.shared_context_cell:
             context = cell_step(wx, mixed, params, cols=last)
         else:
-            ctx_wx = nx.matmul(params["ctx_W"], nx.constant(x_block.value[:, last]))
-            context = cell_step(ctx_wx, mixed, params, "ctx_")
+            context = cell_step(project(params["ctx_W"], day_of_col[last]), mixed, params, "ctx_")
     logits, probs = heads([hidden[-1]] if context is None else [hidden[-1], context], params)
     return ForwardTrace(hidden=hidden, context=context, logits=logits, probs=probs)
 

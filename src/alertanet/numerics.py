@@ -40,8 +40,10 @@ class Tensor:
     """A float64 matrix plus the bookkeeping needed for reverse mode.
 
     ``requires_grad`` is inherited from parents, so constants stay out of the
-    backward walk entirely.  ``grad`` is allocated (zeroed) only for nodes
-    that participate in differentiation.
+    backward walk entirely.  ``grad`` is a zeroed buffer from the start only
+    for leaves that require it, such as :class:`ParamStore` entries; a
+    recorded node gets one from :func:`backward`, so a forward-only pass
+    allocates none.
     """
 
     __slots__ = ("value", "grad", "requires_grad", "name", "_parents", "_backward_fn")
@@ -57,7 +59,7 @@ class Tensor:
     ):
         self.value = as_matrix(value) if _validate else value
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-        self.grad = np.zeros_like(self.value) if self.requires_grad else None
+        self.grad = np.zeros_like(self.value) if requires_grad and not parents else None
         self.name = name
         self._parents = parents
         self._backward_fn = backward_fn
@@ -158,22 +160,38 @@ def matmul_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, cols: np.ndarray | None = None) -> Tensor:
     """Product whose forward value uses the fixed left-to-right contraction.
+
+    ``cols`` (an int array) makes column ``k`` of the result column
+    ``cols[k]`` of ``a b``, so each column of ``b`` is multiplied once however
+    often ``cols`` repeats it.  ``matmul_values`` forms every column on its
+    own, so the value is bit-identical to the product with the gathered
+    ``b``.  ``np.take`` keeps the result C-ordered; an F-ordered one would
+    pass its layout to the gradient buffer and change the backward's bits.
 
     The backward accumulation uses the library product instead: gradient
     summation order is unconstrained as long as it is deterministic for a
-    fixed thread count, and it sits on the training hot path.
+    fixed thread count, and it sits on the training hot path.  With ``cols``
+    it gathers ``b`` before the product, so ``a``'s gradient multiplies the
+    same operands as without them; summing the gradients of repeated columns
+    first would regroup the sum and change its bits.
     """
     if a.cols != b.rows:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     out = matmul_values(a.value, b.value)
+    if cols is not None:
+        out = np.take(out, cols, axis=1)
 
     def backward_fn(grad):
         if a.requires_grad:
-            a.grad += np.dot(grad, b.value.T)
+            a.grad += np.dot(grad, (b.value if cols is None else np.take(b.value, cols, axis=1)).T)
         if b.requires_grad:
-            b.grad += np.dot(a.value.T, grad)
+            d_b = np.dot(a.value.T, grad)
+            if cols is None:
+                b.grad += d_b
+            else:
+                np.add.at(b.grad, (slice(None), cols), d_b)
 
     return record(out, (a, b), backward_fn)
 
@@ -264,8 +282,9 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor) -> None:
     """Populate gradients of every trainable tensor reachable from ``loss``.
 
-    ``loss`` must be a recorded 1x1 scalar.  Gradients accumulate into
-    existing ``grad`` buffers; call :meth:`ParamStore.zero_grads` first when
+    ``loss`` must be a recorded 1x1 scalar.  Every node on the walk that has
+    no ``grad`` buffer yet gets a zeroed one first; gradients accumulate into
+    existing buffers, so call :meth:`ParamStore.zero_grads` first when
     starting a fresh step.
     """
     if loss.value.shape != (1, 1):
@@ -274,8 +293,12 @@ def backward(loss: Tensor) -> None:
         raise UsageError("backward called on a tensor with no recorded computation")
     if not loss.requires_grad:
         return  # nothing trainable feeds this loss; all gradients stay zero
+    order = _topo_order(loss)
+    for node in order:
+        if node.grad is None:
+            node.grad = np.zeros_like(node.value)
     loss.grad += 1.0
-    for node in reversed(_topo_order(loss)):
+    for node in reversed(order):
         if node._backward_fn is not None:
             node._backward_fn(node.grad)
 

@@ -200,7 +200,7 @@ def _dataset_loss(params, config, samples: SampleSet, rows, loss_weight, pos_wei
     movement = volatility = total = 0.0
     for lo in range(0, n, VALID_CHUNK):
         chunk = samples[lo : lo + VALID_CHUNK]
-        trace = forward_batch(chunk.windows(rows), params, config)
+        trace = forward_batch(chunk, params, config, rows)
         loss, m_term, v_term = _loss_terms(trace, chunk.y_m, chunk.y_v, loss_weight, pos_weight)
         weight = len(chunk)
         movement += m_term * weight
@@ -222,8 +222,8 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
     """Fit the model on ``split.train``, early-stopping on validation loss.
 
     Returns the parameters restored to the best validation epoch.  Two runs
-    with the same split and config produce bit-identical parameters.  Windows
-    are gathered one batch, or one validation chunk, at a time.
+    with the same split and config produce bit-identical parameters.  Each
+    forward pass reads one batch, or one validation chunk, from the split's days.
     """
     cfg.validate()
     if not split.train:
@@ -290,7 +290,7 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
             grad_norms: list[float] = []
             for lo in range(0, n_train, cfg.batch_size):
                 batch = split.train[perm[lo : lo + cfg.batch_size]]
-                trace = forward_batch(batch.windows(rows), params, config)
+                trace = forward_batch(batch, params, config, rows)
                 loss, m_term, v_term = _loss_terms(trace, batch.y_m, batch.y_v, loss_weight, pos_weight)
                 loss_value = loss.item()
                 if not np.isfinite(loss_value):
@@ -422,7 +422,7 @@ def predict_probs(
     samples: SampleSet,
     dataset_feature_names: list[str] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Movement and volatility probabilities for every sample, gathering windows one chunk at a time."""
+    """Movement and volatility probabilities for every sample, one chunk of windows per forward pass."""
     if not samples:
         raise ConfigError("no samples to evaluate")
     rows = None
@@ -444,7 +444,7 @@ def predict_probs(
     v_probs = np.empty(len(samples))
     for lo in range(0, len(samples), PREDICT_CHUNK):
         hi = min(lo + PREDICT_CHUNK, len(samples))
-        trace = forward_batch(samples[lo:hi].windows(rows), params, config)
+        trace = forward_batch(samples[lo:hi], params, config, rows)
         m_probs[lo:hi] = trace.movement_probs
         v_probs[lo:hi] = trace.volatility_probs
     return m_probs, v_probs

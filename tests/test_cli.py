@@ -132,6 +132,15 @@ class TestPrepareCommand:
         assert "HUGE.csv: line 2: unreadable CSV (field larger than field limit (131072))" in err
         assert not (out / "dataset.json").exists()
 
+    def test_repeated_feature_column_fails_naming_file_and_column(self, tmp_path, synth_dir, capsys):
+        (synth_dir / "TWICE.csv").write_text("date,adj_close,sent_0,sent_0\n2020-01-01,1.0,0.5,9.0\n")
+        out = tmp_path / "prep_twice"
+        assert run_cli("prepare", "--data", synth_dir, "--out", out, "--window", "8") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "TWICE.csv: column 'sent_0' appears more than once in the header" in err
+        assert not (out / "dataset.json").exists()
+
     def test_schema_error_names_file(self, tmp_path, capsys):
         bad = tmp_path / "bad"
         bad.mkdir()

@@ -208,10 +208,41 @@ class TestLoadFrame:
         monkeypatch.setattr(dp, "_parse_float", called)
         assert len(dp.load_frame(simple_csv)) == 3
 
+    @pytest.mark.parametrize("header, schema, repeated", [
+        (["date", "adj_close", "sent_0", "sent_0"], None, "sent_0"),
+        (["date", "adj_close", "sent_0", "macro_0", "macro_0"], ["macro_0"], "macro_0"),
+        (["date", "adj_close", "adj_close", "sent_0"], ["sent_0"], "adj_close"),
+        (["date", "adj_close", "sent_0", "date"], ["sent_0"], "date"),
+    ])
+    def test_repeated_column_that_is_read_names_file_and_column(self, tmp_path, header, schema, repeated):
+        path = write_csv(tmp_path / "R.csv", header, [["2021-01-04", "1.0", "0.5", "9.0", "2.0"][: len(header)]])
+        with pytest.raises(SchemaError, match=rf"R\.csv: column '{repeated}' appears more than once in the header"):
+            dp.load_frame(path, schema=schema)
+
+    def test_repeated_column_that_is_not_read_is_accepted(self, tmp_path):
+        path = write_csv(tmp_path / "R.csv", ["date", "adj_close", "sent_0", "note", "note"],
+                         [["2021-01-04", "1.0", "0.5", "x", "y"]])
+        frame = dp.load_frame(path, schema=["sent_0"])
+        assert frame.feature_names == ["sent_0"] and np.array_equal(frame.features, [[0.5]])
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, simple_csv):
+        (tmp_path / "bom").mkdir()
+        marked = tmp_path / "bom" / simple_csv.name
+        marked.write_bytes(b"\xef\xbb\xbf" + simple_csv.read_bytes())
+        want, got = dp.load_frame(simple_csv), dp.load_frame(marked)
+        assert (got.stock_id, got.dates, got.feature_names) == (want.stock_id, want.dates, want.feature_names)
+        assert np.array_equal(got.adj_close, want.adj_close) and np.array_equal(got.features, want.features)
+
     def test_undecodable_file_names_line_and_byte(self, tmp_path):
         path = tmp_path / "U.csv"
         path.write_bytes(b"date,adj_close\n2021-01-04,1.0\n2021-01-05,caf\xe9\n")
         with pytest.raises(ParseError, match=r"U\.csv: line 3: not UTF-8 text \(byte 0xe9: invalid continuation byte\)"):
+            dp.load_frame(path)
+
+    def test_undecodable_file_after_a_byte_order_mark_names_line_and_byte(self, tmp_path):
+        path = tmp_path / "U.csv"
+        path.write_bytes(b"\xef\xbb\xbfdate,adj_close\n2021-01-04,1.0\n2021-01-05,\xff\xe9\n")
+        with pytest.raises(ParseError, match=r"U\.csv: line 3: not UTF-8 text \(byte 0xff: invalid start byte\)"):
             dp.load_frame(path)
 
     def test_cell_over_the_csv_field_limit_names_line(self, tmp_path):

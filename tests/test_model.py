@@ -6,12 +6,13 @@ import pytest
 from alertanet import model as md
 from alertanet import numerics as nx
 from alertanet import training as tr
-from alertanet.data import ABSTAIN
+from alertanet.data import ABSTAIN, build_dataset
 from alertanet.errors import CheckpointError, ConfigError, DimensionError, DomainError
+from alertanet.synth import SynthSpec, generate_universe
 
 from testutil import (
-    add, affine, bias_add, concat_rows, hidden_states, joint_loss, mul, per_op_heads, per_op_loss, sample_set,
-    sigmoid, tanh,
+    add, affine, bias_add, cell_step_oracle, concat_rows, forward_batch_oracle, hidden_states, joint_loss, mul,
+    per_op_heads, per_op_loss, sample_set, sigmoid, tanh,
 )
 
 
@@ -247,6 +248,119 @@ class TestFusedCellMatchesPerGateOracle:
         for name, tensor in gates.items():
             want = expected.get(name, np.zeros_like(tensor.value))
             assert np.array_equal(tensor.value, want), name
+
+
+@pytest.fixture(scope="module")
+def two_stock_samples():
+    """Every window of two 90-day synthetic stocks at window 4, over one shared day array."""
+    split, _ = build_dataset(generate_universe(SynthSpec(n_days=90, n_features=8, seed=21), 2), window_len=4)
+    return split.train + split.validation + split.test
+
+
+def mixed_rows(samples, batch, rng):
+    """``batch`` rows in random order; from batch 2 on, from both stocks and with one row twice."""
+    if batch == 1:
+        return rng.integers(len(samples), size=1)
+    first, second = (rng.choice(np.flatnonzero(samples.stock_ids == s)) for s in np.unique(samples.stock_ids))
+    rest = rng.choice(len(samples), size=batch - 3, replace=False)
+    return rng.permutation(np.concatenate([[first, second, first], rest]))
+
+
+class TestForwardBatchMatchesProjectEveryColumnOracle:
+    """``forward_batch`` against the former pass, which formed ``W x`` for every (step, window)
+    column of a gathered window array and the recurrent products of the zero initial state."""
+
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    @pytest.mark.parametrize("features", [None, [6, 0, 3]])
+    @pytest.mark.parametrize("kind", sorted(FUSED_ORACLE_CONFIGS))
+    @pytest.mark.parametrize("source", ["samples", "array"])
+    def test_values_and_gradients_bit_identical(self, two_stock_samples, source, kind, features, batch):
+        config = md.ModelConfig(input_dim=8 if features is None else len(features), hidden_dim=6, window=4,
+                                **FUSED_ORACLE_CONFIGS[kind])
+        params = make_params(config, seed=batch)
+        rng = np.random.default_rng(300 + batch)
+        for name in params.names():
+            if name.removeprefix("ctx_").startswith("b"):
+                params.value(name)[...] = rng.normal(size=params.value(name).shape)
+        samples = two_stock_samples[mixed_rows(two_stock_samples, batch, rng)]
+
+        want = forward_batch_oracle(samples.windows(features), params, config)
+        want_loss = joint_loss(want, samples.y_m, samples.y_v, 0.7, 1.3)
+        params.zero_grads()
+        nx.backward(want_loss)
+        want_grads = {name: tensor.grad.copy() for name, tensor in params.items()}
+
+        got = md.forward_batch(samples if source == "samples" else samples.windows(), params, config, features)
+        got_loss = joint_loss(got, samples.y_m, samples.y_v, 0.7, 1.3)
+        # a forward pass allocates no gradient buffers for the nodes it records
+        assert all(node.grad is None for node in [*got.hidden, got.hidden[0]._parents[0], got.logits, got_loss])
+        params.zero_grads()
+        nx.backward(got_loss)
+
+        for g, w in zip(got.hidden, want.hidden, strict=True):
+            assert np.array_equal(g.value, w.value)
+        if config.uses_context:
+            assert np.array_equal(got.context.value, want.context.value)
+        assert np.array_equal(got.logits.value, want.logits.value)
+        assert np.array_equal(got.probs, want.probs)
+        assert np.array_equal(got_loss.value, want_loss.value)
+        for name, tensor in params.items():
+            assert np.array_equal(tensor.grad, want_grads[name]), name
+
+    def test_gathered_projection_and_its_gradient_are_c_ordered(self, two_stock_samples):
+        # an F-ordered block hands its layout to the gradient buffer, and the backward's
+        # library product over it rounds differently from the parent's C-ordered one
+        config = md.ModelConfig(input_dim=8, hidden_dim=32, window=4)
+        params = make_params(config)
+        samples = two_stock_samples[:100]
+        trace = md.forward_batch(samples, params, config)
+        wx = trace.hidden[0]._parents[0]  # the W x node every step reads
+        assert wx.shape == (96, 4 * 100) and wx.value.flags.c_contiguous
+        nx.backward(joint_loss(trace, samples.y_m, samples.y_v, 1.0))
+        assert wx.grad.flags.c_contiguous
+
+    @pytest.mark.parametrize("kind", sorted(FUSED_ORACLE_CONFIGS))
+    def test_projection_per_distinct_day_and_no_products_of_the_zero_state(self, two_stock_samples, monkeypatch,
+                                                                           kind):
+        config = md.ModelConfig(input_dim=8, hidden_dim=6, window=4, **FUSED_ORACLE_CONFIGS[kind])
+        params = make_params(config)
+        samples = two_stock_samples[np.r_[0:40, 0:40, 100:110]]  # 90 windows, repeats and overlaps among them
+        days = np.unique(samples.start[:, None] + np.arange(4))
+        last_days = np.unique(samples.start + 3)
+        assert len(days) < 4 * 90 and len(last_days) < 90
+        shapes = []
+
+        def recording(a, b):
+            shapes.append((a.shape, b.shape))
+            return matmul_values(a, b)
+
+        matmul_values = nx.matmul_values
+        monkeypatch.setattr(nx, "matmul_values", recording)
+        md.forward_batch(samples, params, config)
+        w_cols = [b[1] for a, b in shapes if a[1] == 8]
+        recurrent = [b for a, b in shapes if a[1] == 6 and a[0] > 1]
+        # the context cell's own W reads the distinct days of the last step
+        assert w_cols == [len(days), len(last_days)] if kind == "alerta-ctx-normalized" else [len(days)]
+        # both products at steps 2..4, none at step 1, and two more for the context step
+        assert len(recurrent) == 2 * 3 + (2 if config.uses_context else 0)
+        assert all(b == (6, 90) for b in recurrent)
+
+
+class TestZeroStateProducts:
+    @pytest.mark.parametrize("fill", [0.0, -0.0, 0.5])
+    @pytest.mark.parametrize("bad", [None, ("R_zr", np.inf), ("R_h", -np.inf), ("R_zr", np.nan)])
+    def test_cell_step_matches_oracle(self, fill, bad):
+        config = md.ModelConfig(input_dim=3, hidden_dim=4, window=2)
+        params = make_params(config, seed=3)
+        if bad is not None:
+            params.value(bad[0])[1, 2] = bad[1]
+        wx = nx.constant(np.random.default_rng(2).normal(size=(12, 5)))
+        h = nx.constant(np.full((4, 5), fill))
+        with np.errstate(invalid="ignore"):  # inf * 0
+            got, want = md.cell_step(wx, h, params).value, cell_step_oracle(wx, h, params).value
+        assert np.array_equal(got, want, equal_nan=True)
+        if fill == 0.0:  # a non-finite recurrent weight still turns the zero-state products to NaN
+            assert np.isnan(got).any() == (bad is not None)
 
 
 class TestHeadsAndLossMatchPerOpOracle:

@@ -5,7 +5,8 @@ from alertanet import numerics as nx
 from alertanet.errors import DimensionError, UsageError
 
 from testutil import (
-    add, affine, bias_add, concat_rows, finite_difference_grads, max_grad_violation, mul, sigmoid, tanh, total_sum,
+    add, affine, bias_add, concat_rows, finite_difference_grads, max_grad_violation, mul, mul_const, sigmoid, tanh,
+    total_sum,
 )
 
 
@@ -327,6 +328,40 @@ class TestBackprop:
         assert max_grad_violation(analytic, numeric) <= 1.0
 
 
+class TestMatmulGatheredColumns:
+    COLS = np.array([2, 0, 2, 3, 2, 1, 0])
+
+    def test_value_and_left_gradient_match_the_gathered_operand(self):
+        rng = np.random.default_rng(8)
+        params = nx.ParamStore()
+        a = params.add("a", rng.normal(size=(5, 3)))
+        b = rng.normal(size=(3, 4))
+        g = rng.normal(size=(5, len(self.COLS)))
+        got = nx.matmul(a, nx.constant(b), cols=self.COLS)
+        nx.backward(total_sum(mul_const(got, g)))
+        got_grad = params.grad("a").copy()
+        want = nx.matmul(a, nx.constant(b[:, self.COLS]))
+        params.zero_grads()
+        nx.backward(total_sum(mul_const(want, g)))
+        assert np.array_equal(got.value, want.value) and got.value.flags.c_contiguous
+        assert np.array_equal(got_grad, params.grad("a"))
+
+    def test_right_gradient_sums_over_repeated_columns(self):
+        rng = np.random.default_rng(9)
+        params = nx.ParamStore()
+        params.add("a", rng.normal(size=(5, 3)))
+        params.add("b", rng.normal(size=(3, 4)))
+        g = rng.normal(size=(5, len(self.COLS)))
+
+        def compute():
+            return total_sum(mul_const(nx.matmul(params["a"], params["b"], cols=self.COLS), g))
+
+        nx.backward(compute())
+        analytic = {name: t.grad.copy() for name, t in params.items()}
+        numeric = finite_difference_grads(lambda: compute().item(), params)
+        assert max_grad_violation(analytic, numeric) <= 1.0
+
+
 class TestParamStore:
     def test_rejects_duplicate_names(self):
         params = nx.ParamStore()
@@ -341,6 +376,17 @@ class TestParamStore:
         for name, tensor in params.items():
             assert tensor.grad.shape == tensor.value.shape
             assert np.array_equal(tensor.grad, np.zeros_like(tensor.value))
+
+    def test_recorded_nodes_get_gradient_buffers_only_from_backward(self):
+        params = nx.ParamStore()
+        w = params.add("w", np.ones((2, 2)))
+        leaf = nx.Tensor(np.ones((2, 1)), requires_grad=True)
+        y = nx.matmul(w, leaf)
+        loss = total_sum(y)
+        assert w.grad is not None and leaf.grad is not None
+        assert y.grad is None and loss.grad is None
+        nx.backward(loss)
+        assert np.array_equal(y.grad, np.ones((2, 1))) and np.array_equal(w.grad, np.ones((2, 2)))
 
     def test_load_values_shape_checked(self):
         params = nx.ParamStore()

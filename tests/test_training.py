@@ -211,6 +211,20 @@ class TestTrain:
         with np.errstate(over="ignore"), pytest.raises(TrainingError, match="non-finite loss"):
             tr.train(split, cfg)
 
+    @pytest.mark.parametrize("arch", ["alerta", "gru"])
+    def test_infinite_recurrent_weight_aborts_naming_it(self, monkeypatch, arch):
+        # inf * 0 in the zero initial state's products is what makes this loss NaN:
+        # from step 2 on, sigmoid turns the infinite pre-activations into finite gates
+        def init_params(config, rng):
+            params = md.init_params(config, rng)
+            params.value("R_zr")[0, 0] = np.inf
+            return params
+
+        monkeypatch.setattr(tr, "init_params", init_params)
+        cfg = tr.TrainConfig(window=5, hidden=4, epochs=1, batch_size=16, arch=arch)
+        with np.errstate(invalid="ignore"), pytest.raises(TrainingError, match="first offender: parameter 'R_zr'"):
+            tr.train(toy_split(n_days=200), cfg)
+
     def test_ablation_mode_changes_input_dim(self):
         split = toy_split(n_features=6)
         cfg = tr.TrainConfig(window=5, hidden=4, epochs=1, batch_size=32, ablation="s")

@@ -1,5 +1,6 @@
 """Shared test helpers: finite-difference gradients, tolerance checks, fixtures,
-sample sets built from windows, the row-by-row CSV loader kept as an oracle,
+sample sets built from windows, the row-by-row CSV loader and the
+project-every-column forward pass kept as oracles,
 and the tape ops and accessors that only the tests compose.  The per-op tape ops rebuild the per-gate cell and the per-op
 heads and loss that the fused model nodes replaced, as oracles."""
 
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from alertanet import model as md
 from alertanet import numerics as nx
 from alertanet import training as tr
 from alertanet.data import ABSTAIN, DATE_COLUMN, PRICE_COLUMN, FeatureFrame, SampleSet
@@ -114,6 +116,74 @@ def load_frame_oracle(path, schema=None):
         )
     return FeatureFrame(stock_id=path.stem, dates=[r[0] for r in rows], adj_close=block[:, 0],
                         feature_names=list(schema), features=block[:, 1:])
+
+
+def cell_step_oracle(wx, h_prev, params, prefix="", cols=slice(None)):
+    """The former body of ``model.cell_step``: both recurrent products formed even for a zero state."""
+    r_zr, r_h, b = params[prefix + "R_zr"], params[prefix + "R_h"], params[prefix + "b"]
+    u = r_h.rows
+    h = h_prev.value
+    wx_t = wx.value[:, cols]
+    if h.shape[0] != u or wx_t.shape != (3 * u, h.shape[1]):
+        raise DimensionError(
+            f"cell_step: projection {wx_t.shape} and state {h.shape} do not fit hidden_dim {u}"
+        )
+    zr = nx.sigmoid_values((wx_t[: 2 * u] + nx.matmul_values(r_zr.value, h)) + b.value[: 2 * u])
+    z, r = zr[:u], zr[u:]
+    rh = r * h
+    cand = np.tanh((wx_t[2 * u :] + nx.matmul_values(r_h.value, rh)) + b.value[2 * u :])
+    out = (1.0 - z) * h + z * cand
+
+    def backward_fn(grad):
+        d_cand = grad * z * (1.0 - cand * cand)
+        d_rh = np.dot(r_h.value.T, d_cand)
+        d_zr = np.concatenate([grad * (cand - h), d_rh * h]) * zr * (1.0 - zr)
+        if h_prev.requires_grad:
+            h_prev.grad += grad * (1.0 - z) + d_rh * r + np.dot(r_zr.value.T, d_zr)
+        if wx.requires_grad:
+            wx.grad[: 2 * u, cols] += d_zr
+            wx.grad[2 * u :, cols] += d_cand
+        r_zr.grad += np.dot(d_zr, h.T)
+        r_h.grad += np.dot(d_cand, rh.T)
+        b.grad[: 2 * u] += np.sum(d_zr, axis=1, keepdims=True)
+        b.grad[2 * u :] += np.sum(d_cand, axis=1, keepdims=True)
+
+    return nx.record(out, (wx, h_prev, r_zr, r_h, b), backward_fn)
+
+
+def forward_batch_oracle(windows, params, config):
+    """The former body of ``model.forward_batch``: ``W x`` over one column per (step, window) of an array."""
+    x = np.asarray(windows, dtype=np.float64)
+    if x.ndim != 3:
+        raise DimensionError(f"expected (batch, features, window) input, got shape {x.shape}")
+    batch, dim, steps = x.shape
+    if dim != config.input_dim or steps != config.window:
+        raise DimensionError(
+            f"window block {dim}x{steps} does not match model config "
+            f"input_dim={config.input_dim} window={config.window}"
+        )
+    x_block = nx.constant(x.transpose(1, 2, 0).reshape(dim, steps * batch))
+    wx = nx.matmul(params["W"], x_block)
+    h = nx.constant(np.zeros((config.hidden_dim, batch)))
+    hidden = []
+    for t in range(steps):
+        h = cell_step_oracle(wx, h, params, cols=slice(t * batch, (t + 1) * batch))
+        hidden.append(h)
+
+    context = None
+    if config.uses_context:
+        weights = md.tda_weights(steps)
+        if config.tda_normalize:
+            weights = weights / np.sum(weights)
+        mixed = nx.linear_combination(hidden, weights.tolist())
+        last = slice((steps - 1) * batch, steps * batch)
+        if config.shared_context_cell:
+            context = cell_step_oracle(wx, mixed, params, cols=last)
+        else:
+            ctx_wx = nx.matmul(params["ctx_W"], nx.constant(x_block.value[:, last]))
+            context = cell_step_oracle(ctx_wx, mixed, params, "ctx_")
+    logits, probs = md.heads([hidden[-1]] if context is None else [hidden[-1], context], params)
+    return md.ForwardTrace(hidden=hidden, context=context, logits=logits, probs=probs)
 
 
 def joint_loss(trace, y_m, y_v, loss_weight, volatility_pos_weight=1.0):
