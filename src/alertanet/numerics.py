@@ -3,12 +3,9 @@
 Everything here is strictly two-dimensional and strictly shape-checked: there
 is no implicit broadcasting, and any shape violation raises
 :class:`~alertanet.errors.DimensionError` naming both shapes.  ``matmul``
-accumulates its inner sum in a fixed left-to-right order over the contraction
-index, so results are bit-identical to a naive triple loop and reproducible
-across runs and BLAS thread counts.  It still uses BLAS: each step of the sum
-is a rank-1 product (inner dimension 1), in which every entry is one rounded
-IEEE product however the library computes it, and the steps are added in
-order into a block of output columns small enough to stay in cache.
+forms its value with a fixed left-to-right sum over the contraction index and
+no BLAS call, so values are bit-identical to a naive triple loop on any CPU;
+only its backward uses the library product.
 
 Gradients are computed with a small tape: every operation returns a
 :class:`Tensor` that remembers its parents and how to push gradients back to
@@ -99,65 +96,63 @@ def record(value: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tenso
     return Tensor(value, parents=parents, backward_fn=backward_fn, _validate=False)
 
 
-# Output entries per column block of ``matmul_values``: the accumulator and
-# the scratch product are 32 KB each, so both stay in L1/L2 during the sum.
-_BLOCK_ENTRIES = 4096
+def _einsum_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One ``np.einsum`` pass, in which numpy runs j innermost on C-contiguous operands.
+
+    Each step is then ``out[i, j:] = a[i, k] * b[k, j:] + out[i, j:]``, k in
+    order.  One column, or an F-ordered ``b``, would put k innermost, where
+    numpy sums SIMD lanes in parallel, so ``b`` is made contiguous and a
+    single column is duplicated.
+    """
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    if b.shape[1] == 1:
+        return np.einsum("ik,kj->ij", a, np.repeat(b, 2, axis=1), optimize=False)[:, :1].copy()
+    return np.einsum("ik,kj->ij", a, b, optimize=False)
+
+
+def _loop_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The fallback: k rank-1 steps of elementwise ufuncs, each product added first."""
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for k in range(a.shape[1]):
+        np.add(np.multiply(a[:, k : k + 1], b[k : k + 1]), out, out=out)
+    return out
+
+
+def _einsum_is_fixed_order() -> bool:
+    """Whether :func:`_einsum_product` gives a Python scalar loop's bits.
+
+    Row 0 sums to 0 unfused and 2**-60 under a fused multiply-add, row 1's
+    cancelling 1e16 terms leave 1 only in order, and column 2 needs ``0 * inf``.
+    """
+    a, b = np.zeros((3, 18)), np.ones((18, 3))
+    a[0, :2], b[1] = (-(1 + 2.0**-29), 1 + 2.0**-30), 1 + 2.0**-30
+    a[1, 2:], a[1, 2], a[1, -2] = 1.0, 1e16, -1e16
+    b[0, 2] = np.inf
+    want = np.zeros((3, 3))
+    for (i, j), _ in np.ndenumerate(want):
+        for x, y in zip(a[i].tolist(), b[:, j].tolist()):
+            want[i, j] += x * y
+    with np.errstate(all="ignore"):
+        return np.array_equal(_einsum_product(a, b).view(np.int64), want.view(np.int64))
+
+
+_fixed_order_product = _einsum_product if _einsum_is_fixed_order() else _loop_product
 
 
 def matmul_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with left-to-right accumulation over the inner index.
 
     Each output entry is ``((0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ...``, one
-    addition per step, so the result is bit-identical to a scalar triple loop.
-
-    The columns of ``b`` go in blocks of ``max(1, 4096 // m)``, so the (m x w)
-    accumulator and scratch stay in cache.  For each ``k`` in order, BLAS
-    forms the rank-1 product of column ``k`` of ``a`` and row ``k`` of the
-    block, which is then added to the accumulator.  With inner dimension 1
-    each entry is one rounded IEEE product (an FMA onto a zero addend rounds
-    once too), and a sum that starts at +0.0 never becomes -0.0, so a +0.0
-    from BLAS in place of a -0.0 product cannot change a bit.  A product with
-    a 1x1 factor goes through ``np.multiply`` instead: numpy passes it to BLAS
-    ``axpy``, which skips a zero multiplier and would turn ``0 * inf`` into 0.
-    When one product multiplies two NaNs with different payloads, the
-    hardware's operand order decides which payload survives.
-
-    A one-row product with more than one column (the heads' ``W f``) skips
-    the rank-1 loop: one ``np.multiply`` writes all k products under a row of
-    +0.0, and ``np.add.reduce`` over that outer axis sums them.  The order
-    rests on numpy reducing an outer axis in index order, one elementwise
-    ``np.add`` of a row at a time; it sums a contiguous axis pairwise, which
-    is why a single column stays on the loop.
+    rounded multiply and one rounded add per step, so the result is
+    bit-identical to a scalar triple loop: the +0.0 start never gives -0.0,
+    and ``0 * inf`` gives nan.  It is one einsum pass wherever the import-time
+    probe finds numpy's loop unfused and in order (not on aarch64, whose NEON
+    fuses), and otherwise k rank-1 ufunc steps, 4-20 times slower, which may
+    keep either nan where two meet.  The result is C-contiguous.
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    m, inner = a.shape
-    n = b.shape[1]
-    if m == 1 and n > 1:
-        terms = np.empty((inner + 1, n))
-        terms[0] = 0.0
-        np.multiply(a.reshape(inner, 1), b, out=terms[1:])
-        return np.add.reduce(terms, axis=0, keepdims=True)
-    out = np.zeros((m, n))
-    if inner == 0 or m == 0 or n == 0:
-        return out
-    a_cols = np.ascontiguousarray(a.T).reshape(inner, m, 1)
-    width = max(1, _BLOCK_ENTRIES // m)
-    acc_buf = np.empty(m * min(width, n))
-    scratch_buf = np.empty_like(acc_buf)
-    for lo in range(0, n, width):
-        block = np.ascontiguousarray(b[:, lo : lo + width])
-        w = block.shape[1]
-        # out= must be C-contiguous, so a narrower last block takes a prefix
-        acc = acc_buf[: m * w].reshape(m, w)
-        scratch = scratch_buf[: m * w].reshape(m, w)
-        acc.fill(0.0)
-        outer = np.dot if m > 1 and w > 1 else np.multiply
-        for a_col, b_row in zip(a_cols, block.reshape(inner, 1, w)):
-            outer(a_col, b_row, out=scratch)
-            np.add(acc, scratch, out=acc)
-        out[:, lo : lo + w] = acc
-    return out
+    return _fixed_order_product(a, b)
 
 
 def matmul(a: Tensor, b: Tensor, cols: np.ndarray | None = None) -> Tensor:
@@ -204,7 +199,7 @@ def sigmoid_values(x: np.ndarray) -> np.ndarray:
     """
     e = np.exp(-np.abs(x))
     d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.where(x >= 0, 1.0, e) / d
 
 
 def linear_combination(parts: Sequence[Tensor], coeffs: Sequence[float]) -> Tensor:

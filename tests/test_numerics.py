@@ -1,3 +1,7 @@
+import functools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,35 +9,22 @@ from alertanet import numerics as nx
 from alertanet.errors import DimensionError, UsageError
 
 from testutil import (
-    add, affine, bias_add, concat_rows, finite_difference_grads, max_grad_violation, mul, mul_const, sigmoid, tanh,
-    total_sum,
+    add, affine, bias_add, concat_rows, finite_difference_grads, max_grad_violation, mul, mul_const, sigmoid,
+    sigmoid_values_oracle, tanh, total_sum,
 )
 
 
 def triple_loop_matmul(a, b):
-    m, inner = a.shape
-    n = b.shape[1]
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
+    """The scalar triple loop: ``acc += a[i, k] * b[k, j]`` in numpy float64 scalars, k in order."""
+    out = np.zeros((a.shape[0], b.shape[1]))
+    cols = [list(col) for col in b.T]
+    for i, row in enumerate(a):
+        row = list(row)
+        for j, col in enumerate(cols):
             acc = 0.0
-            for k in range(inner):
-                acc += a[i, k] * b[k, j]
+            for x, y in zip(row, col):
+                acc += x * y
             out[i, j] = acc
-    return out
-
-
-def loop_matmul_oracle(a, b):
-    """The former per-index broadcast body of ``matmul_values``, kept as its oracle."""
-    m, inner = a.shape
-    n = b.shape[1]
-    out = np.zeros((m, n))
-    if inner == 0 or m == 0 or n == 0:
-        return out
-    tmp = np.empty((m, n))
-    for k in range(inner):
-        np.multiply(a[:, k].reshape(m, 1), b[k].reshape(1, n), out=tmp)
-        np.add(out, tmp, out=out)
     return out
 
 
@@ -96,85 +87,148 @@ def _assert_bits_equal(got, want):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def _kernel_shapes():
-    """(m, inner, n) around every column-block edge, plus the degenerate shapes."""
-    shapes = []
-    for m, inner in ((64, 32), (96, 8), (3, 4)):
-        width = max(1, nx._BLOCK_ENTRIES // m)
-        shapes += [(m, inner, width - 1), (m, inner, width), (m, inner, width + 1)]
-    shapes += [(nx._BLOCK_ENTRIES + 7, 3, 4), (1, 5, 9), (1, 1, 1), (6, 0, 5), (6, 1, 5), (7, 3, 1)]
-    return shapes
+def _assert_nan_payloads_aside(got, want):
+    """Bits equal except that an entry nan on both sides may keep either nan."""
+    both_nan = np.isnan(got) & np.isnan(want)
+    assert got.shape == want.shape and np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(got.view(np.int64)[~both_nan], want.view(np.int64)[~both_nan])
 
 
-class TestMatmulKernelMatchesLoopOracle:
-    @pytest.mark.parametrize("m,inner,n", _kernel_shapes())
-    def test_bit_identical_with_special_values(self, m, inner, n):
-        rng = np.random.default_rng(m * 1000 + inner * 10 + n)
-        for share in (0.0, 0.2):
-            a, b = _sprinkled(rng, (m, inner), share), _sprinkled(rng, (inner, n), share)
+# (m, inner, n): one, two and three columns, one row, empty and single
+# contraction, the benchmark's widths, and the former column-block edges
+KERNEL_SHAPES = [
+    (5, 4, 1), (5, 4, 2), (5, 4, 3), (1, 6, 1), (1, 6, 2), (1, 6, 3), (4, 0, 3), (4, 1, 3), (1, 0, 1),
+    (64, 32, 512), (96, 8, 5120),
+    (64, 32, 63), (64, 32, 64), (64, 32, 65), (96, 8, 41), (96, 8, 42), (96, 8, 43),
+    (3, 4, 1364), (3, 4, 1365), (3, 4, 1366), (4103, 3, 4), (1, 5, 9), (1, 1, 1), (6, 0, 5), (6, 1, 5), (7, 3, 1),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _special_case(m, inner, n, share):
+    """Seeded operands with a share of special values, and their triple-loop product."""
+    rng = np.random.default_rng([m, inner, n, int(share * 100)])
+    a, b = _sprinkled(rng, (m, inner), share), _sprinkled(rng, (inner, n), share)
+    with np.errstate(all="ignore"):
+        return a, b, triple_loop_matmul(a, b)
+
+
+@pytest.fixture(params=["einsum", "loop"])
+def kernel(request):
+    """Each fixed-order path, called directly: the einsum pass and its fallback.
+
+    The fallback's ``np.add`` keeps the product's nan in its vector body but
+    may keep the sum's in its scalar tail, so its test sets nan payloads aside.
+    """
+    if request.param == "loop":
+        return nx._loop_product, _assert_nan_payloads_aside
+    if not nx._einsum_is_fixed_order():
+        pytest.skip("numpy's einsum fuses or reorders on this CPU; matmul_values uses the loop")
+    return nx._einsum_product, _assert_bits_equal
+
+
+class TestFixedOrderKernelsMatchTripleLoop:
+    @pytest.mark.parametrize("m,inner,n", KERNEL_SHAPES)
+    def test_bit_identical_with_special_values(self, kernel, m, inner, n):
+        product, assert_same = kernel
+        for share in (0.0, 0.2, 0.5):
+            a, b, want = _special_case(m, inner, n, share)
             with np.errstate(all="ignore"):
-                _assert_bits_equal(nx.matmul_values(a, b), loop_matmul_oracle(a, b))
+                got = product(a, b)
+            assert got.flags.c_contiguous
+            assert_same(got, want)
 
-    @pytest.mark.parametrize("m,inner,n", [(1, 5, 9), (6, 1, 5), (7, 3, 1), (4, 6, 5), (6, 0, 5)])
-    def test_bit_identical_to_triple_loop_on_small_shapes(self, m, inner, n):
-        rng = np.random.default_rng(m + inner + n)
-        a, b = _sprinkled(rng, (m, inner), 0.3), _sprinkled(rng, (inner, n), 0.3)
+    def test_matmul_values_takes_the_probed_path(self):
+        rng = np.random.default_rng(65)
+        a, b = _sprinkled(rng, (64, 32)), _sprinkled(rng, (32, 65))
         with np.errstate(all="ignore"):
-            got, want = nx.matmul_values(a, b), triple_loop_matmul(a, b)
-        # The scalar ``acc += p`` may keep either nan when both are nan (the
-        # compiler may swap the operands); every other entry matches bit for bit.
-        both_nan = np.isnan(got) & np.isnan(want)
-        assert np.array_equal(np.isnan(got), np.isnan(want))
-        assert np.array_equal(got.view(np.int64)[~both_nan], want.view(np.int64)[~both_nan])
+            direct = np.array_equal(nx._einsum_product(a, b).view(np.int64), triple_loop_matmul(a, b).view(np.int64))
+            _assert_bits_equal(nx.matmul_values(a, b), nx._fixed_order_product(a, b))
+        assert nx._einsum_is_fixed_order() == direct
+        assert nx._fixed_order_product is (nx._einsum_product if direct else nx._loop_product)
 
-    def test_zero_times_infinity_is_nan_in_every_layout(self):
-        # BLAS skips a zero multiplier in some layouts; the loop gives nan
+    @pytest.mark.parametrize("impostor", ["fused", "reversed", "zero_skips_inf"])
+    def test_probe_rejects_products_that_are_not_the_scalar_loop(self, monkeypatch, impostor):
+        def fused(a, b):  # one rounding per step: exact a*b + acc, as an FMA gives
+            out = np.zeros((a.shape[0], b.shape[1]))
+            for (i, j), _ in np.ndenumerate(out):
+                acc = 0.0
+                for x, y in zip(a[i].tolist(), b[:, j].tolist()):
+                    exact = math.isfinite(acc) and math.isfinite(x) and math.isfinite(y)
+                    acc = float(Fraction(acc) + Fraction(x) * Fraction(y)) if exact else acc + x * y
+                out[i, j] = acc
+            return out
+
+        impostors = {
+            "fused": fused,
+            "reversed": lambda a, b: nx._loop_product(a[:, ::-1], b[::-1]),
+            "zero_skips_inf": lambda a, b: nx._loop_product(a, np.where(np.isinf(b), 0.0, b)),
+        }
+        monkeypatch.setattr(nx, "_einsum_product", impostors[impostor])
+        assert not nx._einsum_is_fixed_order()
+
+    def test_bit_identical_to_triple_loop_on_small_shapes(self, kernel):
+        product, assert_same = kernel
+        for m, inner, n in [(1, 5, 9), (6, 1, 5), (7, 3, 1), (4, 6, 5), (6, 0, 5)]:
+            rng = np.random.default_rng(m + inner + n)
+            a, b = _sprinkled(rng, (m, inner), 0.3), _sprinkled(rng, (inner, n), 0.3)
+            with np.errstate(all="ignore"):
+                assert_same(product(a, b), triple_loop_matmul(a, b))
+
+    def test_zero_times_infinity_is_nan_in_every_layout(self, kernel):
+        product, _ = kernel
         for m, n in ((1, 1), (1, 4), (4, 1), (4, 4)):
             a = np.zeros((m, 2))
             b = np.full((2, n), np.inf)
             with np.errstate(invalid="ignore"):
-                assert np.all(np.isnan(nx.matmul_values(a, b)))
+                assert np.all(np.isnan(product(a, b)))
 
-    def test_overflow_and_signed_zeros(self):
+    def test_overflow_and_signed_zeros(self, kernel):
+        product, assert_same = kernel
         a = np.array([[1e308, 1e308], [-0.0, -0.0], [1e308, -1e308]] * 30)
         b = np.array([[10.0, 1.0, -0.0], [1.0, 1.0, 5e-324]])
         with np.errstate(all="ignore"):
-            got = nx.matmul_values(a, b)
-            _assert_bits_equal(got, loop_matmul_oracle(a, b))
+            got = product(a, b)
+            assert_same(got, triple_loop_matmul(a, b))
         assert np.isposinf(got[0, 0]) and np.isposinf(got[0, 1])
         assert got[1, 2] == 0.0 and not np.signbit(got[1, 2])  # a sum from +0.0 never gives -0.0
 
-    def test_transposed_and_sliced_inputs(self):
+    def test_transposed_and_sliced_inputs(self, kernel):
+        product, assert_same = kernel
         rng = np.random.default_rng(3)
-        base_a, base_b = rng.normal(size=(32, 70)), rng.normal(size=(32, 300))
+        base_a, base_b = _sprinkled(rng, (32, 70)), _sprinkled(rng, (32, 300))
         cases = [
             (base_a.T[:64], base_b[:, 1:201]),   # transposed, column window
             (base_a[:, ::2].T, base_b[:, ::3]),  # strided columns on both sides
             (base_a.T[::3, :31], np.asfortranarray(base_b[:31, :90])),
+            (base_a.T[:5], np.asfortranarray(base_b[:, :1])),
         ]
         for a, b in cases:
             assert not (a.flags.c_contiguous and b.flags.c_contiguous)
-            _assert_bits_equal(nx.matmul_values(a, b), loop_matmul_oracle(a, b))
+            with np.errstate(all="ignore"):
+                assert_same(product(a, b), triple_loop_matmul(a, b))
 
     def test_repeated_calls_give_the_same_bits(self):
         rng = np.random.default_rng(9)
         first = (rng.normal(size=(64, 32)), rng.normal(size=(32, 129)))
         second = (rng.normal(size=(96, 8)), rng.normal(size=(8, 43)))
-        want = [loop_matmul_oracle(*first), loop_matmul_oracle(*second)]
+        want = [triple_loop_matmul(*first), triple_loop_matmul(*second)]
         for _ in range(3):
             _assert_bits_equal(nx.matmul_values(*first), want[0])
             _assert_bits_equal(nx.matmul_values(*second), want[1])
 
-    def test_inputs_are_not_modified(self):
+    def test_inputs_are_not_modified(self, kernel):
+        product, _ = kernel
         rng = np.random.default_rng(4)
-        a, b = rng.normal(size=(64, 32)), rng.normal(size=(32, 65))
-        a_copy, b_copy = a.copy(), b.copy()
-        nx.matmul_values(a, b)
-        assert np.array_equal(a, a_copy) and np.array_equal(b, b_copy)
+        for shape_b in ((32, 65), (32, 1)):
+            a, b = rng.normal(size=(64, 32)), np.asfortranarray(rng.normal(size=shape_b))
+            a_copy, b_copy = a.copy(), b.copy()
+            product(a, b)
+            assert np.array_equal(a, a_copy) and np.array_equal(b, b_copy)
 
 
 class TestOneRowProductsMatchTripleLoop:
-    """The one-row path sums all k products at once; the scalar triple loop is its oracle."""
+    """One-row products, such as the heads' ``W f``, through ``matmul_values``."""
 
     SHAPES = [(1, 64, 64), (1, 65, 64), (1, 64, 512), (1, 65, 512), (1, 9, 2), (1, 0, 3)]
 
@@ -185,10 +239,8 @@ class TestOneRowProductsMatchTripleLoop:
             a, b = _sprinkled(rng, (m, inner), share), _sprinkled(rng, (inner, n), share)
             with np.errstate(all="ignore"):
                 got, want = nx.matmul_values(a, b), triple_loop_matmul(a, b)
-            # as on the small shapes above, a sum of two nans may keep either one
-            both_nan = np.isnan(got) & np.isnan(want)
-            assert np.array_equal(np.isnan(got), np.isnan(want))
-            assert np.array_equal(got.view(np.int64)[~both_nan], want.view(np.int64)[~both_nan])
+            # the loop fallback may keep either nan of a sum of two nans
+            _assert_nan_payloads_aside(got, want)
 
     @pytest.mark.parametrize("inner, n", [(64, 64), (65, 512), (17, 2)])
     def test_sum_runs_left_to_right(self, inner, n):
@@ -240,6 +292,15 @@ class TestElementwise:
             x = rng.permutation(x).reshape(1, -1)
             got = nx.sigmoid_values(x)
             assert np.array_equal(got.view(np.int64), masked_sigmoid(x).view(np.int64))
+
+    def test_sigmoid_bit_identical_to_two_division_oracle(self):
+        tiny = np.finfo(np.float64).smallest_normal
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 710.0, -710.0, 745.2, -745.2,
+                   5e-324, -5e-324, tiny / 3, -tiny / 3, 1e308, -1e308]
+        x = np.concatenate([special, np.random.default_rng(50).uniform(-50.0, 50.0, size=10_000)])
+        for shape in ((1, -1), (-1, 1)):
+            got = nx.sigmoid_values(x.reshape(shape))
+            assert np.array_equal(got.view(np.int64), sigmoid_values_oracle(x.reshape(shape)).view(np.int64))
 
     def test_bce_pos_weight_column_weights_each_row(self):
         rng = np.random.default_rng(8)

@@ -198,6 +198,18 @@ class TestTrain:
                 continue
             assert np.array_equal(params_two.value(name), params_one.value(name))
 
+    def test_patience_stops_once_validation_loss_rises_and_restores_the_best_epoch(self):
+        split = toy_split(n_days=160)
+        base = dict(window=5, hidden=4, batch_size=16, seed=2, learning_rate=3.0, patience=1)
+        params, _, report = tr.train(split, tr.TrainConfig(epochs=5, **base))
+        valid = [row["valid_total"] for row in report.epochs]
+        assert len(report.epochs) == 2 and valid[1] > valid[0]
+        assert report.stop_reason == "no validation improvement for 1 epochs"
+        assert report.best_epoch == 1 and report.stages[0]["stop_reason"] == report.stop_reason
+        first_epoch, _, _ = tr.train(split, tr.TrainConfig(epochs=1, **base))
+        for name in params.names():
+            assert np.array_equal(params.value(name), first_epoch.value(name))
+
     def test_window_mismatch_rejected(self):
         split = toy_split(window=5)
         cfg = tr.TrainConfig(window=7, hidden=4, epochs=1)

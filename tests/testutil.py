@@ -118,6 +118,13 @@ def load_frame_oracle(path, schema=None):
                         feature_names=list(schema), features=block[:, 1:])
 
 
+def sigmoid_values_oracle(x):
+    """The former body of ``numerics.sigmoid_values``: both divisions formed over every entry."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
 def cell_step_oracle(wx, h_prev, params, prefix="", cols=slice(None)):
     """The former body of ``model.cell_step``: both recurrent products formed even for a zero state."""
     r_zr, r_h, b = params[prefix + "R_zr"], params[prefix + "R_h"], params[prefix + "b"]
