@@ -37,7 +37,7 @@ from .data import (
 from .errors import AlertaNetError, ConfigError
 from .model import load_checkpoint, save_checkpoint
 from .synth import SynthSpec, generate_universe
-from .training import TrainConfig, evaluate, train
+from .training import TrainConfig, evaluate, train, usable_cores
 
 OUT_DIR_ENV = "ALERTANET_OUT_DIR"
 MANIFEST_NAME = "manifest.json"
@@ -112,6 +112,7 @@ class _ManifestWriter:
                 "python": platform.python_version(),
                 "numpy": np.__version__,
                 "cpu_count": os.cpu_count(),
+                "usable_cores": usable_cores(),
                 "blas_threads": _blas_threads(),
                 "started_at": self.started_at,
                 "finished_at": datetime.now(timezone.utc).isoformat(),

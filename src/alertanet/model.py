@@ -235,14 +235,6 @@ class ForwardTrace:
     def batch_size(self) -> int:
         return self.logits.cols
 
-    @property
-    def movement_probs(self) -> np.ndarray:
-        return self.probs[0].copy()
-
-    @property
-    def volatility_probs(self) -> np.ndarray:
-        return self.probs[1].copy()
-
 
 def forward_batch(windows: SampleSet | np.ndarray, params: nx.ParamStore, config: ModelConfig,
                   features: list[int] | None = None) -> ForwardTrace:

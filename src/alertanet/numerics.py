@@ -10,12 +10,16 @@ only its backward uses the library product.
 Gradients are computed with a small tape: every operation returns a
 :class:`Tensor` that remembers its parents and how to push gradients back to
 them.  Calling :func:`backward` on a 1x1 scalar walks the tape in reverse
-topological order.  Parameters live in a :class:`ParamStore`, which pairs
+topological order.  Inside :func:`no_grad` a thread records nothing, so a
+forward-only pass frees each op's intermediates as soon as it is done with
+them.  Parameters live in a :class:`ParamStore`, which pairs
 every named matrix with a same-shaped gradient slot.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -88,11 +92,37 @@ def constant(value, name: str | None = None) -> Tensor:
     return Tensor(value, requires_grad=False, name=name)
 
 
+class _TapeState(threading.local):
+    recording = True
+
+
+_tape = _TapeState()
+
+
+@contextmanager
+def no_grad():
+    """Record no op of this thread on the tape while the block runs; other threads keep recording.
+
+    Op outputs are then plain constants, so a loss built inside cannot be
+    passed to :func:`backward`.
+    """
+    previous = _tape.recording
+    _tape.recording = False
+    try:
+        yield
+    finally:
+        _tape.recording = previous
+
+
 def record(value: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     """Put an op's output on the tape with the function that pushes its gradient to ``parents``.
 
-    Op outputs skip re-validation; their inputs were already validated.
+    Under :func:`no_grad` the output keeps neither, and ``backward_fn``'s
+    closure, with every array it holds, is dropped at once.  Op outputs skip
+    re-validation; their inputs were already validated.
     """
+    if not _tape.recording:
+        return Tensor(value, _validate=False)
     return Tensor(value, parents=parents, backward_fn=backward_fn, _validate=False)
 
 
@@ -195,11 +225,13 @@ def sigmoid_values(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function (no overflow for any float64).
 
     ``exp(-|x|)`` never overflows, and for negative ``x`` it is ``exp(x)``, so
-    the two branches are ``1/(1+exp(-x))`` and ``exp(x)/(1+exp(x))``.
+    the two branches are ``1/(1+exp(-x))`` and ``exp(x)/(1+exp(x))``.  As
+    ``0 <= e <= 1``, the numerator ``max(e, x >= 0)`` picks 1 or ``e`` without
+    a branch, and a nan ``x`` keeps ``e``'s nan.
     """
     e = np.exp(-np.abs(x))
     d = 1.0 + e
-    return np.where(x >= 0, 1.0, e) / d
+    return np.maximum(e, x >= 0) / d
 
 
 def linear_combination(parts: Sequence[Tensor], coeffs: Sequence[float]) -> Tensor:

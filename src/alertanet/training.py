@@ -11,7 +11,9 @@ everything downstream of (dataset, config) is a pure function of the seed.
 from __future__ import annotations
 
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict, fields
 
 import numpy as np
@@ -28,7 +30,8 @@ from .data import (
 from .errors import CheckpointError, ConfigError, TrainingError, UndefinedMetricError
 from .model import ModelConfig, forward_batch, init_params
 
-# windows per forward pass when scoring the validation set and when predicting
+# windows per forward pass when scoring the validation set and when predicting;
+# VALID_CHUNK's per-chunk means also set the validation loss bits
 VALID_CHUNK = 1024
 PREDICT_CHUNK = 512
 
@@ -195,17 +198,45 @@ class TrainReport:
         return report
 
 
+def usable_cores() -> int:
+    """The cores this process may run on, which caps the forward-only thread pool."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _forward_chunks(fn, n: int, chunk: int) -> list:
+    """``fn(lo, hi)`` over consecutive chunks of ``range(n)``, untaped, on a thread pool.
+
+    Returns the results in chunk order; the first chunk to fail, in that
+    order, raises its own exception.  The fixed-order product releases the
+    GIL, so chunks overlap on several cores, and since every window's values
+    depend only on its own column, they do not depend on the worker count.
+    """
+    bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+
+    def run(bound):
+        with nx.no_grad():
+            return fn(*bound)
+
+    with ThreadPoolExecutor(max_workers=min(len(bounds), usable_cores())) as pool:
+        return list(pool.map(run, bounds))
+
+
 def _dataset_loss(params, config, samples: SampleSet, rows, loss_weight, pos_weight):
-    n = len(samples)
-    movement = volatility = total = 0.0
-    for lo in range(0, n, VALID_CHUNK):
-        chunk = samples[lo : lo + VALID_CHUNK]
+    def chunk_terms(lo, hi):
+        chunk = samples[lo:hi]
         trace = forward_batch(chunk, params, config, rows)
         loss, m_term, v_term = _loss_terms(trace, chunk.y_m, chunk.y_v, loss_weight, pos_weight)
-        weight = len(chunk)
+        return m_term, v_term, loss.item(), hi - lo
+
+    n = len(samples)
+    movement = volatility = total = 0.0
+    for m_term, v_term, loss, weight in _forward_chunks(chunk_terms, n, VALID_CHUNK):
         movement += m_term * weight
         volatility += v_term * weight
-        total += loss.item() * weight
+        total += loss * weight
     return movement / n, volatility / n, total / n
 
 
@@ -422,7 +453,11 @@ def predict_probs(
     samples: SampleSet,
     dataset_feature_names: list[str] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Movement and volatility probabilities for every sample, one chunk of windows per forward pass."""
+    """Movement and volatility probabilities for every sample.
+
+    Each chunk of windows is one untaped forward pass on the thread pool; the
+    probabilities are the same bits for any worker count.
+    """
     if not samples:
         raise ConfigError("no samples to evaluate")
     rows = None
@@ -442,11 +477,11 @@ def predict_probs(
         )
     m_probs = np.empty(len(samples))
     v_probs = np.empty(len(samples))
-    for lo in range(0, len(samples), PREDICT_CHUNK):
-        hi = min(lo + PREDICT_CHUNK, len(samples))
-        trace = forward_batch(samples[lo:hi], params, config, rows)
-        m_probs[lo:hi] = trace.movement_probs
-        v_probs[lo:hi] = trace.volatility_probs
+
+    def predict_chunk(lo, hi):
+        m_probs[lo:hi], v_probs[lo:hi] = forward_batch(samples[lo:hi], params, config, rows).probs
+
+    _forward_chunks(predict_chunk, len(samples), PREDICT_CHUNK)
     return m_probs, v_probs
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import alertanet
 from alertanet import cli
+from alertanet import training as tr
 from alertanet.serialize import read_json
 
 
@@ -296,11 +297,28 @@ class TestDeterminism:
             assert manifest["python"] == platform.python_version()
             assert manifest["numpy"] == np.__version__
             assert manifest["cpu_count"] == os.cpu_count()
+            assert manifest["usable_cores"] == tr.usable_cores()
             assert "blas_threads" in manifest
             reports.append((out / "train_report.json").read_bytes())
         assert reports[0] == reports[1]
         report = json.loads(reports[0])
-        assert not {"python", "numpy", "cpu_count", "blas_threads"} & set(report)
+        assert not {"python", "numpy", "cpu_count", "usable_cores", "blas_threads"} & set(report)
+
+    def test_eval_report_bytes_independent_of_worker_count(self, tmp_path, criterion8_prepared, monkeypatch):
+        """The criterion-8 fixture scored in chunks of 16 windows by one worker and by more workers than cores."""
+        train_out = tmp_path / "train"
+        assert run_cli("train", "--dataset", criterion8_prepared, "--out", train_out,
+                       "--epochs", "3", "--hidden", "6", "--seed", "13") == 0
+        monkeypatch.setattr(tr, "PREDICT_CHUNK", 16)
+        reports = []
+        for workers in (1, 2 * tr.usable_cores() + 1):
+            monkeypatch.setattr(tr, "usable_cores", lambda workers=workers: workers)
+            out = tmp_path / f"eval_{workers}"
+            assert run_cli("eval", "--dataset", criterion8_prepared,
+                           "--checkpoint", train_out / "checkpoint.json", "--out", out) == 0
+            reports.append((out / "eval_report.json").read_bytes())
+        assert read_json(out / "eval_report.json")["movement"]["n_scored"] > 2 * 16
+        assert reports[0] == reports[1]
 
     def test_checkpoint_bytes_independent_of_blas_threads(self, tmp_path, criterion8_prepared):
         """The criterion-8 fixture, trained in child processes with 1 and with 2 BLAS threads."""

@@ -496,8 +496,7 @@ class TestForward:
         for name in params.names():
             params.value(name)[...] = 0.0
         trace = md.forward(np.random.default_rng(0).normal(size=(4, 5)), params, config)
-        assert trace.movement_probs[0] == 0.5
-        assert trace.volatility_probs[0] == 0.5
+        assert np.array_equal(trace.probs, [[0.5], [0.5]])
 
     def test_window_of_one(self):
         config = md.ModelConfig(input_dim=4, hidden_dim=3, window=1)
@@ -516,8 +515,7 @@ class TestForward:
         x = rng_x.normal(size=(5, 6))
         t1 = md.forward(x, make_params(config, seed=3), config)
         t2 = md.forward(x.copy(), make_params(config, seed=3), config)
-        assert t1.movement_probs[0] == t2.movement_probs[0]
-        assert t1.volatility_probs[0] == t2.volatility_probs[0]
+        assert np.array_equal(t1.probs, t2.probs)
         assert np.array_equal(hidden_states(t1), hidden_states(t2))
 
     def test_probabilities_strictly_inside_unit_interval(self):
@@ -528,8 +526,7 @@ class TestForward:
             for name in params.names():
                 params.value(name)[...] *= 10.0  # exaggerate magnitudes
             trace = md.forward(rng.normal(size=(3, 4)) * 5, params, config)
-            assert 0.0 < trace.movement_probs[0] < 1.0
-            assert 0.0 < trace.volatility_probs[0] < 1.0
+            assert np.all((0.0 < trace.probs) & (trace.probs < 1.0))
 
     def test_ablation_mask_removes_rows_exactly(self):
         from alertanet.training import predict_probs
@@ -546,8 +543,8 @@ class TestForward:
 
         m_masked, v_masked = probs(x_full)
         direct = md.forward(x_full[keep, :], params, config)
-        assert m_masked[0] == direct.movement_probs[0]
-        assert v_masked[0] == direct.volatility_probs[0]
+        assert m_masked[0] == direct.probs[0, 0]
+        assert v_masked[0] == direct.probs[1, 0]
         # values outside the mask are irrelevant, not merely small
         x_altered = x_full.copy()
         x_altered[0, :] = 0.0
@@ -591,9 +588,9 @@ class TestForward:
         params = make_params(config, seed=6)
         assert "ctx_W" in params
         x = np.random.default_rng(7).normal(size=(3, 4))
-        base = md.forward(x, params, config).movement_probs[0]
+        base = md.forward(x, params, config).probs[0, 0]
         params.value("ctx_W")[...] += 0.5
-        assert md.forward(x, params, config).movement_probs[0] != base
+        assert md.forward(x, params, config).probs[0, 0] != base
 
 
 class TestModelConfig:

@@ -1,5 +1,6 @@
 import functools
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -297,7 +298,10 @@ class TestElementwise:
         tiny = np.finfo(np.float64).smallest_normal
         special = [0.0, -0.0, np.inf, -np.inf, np.nan, 710.0, -710.0, 745.2, -745.2,
                    5e-324, -5e-324, tiny / 3, -tiny / 3, 1e308, -1e308]
-        x = np.concatenate([special, np.random.default_rng(50).uniform(-50.0, 50.0, size=10_000)])
+        # quiet and signalling nans of both signs, with payloads
+        nans = np.array([0x7FF8000000000001, 0xFFF8000000000123, 0x7FF0000000000001, 0xFFF400000ABCDEF0,
+                         0x7FF8DEAD00000000, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64).view(np.float64)
+        x = np.concatenate([special, nans, np.random.default_rng(50).uniform(-50.0, 50.0, size=10_000)])
         for shape in ((1, -1), (-1, 1)):
             got = nx.sigmoid_values(x.reshape(shape))
             assert np.array_equal(got.view(np.int64), sigmoid_values_oracle(x.reshape(shape)).view(np.int64))
@@ -387,6 +391,54 @@ class TestBackprop:
         analytic = {name: t.grad.copy() for name, t in params.items()}
         numeric = finite_difference_grads(lambda: compute().item(), params)
         assert max_grad_violation(analytic, numeric) <= 1.0
+
+
+class TestNoGrad:
+    def test_untaped_loss_has_the_taped_value_and_rejects_backward(self):
+        params = nx.ParamStore()
+        w = params.add("W", np.array([[1.0, -2.0]]))
+        x = nx.constant([[0.5], [3.0]])
+        taped = total_sum(sigmoid(nx.matmul(w, x)))
+        with nx.no_grad():
+            loss = total_sum(sigmoid(nx.matmul(w, x)))
+        assert np.array_equal(loss.value, taped.value)
+        assert not loss.requires_grad and not loss._parents and loss._backward_fn is None
+        with pytest.raises(UsageError, match="no recorded computation"):
+            nx.backward(loss)
+
+    def test_recording_resumes_after_nested_blocks_and_errors(self):
+        with pytest.raises(ZeroDivisionError):
+            with nx.no_grad():
+                with nx.no_grad():
+                    pass
+                assert not nx._tape.recording
+                1 / 0
+        assert nx._tape.recording
+
+    def test_other_threads_keep_recording(self):
+        params = nx.ParamStore()
+        w = params.add("W", np.array([[2.0]]))
+        entered, release = threading.Event(), threading.Event()
+        untaped = []
+
+        def hold():
+            with nx.no_grad():
+                entered.set()
+                untaped.append(mul(w, w))
+                release.wait(timeout=10)
+
+        worker = threading.Thread(target=hold)
+        worker.start()
+        try:
+            assert entered.wait(timeout=10)
+            loss = total_sum(mul(w, w))
+        finally:
+            release.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert not untaped[0]._parents
+        nx.backward(loss)
+        assert params.grad("W")[0, 0] == 4.0
 
 
 class TestMatmulGatheredColumns:

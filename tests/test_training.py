@@ -1,5 +1,7 @@
 import math
+import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -7,11 +9,13 @@ import pytest
 from alertanet import model as md
 from alertanet import numerics as nx
 from alertanet import training as tr
-from alertanet.data import ABSTAIN, build_dataset
+from alertanet.data import ABSTAIN, SampleSet, build_dataset
 from alertanet.errors import CheckpointError, ConfigError, TrainingError
 from alertanet.synth import SynthSpec, generate
 
-from testutil import finite_difference_grads, joint_loss, max_grad_violation, sample_set
+from testutil import (
+    dataset_loss_oracle, finite_difference_grads, joint_loss, max_grad_violation, predict_probs_oracle, sample_set,
+)
 from test_metrics import auc_all_pairs, mcc_exact_integer
 
 
@@ -337,6 +341,114 @@ class TestEvaluate:
         params = md.init_params(config, np.random.default_rng(0))
         with pytest.raises(CheckpointError, match="input_dim=5"):
             tr.evaluate(params, config, random_samples(5, d=3, t=4))
+
+
+FEATURES = ["f0", "f1", "f2", "f3", "f4"]
+MODELS = {
+    "alerta": {"arch": "alerta"},
+    "alerta_ctx_cell": {"arch": "alerta", "shared_context_cell": False},
+    "gru": {"arch": "gru"},
+}
+
+
+def overlapping_samples(n, window=4, seed=0):
+    """``n`` windows over one array of days, each a day after the last, as a split's windows are."""
+    rng = np.random.default_rng(seed)
+    days = rng.normal(size=(n + window - 1, len(FEATURES)))
+    days.flags.writeable = False
+    y_m = rng.choice(np.array([0, 1, ABSTAIN], dtype=np.int8), size=n)
+    y_v = rng.integers(0, 2, size=n).astype(np.int8)
+    return SampleSet(days, window, np.arange(n), y_m, y_v, np.full(n, "S"), np.full(n, "2023-01-02"))
+
+
+def seeded_model(kind="alerta", subset=True):
+    """A model over all of ``FEATURES``, or over three of them in another order; returns the rows it reads too."""
+    names = ["f3", "f0", "f4"] if subset else []
+    config = md.ModelConfig(input_dim=len(names) or len(FEATURES), hidden_dim=6, window=4,
+                            feature_names=names, **MODELS[kind])
+    rows = [FEATURES.index(name) for name in names] if subset else None
+    return md.init_params(config, np.random.default_rng(41)), config, rows
+
+
+def assert_probs_bits_equal(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+class TestForwardOnlyPool:
+    """Forward-only passes run untaped on a thread pool and give the serial, taped oracles' bits."""
+
+    @pytest.mark.parametrize("subset", [False, True])
+    @pytest.mark.parametrize("kind", MODELS)
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 3 * 512 + 5])
+    def test_predict_probs_bit_identical_to_serial_taped_oracle(self, n, kind, subset):
+        params, config, rows = seeded_model(kind, subset)
+        samples = overlapping_samples(n)
+        got = tr.predict_probs(params, config, samples, FEATURES if subset else None)
+        assert_probs_bits_equal(got, predict_probs_oracle(params, config, samples, rows))
+
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_fallback_product_pooled_matches_serial_oracle(self, monkeypatch, kind):
+        """The rank-1 loop that numpy builds which fuse multiply-add run instead of einsum."""
+        monkeypatch.setattr(nx, "_fixed_order_product", nx._loop_product)
+        params, config, rows = seeded_model(kind)
+        samples = overlapping_samples(3 * 512 + 5)
+        got = tr.predict_probs(params, config, samples, FEATURES)
+        assert_probs_bits_equal(got, predict_probs_oracle(params, config, samples, rows))
+
+    def test_many_workers_and_short_switch_interval_lose_no_chunk(self, monkeypatch):
+        monkeypatch.setattr(tr, "PREDICT_CHUNK", 7)
+        monkeypatch.setattr(tr, "usable_cores", lambda: 8)
+        params, config, rows = seeded_model()
+        samples = overlapping_samples(300)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = tr.predict_probs(params, config, samples, FEATURES)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_probs_bits_equal(got, predict_probs_oracle(params, config, samples, rows))
+
+    def test_dataset_loss_bit_identical_to_serial_taped_oracle(self):
+        params, config, rows = seeded_model()
+        samples = overlapping_samples(2 * tr.VALID_CHUNK + 37)
+        got = tr._dataset_loss(params, config, samples, rows, 0.7, 1.9)
+        want = dataset_loss_oracle(params, config, samples, rows, 0.7, 1.9)
+        assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
+    def test_forward_passes_record_no_tape(self, monkeypatch):
+        traces = []
+
+        def keep(*args):
+            traces.append(md.forward_batch(*args))
+            return traces[-1]
+
+        monkeypatch.setattr(tr, "forward_batch", keep)
+        params, config, rows = seeded_model()
+        samples = overlapping_samples(tr.VALID_CHUNK + 1)
+        tr.predict_probs(params, config, samples, FEATURES)
+        tr._dataset_loss(params, config, samples, rows, 1.0, 1.0)
+        assert len(traces) == 5
+        assert not any(t.logits._parents or t.hidden[-1]._parents for t in traces)
+
+    def test_error_in_one_chunk_keeps_its_type(self, monkeypatch):
+        class ChunkFailure(Exception):
+            pass
+
+        def fail_last_chunk(windows, *args):
+            if len(windows) < tr.PREDICT_CHUNK:
+                raise ChunkFailure("the last chunk")
+            return md.forward_batch(windows, *args)
+
+        monkeypatch.setattr(tr, "forward_batch", fail_last_chunk)
+        params, config, _ = seeded_model()
+        with pytest.raises(ChunkFailure, match="the last chunk"):
+            tr.predict_probs(params, config, overlapping_samples(3 * 512 + 5), FEATURES)
+
+    def test_usable_cores_falls_back_to_cpu_count(self, monkeypatch):
+        assert 1 <= tr.usable_cores() <= os.cpu_count()
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert tr.usable_cores() == os.cpu_count()
 
 
 class TestTrainConfig:

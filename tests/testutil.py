@@ -1,6 +1,7 @@
 """Shared test helpers: finite-difference gradients, tolerance checks, fixtures,
-sample sets built from windows, the row-by-row CSV loader and the
-project-every-column forward pass kept as oracles,
+sample sets built from windows, the row-by-row CSV loader, the
+project-every-column forward pass and the serial, taped chunk loops of
+prediction and validation loss kept as oracles,
 and the tape ops and accessors that only the tests compose.  The per-op tape ops rebuild the per-gate cell and the per-op
 heads and loss that the fused model nodes replaced, as oracles."""
 
@@ -191,6 +192,31 @@ def forward_batch_oracle(windows, params, config):
             context = cell_step_oracle(ctx_wx, mixed, params, "ctx_")
     logits, probs = md.heads([hidden[-1]] if context is None else [hidden[-1], context], params)
     return md.ForwardTrace(hidden=hidden, context=context, logits=logits, probs=probs)
+
+
+def predict_probs_oracle(params, config, samples, rows=None):
+    """The former loop of ``training.predict_probs``: one taped forward pass per chunk, in order."""
+    m_probs = np.empty(len(samples))
+    v_probs = np.empty(len(samples))
+    for lo in range(0, len(samples), tr.PREDICT_CHUNK):
+        hi = min(lo + tr.PREDICT_CHUNK, len(samples))
+        m_probs[lo:hi], v_probs[lo:hi] = md.forward_batch(samples[lo:hi], params, config, rows).probs
+    return m_probs, v_probs
+
+
+def dataset_loss_oracle(params, config, samples, rows, loss_weight, pos_weight):
+    """The former body of ``training._dataset_loss``: one taped forward pass per chunk, in order."""
+    n = len(samples)
+    movement = volatility = total = 0.0
+    for lo in range(0, n, tr.VALID_CHUNK):
+        chunk = samples[lo : lo + tr.VALID_CHUNK]
+        trace = md.forward_batch(chunk, params, config, rows)
+        loss, m_term, v_term = tr._loss_terms(trace, chunk.y_m, chunk.y_v, loss_weight, pos_weight)
+        weight = len(chunk)
+        movement += m_term * weight
+        volatility += v_term * weight
+        total += loss.item() * weight
+    return movement / n, volatility / n, total / n
 
 
 def joint_loss(trace, y_m, y_v, loss_weight, volatility_pos_weight=1.0):
