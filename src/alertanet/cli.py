@@ -43,16 +43,6 @@ OUT_DIR_ENV = "ALERTANET_OUT_DIR"
 MANIFEST_NAME = "manifest.json"
 
 
-def _pin_blas_threads() -> None:
-    """Pin BLAS to one thread, when threadpoolctl is installed, so gradient
-    reductions do not depend on the machine's core count."""
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return
-    threadpool_limits(limits=1)
-
-
 def _blas_threads() -> int | None:
     """Thread count of the OpenBLAS bundled with numpy, or None when it cannot be asked."""
     for path in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*openblas*")):
@@ -467,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _pin_blas_threads()
     try:
         threshold = getattr(args, "threshold", 0.5)
         if not 0.0 <= threshold <= 1.0:

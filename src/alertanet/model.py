@@ -169,7 +169,7 @@ def cell_step(
         if wx.requires_grad:
             wx.grad[: 2 * u, cols] += d_zr
             wx.grad[2 * u :, cols] += d_cand
-        # ParamStore entries always require gradients
+        # ParamStore entries always require gradients in a recorded node
         r_zr.grad += np.dot(d_zr, h.T)
         r_h.grad += np.dot(d_cand, rh.T)
         b.grad[: 2 * u] += np.sum(d_zr, axis=1, keepdims=True)
@@ -212,7 +212,7 @@ def heads(fusion: list[nx.Tensor], params: nx.ParamStore) -> tuple[nx.Tensor, np
             if part.requires_grad:
                 part.grad += d_f[lo : lo + part.rows]
             lo += part.rows
-        # ParamStore entries always require gradients
+        # ParamStore entries always require gradients in a recorded node
         w_m.grad += np.dot(g_m, f.T)
         b_m.grad += np.sum(g_m, axis=1, keepdims=True)
         w_v.grad += np.dot(g_v, f_p.T)

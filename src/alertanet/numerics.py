@@ -10,16 +10,14 @@ only its backward uses the library product.
 Gradients are computed with a small tape: every operation returns a
 :class:`Tensor` that remembers its parents and how to push gradients back to
 them.  Calling :func:`backward` on a 1x1 scalar walks the tape in reverse
-topological order.  Inside :func:`no_grad` a thread records nothing, so a
-forward-only pass frees each op's intermediates as soon as it is done with
-them.  Parameters live in a :class:`ParamStore`, which pairs
-every named matrix with a same-shaped gradient slot.
+topological order.  A node that no gradient can reach keeps neither, so a
+pass over :meth:`ParamStore.constants` frees each op's intermediates as soon
+as it is done with them.  Parameters live in a :class:`ParamStore`, which
+pairs every named matrix with a same-shaped gradient slot.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -27,12 +25,12 @@ import numpy as np
 from .errors import DimensionError, UsageError
 
 
-def as_matrix(data, require_finite: bool = True) -> np.ndarray:
+def as_matrix(data) -> np.ndarray:
     """Coerce ``data`` to a 2-D C-contiguous float64 array."""
     arr = np.ascontiguousarray(data, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got ndim={arr.ndim} shape={arr.shape}")
-    if require_finite and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise DimensionError("matrix contains non-finite entries")
     return arr
 
@@ -40,11 +38,11 @@ def as_matrix(data, require_finite: bool = True) -> np.ndarray:
 class Tensor:
     """A float64 matrix plus the bookkeeping needed for reverse mode.
 
-    ``requires_grad`` is inherited from parents, so constants stay out of the
-    backward walk entirely.  ``grad`` is a zeroed buffer from the start only
-    for leaves that require it, such as :class:`ParamStore` entries; a
-    recorded node gets one from :func:`backward`, so a forward-only pass
-    allocates none.
+    ``requires_grad`` is inherited from parents; a tensor without it is out
+    of every backward walk, so it keeps no parents and no backward closure.
+    ``grad`` is a zeroed buffer from the start only for leaves that require
+    it, such as :class:`ParamStore` entries; a recorded node gets one from
+    :func:`backward`, so a forward-only pass allocates none.
     """
 
     __slots__ = ("value", "grad", "requires_grad", "name", "_parents", "_backward_fn")
@@ -62,8 +60,8 @@ class Tensor:
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self.grad = np.zeros_like(self.value) if requires_grad and not parents else None
         self.name = name
-        self._parents = parents
-        self._backward_fn = backward_fn
+        self._parents = parents if self.requires_grad else ()
+        self._backward_fn = backward_fn if self.requires_grad else None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -87,42 +85,18 @@ class Tensor:
         return f"Tensor(shape={self.value.shape}{tag}, requires_grad={self.requires_grad})"
 
 
-def constant(value, name: str | None = None) -> Tensor:
+def constant(value) -> Tensor:
     """Wrap a value as a non-trainable tape leaf."""
-    return Tensor(value, requires_grad=False, name=name)
-
-
-class _TapeState(threading.local):
-    recording = True
-
-
-_tape = _TapeState()
-
-
-@contextmanager
-def no_grad():
-    """Record no op of this thread on the tape while the block runs; other threads keep recording.
-
-    Op outputs are then plain constants, so a loss built inside cannot be
-    passed to :func:`backward`.
-    """
-    previous = _tape.recording
-    _tape.recording = False
-    try:
-        yield
-    finally:
-        _tape.recording = previous
+    return Tensor(value)
 
 
 def record(value: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     """Put an op's output on the tape with the function that pushes its gradient to ``parents``.
 
-    Under :func:`no_grad` the output keeps neither, and ``backward_fn``'s
-    closure, with every array it holds, is dropped at once.  Op outputs skip
-    re-validation; their inputs were already validated.
+    When no parent requires a gradient the output keeps neither, and
+    ``backward_fn``'s closure, with every array it holds, is dropped at once.
+    Op outputs skip re-validation; their inputs were already validated.
     """
-    if not _tape.recording:
-        return Tensor(value, _validate=False)
     return Tensor(value, parents=parents, backward_fn=backward_fn, _validate=False)
 
 
@@ -202,8 +176,6 @@ def matmul(a: Tensor, b: Tensor, cols: np.ndarray | None = None) -> Tensor:
     same operands as without them; summing the gradients of repeated columns
     first would regroup the sum and change its bits.
     """
-    if a.cols != b.rows:
-        raise DimensionError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     out = matmul_values(a.value, b.value)
     if cols is not None:
         out = np.take(out, cols, axis=1)
@@ -309,17 +281,15 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor) -> None:
     """Populate gradients of every trainable tensor reachable from ``loss``.
 
-    ``loss`` must be a recorded 1x1 scalar.  Every node on the walk that has
-    no ``grad`` buffer yet gets a zeroed one first; gradients accumulate into
-    existing buffers, so call :meth:`ParamStore.zero_grads` first when
-    starting a fresh step.
+    ``loss`` must be a 1x1 scalar recorded from an input that requires a
+    gradient.  Every node on the walk that has no ``grad`` buffer yet gets a
+    zeroed one first; gradients accumulate into existing buffers, so call
+    :meth:`ParamStore.zero_grads` first when starting a fresh step.
     """
     if loss.value.shape != (1, 1):
         raise UsageError(f"backward requires a 1x1 scalar loss, got shape {loss.value.shape}")
     if loss._backward_fn is None and not loss._parents:
         raise UsageError("backward called on a tensor with no recorded computation")
-    if not loss.requires_grad:
-        return  # nothing trainable feeds this loss; all gradients stay zero
     order = _topo_order(loss)
     for node in order:
         if node.grad is None:
@@ -352,12 +322,6 @@ class ParamStore:
             raise UsageError(f"unknown parameter {name!r}")
         return self._slots[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._slots
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
     def names(self) -> list[str]:
         return list(self._slots)
 
@@ -369,6 +333,16 @@ class ParamStore:
 
     def grad(self, name: str) -> np.ndarray:
         return self[name].grad
+
+    def constants(self) -> ParamStore:
+        """The same parameters as non-grad leaves over the same value arrays.
+
+        A pass over it records no tape and allocates no gradient buffers, and
+        it reads every later update to this store's values.
+        """
+        store = ParamStore()
+        store._slots = {name: Tensor(t.value, name=name, _validate=False) for name, t in self._slots.items()}
+        return store
 
     def zero_grads(self) -> None:
         for tensor in self._slots.values():

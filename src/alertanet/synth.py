@@ -144,10 +144,8 @@ def generate_with_truth(spec: SynthSpec, stock_id: str = "SYNTH") -> tuple[Featu
     )
     returns = sign * magnitude
 
-    prices = np.empty(n)
-    prices[0] = spec.base_price
-    for t in range(1, n):
-        prices[t] = prices[t - 1] * (1.0 + returns[t - 1])
+    # one rounded multiply per day, in order: prices[t] = prices[t - 1] * (1 + returns[t - 1])
+    prices = np.multiply.accumulate(np.concatenate([[spec.base_price], 1.0 + returns]))
 
     # rewrite price-tagged columns from the realized path (all nonnegative)
     abs_returns = np.concatenate([[0.0], np.abs(returns)])

@@ -207,27 +207,25 @@ def usable_cores() -> int:
 
 
 def _forward_chunks(fn, n: int, chunk: int) -> list:
-    """``fn(lo, hi)`` over consecutive chunks of ``range(n)``, untaped, on a thread pool.
+    """``fn(lo, hi)`` over consecutive chunks of ``range(n)``, on a thread pool.
 
     Returns the results in chunk order; the first chunk to fail, in that
     order, raises its own exception.  The fixed-order product releases the
     GIL, so chunks overlap on several cores, and since every window's values
     depend only on its own column, they do not depend on the worker count.
+    Callers run ``fn`` over ``params.constants()``, so no chunk records a tape.
     """
-    bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-
-    def run(bound):
-        with nx.no_grad():
-            return fn(*bound)
-
-    with ThreadPoolExecutor(max_workers=min(len(bounds), usable_cores())) as pool:
-        return list(pool.map(run, bounds))
+    los = range(0, n, chunk)
+    with ThreadPoolExecutor(max_workers=min(len(los), usable_cores())) as pool:
+        return list(pool.map(fn, los, [min(lo + chunk, n) for lo in los]))
 
 
 def _dataset_loss(params, config, samples: SampleSet, rows, loss_weight, pos_weight):
+    consts = params.constants()
+
     def chunk_terms(lo, hi):
         chunk = samples[lo:hi]
-        trace = forward_batch(chunk, params, config, rows)
+        trace = forward_batch(chunk, consts, config, rows)
         loss, m_term, v_term = _loss_terms(trace, chunk.y_m, chunk.y_v, loss_weight, pos_weight)
         return m_term, v_term, loss.item(), hi - lo
 
@@ -263,21 +261,15 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
         raise ConfigError("validation split is empty")
 
     start = time.perf_counter()
-    if split.feature_names:
-        rows = ablation_feature_indices(split.feature_names, cfg.ablation)
-        names_used = [split.feature_names[i] for i in rows]
-    else:
-        if normalize_ablation_mode(cfg.ablation) != "full":
-            raise ConfigError("ablation modes other than 'full' need dataset feature names")
-        rows, names_used = None, []
+    rows = ablation_feature_indices(split.feature_names, cfg.ablation)
+    names_used = [split.feature_names[i] for i in rows]
 
     n_train, window = len(split.train), split.train.window
-    input_dim = split.train.days.shape[1] if rows is None else len(rows)
     if window != cfg.window:
         raise ConfigError(f"dataset window {window} does not match config window {cfg.window}")
 
     config = ModelConfig(
-        input_dim=input_dim,
+        input_dim=len(rows),
         hidden_dim=cfg.hidden,
         window=window,
         arch=cfg.arch,
@@ -455,8 +447,8 @@ def predict_probs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Movement and volatility probabilities for every sample.
 
-    Each chunk of windows is one untaped forward pass on the thread pool; the
-    probabilities are the same bits for any worker count.
+    Each chunk of windows is one untaped forward pass over ``params.constants()``
+    on the thread pool; the probabilities are the same bits for any worker count.
     """
     if not samples:
         raise ConfigError("no samples to evaluate")
@@ -477,9 +469,10 @@ def predict_probs(
         )
     m_probs = np.empty(len(samples))
     v_probs = np.empty(len(samples))
+    consts = params.constants()
 
     def predict_chunk(lo, hi):
-        m_probs[lo:hi], v_probs[lo:hi] = forward_batch(samples[lo:hi], params, config, rows).probs
+        m_probs[lo:hi], v_probs[lo:hi] = forward_batch(samples[lo:hi], consts, config, rows).probs
 
     _forward_chunks(predict_chunk, len(samples), PREDICT_CHUNK)
     return m_probs, v_probs

@@ -586,7 +586,7 @@ class TestForward:
     def test_separate_context_cell_params_exist_and_are_used(self):
         config = md.ModelConfig(input_dim=3, hidden_dim=2, window=4, shared_context_cell=False)
         params = make_params(config, seed=6)
-        assert "ctx_W" in params
+        assert "ctx_W" in params.names()
         x = np.random.default_rng(7).normal(size=(3, 4))
         base = md.forward(x, params, config).probs[0, 0]
         params.value("ctx_W")[...] += 0.5

@@ -1,6 +1,5 @@
 import functools
 import math
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -393,52 +392,74 @@ class TestBackprop:
         assert max_grad_violation(analytic, numeric) <= 1.0
 
 
-class TestNoGrad:
-    def test_untaped_loss_has_the_taped_value_and_rejects_backward(self):
+class TestTapeKeepsOnlyActiveNodes:
+    """A node keeps its parents and backward closure only when some input requires a gradient."""
+
+    @staticmethod
+    def ops(w, x):
+        """Each tape op with ``w`` as its first operand and the constant ``x`` as the rest."""
+        return {
+            "matmul": nx.matmul(w, x),
+            "matmul_cols": nx.matmul(w, x, cols=np.array([0, 0])),
+            "linear_combination": nx.linear_combination([w, nx.constant(w.value)], [0.5, 2.0]),
+            "bce_with_logits": nx.bce_with_logits(w, np.array([[1.0, 0.0]]), 1.5),
+        }
+
+    def test_an_op_on_constants_keeps_no_record(self):
+        w, x = nx.constant([[1.0, -2.0]]), nx.constant([[0.5], [3.0]])
+        for name, out in self.ops(w, x).items():
+            assert not out.requires_grad, name
+            assert out._parents == () and out._backward_fn is None, name
+            assert out.grad is None, name
+
+    def test_an_op_with_one_active_input_keeps_parents_and_closure(self):
         params = nx.ParamStore()
-        w = params.add("W", np.array([[1.0, -2.0]]))
-        x = nx.constant([[0.5], [3.0]])
-        taped = total_sum(sigmoid(nx.matmul(w, x)))
-        with nx.no_grad():
-            loss = total_sum(sigmoid(nx.matmul(w, x)))
-        assert np.array_equal(loss.value, taped.value)
-        assert not loss.requires_grad and not loss._parents and loss._backward_fn is None
+        w, x = params.add("W", np.array([[1.0, -2.0]])), nx.constant([[0.5], [3.0]])
+        for name, out in self.ops(w, x).items():
+            assert out.requires_grad, name
+            assert out._parents[0] is w and out._backward_fn is not None, name
+
+    def test_pass_over_constants_has_the_taped_bits_and_rejects_backward(self):
+        rng = np.random.default_rng(5)
+        params = nx.ParamStore()
+        params.add("W", rng.normal(size=(3, 4)))
+        x = nx.constant(rng.normal(size=(4, 6)))
+
+        def loss_of(store):
+            return total_sum(nx.bce_with_logits(nx.matmul(store["W"], x), np.ones((3, 6)), 1.7))
+
+        taped, untaped = loss_of(params), loss_of(params.constants())
+        assert np.array_equal(untaped.value.view(np.int64), taped.value.view(np.int64))
+        assert not untaped.requires_grad and untaped._parents == ()
         with pytest.raises(UsageError, match="no recorded computation"):
-            nx.backward(loss)
+            nx.backward(untaped)
 
-    def test_recording_resumes_after_nested_blocks_and_errors(self):
-        with pytest.raises(ZeroDivisionError):
-            with nx.no_grad():
-                with nx.no_grad():
-                    pass
-                assert not nx._tape.recording
-                1 / 0
-        assert nx._tape.recording
+    def test_constants_share_values_allocate_no_gradients_and_leave_training_alone(self):
+        rng = np.random.default_rng(6)
+        x = nx.constant(rng.normal(size=(4, 2)))
 
-    def test_other_threads_keep_recording(self):
-        params = nx.ParamStore()
-        w = params.add("W", np.array([[2.0]]))
-        entered, release = threading.Event(), threading.Event()
-        untaped = []
+        def store():
+            params = nx.ParamStore()
+            params.add("W", np.random.default_rng(7).normal(size=(3, 4)))
+            params.add("b", np.ones((3, 1)))
+            return params
 
-        def hold():
-            with nx.no_grad():
-                entered.set()
-                untaped.append(mul(w, w))
-                release.wait(timeout=10)
+        def grads(params):
+            params.zero_grads()
+            nx.backward(total_sum(bias_add(nx.matmul(params["W"], x), params["b"])))
+            return {name: params.grad(name).copy() for name in params.names()}
 
-        worker = threading.Thread(target=hold)
-        worker.start()
-        try:
-            assert entered.wait(timeout=10)
-            loss = total_sum(mul(w, w))
-        finally:
-            release.set()
-            worker.join(timeout=10)
-        assert not worker.is_alive()
-        assert not untaped[0]._parents
-        nx.backward(loss)
-        assert params.grad("W")[0, 0] == 4.0
+        params = store()
+        consts = params.constants()
+        assert consts.names() == params.names()
+        for name, tensor in consts.items():
+            assert tensor.value is params.value(name) and tensor.name == name
+            assert not tensor.requires_grad and tensor.grad is None
+        total_sum(nx.matmul(consts["W"], x))
+        got, want = grads(params), grads(store())
+        for name in want:
+            assert np.array_equal(got[name], want[name])
+        assert all(tensor.grad is None for _, tensor in consts.items())
 
 
 class TestMatmulGatheredColumns:

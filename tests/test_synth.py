@@ -5,6 +5,8 @@ from alertanet import synth
 from alertanet.data import build_dataset, label_prices, load_frame, write_frame
 from alertanet.errors import ConfigError
 
+from testutil import price_path_oracle
+
 
 class TestSpec:
     def test_default_layout_is_sentiment_heavy(self):
@@ -39,6 +41,15 @@ class TestGenerate:
         assert a.dates == b.dates
         assert np.array_equal(a.adj_close, b.adj_close)
         assert np.array_equal(a.features, b.features)
+
+    @pytest.mark.parametrize("n_days", [3, 17, 4000])
+    @pytest.mark.parametrize("base_price", [100.0, 0.37, 12345.678])
+    def test_price_path_bit_identical_to_loop_oracle(self, n_days, base_price):
+        for seed in range(4):
+            spec = synth.SynthSpec(n_days=n_days, seed=seed, base_price=base_price)
+            frame, truth = synth.generate_with_truth(spec)
+            want = price_path_oracle(base_price, truth["returns"])
+            assert np.array_equal(frame.adj_close.view(np.int64), want.view(np.int64))
 
     def test_prices_positive_and_features_nonnegative(self):
         frame = synth.generate(synth.SynthSpec(n_days=2000, seed=1))

@@ -2,6 +2,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from alertanet import model as md
 from alertanet import numerics as nx
 from alertanet import training as tr
 from alertanet.data import ABSTAIN, SampleSet, build_dataset
-from alertanet.errors import CheckpointError, ConfigError, TrainingError
+from alertanet.errors import CheckpointError, ConfigError, TrainingError, UsageError
 from alertanet.synth import SynthSpec, generate
 
 from testutil import (
@@ -241,6 +242,12 @@ class TestTrain:
         with np.errstate(invalid="ignore"), pytest.raises(TrainingError, match="first offender: parameter 'R_zr'"):
             tr.train(toy_split(n_days=200), cfg)
 
+    def test_split_without_feature_names_is_rejected(self):
+        nameless = replace(toy_split(n_days=200), feature_names=[])
+        cfg = tr.TrainConfig(window=5, hidden=4, epochs=1, batch_size=16)
+        with pytest.raises(ConfigError, match=r"ablation mode 'full' selects no feature columns out of \[\]"):
+            tr.train(nameless, cfg)
+
     def test_ablation_mode_changes_input_dim(self):
         split = toy_split(n_features=6)
         cfg = tr.TrainConfig(window=5, hidden=4, epochs=1, batch_size=32, ablation="s")
@@ -415,6 +422,18 @@ class TestForwardOnlyPool:
         got = tr._dataset_loss(params, config, samples, rows, 0.7, 1.9)
         want = dataset_loss_oracle(params, config, samples, rows, 0.7, 1.9)
         assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_loss_over_constants_has_the_taped_bits_and_rejects_backward(self, kind):
+        params, config, rows = seeded_model(kind)
+        samples = overlapping_samples(40)
+        taped, untaped = (
+            tr._loss_terms(md.forward_batch(samples, store, config, rows), samples.y_m, samples.y_v, 0.7, 1.9)[0]
+            for store in (params, params.constants())
+        )
+        assert np.array_equal(untaped.value.view(np.int64), taped.value.view(np.int64))
+        with pytest.raises(UsageError, match="no recorded computation"):
+            nx.backward(untaped)
 
     def test_forward_passes_record_no_tape(self, monkeypatch):
         traces = []

@@ -1,6 +1,6 @@
 """Shared test helpers: finite-difference gradients, tolerance checks, fixtures,
-sample sets built from windows, the row-by-row CSV loader, the
-project-every-column forward pass and the serial, taped chunk loops of
+sample sets built from windows, the row-by-row CSV loader, the day-by-day
+synthetic price loop, the project-every-column forward pass and the serial, taped chunk loops of
 prediction and validation loss kept as oracles,
 and the tape ops and accessors that only the tests compose.  The per-op tape ops rebuild the per-gate cell and the per-op
 heads and loss that the fused model nodes replaced, as oracles."""
@@ -117,6 +117,15 @@ def load_frame_oracle(path, schema=None):
         )
     return FeatureFrame(stock_id=path.stem, dates=[r[0] for r in rows], adj_close=block[:, 0],
                         feature_names=list(schema), features=block[:, 1:])
+
+
+def price_path_oracle(base_price, returns):
+    """The former loop of ``synth.generate_with_truth``: each day's price from the last, one multiply at a time."""
+    prices = np.empty(len(returns) + 1)
+    prices[0] = base_price
+    for t in range(1, len(prices)):
+        prices[t] = prices[t - 1] * (1.0 + returns[t - 1])
+    return prices
 
 
 def sigmoid_values_oracle(x):
