@@ -16,7 +16,8 @@ the contribution of the TDA mechanism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+import math
+from dataclasses import dataclass, field, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from . import numerics as nx
 from . import serialize
 from .data import SampleSet
-from .errors import CheckpointError, ConfigError, DimensionError, DomainError
+from .errors import CheckpointError, ConfigError, DimensionError, DomainError, ParseError
 
 CHECKPOINT_VERSION = 2
 
@@ -32,6 +33,28 @@ ARCHITECTURES = ("alerta", "gru")
 
 # Cell matrices stack one hidden_dim-row block per gate, in the order z, r, h.
 _CELL_MATRICES = ("W", "R_zr", "R_h")
+
+
+# accepted types and their names, by field annotation; bools pass isinstance(v, int), so they are rejected by hand
+_FIELD_TYPES = {
+    "bool": ((bool, np.bool_), "true or false"),
+    "int": ((int, np.integer), "an integer"),
+    "float": ((int, float, np.integer, np.floating), "a finite number"),
+    "str": (str, "a string"),
+    "list[str]": (list, "a list of strings"),
+}
+
+
+def check_fields(config, what: str) -> None:
+    """Raise a :class:`ConfigError` naming the first field of dataclass ``config`` whose value has the wrong type."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        types, want = _FIELD_TYPES[f.type]
+        is_bool = isinstance(value, (bool, np.bool_))
+        if (not isinstance(value, types) or is_bool != (f.type == "bool")
+                or (f.type == "float" and not abs(value) < math.inf)
+                or (f.type == "list[str]" and not all(isinstance(v, str) for v in value))):
+            raise ConfigError(f"{what} {f.name!r} is {value!r}, expected {want}")
 
 
 @dataclass
@@ -45,6 +68,7 @@ class ModelConfig:
     feature_names: list[str] = field(default_factory=list)
 
     def __post_init__(self):
+        check_fields(self, "model config")
         if self.arch not in ARCHITECTURES:
             raise ConfigError(f"unknown architecture {self.arch!r}; expected one of {ARCHITECTURES}")
         if self.input_dim < 1 or self.hidden_dim < 1 or self.window < 1:
@@ -158,22 +182,29 @@ def cell_step(
     z, r = zr[:u], zr[u:]
     rh = r * h
     cand = np.tanh((wx_t[2 * u :] + recurrent(r_h.value, rh)) + b.value[2 * u :])
-    out = (1.0 - z) * h + z * cand
+    keep = 1.0 - z
+    out = keep * h + z * cand
 
     def backward_fn(grad):
-        d_cand = grad * z * (1.0 - cand * cand)
+        # the gate gradients [d_zr; d_cand] fill one block in gate order, so that W x and b take one pass each;
+        # d_cand is (grad * z) * (1 - cand^2) and d_zr (concatenate([grad * (cand - h), d_rh * h]) * zr) * (1 - zr)
+        d = np.empty((3 * u, grad.shape[1]))
+        d_zr, d_cand = d[: 2 * u], d[2 * u :]
+        np.multiply(grad, z, out=d_cand)
+        d_cand *= 1.0 - cand * cand
         d_rh = np.dot(r_h.value.T, d_cand)
-        d_zr = np.concatenate([grad * (cand - h), d_rh * h]) * zr * (1.0 - zr)
+        np.multiply(grad, cand - h, out=d_zr[:u])
+        np.multiply(d_rh, h, out=d_zr[u:])
+        d_zr *= zr
+        d_zr *= 1.0 - zr
         if h_prev.requires_grad:
-            h_prev.grad += grad * (1.0 - z) + d_rh * r + np.dot(r_zr.value.T, d_zr)
+            h_prev.grad += grad * keep + d_rh * r + np.dot(r_zr.value.T, d_zr)
         if wx.requires_grad:
-            wx.grad[: 2 * u, cols] += d_zr
-            wx.grad[2 * u :, cols] += d_cand
+            wx.grad[:, cols] += d
         # ParamStore entries always require gradients in a recorded node
         r_zr.grad += np.dot(d_zr, h.T)
         r_h.grad += np.dot(d_cand, rh.T)
-        b.grad[: 2 * u] += np.sum(d_zr, axis=1, keepdims=True)
-        b.grad[2 * u :] += np.sum(d_cand, axis=1, keepdims=True)
+        b.grad += np.add.reduce(d, axis=1, keepdims=True)
 
     return nx.record(out, (wx, h_prev, r_zr, r_h, b), backward_fn)
 
@@ -319,7 +350,7 @@ def load_checkpoint(path: str | Path) -> tuple[nx.ParamStore, ModelConfig, dict]
     if not Path(path).is_file():
         raise CheckpointError(f"checkpoint file {path} not found; run the `train` step first")
     obj = serialize.read_json(path)
-    if obj.get("kind") != "alertanet-checkpoint":
+    if not isinstance(obj, dict) or obj.get("kind") != "alertanet-checkpoint":
         raise CheckpointError(f"{path}: not a checkpoint file")
     version = obj.get("format_version")
     if version != CHECKPOINT_VERSION:
@@ -329,17 +360,19 @@ def load_checkpoint(path: str | Path) -> tuple[nx.ParamStore, ModelConfig, dict]
         )
     try:
         config = ModelConfig(**obj["config"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: malformed config ({exc})") from exc
     expected = param_shapes(config)
     stored = obj.get("params", {})
-    if set(stored) != set(expected):
-        raise CheckpointError(
-            f"{path}: parameter names {sorted(stored)} do not match config {config.to_dict()}"
-        )
+    if not isinstance(stored, dict) or set(stored) != set(expected):
+        names = sorted(stored) if isinstance(stored, dict) else stored
+        raise CheckpointError(f"{path}: parameters {names!r} do not match config {config.to_dict()}")
     params = nx.ParamStore()
     for name, shape in expected.items():
-        arr = serialize.decode_array(stored[name])
+        try:
+            arr = serialize.decode_array(stored[name])
+        except ParseError as exc:
+            raise CheckpointError(f"{path}: parameter {name!r}: {exc}") from exc
         if arr.shape != shape:
             raise CheckpointError(
                 f"{path}: parameter {name!r} has shape {arr.shape}, expected {shape} "

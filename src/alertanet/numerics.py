@@ -12,8 +12,9 @@ Gradients are computed with a small tape: every operation returns a
 them.  Calling :func:`backward` on a 1x1 scalar walks the tape in reverse
 topological order.  A node that no gradient can reach keeps neither, so a
 pass over :meth:`ParamStore.constants` frees each op's intermediates as soon
-as it is done with them.  Parameters live in a :class:`ParamStore`, which
-pairs every named matrix with a same-shaped gradient slot.
+as it is done with them.  Parameters live in a :class:`ParamStore`: every
+value is a view into one flat buffer and every gradient a view into another,
+so the optimizer updates a run of parameters in one pass.
 """
 
 from __future__ import annotations
@@ -301,20 +302,31 @@ def backward(loss: Tensor) -> None:
 
 
 class ParamStore:
-    """Named parameter matrices with parallel gradient slots.
+    """Named parameter matrices, each a C-contiguous view into the flat buffer :attr:`flat_values`,
+    with gradient slots viewing :attr:`flat_grads` in the same places.
 
-    Iteration order is insertion order everywhere, which keeps seeded
-    initialization, gradient norms and serialization deterministic.
+    Insertion order, everywhere, keeps seeded initialization, gradient norms
+    and serialization deterministic.
     """
 
     def __init__(self):
         self._slots: dict[str, Tensor] = {}
+        self._spans: dict[str, slice] = {}  # each name's entries in the flat buffers
+        self.flat_values, self.flat_grads = np.zeros(0), np.zeros(0)
 
     def add(self, name: str, value) -> Tensor:
+        """Append a parameter; the buffers grow and every earlier view is re-pointed into them."""
         if name in self._slots:
             raise UsageError(f"duplicate parameter name {name!r}")
         tensor = Tensor(value, requires_grad=True, name=name)
+        n = self.flat_values.size
+        self._spans[name] = slice(n, n + tensor.value.size)
+        self.flat_values = np.concatenate([self.flat_values, tensor.value.reshape(-1)])
+        self.flat_grads = np.concatenate([self.flat_grads, tensor.grad.reshape(-1)])
         self._slots[name] = tensor
+        for key, t in self._slots.items():
+            t.value = self.flat_values[self._spans[key]].reshape(t.value.shape)
+            t.grad = self.flat_grads[self._spans[key]].reshape(t.value.shape)
         return tensor
 
     def __getitem__(self, name: str) -> Tensor:
@@ -334,6 +346,17 @@ class ParamStore:
     def grad(self, name: str) -> np.ndarray:
         return self[name].grad
 
+    def runs(self, names: Iterable[str]) -> list[slice]:
+        """The flat-buffer slices of ``names``, in order, with adjacent ones merged."""
+        runs: list[slice] = []
+        for name in names:
+            span = self._spans[self[name].name]  # self[name] rejects an unknown name
+            if runs and runs[-1].stop == span.start:
+                runs[-1] = slice(runs[-1].start, span.stop)
+            else:
+                runs.append(span)
+        return runs
+
     def constants(self) -> ParamStore:
         """The same parameters as non-grad leaves over the same value arrays.
 
@@ -345,8 +368,7 @@ class ParamStore:
         return store
 
     def zero_grads(self) -> None:
-        for tensor in self._slots.values():
-            tensor.grad[...] = 0.0
+        self.flat_grads.fill(0.0)
 
     def copy_values(self) -> dict[str, np.ndarray]:
         return {name: tensor.value.copy() for name, tensor in self._slots.items()}

@@ -40,13 +40,12 @@ def decode_array(obj: dict) -> np.ndarray:
     try:
         dtype = _DTYPES[obj["dtype"]]
         shape = tuple(int(s) for s in obj["shape"])
-        raw = base64.b64decode(obj["data"])
+        arr = np.frombuffer(base64.b64decode(obj["data"]), dtype=dtype)
+        if arr.size != int(np.prod(shape)):
+            raise ParseError(f"array payload size {arr.size} does not match shape {shape}")
+        return arr.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed array record: {exc}") from exc
-    arr = np.frombuffer(raw, dtype=dtype)
-    if arr.size != int(np.prod(shape)):
-        raise ParseError(f"array payload size {arr.size} does not match shape {shape}")
-    return arr.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
 
 
 def write_json(path: str | Path, obj) -> None:

@@ -10,11 +10,10 @@ everything downstream of (dataset, config) is a pure function of the seed.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict, fields
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
@@ -28,22 +27,12 @@ from .data import (
     normalize_ablation_mode,
 )
 from .errors import CheckpointError, ConfigError, TrainingError, UndefinedMetricError
-from .model import ModelConfig, forward_batch, init_params
+from .model import ModelConfig, check_fields, forward_batch, init_params
 
 # windows per forward pass when scoring the validation set and when predicting;
 # VALID_CHUNK's per-chunk means also set the validation loss bits
 VALID_CHUNK = 1024
 PREDICT_CHUNK = 512
-
-
-# the types a TrainConfig value may have, and how to name them, by the type of the field's default;
-# bools pass isinstance(value, int), so validate() rejects them outside switches by hand
-_FIELD_TYPES = {
-    bool: ((bool, np.bool_), "true or false"),
-    int: ((int, np.integer), "an integer"),
-    float: ((int, float, np.integer, np.floating), "a finite number"),
-    str: (str, "a string"),
-}
 
 
 @dataclass
@@ -70,13 +59,7 @@ class TrainConfig:
     shared_context_cell: bool = True
 
     def validate(self) -> None:
-        for f in fields(self):
-            value, kind = getattr(self, f.name), type(f.default)
-            types, want = _FIELD_TYPES[kind]
-            is_bool = isinstance(value, (bool, np.bool_))
-            if (not isinstance(value, types) or is_bool != (kind is bool)
-                    or (kind is float and not abs(value) < math.inf)):
-                raise ConfigError(f"training config {f.name!r} is {value!r}, expected {want}")
+        check_fields(self, "training config")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError(f"epochs and batch_size must be >= 1, got {self.epochs}/{self.batch_size}")
         # learning_rate == 0 is allowed deliberately: it must leave parameters unchanged.
@@ -129,7 +112,11 @@ def _loss_terms(trace, y_m, y_v, loss_weight, pos_weight):
 
 
 class Adam:
-    """Adam with bias correction; moment buffers keyed by parameter name."""
+    """Adam with bias correction and flat moments ``m`` and ``v``, parallel to the store's buffers.
+
+    A step updates each contiguous run of the named parameters in one pass,
+    with the expressions of a per-parameter loop, so every entry keeps its bits.
+    """
 
     def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.learning_rate = learning_rate
@@ -137,28 +124,28 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.steps = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m = self.v = None  # allocated at the first step
 
     def step(self, params: nx.ParamStore, names: list[str] | None = None) -> None:
         self.steps += 1
         bc1 = 1.0 - self.beta1 ** self.steps
         bc2 = 1.0 - self.beta2 ** self.steps
-        for name in names if names is not None else params.names():
-            grad = params.grad(name)
-            if name not in self.m:
-                self.m[name] = np.zeros_like(grad)
-                self.v[name] = np.zeros_like(grad)
-            m, v = self.m[name], self.v[name]
+        if self.m is None:
+            self.m, self.v = np.zeros_like(params.flat_grads), np.zeros_like(params.flat_grads)
+        for run in params.runs(names if names is not None else params.names()):
+            grad, m, v = params.flat_grads[run], self.m[run], self.v[run]
             m *= self.beta1
             m += (1.0 - self.beta1) * grad
             v *= self.beta2
             v += (1.0 - self.beta2) * grad * grad
-            params.value(name)[...] -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            params.flat_values[run] -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 def _global_norm(arrays) -> float:
-    """Joint L2 norm of several arrays, accumulated in the order given."""
+    """Joint L2 norm of several arrays, each summed on its own and accumulated in the order given.
+
+    One sum over their concatenation would regroup numpy's pairwise sum and change the bits.
+    """
     total = 0.0
     for arr in arrays:
         total += float(np.sum(arr * arr))
@@ -166,15 +153,15 @@ def _global_norm(arrays) -> float:
 
 
 def clip_gradients(params: nx.ParamStore, names: list[str], max_norm: float) -> float:
-    """Scale the named gradients so their joint L2 norm is at most ``max_norm``.
+    """Scale the named gradients, a contiguous run at a time, so their joint L2 norm is at most ``max_norm``.
 
     Returns the norm before clipping.
     """
     norm = _global_norm(params.grad(name) for name in names)
     if max_norm and norm > max_norm:
         factor = max_norm / norm
-        for name in names:
-            params.grad(name)[...] *= factor
+        for run in params.runs(names):
+            params.flat_grads[run] *= factor
     return norm
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,8 @@ import alertanet
 from alertanet import cli
 from alertanet import training as tr
 from alertanet.serialize import read_json
+
+from testutil import BAD_CHECKPOINTS, bad_checkpoint
 
 
 def run_cli(*argv):
@@ -256,6 +259,14 @@ class TestTrainEval:
                        "--checkpoint", train_out / "checkpoint.json", "--out", tmp_path / "e2")
         assert code == 1
         assert "checkpoint" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
+    def test_eval_of_a_malformed_checkpoint_prints_one_error_line(self, tmp_path, prepared, capsys, case):
+        edit, message = BAD_CHECKPOINTS[case]
+        path = bad_checkpoint(tmp_path, edit)
+        assert run_cli("eval", "--dataset", prepared, "--checkpoint", path, "--out", tmp_path / "e") == 1
+        err = capsys.readouterr().err
+        assert re.search("^error: .*" + message, err, re.M) and "Traceback" not in err
 
     def test_window_flag_mismatch_fails(self, tmp_path, prepared, capsys):
         assert run_cli("train", "--dataset", prepared, "--out", tmp_path / "w",

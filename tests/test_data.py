@@ -584,6 +584,19 @@ def dataset_text(window=10, **meta):
                                    "features": serialize.encode_array(f.features)} for f in frames]})
 
 
+@pytest.mark.parametrize("record", [
+    {"dtype": "<f8", "shape": [1], "data": "AAAAAAAAAA=="},  # 7 bytes: not a whole float64
+    {"dtype": "<f8", "shape": [2], "data": "AAAAAAAAAAA="},  # one float64 for two entries
+    {"dtype": "<f8", "shape": [-1, -1], "data": "AAAAAAAAAAA="},
+    {"dtype": "<f8", "shape": [1]},
+    {"dtype": "<f4", "shape": [1], "data": ""},
+    5,
+])
+def test_decode_array_raises_parse_error_for_every_malformed_record(record):
+    with pytest.raises(ParseError):
+        serialize.decode_array(record)
+
+
 class TestDatasetRoundTrip:
     @pytest.mark.parametrize(
         "settings, short_frame",

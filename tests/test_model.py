@@ -11,8 +11,8 @@ from alertanet.errors import CheckpointError, ConfigError, DimensionError, Domai
 from alertanet.synth import SynthSpec, generate_universe
 
 from testutil import (
-    add, affine, bias_add, cell_step_oracle, concat_rows, forward_batch_oracle, hidden_states, joint_loss, mul,
-    per_op_heads, per_op_loss, sample_set, sigmoid, tanh,
+    BAD_CHECKPOINTS, add, affine, bad_checkpoint, bias_add, cell_step_concat_oracle, cell_step_oracle, concat_rows,
+    forward_batch_oracle, hidden_states, joint_loss, mul, per_op_heads, per_op_loss, sample_set, sigmoid, tanh,
 )
 
 
@@ -363,6 +363,59 @@ class TestZeroStateProducts:
             assert np.isnan(got).any() == (bad is not None)
 
 
+def bits(arr):
+    return np.ascontiguousarray(arr).view(np.int64)
+
+
+class TestCellBackwardMatchesConcatOracle:
+    """``cell_step``'s in-place backward against the former one, which concatenated the halves
+    of ``d_zr`` before scaling them, summed the bias gradients with ``np.sum`` and added the
+    z, r and h blocks to the gradients of ``W x`` and ``b`` one after the other."""
+
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    @pytest.mark.parametrize("kind", sorted(FUSED_ORACLE_CONFIGS))
+    def test_every_gradient_of_a_backward_bit_identical(self, two_stock_samples, monkeypatch, kind, batch):
+        config = md.ModelConfig(input_dim=8, hidden_dim=6, window=4, **FUSED_ORACLE_CONFIGS[kind])
+        rng = np.random.default_rng(400 + batch)
+        samples = two_stock_samples[mixed_rows(two_stock_samples, batch, rng)]
+        runs = []
+        for step in (md.cell_step, cell_step_concat_oracle):
+            monkeypatch.setattr(md, "cell_step", step)
+            params = make_params(config, seed=batch)
+            trace = md.forward_batch(samples, params, config)
+            nx.backward(joint_loss(trace, samples.y_m, samples.y_v, 0.7, 1.3))
+            nodes = [*trace.hidden, trace.hidden[0]._parents[0]]
+            if trace.context is not None:  # the context step, its projection and the mixed states
+                nodes += [trace.context, *trace.context._parents[:2]]
+            runs.append([t.grad for _, t in params.items()] + [node.grad for node in nodes])
+        got, want = runs
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(bits(g), bits(w))
+
+    @pytest.mark.parametrize("state", ["zero", "special"])
+    def test_one_step_bit_identical_from_zero_and_special_inputs(self, state):
+        config = md.ModelConfig(input_dim=3, hidden_dim=4, window=2)
+        rng = np.random.default_rng(5)
+        special = np.array([0.0, -0.0, 1e308, -1e308, 40.0, -40.0, 800.0, -800.0, 0.5, -1.5])
+        wx = rng.choice(special, size=(12, 9))
+        h = np.zeros((4, 9)) if state == "zero" else rng.choice(special, size=(4, 9))
+        grad = rng.choice(special, size=(4, 9))
+        runs = []
+        with np.errstate(all="ignore"):
+            for step in (md.cell_step, cell_step_concat_oracle):
+                params = make_params(config, seed=2)
+                wx_t, h_t = nx.Tensor(wx, requires_grad=True), nx.Tensor(h, requires_grad=True)
+                out = step(wx_t, h_t, params)
+                out._backward_fn(grad)
+                runs.append([out.value, wx_t.grad, h_t.grad] + [t.grad for _, t in params.items()])
+        got, want = runs
+        for g, w in zip(got, want):
+            assert np.array_equal(bits(g), bits(w))
+        if state == "special":  # the inputs reach the saturated and non-finite corners
+            assert np.isnan(got[1]).any() and (np.abs(got[0]) == 1.0).any()
+
+
 class TestHeadsAndLossMatchPerOpOracle:
     """The heads node and the one-node loss against the per-op heads and loss they replaced.
 
@@ -602,6 +655,13 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             md.ModelConfig(input_dim=2, hidden_dim=2, window=2, feature_names=["a"])
 
+    @pytest.mark.parametrize("key, value", [("hidden_dim", 2.5), ("window", True), ("arch", []),
+                                            ("tda_normalize", 1), ("feature_names", ["a", 3])])
+    def test_rejects_field_of_the_wrong_type_naming_it(self, key, value):
+        fields = {"input_dim": 2, "hidden_dim": 2, "window": 2, key: value}
+        with pytest.raises(ConfigError, match=f"model config '{key}' is"):
+            md.ModelConfig(**fields)
+
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
@@ -654,6 +714,12 @@ class TestCheckpoint:
         path.write_text(json.dumps(obj))
         with pytest.raises(CheckpointError, match=r"old\.json: checkpoint format version 1 .*retrain"):
             md.load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
+    def test_malformed_entries_raise_checkpoint_error_naming_file_and_culprit(self, tmp_path, case):
+        edit, message = BAD_CHECKPOINTS[case]
+        with pytest.raises(CheckpointError, match=message):
+            md.load_checkpoint(bad_checkpoint(tmp_path, edit))
 
     def test_rejects_non_checkpoint_file(self, tmp_path):
         path = tmp_path / "junk.json"

@@ -522,6 +522,38 @@ class TestParamStore:
         nx.backward(loss)
         assert np.array_equal(y.grad, np.ones((2, 1))) and np.array_equal(w.grad, np.ones((2, 2)))
 
+    def test_views_alias_the_flat_buffers_after_later_adds_loads_and_in_constants(self):
+        params = nx.ParamStore()
+        w = params.add("w", np.arange(6.0).reshape(2, 3))
+        b = params.add("b", np.full((2, 1), -1.0))
+        params.add("c", np.ones((1, 4)))
+        assert np.array_equal(params.flat_values, np.r_[np.arange(6.0), -1.0, -1.0, np.ones(4)])
+        assert params.flat_grads.shape == (12,) and not params.flat_grads.any()
+        for name, t in params.items():
+            assert t.value.flags.c_contiguous and t.grad.flags.c_contiguous, name
+            assert np.shares_memory(t.value, params.flat_values) and np.shares_memory(t.grad, params.flat_grads)
+        w.grad[1, 2] = 3.0
+        assert params.flat_grads[5] == 3.0
+        params.zero_grads()
+        assert not w.grad.any()
+        params.load_values({"w": np.full((2, 3), 7.0), "b": np.zeros((2, 1)), "c": np.full((1, 4), 2.0)})
+        assert params["w"] is w and np.array_equal(params.flat_values[:6], np.full(6, 7.0))
+        consts = params.constants()
+        assert all(np.shares_memory(t.value, params.flat_values) and t.grad is None for _, t in consts.items())
+        b.value[0, 0] = 9.0
+        assert consts.value("b")[0, 0] == 9.0
+
+    def test_runs_merge_adjacent_names_in_the_order_given(self):
+        params = nx.ParamStore()
+        for name, size in (("a", 2), ("b", 3), ("c", 1), ("d", 4)):
+            params.add(name, np.ones((1, size)))
+        assert params.runs(params.names()) == [slice(0, 10)]
+        assert params.runs(["c", "d"]) == [slice(5, 10)]
+        assert params.runs(["a", "c"]) == [slice(0, 2), slice(5, 6)]
+        assert params.runs(["b", "a"]) == [slice(2, 5), slice(0, 2)]
+        with pytest.raises(UsageError):
+            params.runs(["a", "z"])
+
     def test_load_values_shape_checked(self):
         params = nx.ParamStore()
         params.add("w", np.ones((2, 3)))

@@ -15,7 +15,8 @@ from alertanet.errors import CheckpointError, ConfigError, TrainingError, UsageE
 from alertanet.synth import SynthSpec, generate
 
 from testutil import (
-    dataset_loss_oracle, finite_difference_grads, joint_loss, max_grad_violation, predict_probs_oracle, sample_set,
+    AdamOracle, clip_gradients_oracle, dataset_loss_oracle, finite_difference_grads, joint_loss, max_grad_violation,
+    predict_probs_oracle, sample_set, zero_grads_oracle,
 )
 from test_metrics import auc_all_pairs, mcc_exact_integer
 
@@ -111,6 +112,41 @@ class TestAdam:
         tr.Adam(0.5).step(params, names=["a"])
         assert params.value("a")[0, 0] != 1.0
         assert params.value("b")[0, 0] == 1.0
+
+
+class TestFlatOptimizerMatchesPerNameOracle:
+    """Zeroing, clipping and Adam over runs of the flat buffers against the former per-name loops."""
+
+    @pytest.mark.parametrize("names", [None, ["W_v", "b_v"], ["W", "b"], ["b_v", "R_h", "W_m"]])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_parameters_after_five_clipped_steps_bit_identical(self, names, shared):
+        config = md.ModelConfig(input_dim=5, hidden_dim=6, window=4, shared_context_cell=shared)
+        rng = np.random.default_rng(17)
+        batches = [(rng.normal(size=(16, 5, 4)), rng.integers(0, 2, 16), rng.integers(0, 2, 16)) for _ in range(5)]
+        runs = []
+        for zero, clip, adam in ((nx.ParamStore.zero_grads, tr.clip_gradients, tr.Adam(0.05)),
+                                 (zero_grads_oracle, clip_gradients_oracle, AdamOracle(0.05))):
+            params = md.init_params(config, np.random.default_rng(3))
+            trainable = params.names() if names is None else names
+            norms, grads = [], []
+            for x, y_m, y_v in batches:
+                loss = joint_loss(md.forward_batch(x, params, config), y_m, y_v, 0.7, 1.3)
+                params.grad("W")[...] = 1.0  # stale gradients that zeroing must clear
+                zero(params)
+                nx.backward(loss)
+                norms.append(clip(params, trainable, 0.05))
+                grads.append(params.flat_grads.copy())
+                adam.step(params, names)
+            runs.append((norms, grads, params.copy_values()))
+        (got_norms, got_grads, got_values), (want_norms, want_grads, want_values) = runs
+        assert got_norms == want_norms and min(got_norms) > 0.05  # clipping acted at every step
+        for g, w in zip(got_grads, want_grads):
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
+        for name, value in want_values.items():
+            assert np.array_equal(got_values[name].view(np.int64), value.view(np.int64)), name
+        if names is not None:  # names outside the run kept their initial values
+            init = md.init_params(config, np.random.default_rng(3))
+            assert all(np.array_equal(got_values[n], init.value(n)) for n in init.names() if n not in names)
 
 
 class TestClip:

@@ -1,11 +1,15 @@
 """Shared test helpers: finite-difference gradients, tolerance checks, fixtures,
-sample sets built from windows, the row-by-row CSV loader, the day-by-day
-synthetic price loop, the project-every-column forward pass and the serial, taped chunk loops of
-prediction and validation loss kept as oracles,
-and the tape ops and accessors that only the tests compose.  The per-op tape ops rebuild the per-gate cell and the per-op
-heads and loss that the fused model nodes replaced, as oracles."""
+sample sets built from windows, malformed checkpoint files, and the tape ops and
+accessors that only the tests compose.
+
+Kept as oracles: the row-by-row CSV loader, the day-by-day synthetic price
+loop, the project-every-column forward pass, the serial, taped chunk loops of
+prediction and validation loss, and the per-name cell backward, Adam, clipping
+and gradient zeroing.  The per-op tape ops rebuild the per-gate cell and the
+per-op heads and loss that the fused model nodes replaced, as oracles."""
 
 import csv
+import json
 from datetime import date
 from fractions import Fraction
 from pathlib import Path
@@ -166,6 +170,110 @@ def cell_step_oracle(wx, h_prev, params, prefix="", cols=slice(None)):
         b.grad[2 * u :] += np.sum(d_cand, axis=1, keepdims=True)
 
     return nx.record(out, (wx, h_prev, r_zr, r_h, b), backward_fn)
+
+
+def bad_checkpoint(tmp_path, edit):
+    """A valid checkpoint file, then ``edit`` applied to its JSON object."""
+    config = md.ModelConfig(input_dim=4, hidden_dim=3, window=5)
+    path = tmp_path / "ckpt.json"
+    md.save_checkpoint(path, md.init_params(config, np.random.default_rng(0)), config)
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    return path
+
+
+# each edit, and the message that must name the file and the culprit
+BAD_CHECKPOINTS = {
+    "short payload": (lambda o: o["params"]["R_h"].update(data="AAAAAAAAAA=="),
+                      r"ckpt\.json: parameter 'R_h': malformed array record"),
+    "entry not an object": (lambda o: o["params"].update(W=5), r"ckpt\.json: parameter 'W': malformed array record"),
+    "params not an object": (lambda o: o.update(params=5), r"ckpt\.json: parameters 5 do not match"),
+    "fractional hidden_dim": (lambda o: o["config"].update(hidden_dim=2.5),
+                              r"ckpt\.json: malformed config \(model config 'hidden_dim' is 2\.5"),
+    "arch not a string": (lambda o: o["config"].update(arch=[]),
+                          r"ckpt\.json: malformed config \(model config 'arch' is \[\]"),
+}
+
+
+def cell_step_concat_oracle(wx, h_prev, params, prefix="", cols=slice(None)):
+    """The former ``model.cell_step``, whose backward concatenates the halves of ``d_zr`` and sums with ``np.sum``."""
+    r_zr, r_h, b = params[prefix + "R_zr"], params[prefix + "R_h"], params[prefix + "b"]
+    u = r_h.rows
+    h = h_prev.value
+    wx_t = wx.value[:, cols]
+    zero_state = not h.any()
+
+    def recurrent(r_mat, state):
+        if zero_state and np.isfinite(r_mat).all():
+            return np.zeros((r_mat.shape[0], state.shape[1]))
+        return nx.matmul_values(r_mat, state)
+
+    zr = nx.sigmoid_values((wx_t[: 2 * u] + recurrent(r_zr.value, h)) + b.value[: 2 * u])
+    z, r = zr[:u], zr[u:]
+    rh = r * h
+    cand = np.tanh((wx_t[2 * u :] + recurrent(r_h.value, rh)) + b.value[2 * u :])
+    out = (1.0 - z) * h + z * cand
+
+    def backward_fn(grad):
+        d_cand = grad * z * (1.0 - cand * cand)
+        d_rh = np.dot(r_h.value.T, d_cand)
+        d_zr = np.concatenate([grad * (cand - h), d_rh * h]) * zr * (1.0 - zr)
+        if h_prev.requires_grad:
+            h_prev.grad += grad * (1.0 - z) + d_rh * r + np.dot(r_zr.value.T, d_zr)
+        if wx.requires_grad:
+            wx.grad[: 2 * u, cols] += d_zr
+            wx.grad[2 * u :, cols] += d_cand
+        r_zr.grad += np.dot(d_zr, h.T)
+        r_h.grad += np.dot(d_cand, rh.T)
+        b.grad[: 2 * u] += np.sum(d_zr, axis=1, keepdims=True)
+        b.grad[2 * u :] += np.sum(d_cand, axis=1, keepdims=True)
+
+    return nx.record(out, (wx, h_prev, r_zr, r_h, b), backward_fn)
+
+
+class AdamOracle:
+    """The former ``training.Adam``: moment buffers keyed by parameter name, one parameter at a time."""
+
+    def __init__(self, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.learning_rate, self.beta1, self.beta2, self.eps = learning_rate, beta1, beta2, eps
+        self.steps = 0
+        self.m, self.v = {}, {}
+
+    def step(self, params, names=None):
+        self.steps += 1
+        bc1 = 1.0 - self.beta1 ** self.steps
+        bc2 = 1.0 - self.beta2 ** self.steps
+        for name in names if names is not None else params.names():
+            grad = params.grad(name)
+            if name not in self.m:
+                self.m[name] = np.zeros_like(grad)
+                self.v[name] = np.zeros_like(grad)
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * grad * grad
+            params.value(name)[...] -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+def clip_gradients_oracle(params, names, max_norm):
+    """The former ``training.clip_gradients`` and its norm: each named gradient summed and scaled on its own."""
+    total = 0.0
+    for name in names:
+        total += float(np.sum(params.grad(name) * params.grad(name)))
+    norm = float(np.sqrt(total))
+    if max_norm and norm > max_norm:
+        factor = max_norm / norm
+        for name in names:
+            params.grad(name)[...] *= factor
+    return norm
+
+
+def zero_grads_oracle(params):
+    """The former ``ParamStore.zero_grads``: each gradient filled on its own."""
+    for _, tensor in params.items():
+        tensor.grad[...] = 0.0
 
 
 def forward_batch_oracle(windows, params, config):
