@@ -340,12 +340,6 @@ class ParamStore:
     def items(self) -> Iterable[tuple[str, Tensor]]:
         return self._slots.items()
 
-    def value(self, name: str) -> np.ndarray:
-        return self[name].value
-
-    def grad(self, name: str) -> np.ndarray:
-        return self[name].grad
-
     def runs(self, names: Iterable[str]) -> list[slice]:
         """The flat-buffer slices of ``names``, in order, with adjacent ones merged."""
         runs: list[slice] = []

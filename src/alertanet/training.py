@@ -157,7 +157,7 @@ def clip_gradients(params: nx.ParamStore, names: list[str], max_norm: float) -> 
 
     Returns the norm before clipping.
     """
-    norm = _global_norm(params.grad(name) for name in names)
+    norm = _global_norm(params[name].grad for name in names)
     if max_norm and norm > max_norm:
         factor = max_norm / norm
         for run in params.runs(names):

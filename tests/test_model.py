@@ -29,9 +29,9 @@ def scalar_sigmoid(a):
 
 def gate_block(p, name, gate, prefix=""):
     """One gate's rows of a stacked cell matrix (gate order z, r, h)."""
-    u = p.value(prefix + "R_h").shape[0]
+    u = p[prefix + "R_h"].value.shape[0]
     i = "zrh".index(gate)
-    return p.value(prefix + name)[i * u : (i + 1) * u]
+    return p[prefix + name].value[i * u : (i + 1) * u]
 
 
 def scalar_gru_step(x, h, p, prefix=""):
@@ -40,7 +40,7 @@ def scalar_gru_step(x, h, p, prefix=""):
 
     def pre(gate):
         w, b = gate_block(p, "W", gate, prefix), gate_block(p, "b", gate, prefix)
-        r = p.value(prefix + "R_h") if gate == "h" else gate_block(p, "R_zr", gate, prefix)
+        r = p[prefix + "R_h"].value if gate == "h" else gate_block(p, "R_zr", gate, prefix)
         out = []
         for i in range(u):
             acc = 0.0
@@ -72,7 +72,7 @@ class TestGruStep:
         config = md.ModelConfig(input_dim=3, hidden_dim=4, window=2)
         params = make_params(config)
         for name in params.names():
-            params.value(name)[...] = 0.0
+            params[name].value[...] = 0.0
         out = fused_step(np.array([1.0, 2.0, 3.0]), np.zeros(4), params)
         assert np.array_equal(out, np.zeros(4))
 
@@ -80,7 +80,7 @@ class TestGruStep:
         config = md.ModelConfig(input_dim=3, hidden_dim=4, window=2)
         params = make_params(config)
         for name in params.names():
-            params.value(name)[...] = 0.0
+            params[name].value[...] = 0.0
         v = np.array([0.4, -1.2, 2.0, 0.0])
         out = fused_step(np.array([5.0, -1.0, 2.0]), v, params)
         assert np.allclose(out, 0.5 * v, atol=0, rtol=0)
@@ -185,7 +185,7 @@ def stacked_grads(gates, params):
     for name in params.names():
         base = name.removeprefix("ctx_")
         prefix = name[: len(name) - len(base)]
-        grads[name] = np.concatenate([gates.grad(prefix + part) for part in _GATE_NAMES.get(base, (base,))])
+        grads[name] = np.concatenate([gates[prefix + part].grad for part in _GATE_NAMES.get(base, (base,))])
     return grads
 
 
@@ -205,7 +205,7 @@ class TestFusedCellMatchesPerGateOracle:
         rng = np.random.default_rng(100 + batch)
         for name in params.names():
             if name.removeprefix("ctx_").startswith("b"):  # nonzero, so the grouping of + b shows
-                params.value(name)[...] = rng.normal(size=params.value(name).shape)
+                params[name].value[...] = rng.normal(size=params[name].value.shape)
         gates = per_gate_store(params)
         x = rng.normal(size=(batch, 5, 4)) * 2.0
         y_m = rng.integers(0, 2, size=batch)
@@ -229,7 +229,7 @@ class TestFusedCellMatchesPerGateOracle:
         gates.zero_grads()
         nx.backward(oracle_loss)
         for name, want in stacked_grads(gates, params).items():
-            got = params.grad(name)
+            got = params[name].grad
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
 
     def test_init_draws_gate_blocks_in_per_gate_order(self):
@@ -281,7 +281,7 @@ class TestForwardBatchMatchesProjectEveryColumnOracle:
         rng = np.random.default_rng(300 + batch)
         for name in params.names():
             if name.removeprefix("ctx_").startswith("b"):
-                params.value(name)[...] = rng.normal(size=params.value(name).shape)
+                params[name].value[...] = rng.normal(size=params[name].value.shape)
         samples = two_stock_samples[mixed_rows(two_stock_samples, batch, rng)]
 
         want = forward_batch_oracle(samples.windows(features), params, config)
@@ -353,7 +353,7 @@ class TestZeroStateProducts:
         config = md.ModelConfig(input_dim=3, hidden_dim=4, window=2)
         params = make_params(config, seed=3)
         if bad is not None:
-            params.value(bad[0])[1, 2] = bad[1]
+            params[bad[0]].value[1, 2] = bad[1]
         wx = nx.constant(np.random.default_rng(2).normal(size=(12, 5)))
         h = nx.constant(np.full((4, 5), fill))
         with np.errstate(invalid="ignore"):  # inf * 0
@@ -431,7 +431,7 @@ class TestHeadsAndLossMatchPerOpOracle:
         rng = np.random.default_rng(200 + batch)
         for name in params.names():
             if name.removeprefix("ctx_").startswith("b"):
-                params.value(name)[...] = rng.normal(size=params.value(name).shape)
+                params[name].value[...] = rng.normal(size=params[name].value.shape)
         x = rng.normal(size=(batch, 5, 4)) * 2.0
         y_m = rng.integers(0, 2, size=batch)
         y_m[::3] = ABSTAIN
@@ -460,7 +460,7 @@ class TestHeadsAndLossMatchPerOpOracle:
         assert np.array_equal(loss.value, want_loss.value)
         assert movement == want_movement.item() and volatility == want_volatility.item()
         for name, got in grads.items():
-            assert np.array_equal(got, params.grad(name)), name
+            assert np.array_equal(got, params[name].grad), name
 
 
 class TestTdaWeights:
@@ -507,7 +507,7 @@ class TestTdaContext:
         config = md.ModelConfig(input_dim=3, hidden_dim=4, window=5, shared_context_cell=False)
         params = make_params(config, seed=2)
         for name in ("W", "R_zr", "R_h", "b"):
-            params.value(name)[...] = 0.0  # every encoder state is exactly zero
+            params[name].value[...] = 0.0  # every encoder state is exactly zero
         x = np.random.default_rng(4).normal(size=(3, 5))
         trace = md.forward(x, params, config)
         assert np.array_equal(hidden_states(trace), np.zeros((4, 5)))
@@ -547,7 +547,7 @@ class TestForward:
         config = md.ModelConfig(input_dim=4, hidden_dim=3, window=5)
         params = make_params(config)
         for name in params.names():
-            params.value(name)[...] = 0.0
+            params[name].value[...] = 0.0
         trace = md.forward(np.random.default_rng(0).normal(size=(4, 5)), params, config)
         assert np.array_equal(trace.probs, [[0.5], [0.5]])
 
@@ -577,7 +577,7 @@ class TestForward:
             config = md.ModelConfig(input_dim=3, hidden_dim=2, window=4)
             params = make_params(config, seed=trial)
             for name in params.names():
-                params.value(name)[...] *= 10.0  # exaggerate magnitudes
+                params[name].value[...] *= 10.0  # exaggerate magnitudes
             trace = md.forward(rng.normal(size=(3, 4)) * 5, params, config)
             assert np.all((0.0 < trace.probs) & (trace.probs < 1.0))
 
@@ -617,8 +617,8 @@ class TestForward:
         loss = joint_loss(trace, ABSTAIN, 1, loss_weight=1.0)
         params.zero_grads()
         nx.backward(loss)
-        assert np.any(params.grad("W_m") != 0.0)
-        assert np.any(params.grad("b_m") != 0.0)
+        assert np.any(params["W_m"].grad != 0.0)
+        assert np.any(params["b_m"].grad != 0.0)
 
     def test_shape_mismatch_errors(self):
         config = md.ModelConfig(input_dim=4, hidden_dim=3, window=5)
@@ -631,8 +631,8 @@ class TestForward:
     def test_gru_arch_has_no_context(self):
         config = md.ModelConfig(input_dim=4, hidden_dim=3, window=5, arch="gru")
         params = make_params(config, seed=5)
-        assert params.value("W_m").shape == (1, 3)
-        assert params.value("W_v").shape == (1, 4)
+        assert params["W_m"].value.shape == (1, 3)
+        assert params["W_v"].value.shape == (1, 4)
         trace = md.forward(np.random.default_rng(2).normal(size=(4, 5)), params, config)
         assert trace.context is None
 
@@ -642,7 +642,7 @@ class TestForward:
         assert "ctx_W" in params.names()
         x = np.random.default_rng(7).normal(size=(3, 4))
         base = md.forward(x, params, config).probs[0, 0]
-        params.value("ctx_W")[...] += 0.5
+        params["ctx_W"].value[...] += 0.5
         assert md.forward(x, params, config).probs[0, 0] != base
 
 
@@ -675,7 +675,7 @@ class TestCheckpoint:
         assert loaded_config == config
         assert extra["note"] == "test"
         for name, tensor in params.items():
-            assert np.array_equal(loaded_params.value(name), tensor.value)
+            assert np.array_equal(loaded_params[name].value, tensor.value)
 
     def test_rejects_tampered_shapes(self, tmp_path):
         import json
@@ -693,7 +693,7 @@ class TestCheckpoint:
     def test_rejects_non_finite_parameter_naming_it(self, tmp_path):
         config = md.ModelConfig(input_dim=4, hidden_dim=3, window=5)
         params = make_params(config)
-        params.value("R_h")[1, 2] = np.nan
+        params["R_h"].value[1, 2] = np.nan
         path = tmp_path / "ckpt.json"
         md.save_checkpoint(path, params, config)
         with pytest.raises(CheckpointError, match=r"ckpt\.json: parameter 'R_h' has non-finite"):

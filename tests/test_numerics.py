@@ -338,7 +338,7 @@ class TestBackprop:
         loss = total_sum(nx.matmul(w, x))
         nx.backward(loss)
         expected = np.outer(np.ones(3), x.value[:, 0])
-        assert np.array_equal(params.grad("W"), expected)
+        assert np.array_equal(params["W"].grad, expected)
 
     def test_untouched_parameter_gets_exact_zero_gradient(self):
         params = nx.ParamStore()
@@ -347,8 +347,8 @@ class TestBackprop:
         loss = total_sum(mul(used, used))
         params.zero_grads()
         nx.backward(loss)
-        assert np.array_equal(params.grad("unused"), np.zeros((2, 2)))
-        assert np.array_equal(params.grad("used"), 2.0 * np.ones((2, 2)))
+        assert np.array_equal(params["unused"].grad, np.zeros((2, 2)))
+        assert np.array_equal(params["used"].grad, 2.0 * np.ones((2, 2)))
 
     def test_backward_requires_scalar(self):
         params = nx.ParamStore()
@@ -367,7 +367,7 @@ class TestBackprop:
         loss = total_sum(add(y, y))  # 2 w^2 -> d/dw = 4w = 8
         params.zero_grads()
         nx.backward(loss)
-        assert params.grad("W")[0, 0] == pytest.approx(8.0)
+        assert params["W"].grad[0, 0] == pytest.approx(8.0)
 
     def test_composite_ops_match_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -447,13 +447,13 @@ class TestTapeKeepsOnlyActiveNodes:
         def grads(params):
             params.zero_grads()
             nx.backward(total_sum(bias_add(nx.matmul(params["W"], x), params["b"])))
-            return {name: params.grad(name).copy() for name in params.names()}
+            return {name: params[name].grad.copy() for name in params.names()}
 
         params = store()
         consts = params.constants()
         assert consts.names() == params.names()
         for name, tensor in consts.items():
-            assert tensor.value is params.value(name) and tensor.name == name
+            assert tensor.value is params[name].value and tensor.name == name
             assert not tensor.requires_grad and tensor.grad is None
         total_sum(nx.matmul(consts["W"], x))
         got, want = grads(params), grads(store())
@@ -473,12 +473,12 @@ class TestMatmulGatheredColumns:
         g = rng.normal(size=(5, len(self.COLS)))
         got = nx.matmul(a, nx.constant(b), cols=self.COLS)
         nx.backward(total_sum(mul_const(got, g)))
-        got_grad = params.grad("a").copy()
+        got_grad = params["a"].grad.copy()
         want = nx.matmul(a, nx.constant(b[:, self.COLS]))
         params.zero_grads()
         nx.backward(total_sum(mul_const(want, g)))
         assert np.array_equal(got.value, want.value) and got.value.flags.c_contiguous
-        assert np.array_equal(got_grad, params.grad("a"))
+        assert np.array_equal(got_grad, params["a"].grad)
 
     def test_right_gradient_sums_over_repeated_columns(self):
         rng = np.random.default_rng(9)
@@ -541,7 +541,7 @@ class TestParamStore:
         consts = params.constants()
         assert all(np.shares_memory(t.value, params.flat_values) and t.grad is None for _, t in consts.items())
         b.value[0, 0] = 9.0
-        assert consts.value("b")[0, 0] == 9.0
+        assert consts["b"].value[0, 0] == 9.0
 
     def test_runs_merge_adjacent_names_in_the_order_given(self):
         params = nx.ParamStore()

@@ -93,7 +93,7 @@ class TestAdam:
         params.add("w", np.array([[1.0, -2.0]]))
         params["w"].grad[...] = np.array([[0.3, 0.7]])
         tr.Adam(0.0).step(params)
-        assert np.array_equal(params.value("w"), np.array([[1.0, -2.0]]))
+        assert np.array_equal(params["w"].value, np.array([[1.0, -2.0]]))
 
     def test_step_direction_and_magnitude(self):
         params = nx.ParamStore()
@@ -101,7 +101,7 @@ class TestAdam:
         params["w"].grad[...] = np.array([[1.0, -1.0]])
         tr.Adam(0.1, beta1=0.9, beta2=0.999, eps=0.0).step(params)
         # first Adam step moves by exactly lr against the gradient sign
-        assert np.allclose(params.value("w"), [[-0.1, 0.1]], atol=1e-12)
+        assert np.allclose(params["w"].value, [[-0.1, 0.1]], atol=1e-12)
 
     def test_restricted_names_leave_others_alone(self):
         params = nx.ParamStore()
@@ -110,8 +110,8 @@ class TestAdam:
         params["a"].grad[...] = 1.0
         params["b"].grad[...] = 1.0
         tr.Adam(0.5).step(params, names=["a"])
-        assert params.value("a")[0, 0] != 1.0
-        assert params.value("b")[0, 0] == 1.0
+        assert params["a"].value[0, 0] != 1.0
+        assert params["b"].value[0, 0] == 1.0
 
 
 class TestFlatOptimizerMatchesPerNameOracle:
@@ -131,7 +131,7 @@ class TestFlatOptimizerMatchesPerNameOracle:
             norms, grads = [], []
             for x, y_m, y_v in batches:
                 loss = joint_loss(md.forward_batch(x, params, config), y_m, y_v, 0.7, 1.3)
-                params.grad("W")[...] = 1.0  # stale gradients that zeroing must clear
+                params["W"].grad[...] = 1.0  # stale gradients that zeroing must clear
                 zero(params)
                 nx.backward(loss)
                 norms.append(clip(params, trainable, 0.05))
@@ -146,7 +146,7 @@ class TestFlatOptimizerMatchesPerNameOracle:
             assert np.array_equal(got_values[name].view(np.int64), value.view(np.int64)), name
         if names is not None:  # names outside the run kept their initial values
             init = md.init_params(config, np.random.default_rng(3))
-            assert all(np.array_equal(got_values[n], init.value(n)) for n in init.names() if n not in names)
+            assert all(np.array_equal(got_values[n], init[n].value) for n in init.names() if n not in names)
 
 
 class TestClip:
@@ -156,14 +156,14 @@ class TestClip:
         params["w"].grad[...] = np.array([[6.0, 8.0]])  # norm 10
         norm = tr.clip_gradients(params, ["w"], 5.0)
         assert norm == pytest.approx(10.0)
-        assert np.allclose(params.grad("w"), [[3.0, 4.0]])
+        assert np.allclose(params["w"].grad, [[3.0, 4.0]])
 
     def test_norm_below_threshold_untouched(self):
         params = nx.ParamStore()
         params.add("w", np.ones((1, 2)))
         params["w"].grad[...] = np.array([[0.3, 0.4]])
         tr.clip_gradients(params, ["w"], 5.0)
-        assert np.allclose(params.grad("w"), [[0.3, 0.4]])
+        assert np.allclose(params["w"].grad, [[0.3, 0.4]])
 
 
 class TestTrain:
@@ -205,7 +205,7 @@ class TestTrain:
         params_b, config_b, report_b = tr.train(split, cfg)
         assert config_a == config_b
         for name in params_a.names():
-            assert np.array_equal(params_a.value(name), params_b.value(name))
+            assert np.array_equal(params_a[name].value, params_b[name].value)
         assert report_a.to_json_dict() == report_b.to_json_dict()
 
     def test_zero_learning_rate_keeps_init(self):
@@ -214,7 +214,7 @@ class TestTrain:
         params, config, _ = tr.train(split, cfg)
         expected = md.init_params(config, np.random.default_rng(3))
         for name in params.names():
-            assert np.array_equal(params.value(name), expected.value(name))
+            assert np.array_equal(params[name].value, expected[name].value)
 
     def test_pos_weight_reflects_imbalance(self):
         split = toy_split(n_days=400)
@@ -237,7 +237,7 @@ class TestTrain:
         for name in params_two.names():
             if name in ("W_v", "b_v"):
                 continue
-            assert np.array_equal(params_two.value(name), params_one.value(name))
+            assert np.array_equal(params_two[name].value, params_one[name].value)
 
     def test_patience_stops_once_validation_loss_rises_and_restores_the_best_epoch(self):
         split = toy_split(n_days=160)
@@ -249,7 +249,7 @@ class TestTrain:
         assert report.best_epoch == 1 and report.stages[0]["stop_reason"] == report.stop_reason
         first_epoch, _, _ = tr.train(split, tr.TrainConfig(epochs=1, **base))
         for name in params.names():
-            assert np.array_equal(params.value(name), first_epoch.value(name))
+            assert np.array_equal(params[name].value, first_epoch[name].value)
 
     def test_window_mismatch_rejected(self):
         split = toy_split(window=5)
@@ -270,7 +270,7 @@ class TestTrain:
         # from step 2 on, sigmoid turns the infinite pre-activations into finite gates
         def init_params(config, rng):
             params = md.init_params(config, rng)
-            params.value("R_zr")[0, 0] = np.inf
+            params["R_zr"].value[0, 0] = np.inf
             return params
 
         monkeypatch.setattr(tr, "init_params", init_params)

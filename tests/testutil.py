@@ -245,7 +245,7 @@ class AdamOracle:
         bc1 = 1.0 - self.beta1 ** self.steps
         bc2 = 1.0 - self.beta2 ** self.steps
         for name in names if names is not None else params.names():
-            grad = params.grad(name)
+            grad = params[name].grad
             if name not in self.m:
                 self.m[name] = np.zeros_like(grad)
                 self.v[name] = np.zeros_like(grad)
@@ -254,19 +254,19 @@ class AdamOracle:
             m += (1.0 - self.beta1) * grad
             v *= self.beta2
             v += (1.0 - self.beta2) * grad * grad
-            params.value(name)[...] -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            params[name].value[...] -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 def clip_gradients_oracle(params, names, max_norm):
     """The former ``training.clip_gradients`` and its norm: each named gradient summed and scaled on its own."""
     total = 0.0
     for name in names:
-        total += float(np.sum(params.grad(name) * params.grad(name)))
+        total += float(np.sum(params[name].grad * params[name].grad))
     norm = float(np.sqrt(total))
     if max_norm and norm > max_norm:
         factor = max_norm / norm
         for name in names:
-            params.grad(name)[...] *= factor
+            params[name].grad[...] *= factor
     return norm
 
 

@@ -41,7 +41,6 @@ def _parse(argv):
     parser.add_argument("--pairs", type=int, default=10, help="alternating pairs per workload")
     parser.add_argument("--seconds", type=float, default=10.0, help="measured time per run")
     parser.add_argument("--first-seed", type=int, default=1, help="pair j of workload i runs seed FIRST + i*PAIRS + j")
-    parser.add_argument("--workloads", nargs="+", help="a subset of BENCHMARK.json's workloads")
     return parser.parse_args(argv)
 
 
@@ -131,7 +130,6 @@ def aggregate(pairs: list[dict], metrics: list[dict]) -> dict:
 
 def record(args) -> dict:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    names = args.workloads or [w["name"] for w in spec["workloads"]]
     parent = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     tree = working_tree()
     bench = {"tag": args.tag, "parent": parent, "change_tree": tree, "pairs": args.pairs,
@@ -140,7 +138,7 @@ def record(args) -> dict:
         copies = {side: Path(tmp) / side for side in SIDES}
         export(parent, copies["parent"])
         export(tree, copies["change"])
-        for i, workload in enumerate(names):
+        for i, workload in enumerate(w["name"] for w in spec["workloads"]):
             pairs = []
             for j in range(args.pairs):
                 seed = args.first_seed + i * args.pairs + j
