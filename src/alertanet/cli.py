@@ -43,17 +43,29 @@ OUT_DIR_ENV = "ALERTANET_OUT_DIR"
 MANIFEST_NAME = "manifest.json"
 
 
-def _blas_threads() -> int | None:
-    """Thread count of the OpenBLAS bundled with numpy, or None when it cannot be asked."""
+def _openblas_query(symbols: tuple[str, ...], restype):
+    """What the first of ``symbols`` that the OpenBLAS bundled with numpy exports returns, or None."""
     for path in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*openblas*")):
         lib = ctypes.CDLL(str(path))  # the already loaded library, not a second copy
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
+        for symbol in symbols:
             fn = getattr(lib, symbol, None)
             if fn is not None:
-                fn.restype, fn.argtypes = ctypes.c_int, []
-                return int(fn())
+                fn.restype, fn.argtypes = restype, []
+                return fn()
     return None
+
+
+def _blas_threads() -> int | None:
+    """Thread count of the OpenBLAS bundled with numpy, or None when it cannot be asked."""
+    return _openblas_query(("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                            "openblas_get_num_threads"), ctypes.c_int)
+
+
+def _blas_config() -> str | None:
+    """Build string of the OpenBLAS bundled with numpy (version, kernel, threading), or None when it cannot be asked."""
+    config = _openblas_query(("scipy_openblas_get_config64_", "openblas_get_config64_", "openblas_get_config"),
+                             ctypes.c_char_p)
+    return None if config is None else config.decode("ascii", "replace")
 
 
 def _resolve_out(args, command: str) -> Path:
@@ -104,6 +116,7 @@ class _ManifestWriter:
                 "cpu_count": os.cpu_count(),
                 "usable_cores": usable_cores(),
                 "blas_threads": _blas_threads(),
+                "blas_config": _blas_config(),
                 "started_at": self.started_at,
                 "finished_at": datetime.now(timezone.utc).isoformat(),
                 "wall_time_seconds": time.perf_counter() - self.started,
@@ -364,7 +377,8 @@ def _run_variants(args, variants: list[tuple[str, dict]], command: str, report_s
     manifest.config = {"threshold": args.threshold, "seed": manifest.seed,
                        "variants": [label for label, _ in variants]}
     table_text = _format_table(rows)
-    (out / f"{report_stub}_table.txt").write_text(table_text + "\n", encoding="utf-8")
+    with serialize.atomic_writer(out / f"{report_stub}_table.txt") as fh:
+        fh.write(table_text + "\n")
     manifest.add_output(f"{report_stub}_table.txt")
     _write_report(out, f"{report_stub}_report.json", f"alertanet-{report_stub}-report",
                   {"rows": rows, "results": results}, manifest)

@@ -193,6 +193,10 @@ def load_frame(path: str | Path, schema: list[str] | None = None) -> FeatureFram
             f"{path}: row {line_nos[i]}: negative value {block[i, j + 1]} in feature column {schema[j]!r}; "
             "shift signed series before ingestion"
         )
+    bad = np.flatnonzero(block[:, 0] <= 0)
+    if bad.size:
+        i = bad[0]
+        raise DataIntegrityError(f"{path}: row {line_nos[i]}: adj_close {block[i, 0]} is not a positive number")
 
     return FeatureFrame(
         stock_id=path.stem,
@@ -239,10 +243,9 @@ def _decode_error(path: Path) -> ParseError:
 
 
 def write_frame(frame: FeatureFrame, path: str | Path) -> None:
-    """Write a frame back to CSV with full float64 round-trip precision (``repr`` of every value)."""
-    path = Path(path)
+    """Write a frame back to CSV, atomically, with full float64 round-trip precision (``repr`` of every value)."""
     values = np.column_stack([frame.adj_close, frame.features]).T.tolist()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with serialize.atomic_writer(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([DATE_COLUMN, PRICE_COLUMN, *frame.feature_names])
         writer.writerows(zip(frame.dates, *(map(repr, col) for col in values)))

@@ -255,9 +255,14 @@ def heads(fusion: list[nx.Tensor], params: nx.ParamStore) -> tuple[nx.Tensor, np
 
 @dataclass
 class ForwardTrace:
-    """Recorded forward pass over a batch (batch size 1 for a single window)."""
+    """Recorded forward pass over a batch (batch size 1 for a single window).
 
-    hidden: list[nx.Tensor]  # window-many (hidden_dim x batch) states
+    A taped pass keeps every encoder state; a forward-only pass, whose ``W``
+    requires no gradient, folds each state into the TDA mix as it is made
+    and keeps only ``h^T``.
+    """
+
+    hidden: list[nx.Tensor]  # window-many (hidden_dim x batch) states, or [h^T] when forward-only
     context: nx.Tensor | None
     logits: nx.Tensor  # 2 x batch: movement row, volatility row
     probs: np.ndarray  # sigmoid of the logits
@@ -276,6 +281,13 @@ def forward_batch(windows: SampleSet | np.ndarray, params: nx.ParamStore, config
     once per distinct day the windows read, then gathered to one column per
     (step, window): consecutive windows share all but one day.  Values and
     gradients are bit-identical to projecting every column.
+
+    A taped pass gathers every step's columns up front, because its
+    backward's library product needs the gathered block.  A forward-only
+    pass gathers a step's columns, into one reused block, only when that
+    step runs, and adds ``c_t * h_t`` to the TDA mix in step order, the
+    operations of :func:`~alertanet.numerics.linear_combination`.  So it
+    holds one step's block and two states at a time, with the taped bits.
     """
     if isinstance(windows, SampleSet):
         days, start, steps = windows.days, windows.start, windows.window
@@ -295,29 +307,54 @@ def forward_batch(windows: SampleSet | np.ndarray, params: nx.ParamStore, config
         )
     # column t*batch + j of the projection holds step t of window j, which reads day start[j] + t
     day_of_col = (np.arange(steps)[:, None] + start).reshape(-1)
+    taped = params["W"].requires_grad
 
-    def project(w: nx.Tensor, col_days: np.ndarray) -> nx.Tensor:
+    def project(w: nx.Tensor, col_days: np.ndarray):
+        """``W x`` once per distinct day, as a reader from a column slice to ``cell_step``'s (wx, cols)."""
         used, inv = np.unique(col_days, return_inverse=True)
-        return nx.matmul(w, nx.constant(days[used][:, feature_cols].T), cols=inv)
+        x = nx.constant(days[used][:, feature_cols].T)
+        if taped:
+            wx = nx.matmul(w, x, cols=inv)
+            return lambda cols: (wx, cols)
+        wx = nx.matmul(w, x)
+        # one block for every step: a read fills all of it, and a forward-only step keeps no reference to it
+        step = nx.Tensor(np.empty((wx.rows, batch)), _validate=False)
 
-    wx = project(params["W"], day_of_col)
+        def read(cols):
+            # inv is in range, so "wrap" moves no index; "raise" would gather into a temporary copy first
+            np.take(wx.value, inv[cols], axis=1, out=step.value, mode="wrap")
+            return step, slice(None)
+
+        return read
+
+    read_wx = project(params["W"], day_of_col)
     h = nx.constant(np.zeros((config.hidden_dim, batch)))
     hidden: list[nx.Tensor] = []
-    for t in range(steps):
-        h = cell_step(wx, h, params, cols=slice(t * batch, (t + 1) * batch))
-        hidden.append(h)
-
-    context = None
     if config.uses_context:
         weights = tda_weights(steps)
         if config.tda_normalize:
             weights = weights / np.sum(weights)
-        mixed = nx.linear_combination(hidden, weights.tolist())
+        coeffs = weights.tolist()
+        mixed = None if taped else np.zeros(h.shape)
+    for t in range(steps):
+        wx, cols = read_wx(slice(t * batch, (t + 1) * batch))
+        h = cell_step(wx, h, params, cols=cols)
+        if taped:
+            hidden.append(h)
+        elif config.uses_context:
+            mixed += coeffs[t] * h.value
+    hidden = hidden if taped else [h]
+
+    context = None
+    if config.uses_context:
+        mix = nx.linear_combination(hidden, coeffs) if taped else nx.Tensor(mixed, _validate=False)
         last = slice((steps - 1) * batch, steps * batch)
         if config.shared_context_cell:
-            context = cell_step(wx, mixed, params, cols=last)
+            wx, cols = read_wx(last)
+            context = cell_step(wx, mix, params, cols=cols)
         else:
-            context = cell_step(project(params["ctx_W"], day_of_col[last]), mixed, params, "ctx_")
+            wx, cols = project(params["ctx_W"], day_of_col[last])(slice(None))
+            context = cell_step(wx, mix, params, "ctx_", cols)
     logits, probs = heads([hidden[-1]] if context is None else [hidden[-1], context], params)
     return ForwardTrace(hidden=hidden, context=context, logits=logits, probs=probs)
 

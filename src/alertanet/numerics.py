@@ -4,8 +4,10 @@ Everything here is strictly two-dimensional and strictly shape-checked: there
 is no implicit broadcasting, and any shape violation raises
 :class:`~alertanet.errors.DimensionError` naming both shapes.  ``matmul``
 forms its value with a fixed left-to-right sum over the contraction index and
-no BLAS call, so values are bit-identical to a naive triple loop on any CPU;
-only its backward uses the library product.
+no BLAS call, so values are bit-identical to a naive triple loop on any CPU,
+except which nan survives where two meet; only its backward uses the library
+product.  A forward-only pass (see :meth:`ParamStore.constants`) projects with
+``matmul`` and no ``cols``, and gathers a step's columns as the step runs.
 
 Gradients are computed with a small tape: every operation returns a
 :class:`Tensor` that remembers its parents and how to push gradients back to
@@ -150,10 +152,12 @@ def matmul_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Each output entry is ``((0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ...``, one
     rounded multiply and one rounded add per step, so the result is
     bit-identical to a scalar triple loop: the +0.0 start never gives -0.0,
-    and ``0 * inf`` gives nan.  It is one einsum pass wherever the import-time
-    probe finds numpy's loop unfused and in order (not on aarch64, whose NEON
-    fuses), and otherwise k rank-1 ufunc steps, 4-20 times slower, which may
-    keep either nan where two meet.  The result is C-contiguous.
+    and ``0 * inf`` gives nan.  Where two nans meet in a sum, either one's
+    sign and payload may survive, on every path and in a Python loop too,
+    whose survivor depends on how CPython's float add orders its operands.
+    It is one einsum pass wherever the import-time probe finds numpy's loop
+    unfused and in order (not on aarch64, whose NEON fuses), and otherwise
+    k rank-1 ufunc steps, 4-20 times slower.  The result is C-contiguous.
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} x {b.shape}")

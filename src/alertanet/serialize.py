@@ -3,13 +3,22 @@
 Arrays are stored as base64 little-endian payloads inside ordinary JSON, so
 artifacts are single files, diffable, and byte-identical across reruns (no
 archive timestamps).
+
+Every artifact is written whole or not at all: :func:`atomic_writer` streams
+it into a temporary file beside the target and moves that over the target
+only once the last byte is written, so an interrupted or failed write leaves
+the old file, and no temporary file, behind.  JSON is streamed chunk by
+chunk, so writing holds no copy of the text.
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
 import hashlib
 import json
+import operator
+import os
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +48,7 @@ def encode_array(arr: np.ndarray) -> dict:
 def decode_array(obj: dict) -> np.ndarray:
     try:
         dtype = _DTYPES[obj["dtype"]]
-        shape = tuple(int(s) for s in obj["shape"])
+        shape = tuple(operator.index(s) for s in obj["shape"])  # a float, even inf, is a TypeError
         arr = np.frombuffer(base64.b64decode(obj["data"]), dtype=dtype)
         if arr.size != int(np.prod(shape)):
             raise ParseError(f"array payload size {arr.size} does not match shape {shape}")
@@ -48,9 +57,31 @@ def decode_array(obj: dict) -> np.ndarray:
         raise ParseError(f"malformed array record: {exc}") from exc
 
 
+@contextlib.contextmanager
+def atomic_writer(path: str | Path, newline: str | None = None):
+    """A UTF-8 text file to write ``path``'s new content into; it replaces ``path`` when the block ends.
+
+    The temporary file sits in ``path``'s directory, so ``os.replace`` is a
+    rename on one file system.  If the block raises, the temporary file is
+    removed and ``path`` is left as it was.  ``newline`` is :func:`open`'s.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        # open's "x" gives the file the permissions a plain write would; tempfile's would be 0600
+        with open(tmp, "x", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_json(path: str | Path, obj) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    """Stream ``obj`` as sorted, indented JSON plus a newline into ``path``, atomically."""
+    with atomic_writer(path) as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def read_json(path: str | Path):

@@ -310,10 +310,12 @@ class TestDeterminism:
             assert manifest["cpu_count"] == os.cpu_count()
             assert manifest["usable_cores"] == tr.usable_cores()
             assert "blas_threads" in manifest
+            assert manifest["blas_config"] == cli._blas_config()
+            assert manifest["blas_config"] is None or manifest["blas_config"].startswith("OpenBLAS")
             reports.append((out / "train_report.json").read_bytes())
         assert reports[0] == reports[1]
         report = json.loads(reports[0])
-        assert not {"python", "numpy", "cpu_count", "usable_cores", "blas_threads"} & set(report)
+        assert not {"python", "numpy", "cpu_count", "usable_cores", "blas_threads", "blas_config"} & set(report)
 
     def test_eval_report_bytes_independent_of_worker_count(self, tmp_path, criterion8_prepared, monkeypatch):
         """The criterion-8 fixture scored in chunks of 16 windows by one worker and by more workers than cores."""

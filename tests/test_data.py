@@ -127,7 +127,7 @@ class TestLoadFrame:
             ["date", "adj_close", "sent_0"],
             [["2021-01-04", "0.0", "0.5"]],
         )
-        with pytest.raises(DataIntegrityError, match="adj_close"):
+        with pytest.raises(DataIntegrityError, match=r"P\.csv: row 2: adj_close 0\.0 is not a positive number"):
             dp.load_frame(path)
 
     def test_schema_selects_and_orders_columns(self, simple_csv):
@@ -588,6 +588,8 @@ def dataset_text(window=10, **meta):
     {"dtype": "<f8", "shape": [1], "data": "AAAAAAAAAA=="},  # 7 bytes: not a whole float64
     {"dtype": "<f8", "shape": [2], "data": "AAAAAAAAAAA="},  # one float64 for two entries
     {"dtype": "<f8", "shape": [-1, -1], "data": "AAAAAAAAAAA="},
+    {"dtype": "<f8", "shape": [float("-inf"), 1], "data": "AAAAAAAAAAA="},  # int() raised OverflowError
+    {"dtype": "<f8", "shape": [1.5], "data": "AAAAAAAAAAA="},  # int() read it as 1
     {"dtype": "<f8", "shape": [1]},
     {"dtype": "<f4", "shape": [1], "data": ""},
     5,

@@ -227,6 +227,37 @@ class TestFixedOrderKernelsMatchTripleLoop:
             assert np.array_equal(a, a_copy) and np.array_equal(b, b_copy)
 
 
+def python_float_matmul(a, b):
+    """A triple loop over Python floats, ``total = total + x * y``, as perfbench's kernel check runs it."""
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for i, row in enumerate(a.tolist()):
+        for j, col in enumerate(b.T.tolist()):
+            total = 0.0
+            for x, y in zip(row, col):
+                total = total + x * y
+            out[i, j] = total
+    return out
+
+
+def test_which_nan_survives_where_two_meet_is_not_fixed():
+    """Entry (0, 5) sums ``inf * 0``, a nan the CPU makes, and ``nan * y``, numpy's nan.
+
+    The einsum pass keeps 0x7ff8...; perfbench's Python loop, warmed up,
+    has kept 0xfff8..., and the same loop at module level 0x7ff8.... So the
+    product is compared with Python loops with nan payloads set aside, and
+    every other entry keeps its bits.
+    """
+    rng = np.random.default_rng(0)
+    a, b = rng.uniform(-1, 1, (64, 32)), rng.uniform(-1, 1, (32, 64))
+    a[0, :3] = [-0.0, np.inf, np.nan]
+    b[1, 5], b[0] = 0.0, 1e308
+    with np.errstate(all="ignore"):
+        got = nx.matmul_values(a, b)
+        for want in (python_float_matmul(a, b), triple_loop_matmul(a, b)):
+            _assert_nan_payloads_aside(got, want)
+    assert np.isnan(got[0]).all() and not np.isnan(got[1:]).any()
+
+
 class TestOneRowProductsMatchTripleLoop:
     """One-row products, such as the heads' ``W f``, through ``matmul_values``."""
 

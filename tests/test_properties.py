@@ -1,5 +1,8 @@
-"""Property tests: CSV loading, labelling, chronological splitting and array serialization."""
+"""Property tests: CSV loading, labelling, chronological splitting, array serialization and damaged artifacts."""
 
+import contextlib
+import functools
+import io
 import json
 import tempfile
 from datetime import date, timedelta
@@ -12,9 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from alertanet import cli
 from alertanet import data as dp
-from alertanet.errors import ConfigError
+from alertanet import model as md
+from alertanet.errors import AlertaNetError, ConfigError
 from alertanet.serialize import decode_array, encode_array
+from alertanet.synth import SynthSpec, generate
 
 from testutil import golden_label_oracle, load_frame_oracle, sample_set
 
@@ -188,3 +194,91 @@ def test_load_frame_matches_row_by_row_oracle(text, schema, records_per_pass):
     assert np.array_equal(got.adj_close, want.adj_close) and np.array_equal(got.features, want.features)
     assert got.adj_close.tobytes() == want.adj_close.tobytes()
     assert got.features.tobytes() == want.features.tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_artifacts() -> dict[str, bytes]:
+    """The bytes of a valid CSV, ``dataset.json`` and checkpoint of one small synthetic stock."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        frame = generate(SynthSpec(n_days=40, n_features=3, seed=3), "S")
+        dp.write_frame(frame, tmp / "S.csv")
+        split, _ = dp.build_dataset([dp.load_frame(tmp / "S.csv")], window_len=4)
+        dp.save_dataset(tmp / "dataset.json", split)
+        config = md.ModelConfig(input_dim=3, hidden_dim=2, window=4, feature_names=split.feature_names)
+        md.save_checkpoint(tmp / "checkpoint.json", md.init_params(config, np.random.default_rng(0)), config)
+        return {name: (tmp / name).read_bytes() for name in ("S.csv", "dataset.json", "checkpoint.json")}
+
+
+def _paths(obj, prefix=()):
+    """The key path of ``obj`` and of every value nested in it."""
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, (*prefix, key))
+
+
+# what a mutated field becomes: a value of another type or range, or a cut-down copy of itself
+_JUNK = [None, True, 0, -1, 2.5, 1e308, float("nan"), float("-inf"), "", "x", "AAAA", [], [0], {}, {"a": 1}]
+
+
+@st.composite
+def mutated_json(draw, text: bytes):
+    """A JSON object with one field replaced by junk, cut short or deleted."""
+    obj = json.loads(text)
+    path = draw(st.sampled_from(list(_paths(obj))))
+    parent = functools.reduce(lambda o, k: o[k], path[:-1], obj)
+    old = parent[path[-1]] if path else obj
+    new = draw(st.sampled_from(_JUNK) | st.just(old[: len(old) // 2] if isinstance(old, (str, list)) else old))
+    if not path:
+        return json.dumps(new).encode()
+    if draw(st.booleans()) and isinstance(parent, dict):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return json.dumps(obj).encode()
+
+
+@st.composite
+def mutated_bytes(draw, text: bytes):
+    """``text`` with one to four bytes replaced, deleted or inserted."""
+    data = bytearray(text)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        byte = draw(st.sampled_from(b',\n\r.-+0eE"\xff\x00 x') | st.integers(0, 255))
+        op = draw(st.sampled_from(["replace", "delete", "insert"]))
+        if op == "insert" or at == len(data):
+            data.insert(at, byte)
+        elif op == "replace":
+            data[at] = byte
+        else:
+            del data[at]
+    return bytes(data)
+
+
+_READERS = {"S.csv": dp.load_frame, "dataset.json": dp.load_dataset, "checkpoint.json": md.load_checkpoint}
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(_READERS)), st.data())
+def test_damaged_artifacts_load_or_fail_naming_the_file(name, data):
+    """Each reader loads a damaged artifact or raises an AlertaNetError that names it; ``eval`` exits 1."""
+    valid = _valid_artifacts()
+    damaged = data.draw(mutated_bytes(valid[name]) if name.endswith(".csv") else mutated_json(valid[name]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(damaged)
+        try:
+            _READERS[name](path)
+        except AlertaNetError as exc:
+            assert str(path) in str(exc), exc
+        else:
+            return
+        if name == "checkpoint.json":
+            (Path(tmp) / "dataset.json").write_bytes(valid["dataset.json"])
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.run(["eval", "--dataset", str(Path(tmp) / "dataset.json"), "--checkpoint", str(path),
+                                "--out", str(Path(tmp) / "eval")])
+            lines = stderr.getvalue().splitlines()
+            assert code == 1 and len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -2,6 +2,7 @@ import math
 import os
 import re
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -390,6 +391,7 @@ FEATURES = ["f0", "f1", "f2", "f3", "f4"]
 MODELS = {
     "alerta": {"arch": "alerta"},
     "alerta_ctx_cell": {"arch": "alerta", "shared_context_cell": False},
+    "alerta_tda_normalize": {"arch": "alerta", "tda_normalize": True},
     "gru": {"arch": "gru"},
 }
 
@@ -452,8 +454,9 @@ class TestForwardOnlyPool:
             sys.setswitchinterval(interval)
         assert_probs_bits_equal(got, predict_probs_oracle(params, config, samples, rows))
 
-    def test_dataset_loss_bit_identical_to_serial_taped_oracle(self):
-        params, config, rows = seeded_model()
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_dataset_loss_bit_identical_to_serial_taped_oracle(self, kind):
+        params, config, rows = seeded_model(kind)
         samples = overlapping_samples(2 * tr.VALID_CHUNK + 37)
         got = tr._dataset_loss(params, config, samples, rows, 0.7, 1.9)
         want = dataset_loss_oracle(params, config, samples, rows, 0.7, 1.9)
@@ -486,6 +489,17 @@ class TestForwardOnlyPool:
         assert len(traces) == 5
         assert not any(t.logits._parents or t.hidden[-1]._parents for t in traces)
 
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_forward_only_trace_keeps_only_the_last_state(self, kind):
+        params, config, rows = seeded_model(kind)
+        samples = overlapping_samples(30)
+        taped, untaped = (md.forward_batch(samples, store, config, rows) for store in (params, params.constants()))
+        assert len(taped.hidden) == config.window and len(untaped.hidden) == 1
+        assert np.array_equal(untaped.hidden[0].value.view(np.int64), taped.hidden[-1].value.view(np.int64))
+        if config.uses_context:
+            assert np.array_equal(untaped.context.value.view(np.int64), taped.context.value.view(np.int64))
+        assert np.array_equal(untaped.logits.value.view(np.int64), taped.logits.value.view(np.int64))
+
     def test_error_in_one_chunk_keeps_its_type(self, monkeypatch):
         class ChunkFailure(Exception):
             pass
@@ -504,6 +518,38 @@ class TestForwardOnlyPool:
         assert 1 <= tr.usable_cores() <= os.cpu_count()
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert tr.usable_cores() == os.cpu_count()
+
+
+def _peak_bytes(fn) -> int:
+    """The peak of memory that ``fn()`` allocates, under ``tracemalloc``, after one untraced warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestForwardOnlyPeakMemory:
+    """A forward-only pass holds one step's ``W x`` columns and the TDA mix, not every step's and every state.
+
+    At hidden 32 and window 10 the gathered block of 512 windows alone is
+    96 x 5,120 entries, 3.9 MB, and the ten states 1.3 MB; keeping them peaked
+    at 6.6 MB for one chunk and 7.7 MB for the loss of 598 windows; now they peak at 2.3 and 2.7 MB.
+    """
+
+    CONFIG = md.ModelConfig(input_dim=len(FEATURES), hidden_dim=32, window=10)
+
+    def test_chunk_of_512_windows_peaks_below_3_mb(self):
+        params = md.init_params(self.CONFIG, np.random.default_rng(0))
+        consts, samples = params.constants(), overlapping_samples(512, window=10)
+        assert _peak_bytes(lambda: md.forward_batch(samples, consts, self.CONFIG)) < 3_000_000
+
+    def test_validation_loss_of_598_windows_peaks_below_3_5_mb(self):
+        params = md.init_params(self.CONFIG, np.random.default_rng(0))
+        samples = overlapping_samples(598, window=10)
+        assert _peak_bytes(lambda: tr._dataset_loss(params, self.CONFIG, samples, None, 1.0, 1.0)) < 3_500_000
 
 
 class TestTrainConfig:

@@ -119,6 +119,10 @@ def load_frame_oracle(path, schema=None):
             f"{path}: row {rows[i][1]}: negative value {block[i, j + 1]} in feature column {schema[j]!r}; "
             "shift signed series before ingestion"
         )
+    bad = np.flatnonzero(block[:, 0] <= 0)
+    if bad.size:
+        i = bad[0]
+        raise DataIntegrityError(f"{path}: row {rows[i][1]}: adj_close {block[i, 0]} is not a positive number")
     return FeatureFrame(stock_id=path.stem, dates=[r[0] for r in rows], adj_close=block[:, 0],
                         feature_names=list(schema), features=block[:, 1:])
 

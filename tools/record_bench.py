@@ -12,8 +12,9 @@ reads the record each run writes under the copy's ``perfbench/results/`` and
 writes ``BENCH_<TAG>.json`` at the repository root: for every workload and
 end-to-end metric, both sides' medians and quartiles and the pairs each side
 won, plus the raw operation and set-up medians, the median calibration time,
-whether every check passed, every pair's figures, and perfbench's environment
-fingerprint.  The exit code is 0 only when every run passed every check.
+whether every check passed, every pair's figures, perfbench's environment
+fingerprint and the OpenBLAS build string.  The exit code is 0 only when every
+run passed every check.
 """
 
 from __future__ import annotations
@@ -78,6 +79,14 @@ def run_side(copy: Path, command: list[str], workload: str, seed: int, seconds: 
     return json.loads((copy / "perfbench" / "results" / f"{workload}-seed{seed}-trace0.json").read_text())
 
 
+def blas_config() -> str | None:
+    """The build string of the OpenBLAS bundled with numpy, read the way every run manifest reads it."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from alertanet.cli import _blas_config
+
+    return _blas_config()
+
+
 def _spread(values: list[float]) -> dict:
     q1, median, q3 = np.percentile(values, [25, 50, 75])
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
@@ -133,7 +142,8 @@ def record(args) -> dict:
     parent = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     tree = working_tree()
     bench = {"tag": args.tag, "parent": parent, "change_tree": tree, "pairs": args.pairs,
-             "seconds": args.seconds, "date": time.strftime("%Y-%m-%d", time.gmtime()), "workloads": {}}
+             "seconds": args.seconds, "date": time.strftime("%Y-%m-%d", time.gmtime()),
+             "blas_config": blas_config(), "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="record_bench-") as tmp:
         copies = {side: Path(tmp) / side for side in SIDES}
         export(parent, copies["parent"])
