@@ -216,12 +216,13 @@ def tda_weights(t: int) -> np.ndarray:
     return 1.0 / np.arange(t, 0, -1, dtype=np.float64)
 
 
-def heads(fusion: list[nx.Tensor], params: nx.ParamStore) -> tuple[nx.Tensor, np.ndarray]:
+def heads(fusion: list[nx.Tensor], params: nx.ParamStore) -> nx.Tensor:
     """Both head logits from the fusion blocks, recorded as one tape node.
 
     ``fusion`` is [h^T, c] (or [h^T] for the plain GRU), stacked into f.
     m = W_m f + b_m and v = W_v [f; sigma(m)] + b_v; returns the 2 x batch
-    logits [m; v] and their probabilities.  The products run in the fixed
+    logits [m; v].  Their probabilities are ``nx.sigmoid_values(logits)``,
+    the expression that forms sigma(m) here.  The products run in the fixed
     order and the backward keeps the grouping of the separate per-op nodes,
     so values and gradients are bit-identical to composing them op by op.
     """
@@ -231,7 +232,6 @@ def heads(fusion: list[nx.Tensor], params: nx.ParamStore) -> tuple[nx.Tensor, np
     p_m = nx.sigmoid_values(m)
     f_p = np.concatenate([f, p_m])
     v = nx.matmul_values(w_v.value, f_p) + b_v.value
-    probs = np.concatenate([p_m, nx.sigmoid_values(v)])
 
     def backward_fn(grad):
         g_v = grad[1:]
@@ -249,8 +249,7 @@ def heads(fusion: list[nx.Tensor], params: nx.ParamStore) -> tuple[nx.Tensor, np
         w_v.grad += np.dot(g_v, f_p.T)
         b_v.grad += np.sum(g_v, axis=1, keepdims=True)
 
-    logits = nx.record(np.concatenate([m, v]), (*fusion, w_m, b_m, w_v, b_v), backward_fn)
-    return logits, probs
+    return nx.record(np.concatenate([m, v]), (*fusion, w_m, b_m, w_v, b_v), backward_fn)
 
 
 @dataclass
@@ -265,11 +264,6 @@ class ForwardTrace:
     hidden: list[nx.Tensor]  # window-many (hidden_dim x batch) states, or [h^T] when forward-only
     context: nx.Tensor | None
     logits: nx.Tensor  # 2 x batch: movement row, volatility row
-    probs: np.ndarray  # sigmoid of the logits
-
-    @property
-    def batch_size(self) -> int:
-        return self.logits.cols
 
 
 def forward_batch(windows: SampleSet | np.ndarray, params: nx.ParamStore, config: ModelConfig,
@@ -355,8 +349,8 @@ def forward_batch(windows: SampleSet | np.ndarray, params: nx.ParamStore, config
         else:
             wx, cols = project(params["ctx_W"], day_of_col[last])(slice(None))
             context = cell_step(wx, mix, params, "ctx_", cols)
-    logits, probs = heads([hidden[-1]] if context is None else [hidden[-1], context], params)
-    return ForwardTrace(hidden=hidden, context=context, logits=logits, probs=probs)
+    logits = heads([hidden[-1]] if context is None else [hidden[-1], context], params)
+    return ForwardTrace(hidden=hidden, context=context, logits=logits)
 
 
 def forward(x, params: nx.ParamStore, config: ModelConfig) -> ForwardTrace:

@@ -239,19 +239,19 @@ def softplus_values(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def bce_with_logits(logits: Tensor, targets: np.ndarray, pos_weight=1.0) -> Tensor:
+def bce_with_logits(logits: Tensor, targets: np.ndarray, pos_weight: np.ndarray) -> Tensor:
     """Elementwise binary cross-entropy computed in logit space.
 
-    ``pos_weight`` scales the positive-class term, for imbalanced targets: a
-    scalar, or an (m x 1) column with one weight per row of the m x n logits.
-    With ``pos_weight=1`` each entry equals the standard stable form
+    ``pos_weight`` scales the positive-class term, for imbalanced targets: an
+    (m x 1) column with one weight per row of the m x n logits.  Where the
+    weight is 1 each entry equals the standard stable form
     ``max(z, 0) - z*y + log(1 + exp(-|z|))``.
     """
     targets = as_matrix(targets)
     if targets.shape != logits.shape:
         raise DimensionError(f"bce_with_logits: targets {targets.shape} vs logits {logits.shape}")
     pos_weight = np.asarray(pos_weight, dtype=np.float64)
-    if pos_weight.ndim and pos_weight.shape != (logits.rows, 1):
+    if pos_weight.shape != (logits.rows, 1):
         raise DimensionError(f"bce_with_logits: pos_weight {pos_weight.shape} vs logits {logits.shape}")
     z = logits.value
     out = pos_weight * targets * softplus_values(-z) + (1.0 - targets) * softplus_values(z)

@@ -29,10 +29,10 @@ from .data import (
 from .errors import CheckpointError, ConfigError, TrainingError, UndefinedMetricError
 from .model import ModelConfig, check_fields, forward_batch, init_params
 
-# windows per forward pass when scoring the validation set and when predicting;
-# VALID_CHUNK's per-chunk means also set the validation loss bits
-VALID_CHUNK = 1024
-PREDICT_CHUNK = 512
+# the widest chunk of windows one forward-only pass runs; it bounds a worker's memory and sets no bits
+FORWARD_CHUNK = 512
+# the validation loss is the window-weighted mean of the loss means of consecutive groups this wide
+LOSS_GROUP = 1024
 
 
 @dataclass
@@ -84,22 +84,22 @@ class TrainConfig:
         return asdict(self)
 
 
-def _loss_terms(trace, y_m, y_v, loss_weight, pos_weight):
-    """The recorded batch loss and its movement and volatility means.
+def _loss_terms(logits: nx.Tensor, y_m, y_v, loss_weight, pos_weight):
+    """The recorded batch loss of the 2 x batch logits, and its movement and volatility means.
 
     One BCE node covers both logit rows; one more node forms the means and
     the lambda-weighted sum.  Each sum and scale keeps the grouping of the
     separate per-op nodes these replaced, so values and gradients are
     bit-identical to them.
     """
-    batch = trace.batch_size
+    batch = logits.cols
     y_m = np.atleast_1d(np.asarray(y_m))
     y_v = np.atleast_1d(np.asarray(y_v))
     if y_m.shape != (batch,) or y_v.shape != (batch,):
         raise ConfigError(f"labels {y_m.shape}/{y_v.shape} do not match batch size {batch}")
     weights_m = (y_m != ABSTAIN).astype(np.float64) / batch
     targets = np.stack([np.where(y_m == ABSTAIN, 0, y_m), y_v]).astype(np.float64)
-    terms = nx.bce_with_logits(trace.logits, targets, np.array([[1.0], [pos_weight]]))
+    terms = nx.bce_with_logits(logits, targets, np.array([[1.0], [pos_weight]]))
     movement = float(np.sum(terms.value[0] * weights_m))
     volatility = 1.0 / batch * float(np.sum(terms.value[1]))
 
@@ -193,35 +193,47 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _forward_chunks(fn, n: int, chunk: int) -> list:
-    """``fn(lo, hi)`` over consecutive chunks of ``range(n)``, on a thread pool.
+def _forward_logits(params: nx.ParamStore, config: ModelConfig, samples: SampleSet, rows) -> np.ndarray:
+    """The 2 x n logits of every window, movement row then volatility row, in window order.
 
-    Returns the results in chunk order; the first chunk to fail, in that
-    order, raises its own exception.  The fixed-order product releases the
-    GIL, so chunks overlap on several cores, and since every window's values
-    depend only on its own column, they do not depend on the worker count.
-    Callers run ``fn`` over ``params.constants()``, so no chunk records a tape.
+    Untaped chunks over ``params.constants()`` run on a thread pool; the
+    fixed-order product releases the GIL, so they overlap on several cores.
+    A chunk spreads the windows evenly over the usable cores, up to
+    ``FORWARD_CHUNK`` windows.  Every window's logits depend only on its own
+    column, so neither the chunk size nor the worker count sets a bit.  The
+    first chunk to fail, in window order, raises its own exception.
     """
+    n, workers = len(samples), usable_cores()
+    chunk = min(FORWARD_CHUNK, -(-n // workers))
+    logits = np.empty((2, n))
+    consts = params.constants()
+
+    def run(lo):
+        hi = min(lo + chunk, n)
+        logits[:, lo:hi] = forward_batch(samples[lo:hi], consts, config, rows).logits.value
+
     los = range(0, n, chunk)
-    with ThreadPoolExecutor(max_workers=min(len(los), usable_cores())) as pool:
-        return list(pool.map(fn, los, [min(lo + chunk, n) for lo in los]))
+    with ThreadPoolExecutor(max_workers=min(len(los), workers)) as pool:
+        list(pool.map(run, los))
+    return logits
 
 
 def _dataset_loss(params, config, samples: SampleSet, rows, loss_weight, pos_weight):
-    consts = params.constants()
+    """Movement, volatility and total loss means over a sample set, from one forward-only pass.
 
-    def chunk_terms(lo, hi):
-        chunk = samples[lo:hi]
-        trace = forward_batch(chunk, consts, config, rows)
-        loss, m_term, v_term = _loss_terms(trace, chunk.y_m, chunk.y_v, loss_weight, pos_weight)
-        return m_term, v_term, loss.item(), hi - lo
-
+    Each consecutive group of ``LOSS_GROUP`` windows gives its loss means,
+    weighted by its size; a non-finite logit gives a nan loss, as in training.
+    """
+    logits = _forward_logits(params, config, samples, rows)
     n = len(samples)
     movement = volatility = total = 0.0
-    for m_term, v_term, loss, weight in _forward_chunks(chunk_terms, n, VALID_CHUNK):
-        movement += m_term * weight
-        volatility += v_term * weight
-        total += loss * weight
+    for lo in range(0, n, LOSS_GROUP):
+        hi = min(lo + LOSS_GROUP, n)
+        group = nx.Tensor(logits[:, lo:hi], _validate=False)
+        loss, m_term, v_term = _loss_terms(group, samples.y_m[lo:hi], samples.y_v[lo:hi], loss_weight, pos_weight)
+        movement += m_term * (hi - lo)
+        volatility += v_term * (hi - lo)
+        total += loss.item() * (hi - lo)
     return movement / n, volatility / n, total / n
 
 
@@ -239,7 +251,7 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
 
     Returns the parameters restored to the best validation epoch.  Two runs
     with the same split and config produce bit-identical parameters.  Each
-    forward pass reads one batch, or one validation chunk, from the split's days.
+    forward pass reads one batch, or one chunk of validation windows, from the split's days.
     """
     cfg.validate()
     if not split.train:
@@ -301,7 +313,7 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
             for lo in range(0, n_train, cfg.batch_size):
                 batch = split.train[perm[lo : lo + cfg.batch_size]]
                 trace = forward_batch(batch, params, config, rows)
-                loss, m_term, v_term = _loss_terms(trace, batch.y_m, batch.y_v, loss_weight, pos_weight)
+                loss, m_term, v_term = _loss_terms(trace.logits, batch.y_m, batch.y_v, loss_weight, pos_weight)
                 loss_value = loss.item()
                 if not np.isfinite(loss_value):
                     culprit = _first_nonfinite_param(params) or "batch inputs"
@@ -432,13 +444,13 @@ def predict_probs(
     samples: SampleSet,
     dataset_feature_names: list[str] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Movement and volatility probabilities for every sample.
-
-    Each chunk of windows is one untaped forward pass over ``params.constants()``
-    on the thread pool; the probabilities are the same bits for any worker count.
-    """
+    """Movement and volatility probabilities for every sample: the sigmoid of :func:`_forward_logits`."""
     if not samples:
         raise ConfigError("no samples to evaluate")
+    if samples.window != config.window:
+        raise CheckpointError(
+            f"sample window {samples.window} does not match checkpoint config window {config.window}"
+        )
     rows = None
     if config.feature_names and dataset_feature_names and dataset_feature_names != config.feature_names:
         missing = [n for n in config.feature_names if n not in dataset_feature_names]
@@ -454,14 +466,7 @@ def predict_probs(
             f"sample feature dimension {n_features} does not match checkpoint config "
             f"(input_dim={config.input_dim}, window={config.window})"
         )
-    m_probs = np.empty(len(samples))
-    v_probs = np.empty(len(samples))
-    consts = params.constants()
-
-    def predict_chunk(lo, hi):
-        m_probs[lo:hi], v_probs[lo:hi] = forward_batch(samples[lo:hi], consts, config, rows).probs
-
-    _forward_chunks(predict_chunk, len(samples), PREDICT_CHUNK)
+    m_probs, v_probs = nx.sigmoid_values(_forward_logits(params, config, samples, rows))
     return m_probs, v_probs
 
 

@@ -260,6 +260,20 @@ class TestTrainEval:
         assert code == 1
         assert "checkpoint" in capsys.readouterr().err.lower()
 
+    def test_eval_checkpoint_window_mismatch_names_both_windows(self, tmp_path, prepared, synth_dir, capsys):
+        train_out = tmp_path / "run8"
+        assert run_cli("train", "--dataset", prepared, "--out", train_out,
+                       "--epochs", "1", "--hidden", "4") == 0
+        prep10 = tmp_path / "prep10"
+        assert run_cli("prepare", "--data", synth_dir, "--out", prep10, "--window", "10",
+                       "--train-frac", "0.6", "--valid-frac", "0.2") == 0
+        capsys.readouterr()
+        assert run_cli("eval", "--dataset", prep10 / "dataset.json",
+                       "--checkpoint", train_out / "checkpoint.json", "--out", tmp_path / "e10") == 1
+        err = capsys.readouterr().err
+        assert "error: sample window 10 does not match checkpoint config window 8" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
     def test_eval_of_a_malformed_checkpoint_prints_one_error_line(self, tmp_path, prepared, capsys, case):
         edit, message = BAD_CHECKPOINTS[case]
@@ -318,11 +332,11 @@ class TestDeterminism:
         assert not {"python", "numpy", "cpu_count", "usable_cores", "blas_threads", "blas_config"} & set(report)
 
     def test_eval_report_bytes_independent_of_worker_count(self, tmp_path, criterion8_prepared, monkeypatch):
-        """The criterion-8 fixture scored in chunks of 16 windows by one worker and by more workers than cores."""
+        """The criterion-8 fixture scored in chunks of up to 16 windows by one worker and by more workers than cores."""
         train_out = tmp_path / "train"
         assert run_cli("train", "--dataset", criterion8_prepared, "--out", train_out,
                        "--epochs", "3", "--hidden", "6", "--seed", "13") == 0
-        monkeypatch.setattr(tr, "PREDICT_CHUNK", 16)
+        monkeypatch.setattr(tr, "FORWARD_CHUNK", 16)
         reports = []
         for workers in (1, 2 * tr.usable_cores() + 1):
             monkeypatch.setattr(tr, "usable_cores", lambda workers=workers: workers)
@@ -349,6 +363,48 @@ class TestDeterminism:
         assert checkpoints[0] == checkpoints[1]
         if cli._blas_threads() is not None:  # the manifest records the count in effect
             assert manifest_threads[0] == 1 and manifest_threads[1] in (1, 2)
+
+
+    def test_eval_report_bytes_independent_of_openblas_core_type(self, tmp_path, criterion8_prepared):
+        """One checkpoint scored in child processes on two OpenBLAS kernels.
+
+        Forward passes use only the fixed-order product and elementwise ops, so
+        the kernel that OpenBLAS picks for the CPU sets none of their bits.
+        """
+        config = cli._blas_config()
+        if config is None or "DYNAMIC_ARCH" not in config:
+            pytest.skip(f"this OpenBLAS cannot switch kernels: {config}")
+        train_out = tmp_path / "train"
+        assert run_cli("train", "--dataset", criterion8_prepared, "--out", train_out,
+                       "--epochs", "3", "--hidden", "6", "--seed", "13") == 0
+        checkpoint = train_out / "checkpoint.json"
+        # `alertanet eval`, then the raw bits of every window's probabilities, which the report only summarizes
+        child = (
+            "import hashlib, sys\n"
+            "from alertanet import cli, data, model, training\n"
+            "dataset, checkpoint, out = sys.argv[1:]\n"
+            "assert cli.run(['eval', '--dataset', dataset, '--checkpoint', checkpoint, '--split', 'all', "
+            "'--out', out]) == 0\n"
+            "split, (params, config, _) = data.load_dataset(dataset), model.load_checkpoint(checkpoint)\n"
+            "probs = training.predict_probs(params, config, split.train + split.validation + split.test, "
+            "split.feature_names)\n"
+            "print(hashlib.sha256(b''.join(p.tobytes() for p in probs)).hexdigest())\n"
+        )
+        src = str(Path(alertanet.__file__).resolve().parents[1])
+        reports, digests, configs = [], [], []
+        for core in ("Haswell", "Prescott"):
+            out = tmp_path / f"eval_{core}"
+            env = {**os.environ, "OPENBLAS_CORETYPE": core,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            done = subprocess.run([sys.executable, "-c", child, str(criterion8_prepared), str(checkpoint), str(out)],
+                                  env=env, check=True, capture_output=True, text=True)
+            digests.append(done.stdout.splitlines()[-1])
+            reports.append((out / "eval_report.json").read_bytes())
+            configs.append(read_json(out / "manifest.json")["blas_config"])
+        # the names differ from the ones asked for (Prescott reports Katmai), so only compare them
+        assert configs[0] != configs[1]
+        assert reports[0] == reports[1]
+        assert digests[0] == digests[1]
 
 
 class TestThreshold:

@@ -142,7 +142,7 @@ def oracle_cell_step(x, h_prev, gates, prefix=""):
 
 
 def oracle_forward_batch(x, gates, config):
-    """The per-gate forward pass: one column block and one oracle cell per step."""
+    """The per-gate forward pass: one column block and one oracle cell per step, and its per-op probabilities."""
     batch, _, steps = x.shape
     cols = [nx.constant(np.ascontiguousarray(x[:, :, t].T)) for t in range(steps)]
     h = nx.constant(np.zeros((config.hidden_dim, batch)))
@@ -161,7 +161,7 @@ def oracle_forward_batch(x, gates, config):
         fusion = concat_rows([hidden[-1], context])
     movement_logit, movement_prob, volatility_logit, volatility_prob = per_op_heads(fusion, gates)
     probs = np.concatenate([movement_prob.value, volatility_prob.value])
-    return md.ForwardTrace(hidden, context, concat_rows([movement_logit, volatility_logit]), probs)
+    return md.ForwardTrace(hidden, context, concat_rows([movement_logit, volatility_logit])), probs
 
 
 # stacked parameter -> the per-gate parameters its row blocks hold, in order
@@ -213,13 +213,13 @@ class TestFusedCellMatchesPerGateOracle:
         y_v = rng.integers(0, 2, size=batch)
 
         ours = md.forward_batch(x, params, config)
-        oracle = oracle_forward_batch(x, gates, config)
+        oracle, oracle_probs = oracle_forward_batch(x, gates, config)
         for got, want in zip(ours.hidden, oracle.hidden):
             assert np.array_equal(got.value, want.value)
         if config.uses_context:
             assert np.array_equal(ours.context.value, oracle.context.value)
         assert np.array_equal(ours.logits.value, oracle.logits.value)
-        assert np.array_equal(ours.probs, oracle.probs)
+        assert np.array_equal(nx.sigmoid_values(ours.logits.value), oracle_probs)
 
         loss = joint_loss(ours, y_m, y_v, 0.8, 1.5)
         oracle_loss = joint_loss(oracle, y_m, y_v, 0.8, 1.5)
@@ -302,7 +302,6 @@ class TestForwardBatchMatchesProjectEveryColumnOracle:
         if config.uses_context:
             assert np.array_equal(got.context.value, want.context.value)
         assert np.array_equal(got.logits.value, want.logits.value)
-        assert np.array_equal(got.probs, want.probs)
         assert np.array_equal(got_loss.value, want_loss.value)
         for name, tensor in params.items():
             assert np.array_equal(tensor.grad, want_grads[name]), name
@@ -438,7 +437,7 @@ class TestHeadsAndLossMatchPerOpOracle:
         y_v = rng.integers(0, 2, size=batch)
 
         trace = md.forward_batch(x, params, config)
-        loss, movement, volatility = tr._loss_terms(trace, y_m, y_v, 0.7, 1.3)
+        loss, movement, volatility = tr._loss_terms(trace.logits, y_m, y_v, 0.7, 1.3)
         params.zero_grads()
         nx.backward(loss)
         grads = {name: tensor.grad.copy() for name, tensor in params.items()}
@@ -456,7 +455,8 @@ class TestHeadsAndLossMatchPerOpOracle:
         nx.backward(want_loss)
 
         assert np.array_equal(trace.logits.value, np.concatenate([movement_logit.value, volatility_logit.value]))
-        assert np.array_equal(trace.probs, np.concatenate([movement_prob.value, volatility_prob.value]))
+        probs = nx.sigmoid_values(trace.logits.value)
+        assert np.array_equal(probs, np.concatenate([movement_prob.value, volatility_prob.value]))
         assert np.array_equal(loss.value, want_loss.value)
         assert movement == want_movement.item() and volatility == want_volatility.item()
         for name, got in grads.items():
@@ -549,7 +549,7 @@ class TestForward:
         for name in params.names():
             params[name].value[...] = 0.0
         trace = md.forward(np.random.default_rng(0).normal(size=(4, 5)), params, config)
-        assert np.array_equal(trace.probs, [[0.5], [0.5]])
+        assert np.array_equal(nx.sigmoid_values(trace.logits.value), [[0.5], [0.5]])
 
     def test_window_of_one(self):
         config = md.ModelConfig(input_dim=4, hidden_dim=3, window=1)
@@ -568,7 +568,7 @@ class TestForward:
         x = rng_x.normal(size=(5, 6))
         t1 = md.forward(x, make_params(config, seed=3), config)
         t2 = md.forward(x.copy(), make_params(config, seed=3), config)
-        assert np.array_equal(t1.probs, t2.probs)
+        assert np.array_equal(t1.logits.value, t2.logits.value)
         assert np.array_equal(hidden_states(t1), hidden_states(t2))
 
     def test_probabilities_strictly_inside_unit_interval(self):
@@ -579,7 +579,8 @@ class TestForward:
             for name in params.names():
                 params[name].value[...] *= 10.0  # exaggerate magnitudes
             trace = md.forward(rng.normal(size=(3, 4)) * 5, params, config)
-            assert np.all((0.0 < trace.probs) & (trace.probs < 1.0))
+            probs = nx.sigmoid_values(trace.logits.value)
+            assert np.all((0.0 < probs) & (probs < 1.0))
 
     def test_ablation_mask_removes_rows_exactly(self):
         from alertanet.training import predict_probs
@@ -595,9 +596,9 @@ class TestForward:
             return predict_probs(params, config, sample_set([(x, 0, 0, "S", "2021-01-01")]), names)
 
         m_masked, v_masked = probs(x_full)
-        direct = md.forward(x_full[keep, :], params, config)
-        assert m_masked[0] == direct.probs[0, 0]
-        assert v_masked[0] == direct.probs[1, 0]
+        direct = nx.sigmoid_values(md.forward(x_full[keep, :], params, config).logits.value)
+        assert m_masked[0] == direct[0, 0]
+        assert v_masked[0] == direct[1, 0]
         # values outside the mask are irrelevant, not merely small
         x_altered = x_full.copy()
         x_altered[0, :] = 0.0
@@ -641,9 +642,9 @@ class TestForward:
         params = make_params(config, seed=6)
         assert "ctx_W" in params.names()
         x = np.random.default_rng(7).normal(size=(3, 4))
-        base = md.forward(x, params, config).probs[0, 0]
+        base = md.forward(x, params, config).logits.value[0, 0]
         params["ctx_W"].value[...] += 0.5
-        assert md.forward(x, params, config).probs[0, 0] != base
+        assert md.forward(x, params, config).logits.value[0, 0] != base
 
 
 class TestModelConfig:

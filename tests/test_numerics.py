@@ -342,10 +342,11 @@ class TestElementwise:
         y = rng.integers(0, 2, size=(2, 9)).astype(float)
         both = nx.bce_with_logits(z, y, np.array([[1.0], [2.5]])).value
         for row, weight in ((0, 1.0), (1, 2.5)):
-            alone = nx.bce_with_logits(nx.constant(z.value[row : row + 1]), y[row : row + 1], weight).value
-            assert np.array_equal(both[row : row + 1], alone)
-        with pytest.raises(DimensionError, match="pos_weight"):
-            nx.bce_with_logits(z, y, np.ones((1, 9)))
+            alone = nx.bce_with_logits(nx.constant(z.value[row : row + 1]), y[row : row + 1], np.array([[weight]]))
+            assert np.array_equal(both[row : row + 1], alone.value)
+        for bad in (np.ones((1, 9)), 2.5, np.ones((1, 1))):
+            with pytest.raises(DimensionError, match="pos_weight"):
+                nx.bce_with_logits(z, y, bad)
 
     def test_binary_ops_reject_shape_mismatch(self):
         a, b = nx.constant(np.ones((2, 3))), nx.constant(np.ones((2, 1)))
@@ -414,7 +415,7 @@ class TestBackprop:
             mixed = nx.linear_combination([h, s], [0.3, 1.2])
             row = concat_rows([mixed, s])
             picked = nx.matmul(nx.constant(np.ones((1, 6))), row)
-            return total_sum(nx.bce_with_logits(picked, target, pos_weight=1.7))
+            return total_sum(nx.bce_with_logits(picked, target, pos_weight=np.array([[1.7]])))
 
         params.zero_grads()
         nx.backward(compute())
@@ -433,7 +434,7 @@ class TestTapeKeepsOnlyActiveNodes:
             "matmul": nx.matmul(w, x),
             "matmul_cols": nx.matmul(w, x, cols=np.array([0, 0])),
             "linear_combination": nx.linear_combination([w, nx.constant(w.value)], [0.5, 2.0]),
-            "bce_with_logits": nx.bce_with_logits(w, np.array([[1.0, 0.0]]), 1.5),
+            "bce_with_logits": nx.bce_with_logits(w, np.array([[1.0, 0.0]]), np.array([[1.5]])),
         }
 
     def test_an_op_on_constants_keeps_no_record(self):
@@ -457,7 +458,7 @@ class TestTapeKeepsOnlyActiveNodes:
         x = nx.constant(rng.normal(size=(4, 6)))
 
         def loss_of(store):
-            return total_sum(nx.bce_with_logits(nx.matmul(store["W"], x), np.ones((3, 6)), 1.7))
+            return total_sum(nx.bce_with_logits(nx.matmul(store["W"], x), np.ones((3, 6)), np.full((3, 1), 1.7)))
 
         taped, untaped = loss_of(params), loss_of(params.constants())
         assert np.array_equal(untaped.value.view(np.int64), taped.value.view(np.int64))

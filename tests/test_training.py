@@ -33,8 +33,7 @@ def toy_split(n_days=320, n_features=4, seed=0, window=5, noise=0.0, lag=2):
 
 class TestJointLoss:
     def _trace(self, m_logit, v_logit):
-        logits = nx.constant([[float(m_logit)], [float(v_logit)]])
-        return md.ForwardTrace(hidden=[], context=None, logits=logits, probs=nx.sigmoid_values(logits.value))
+        return md.ForwardTrace(hidden=[], context=None, logits=nx.constant([[float(m_logit)], [float(v_logit)]]))
 
     def test_zero_logit_positive_label(self):
         loss = joint_loss(self._trace(0.0, 3.0), 1, 0, loss_weight=0.0)
@@ -441,8 +440,23 @@ class TestForwardOnlyPool:
         got = tr.predict_probs(params, config, samples, FEATURES)
         assert_probs_bits_equal(got, predict_probs_oracle(params, config, samples, rows))
 
+    @pytest.mark.parametrize("workers", [1, 8])
+    @pytest.mark.parametrize("cap", [1, 7, 299, 512, 1024])
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_chunk_cap_and_worker_count_set_no_bits(self, monkeypatch, kind, cap, workers):
+        """Probabilities and validation losses over more than one loss group, for any chunk cap and pool size."""
+        monkeypatch.setattr(tr, "FORWARD_CHUNK", cap)
+        monkeypatch.setattr(tr, "usable_cores", lambda: workers)
+        params, config, rows = seeded_model(kind)
+        samples = overlapping_samples(tr.LOSS_GROUP + 7)
+        got = tr.predict_probs(params, config, samples, FEATURES)
+        assert_probs_bits_equal(got, predict_probs_oracle(params, config, samples, rows))
+        got = tr._dataset_loss(params, config, samples, rows, 0.7, 1.9)
+        want = dataset_loss_oracle(params, config, samples, rows, 0.7, 1.9)
+        assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
     def test_many_workers_and_short_switch_interval_lose_no_chunk(self, monkeypatch):
-        monkeypatch.setattr(tr, "PREDICT_CHUNK", 7)
+        monkeypatch.setattr(tr, "FORWARD_CHUNK", 7)
         monkeypatch.setattr(tr, "usable_cores", lambda: 8)
         params, config, rows = seeded_model()
         samples = overlapping_samples(300)
@@ -457,7 +471,7 @@ class TestForwardOnlyPool:
     @pytest.mark.parametrize("kind", MODELS)
     def test_dataset_loss_bit_identical_to_serial_taped_oracle(self, kind):
         params, config, rows = seeded_model(kind)
-        samples = overlapping_samples(2 * tr.VALID_CHUNK + 37)
+        samples = overlapping_samples(2 * tr.LOSS_GROUP + 37)
         got = tr._dataset_loss(params, config, samples, rows, 0.7, 1.9)
         want = dataset_loss_oracle(params, config, samples, rows, 0.7, 1.9)
         assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
@@ -467,14 +481,20 @@ class TestForwardOnlyPool:
         params, config, rows = seeded_model(kind)
         samples = overlapping_samples(40)
         taped, untaped = (
-            tr._loss_terms(md.forward_batch(samples, store, config, rows), samples.y_m, samples.y_v, 0.7, 1.9)[0]
+            tr._loss_terms(md.forward_batch(samples, store, config, rows).logits, samples.y_m, samples.y_v, 0.7, 1.9)[0]
             for store in (params, params.constants())
         )
         assert np.array_equal(untaped.value.view(np.int64), taped.value.view(np.int64))
         with pytest.raises(UsageError, match="no recorded computation"):
             nx.backward(untaped)
 
-    def test_forward_passes_record_no_tape(self, monkeypatch):
+    @pytest.mark.parametrize("n, workers, widths", [
+        (1025, 2, [512, 512, 1]),
+        (598, 2, [299, 299]),  # the validation part of acceptance criterion 6, on two cores
+        (598, 1, [512, 86]),
+        (598, 8, [75] * 7 + [73]),
+    ])
+    def test_forward_passes_record_no_tape(self, monkeypatch, n, workers, widths):
         traces = []
 
         def keep(*args):
@@ -482,11 +502,12 @@ class TestForwardOnlyPool:
             return traces[-1]
 
         monkeypatch.setattr(tr, "forward_batch", keep)
+        monkeypatch.setattr(tr, "usable_cores", lambda: workers)
         params, config, rows = seeded_model()
-        samples = overlapping_samples(tr.VALID_CHUNK + 1)
+        samples = overlapping_samples(n)
         tr.predict_probs(params, config, samples, FEATURES)
         tr._dataset_loss(params, config, samples, rows, 1.0, 1.0)
-        assert len(traces) == 5
+        assert sorted(t.logits.cols for t in traces) == sorted(2 * widths)
         assert not any(t.logits._parents or t.hidden[-1]._parents for t in traces)
 
     @pytest.mark.parametrize("kind", MODELS)
@@ -505,11 +526,12 @@ class TestForwardOnlyPool:
             pass
 
         def fail_last_chunk(windows, *args):
-            if len(windows) < tr.PREDICT_CHUNK:
+            if len(windows) < tr.FORWARD_CHUNK:
                 raise ChunkFailure("the last chunk")
             return md.forward_batch(windows, *args)
 
         monkeypatch.setattr(tr, "forward_batch", fail_last_chunk)
+        monkeypatch.setattr(tr, "usable_cores", lambda: 2)
         params, config, _ = seeded_model()
         with pytest.raises(ChunkFailure, match="the last chunk"):
             tr.predict_probs(params, config, overlapping_samples(3 * 512 + 5), FEATURES)

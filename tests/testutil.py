@@ -311,28 +311,32 @@ def forward_batch_oracle(windows, params, config):
         else:
             ctx_wx = nx.matmul(params["ctx_W"], nx.constant(x_block.value[:, last]))
             context = cell_step_oracle(ctx_wx, mixed, params, "ctx_")
-    logits, probs = md.heads([hidden[-1]] if context is None else [hidden[-1], context], params)
-    return md.ForwardTrace(hidden=hidden, context=context, logits=logits, probs=probs)
+    logits = md.heads([hidden[-1]] if context is None else [hidden[-1], context], params)
+    return md.ForwardTrace(hidden=hidden, context=context, logits=logits)
 
 
 def predict_probs_oracle(params, config, samples, rows=None):
-    """The former loop of ``training.predict_probs``: one taped forward pass per chunk, in order."""
+    """The former loop of ``training.predict_probs``: one taped forward pass per chunk of 512 windows, in order.
+
+    The probabilities are the sigmoid of each chunk's logits, which is what the heads returned beside them.
+    """
     m_probs = np.empty(len(samples))
     v_probs = np.empty(len(samples))
-    for lo in range(0, len(samples), tr.PREDICT_CHUNK):
-        hi = min(lo + tr.PREDICT_CHUNK, len(samples))
-        m_probs[lo:hi], v_probs[lo:hi] = md.forward_batch(samples[lo:hi], params, config, rows).probs
+    for lo in range(0, len(samples), 512):
+        hi = min(lo + 512, len(samples))
+        logits = md.forward_batch(samples[lo:hi], params, config, rows).logits.value
+        m_probs[lo:hi], v_probs[lo:hi] = nx.sigmoid_values(logits)
     return m_probs, v_probs
 
 
 def dataset_loss_oracle(params, config, samples, rows, loss_weight, pos_weight):
-    """The former body of ``training._dataset_loss``: one taped forward pass per chunk, in order."""
+    """The former body of ``training._dataset_loss``: one taped forward pass per chunk of 1,024 windows, in order."""
     n = len(samples)
     movement = volatility = total = 0.0
-    for lo in range(0, n, tr.VALID_CHUNK):
-        chunk = samples[lo : lo + tr.VALID_CHUNK]
+    for lo in range(0, n, 1024):
+        chunk = samples[lo : lo + 1024]
         trace = md.forward_batch(chunk, params, config, rows)
-        loss, m_term, v_term = tr._loss_terms(trace, chunk.y_m, chunk.y_v, loss_weight, pos_weight)
+        loss, m_term, v_term = tr._loss_terms(trace.logits, chunk.y_m, chunk.y_v, loss_weight, pos_weight)
         weight = len(chunk)
         movement += m_term * weight
         volatility += v_term * weight
@@ -342,7 +346,7 @@ def dataset_loss_oracle(params, config, samples, rows, loss_weight, pos_weight):
 
 def joint_loss(trace, y_m, y_v, loss_weight, volatility_pos_weight=1.0):
     """The recorded training objective of one sample or a batch, as ``train`` computes it."""
-    return tr._loss_terms(trace, y_m, y_v, loss_weight, volatility_pos_weight)[0]
+    return tr._loss_terms(trace.logits, y_m, y_v, loss_weight, volatility_pos_weight)[0]
 
 
 def hidden_states(trace):
@@ -515,9 +519,10 @@ def per_op_loss(movement_logit, volatility_logit, y_m, y_v, loss_weight, pos_wei
     batch = movement_logit.cols
     y_m, y_v = np.asarray(y_m).reshape(1, batch), np.asarray(y_v).reshape(1, batch)
     mask = (y_m != ABSTAIN).astype(np.float64)
-    movement_vec = nx.bce_with_logits(movement_logit, np.where(y_m == ABSTAIN, 0, y_m).astype(np.float64))
+    movement_vec = nx.bce_with_logits(movement_logit, np.where(y_m == ABSTAIN, 0, y_m).astype(np.float64),
+                                      np.array([[1.0]]))
     movement_mean = total_sum(mul_const(movement_vec, mask / batch))
-    volatility_vec = nx.bce_with_logits(volatility_logit, y_v.astype(np.float64), pos_weight)
+    volatility_vec = nx.bce_with_logits(volatility_logit, y_v.astype(np.float64), np.array([[pos_weight]]))
     volatility_mean = affine(total_sum(volatility_vec), 1.0 / batch)
     loss = add(movement_mean, affine(volatility_mean, loss_weight))
     return loss, movement_mean, volatility_mean
