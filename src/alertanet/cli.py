@@ -281,7 +281,7 @@ def cmd_train(args) -> int:
     manifest.write()
     print(
         f"trained {cfg.arch} ({cfg.ablation}) for {len(report.epochs)} epochs; "
-        f"best epoch {report.best_epoch}; wall {report.wall_time_seconds:.1f}s -> {out}"
+        f"best epoch {report.best_epoch}; wall {time.perf_counter() - manifest.started:.1f}s -> {out}"
     )
     return 0
 
@@ -476,7 +476,7 @@ def run(argv: list[str] | None = None) -> int:
         if not 0.0 <= threshold <= 1.0:
             raise ConfigError(f"--threshold must lie in [0, 1], got {threshold}")
         return args.func(args)
-    except AlertaNetError as exc:
+    except (AlertaNetError, OSError) as exc:  # an unreadable --config or unwritable --out is no bug either
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

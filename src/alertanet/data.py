@@ -298,8 +298,7 @@ class SampleSet:
 
     Row ``i`` reads the window ``days[start[i] : start[i] + window].T``, of shape
     (n_features, window), and is labelled at its target date.  Slices, index
-    arrays and sums of the parts of one split share ``days``; :meth:`windows`
-    gathers the rows' windows into a new array.
+    arrays and sums of the parts of one split share ``days``.
     """
 
     days: np.ndarray  # (n_days, n_features) float64
@@ -345,14 +344,6 @@ class SampleSet:
             raise ValueError("only sample sets over the same days add up, such as the parts of one split; "
                              "use SampleSet.concat to join others")
         return SampleSet(self.days, self.window, *map(np.concatenate, zip(self._columns(), other._columns())))
-
-    def windows(self, features: list[int] | None = None) -> np.ndarray:
-        """The rows' windows as a new (n, n_features, window) array; ``features`` selects and orders columns."""
-        cols = np.arange(self.days.shape[1]) if features is None else np.asarray(features)
-        if not len(self):
-            return np.empty((0, len(cols), self.window))
-        # indexing rows and columns together gives a C-ordered result, as np.stack of the records would
-        return np.lib.stride_tricks.sliding_window_view(self.days, self.window, axis=0)[self.start[:, None], cols]
 
 
 def window(

@@ -270,11 +270,10 @@ def forward_batch(windows: SampleSet | np.ndarray, params: nx.ParamStore, config
                   features: list[int] | None = None) -> ForwardTrace:
     """Run the model over a :class:`SampleSet`, or a (batch, features, window) array, of windows.
 
-    ``features`` selects and orders feature columns, as
-    :meth:`SampleSet.windows` does.  The input projection ``W x`` is formed
-    once per distinct day the windows read, then gathered to one column per
-    (step, window): consecutive windows share all but one day.  Values and
-    gradients are bit-identical to projecting every column.
+    ``features`` selects and orders feature columns.  The input projection
+    ``W x`` is formed once per distinct day the windows read, then gathered
+    to one column per (step, window): consecutive windows share all but one
+    day.  Values and gradients are bit-identical to projecting every column.
 
     A taped pass gathers every step's columns up front, because its
     backward's library product needs the gathered block.  A forward-only

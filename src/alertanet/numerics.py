@@ -48,7 +48,7 @@ class Tensor:
     :func:`backward`, so a forward-only pass allocates none.
     """
 
-    __slots__ = ("value", "grad", "requires_grad", "name", "_parents", "_backward_fn")
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(
         self,
@@ -56,13 +56,11 @@ class Tensor:
         requires_grad: bool = False,
         parents: tuple["Tensor", ...] = (),
         backward_fn: Callable[[np.ndarray], None] | None = None,
-        name: str | None = None,
         _validate: bool = True,
     ):
         self.value = as_matrix(value) if _validate else value
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self.grad = np.zeros_like(self.value) if requires_grad and not parents else None
-        self.name = name
         self._parents = parents if self.requires_grad else ()
         self._backward_fn = backward_fn if self.requires_grad else None
 
@@ -82,10 +80,6 @@ class Tensor:
         if self.value.shape != (1, 1):
             raise UsageError(f"item() requires a 1x1 tensor, got shape {self.value.shape}")
         return float(self.value[0, 0])
-
-    def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.value.shape}{tag}, requires_grad={self.requires_grad})"
 
 
 def constant(value) -> Tensor:
@@ -174,28 +168,26 @@ def matmul(a: Tensor, b: Tensor, cols: np.ndarray | None = None) -> Tensor:
     ``b``.  ``np.take`` keeps the result C-ordered; an F-ordered one would
     pass its layout to the gradient buffer and change the backward's bits.
 
-    The backward accumulation uses the library product instead: gradient
-    summation order is unconstrained as long as it is deterministic for a
-    fixed thread count, and it sits on the training hot path.  With ``cols``
-    it gathers ``b`` before the product, so ``a``'s gradient multiplies the
-    same operands as without them; summing the gradients of repeated columns
+    Only ``a`` gets a gradient: the model's one product is ``W x`` over a
+    constant input, so a ``b`` that requires a gradient is a
+    :class:`UsageError` rather than a gradient silently dropped.  The
+    backward accumulation uses the library product: gradient summation order
+    is unconstrained as long as it is deterministic for a fixed thread
+    count, and it sits on the training hot path.  With ``cols`` it gathers
+    ``b`` before the product, so ``a``'s gradient multiplies the same
+    operands as without them; summing the gradients of repeated columns
     first would regroup the sum and change its bits.
     """
+    if b.requires_grad:
+        raise UsageError("matmul: only the left operand may require a gradient")
     out = matmul_values(a.value, b.value)
     if cols is not None:
         out = np.take(out, cols, axis=1)
 
     def backward_fn(grad):
-        if a.requires_grad:
-            a.grad += np.dot(grad, (b.value if cols is None else np.take(b.value, cols, axis=1)).T)
-        if b.requires_grad:
-            d_b = np.dot(a.value.T, grad)
-            if cols is None:
-                b.grad += d_b
-            else:
-                np.add.at(b.grad, (slice(None), cols), d_b)
+        a.grad += np.dot(grad, (b.value if cols is None else np.take(b.value, cols, axis=1)).T)
 
-    return record(out, (a, b), backward_fn)
+    return record(out, (a,), backward_fn)
 
 
 def sigmoid_values(x: np.ndarray) -> np.ndarray:
@@ -257,9 +249,8 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray, pos_weight: np.ndarray)
     out = pos_weight * targets * softplus_values(-z) + (1.0 - targets) * softplus_values(z)
 
     def backward_fn(grad):
-        if logits.requires_grad:
-            dz = (1.0 - targets) * sigmoid_values(z) - pos_weight * targets * sigmoid_values(-z)
-            logits.grad += grad * dz
+        dz = (1.0 - targets) * sigmoid_values(z) - pos_weight * targets * sigmoid_values(-z)
+        logits.grad += grad * dz
 
     return record(out, (logits,), backward_fn)
 
@@ -322,7 +313,7 @@ class ParamStore:
         """Append a parameter; the buffers grow and every earlier view is re-pointed into them."""
         if name in self._slots:
             raise UsageError(f"duplicate parameter name {name!r}")
-        tensor = Tensor(value, requires_grad=True, name=name)
+        tensor = Tensor(value, requires_grad=True)
         n = self.flat_values.size
         self._spans[name] = slice(n, n + tensor.value.size)
         self.flat_values = np.concatenate([self.flat_values, tensor.value.reshape(-1)])
@@ -348,7 +339,8 @@ class ParamStore:
         """The flat-buffer slices of ``names``, in order, with adjacent ones merged."""
         runs: list[slice] = []
         for name in names:
-            span = self._spans[self[name].name]  # self[name] rejects an unknown name
+            self[name]  # rejects an unknown name
+            span = self._spans[name]
             if runs and runs[-1].stop == span.start:
                 runs[-1] = slice(runs[-1].start, span.stop)
             else:
@@ -362,23 +354,8 @@ class ParamStore:
         it reads every later update to this store's values.
         """
         store = ParamStore()
-        store._slots = {name: Tensor(t.value, name=name, _validate=False) for name, t in self._slots.items()}
+        store._slots = {name: Tensor(t.value, _validate=False) for name, t in self._slots.items()}
         return store
 
     def zero_grads(self) -> None:
         self.flat_grads.fill(0.0)
-
-    def copy_values(self) -> dict[str, np.ndarray]:
-        return {name: tensor.value.copy() for name, tensor in self._slots.items()}
-
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        missing = [name for name in self._slots if name not in values]
-        if missing:
-            raise UsageError(f"missing parameter values for {missing}")
-        for name, tensor in self._slots.items():
-            arr = as_matrix(values[name])
-            if arr.shape != tensor.value.shape:
-                raise DimensionError(
-                    f"parameter {name!r}: stored shape {arr.shape} vs expected {tensor.value.shape}"
-                )
-            tensor.value[...] = arr

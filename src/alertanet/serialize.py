@@ -25,34 +25,28 @@ import numpy as np
 
 from .errors import ParseError
 
-_DTYPES = {"<f8": np.dtype("<f8"), "<i1": np.dtype("<i1")}
-
-
 def encode_array(arr: np.ndarray) -> dict:
     shape = list(np.shape(arr))  # before ascontiguousarray, which makes a 0-d array 1-d
     arr = np.ascontiguousarray(arr)
-    if arr.dtype == np.float64:
-        dtype = "<f8"
-    elif arr.dtype == np.int8:
-        dtype = "<i1"
-    else:
+    if arr.dtype != np.float64:
         raise ParseError(f"unsupported dtype for serialization: {arr.dtype}")
-    payload = arr.astype(_DTYPES[dtype], copy=False).tobytes(order="C")
+    payload = arr.astype("<f8", copy=False).tobytes(order="C")
     return {
         "shape": shape,
-        "dtype": dtype,
+        "dtype": "<f8",
         "data": base64.b64encode(payload).decode("ascii"),
     }
 
 
 def decode_array(obj: dict) -> np.ndarray:
     try:
-        dtype = _DTYPES[obj["dtype"]]
+        if obj["dtype"] != "<f8":
+            raise ParseError(f"unsupported array dtype {obj['dtype']!r}; artifacts store only '<f8'")
         shape = tuple(operator.index(s) for s in obj["shape"])  # a float, even inf, is a TypeError
-        arr = np.frombuffer(base64.b64decode(obj["data"]), dtype=dtype)
+        arr = np.frombuffer(base64.b64decode(obj["data"]), dtype="<f8")
         if arr.size != int(np.prod(shape)):
             raise ParseError(f"array payload size {arr.size} does not match shape {shape}")
-        return arr.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
+        return arr.reshape(shape).astype(np.float64, copy=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed array record: {exc}") from exc
 
@@ -87,7 +81,7 @@ def write_json(path: str | Path, obj) -> None:
 def read_json(path: str | Path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError for bytes that are not UTF-8
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
 
 

@@ -11,7 +11,6 @@ everything downstream of (dataset, config) is a pure function of the seed.
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
@@ -176,13 +175,9 @@ class TrainReport:
     seed: int
     stages: list[dict] = field(default_factory=list)
     checkpoint_file: str | None = None
-    wall_time_seconds: float = 0.0
 
     def to_json_dict(self) -> dict:
-        """Every field but the wall time, so reruns write the same report."""
-        report = asdict(self)
-        del report["wall_time_seconds"]
-        return report
+        return asdict(self)
 
 
 def usable_cores() -> int:
@@ -249,9 +244,10 @@ def _first_nonfinite_param(params: nx.ParamStore) -> str | None:
 def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelConfig, TrainReport]:
     """Fit the model on ``split.train``, early-stopping on validation loss.
 
-    Returns the parameters restored to the best validation epoch.  Two runs
-    with the same split and config produce bit-identical parameters.  Each
-    forward pass reads one batch, or one chunk of validation windows, from the split's days.
+    Returns the parameters restored to the best validation epoch, by one copy
+    of the flat value buffer each way.  Two runs with the same split and
+    config produce bit-identical parameters.  Each forward pass reads one
+    batch, or one chunk of validation windows, from the split's days.
     """
     cfg.validate()
     if not split.train:
@@ -259,7 +255,6 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
     if not split.validation:
         raise ConfigError("validation split is empty")
 
-    start = time.perf_counter()
     rows = ablation_feature_indices(split.feature_names, cfg.ablation)
     names_used = [split.feature_names[i] for i in rows]
 
@@ -300,7 +295,7 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
     for stage_name, trainable, loss_weight in stage_plan:
         optimizer = Adam(cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
         best_valid = float("inf")
-        best_values = params.copy_values()
+        best_values = params.flat_values.copy()
         stage_best_epoch = global_epoch
         stall = 0
         stage_reason = "epoch budget exhausted"
@@ -353,7 +348,7 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
             )
             if valid_total < best_valid:
                 best_valid = valid_total
-                best_values = params.copy_values()
+                best_values = params.flat_values.copy()
                 stage_best_epoch = global_epoch
                 stall = 0
             else:
@@ -362,7 +357,7 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
                     stage_reason = f"no validation improvement for {cfg.patience} epochs"
                     break
 
-        params.load_values(best_values)
+        params.flat_values[:] = best_values
         best_epoch = stage_best_epoch
         stop_reason = stage_reason
         stage_rows.append(
@@ -385,7 +380,6 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
         feature_names_used=names_used,
         seed=cfg.seed,
         stages=stage_rows,
-        wall_time_seconds=time.perf_counter() - start,
     )
     return params, config, report
 

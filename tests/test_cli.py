@@ -282,6 +282,23 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert re.search("^error: .*" + message, err, re.M) and "Traceback" not in err
 
+    @pytest.mark.parametrize("case", ["config missing", "config is a directory", "config not UTF-8",
+                                      "out under a file"])
+    def test_unreadable_config_or_unwritable_out_prints_one_error_line(self, tmp_path, prepared, capsys, case):
+        config, out = tmp_path / "cfg.json", tmp_path / "run"
+        if case == "config is a directory":
+            config.mkdir()
+        elif case == "config not UTF-8":
+            config.write_bytes(b'{"epochs": 1, "ablation": "\xff"}')
+        elif case == "out under a file":
+            config.write_text('{"epochs": 1}')
+            (tmp_path / "file").write_text("")
+            out = tmp_path / "file" / "run"
+        assert run_cli("train", "--dataset", prepared, "--config", config, "--out", out, "--hidden", "2") == 1
+        lines = capsys.readouterr().err.splitlines()
+        named = out if case == "out under a file" else config
+        assert len(lines) == 1 and lines[0].startswith("error: ") and str(named) in lines[0], lines
+
     def test_window_flag_mismatch_fails(self, tmp_path, prepared, capsys):
         assert run_cli("train", "--dataset", prepared, "--out", tmp_path / "w",
                        "--epochs", "1", "--window", "9") == 1

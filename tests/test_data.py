@@ -19,7 +19,7 @@ from alertanet.errors import (
 )
 from alertanet.synth import SynthSpec, generate
 
-from testutil import GOLDEN_PRICES, golden_label_oracle, load_frame_oracle
+from testutil import GOLDEN_PRICES, golden_label_oracle, load_frame_oracle, stack_windows
 
 
 def write_csv(path, header, rows):
@@ -368,7 +368,7 @@ class TestWindow:
 
     def test_ten_days_window_ten_gives_zero_samples(self):
         samples = dp.window(make_frame("A", 10), 10)
-        assert len(samples) == 0 and samples.windows().shape == (0, 2, 10)
+        assert len(samples) == 0 and list(samples) == []
 
     @pytest.mark.parametrize("epsilon", [-1.0, 0.0, float("nan"), float("inf")])
     def test_epsilon_must_be_finite_and_positive(self, epsilon):
@@ -406,7 +406,6 @@ class TestWindowMatchesPerWindowOracle:
         samples = dp.window(frame, window_len, **kwargs)
         expected = window_oracle(frame, window_len, **kwargs)
         assert len(samples) == len(expected) == len(frame) - window_len
-        assert np.array_equal(samples.windows(), np.array([x for x, *_ in expected]))
         for sample, (x, y_m, y_v, target_date) in zip(samples, expected):
             assert np.array_equal(sample.x, x)
             assert (sample.y_m, sample.y_v, sample.target_date) == (y_m, y_v, target_date)
@@ -431,14 +430,12 @@ class TestWindowMatchesPerWindowOracle:
 class TestSampleSet:
     def test_columns_gather_and_records_agree(self):
         samples = dp.window(make_frame("A", 16, seed=2), 10)
-        x = samples.windows()
+        x = np.stack([samples.days[s : s + 10].T for s in samples.start])  # each row's window, read from the columns
         assert x.shape == (6, 2, 10) and samples.y_m.dtype == samples.y_v.dtype == np.int8
         records = list(samples)
         assert all(np.array_equal(x[i], r.x) and np.array_equal(samples[i].x, r.x) for i, r in enumerate(records))
         assert [r.y_m for r in records] == samples.y_m.tolist() and samples[-1][1:] == records[5][1:]
         assert [type(v) for v in samples[0][1:]] == [int, int, str, str]
-        assert np.array_equal(samples.windows([1]), x[:, [1]])
-        assert np.array_equal(samples.windows([1, 0]), x[:, ::-1])
 
     def test_slices_and_parts_of_one_split_share_days(self):
         split = dp.chrono_split(dp.window(make_frame("A", 20), 10), 0.6, 0.2)
@@ -446,7 +443,7 @@ class TestSampleSet:
         head = whole[:3]
         assert isinstance(head, dp.SampleSet) and len(head) == 3
         assert head.days is whole.days is split.train.days is split.test.days
-        assert np.array_equal(whole.windows(), np.concatenate([p.windows() for p in split.splits().values()]))
+        assert np.array_equal(stack_windows(whole), np.concatenate([stack_windows(p) for p in split.splits().values()]))
         assert whole.target_dates.tolist() == sorted(whole.target_dates.tolist())
 
     def test_sets_over_different_days_do_not_add(self):
@@ -455,7 +452,7 @@ class TestSampleSet:
             a + b
         joined = dp.SampleSet.concat([a, b])
         assert not joined.days.flags.writeable
-        assert np.array_equal(joined.windows(), np.concatenate([a.windows(), b.windows()]))
+        assert np.array_equal(stack_windows(joined), np.concatenate([stack_windows(a), stack_windows(b)]))
         assert joined.stock_ids.tolist() == ["A"] * 9 + ["B"] * 9
 
 
@@ -538,7 +535,6 @@ class TestBuildDatasetMatchesPerSampleOracle:
             for record, (day, stock_id, x, y_m, y_v) in zip(part, rows):
                 assert np.array_equal(record.x, x)
                 assert (record.y_m, record.y_v, record.stock_id, record.target_date) == (y_m, y_v, stock_id, day)
-            assert np.array_equal(part.windows(), np.array([r[2] for r in rows]))
             assert split.boundaries[name] == [rows[0][0], rows[-1][0]]
         whole = split.train + split.validation + split.test
         assert whole.days is split.train.days is split.validation.days is split.test.days

@@ -12,7 +12,8 @@ from alertanet.synth import SynthSpec, generate_universe
 
 from testutil import (
     BAD_CHECKPOINTS, add, affine, bad_checkpoint, bias_add, cell_step_concat_oracle, cell_step_oracle, concat_rows,
-    forward_batch_oracle, hidden_states, joint_loss, mul, per_op_heads, per_op_loss, sample_set, sigmoid, tanh,
+    forward_batch_oracle, hidden_states, joint_loss, matmul, mul, per_op_heads, per_op_loss, sample_set, sigmoid,
+    stack_windows, tanh,
 )
 
 
@@ -118,21 +119,21 @@ def oracle_cell_step(x, h_prev, gates, prefix=""):
     """The per-gate tape composition the fused cell replaced: six products, one node per op."""
     z = sigmoid(
         bias_add(
-            add(nx.matmul(gates[prefix + "W_z"], x), nx.matmul(gates[prefix + "R_z"], h_prev)),
+            add(matmul(gates[prefix + "W_z"], x), matmul(gates[prefix + "R_z"], h_prev)),
             gates[prefix + "b_z"],
         )
     )
     r = sigmoid(
         bias_add(
-            add(nx.matmul(gates[prefix + "W_r"], x), nx.matmul(gates[prefix + "R_r"], h_prev)),
+            add(matmul(gates[prefix + "W_r"], x), matmul(gates[prefix + "R_r"], h_prev)),
             gates[prefix + "b_r"],
         )
     )
     cand = tanh(
         bias_add(
             add(
-                nx.matmul(gates[prefix + "W_h"], x),
-                nx.matmul(gates[prefix + "R_h"], mul(r, h_prev)),
+                matmul(gates[prefix + "W_h"], x),
+                matmul(gates[prefix + "R_h"], mul(r, h_prev)),
             ),
             gates[prefix + "b_h"],
         )
@@ -284,13 +285,13 @@ class TestForwardBatchMatchesProjectEveryColumnOracle:
                 params[name].value[...] = rng.normal(size=params[name].value.shape)
         samples = two_stock_samples[mixed_rows(two_stock_samples, batch, rng)]
 
-        want = forward_batch_oracle(samples.windows(features), params, config)
+        want = forward_batch_oracle(stack_windows(samples, features), params, config)
         want_loss = joint_loss(want, samples.y_m, samples.y_v, 0.7, 1.3)
         params.zero_grads()
         nx.backward(want_loss)
         want_grads = {name: tensor.grad.copy() for name, tensor in params.items()}
 
-        got = md.forward_batch(samples if source == "samples" else samples.windows(), params, config, features)
+        got = md.forward_batch(samples if source == "samples" else stack_windows(samples), params, config, features)
         got_loss = joint_loss(got, samples.y_m, samples.y_v, 0.7, 1.3)
         # a forward pass allocates no gradient buffers for the nodes it records
         assert all(node.grad is None for node in [*got.hidden, got.hidden[0]._parents[0], got.logits, got_loss])

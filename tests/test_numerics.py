@@ -9,8 +9,8 @@ from alertanet import numerics as nx
 from alertanet.errors import DimensionError, UsageError
 
 from testutil import (
-    add, affine, bias_add, concat_rows, finite_difference_grads, max_grad_violation, mul, mul_const, sigmoid,
-    sigmoid_values_oracle, tanh, total_sum,
+    add, affine, bias_add, concat_rows, finite_difference_grads, matmul, max_grad_violation, mul, mul_const,
+    sigmoid, sigmoid_values_oracle, tanh, total_sum,
 )
 
 
@@ -410,11 +410,11 @@ class TestBackprop:
         target = rng.integers(0, 2, size=(1, 2)).astype(float)
 
         def compute():
-            h = tanh(bias_add(nx.matmul(params["a"], params["b"]), params["bias"]))
+            h = tanh(bias_add(matmul(params["a"], params["b"]), params["bias"]))
             s = sigmoid(affine(h, 0.7, -0.1))
             mixed = nx.linear_combination([h, s], [0.3, 1.2])
             row = concat_rows([mixed, s])
-            picked = nx.matmul(nx.constant(np.ones((1, 6))), row)
+            picked = matmul(nx.constant(np.ones((1, 6))), row)
             return total_sum(nx.bce_with_logits(picked, target, pos_weight=np.array([[1.7]])))
 
         params.zero_grads()
@@ -485,7 +485,7 @@ class TestTapeKeepsOnlyActiveNodes:
         consts = params.constants()
         assert consts.names() == params.names()
         for name, tensor in consts.items():
-            assert tensor.value is params[name].value and tensor.name == name
+            assert tensor.value is params[name].value
             assert not tensor.requires_grad and tensor.grad is None
         total_sum(nx.matmul(consts["W"], x))
         got, want = grads(params), grads(store())
@@ -512,7 +512,16 @@ class TestMatmulGatheredColumns:
         assert np.array_equal(got.value, want.value) and got.value.flags.c_contiguous
         assert np.array_equal(got_grad, params["a"].grad)
 
-    def test_right_gradient_sums_over_repeated_columns(self):
+    def test_right_operand_that_requires_a_gradient_is_rejected(self):
+        params = nx.ParamStore()
+        a, b = params.add("a", np.ones((2, 3))), params.add("b", np.ones((3, 4)))
+        for left in (a, nx.constant(a.value)):
+            for cols in (None, self.COLS):
+                with pytest.raises(UsageError, match="only the left operand"):
+                    nx.matmul(left, b, cols=cols)
+
+    def test_oracle_right_gradient_sums_over_repeated_columns(self):
+        """The per-op oracles' ``matmul`` gives ``b`` the gradient that ``nx.matmul`` declines to."""
         rng = np.random.default_rng(9)
         params = nx.ParamStore()
         params.add("a", rng.normal(size=(5, 3)))
@@ -520,7 +529,7 @@ class TestMatmulGatheredColumns:
         g = rng.normal(size=(5, len(self.COLS)))
 
         def compute():
-            return total_sum(mul_const(nx.matmul(params["a"], params["b"], cols=self.COLS), g))
+            return total_sum(mul_const(matmul(params["a"], params["b"], cols=self.COLS), g))
 
         nx.backward(compute())
         analytic = {name: t.grad.copy() for name, t in params.items()}
@@ -547,7 +556,7 @@ class TestParamStore:
         params = nx.ParamStore()
         w = params.add("w", np.ones((2, 2)))
         leaf = nx.Tensor(np.ones((2, 1)), requires_grad=True)
-        y = nx.matmul(w, leaf)
+        y = matmul(w, leaf)
         loss = total_sum(y)
         assert w.grad is not None and leaf.grad is not None
         assert y.grad is None and loss.grad is None
@@ -568,8 +577,8 @@ class TestParamStore:
         assert params.flat_grads[5] == 3.0
         params.zero_grads()
         assert not w.grad.any()
-        params.load_values({"w": np.full((2, 3), 7.0), "b": np.zeros((2, 1)), "c": np.full((1, 4), 2.0)})
-        assert params["w"] is w and np.array_equal(params.flat_values[:6], np.full(6, 7.0))
+        params.flat_values[:] = np.r_[np.full(6, 7.0), np.zeros(2), np.full(4, 2.0)]  # as train restores a best epoch
+        assert params["w"] is w and np.array_equal(w.value, np.full((2, 3), 7.0))
         consts = params.constants()
         assert all(np.shares_memory(t.value, params.flat_values) and t.grad is None for _, t in consts.items())
         b.value[0, 0] = 9.0
@@ -585,12 +594,6 @@ class TestParamStore:
         assert params.runs(["b", "a"]) == [slice(2, 5), slice(0, 2)]
         with pytest.raises(UsageError):
             params.runs(["a", "z"])
-
-    def test_load_values_shape_checked(self):
-        params = nx.ParamStore()
-        params.add("w", np.ones((2, 3)))
-        with pytest.raises(DimensionError):
-            params.load_values({"w": np.ones((3, 2))})
 
 
 def test_non_finite_input_rejected():

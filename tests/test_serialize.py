@@ -10,6 +10,7 @@ import pytest
 
 from alertanet import data as dp
 from alertanet import serialize
+from alertanet.errors import ParseError
 
 
 class Unencodable:
@@ -92,3 +93,13 @@ def test_write_json_holds_no_copy_of_the_text(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000, peak
+
+
+def test_only_float64_arrays_are_stored():
+    """Artifacts store float64 (``<f8``) records only; an int8 (``<i1``) array or record is rejected."""
+    with pytest.raises(ParseError, match="unsupported dtype for serialization: int8"):
+        serialize.encode_array(np.array([0, 1, -1], dtype=np.int8))
+    record = {"shape": [3], "dtype": "<i1", "data": "AAH/"}  # the bytes 0, 1 and -1
+    with pytest.raises(ParseError, match="unsupported array dtype '<i1'"):
+        serialize.decode_array(record)
+    assert serialize.decode_array(serialize.encode_array(np.array([0.0, 1.0, -1.0]))).tolist() == [0.0, 1.0, -1.0]

@@ -137,7 +137,7 @@ class TestFlatOptimizerMatchesPerNameOracle:
                 norms.append(clip(params, trainable, 0.05))
                 grads.append(params.flat_grads.copy())
                 adam.step(params, names)
-            runs.append((norms, grads, params.copy_values()))
+            runs.append((norms, grads, {name: t.value.copy() for name, t in params.items()}))
         (got_norms, got_grads, got_values), (want_norms, want_grads, want_values) = runs
         assert got_norms == want_norms and min(got_norms) > 0.05  # clipping acted at every step
         for g, w in zip(got_grads, want_grads):

@@ -389,6 +389,36 @@ def max_grad_violation(analytic, numeric, rel=1e-5, floor=1e-8):
     return worst
 
 
+def matmul(a, b, cols=None):
+    """The former body of ``nx.matmul``, with a gradient for ``b`` too, for the per-op oracles.
+
+    The program never asks for ``b``'s gradient, so ``nx.matmul`` rejects a
+    ``b`` that requires one.  Here a repeated column of ``cols`` sums its
+    gradients into ``b`` through ``np.add.at``.
+    """
+    out = nx.matmul_values(a.value, b.value)
+    if cols is not None:
+        out = np.take(out, cols, axis=1)
+
+    def backward_fn(grad):
+        if a.requires_grad:
+            a.grad += np.dot(grad, (b.value if cols is None else np.take(b.value, cols, axis=1)).T)
+        if b.requires_grad:
+            d_b = np.dot(a.value.T, grad)
+            if cols is None:
+                b.grad += d_b
+            else:
+                np.add.at(b.grad, (slice(None), cols), d_b)
+
+    return nx.record(out, (a, b), backward_fn)
+
+
+def stack_windows(samples, features=None):
+    """The windows of a :class:`SampleSet` as a new (n, n_features, window) array, stacked as perfbench does."""
+    x = np.stack([s.x for s in samples])
+    return x if features is None else x[:, features]
+
+
 def mul(a, b):
     """Elementwise (Hadamard) product on the tape, for the per-gate cell oracle."""
     if a.shape != b.shape:
@@ -508,9 +538,9 @@ def total_sum(a):
 
 def per_op_heads(fusion, params):
     """The heads as separate tape ops: movement and volatility logits and probabilities."""
-    movement_logit = bias_add(nx.matmul(params["W_m"], fusion), params["b_m"])
+    movement_logit = bias_add(matmul(params["W_m"], fusion), params["b_m"])
     movement_prob = sigmoid(movement_logit)
-    volatility_logit = bias_add(nx.matmul(params["W_v"], concat_rows([fusion, movement_prob])), params["b_v"])
+    volatility_logit = bias_add(matmul(params["W_v"], concat_rows([fusion, movement_prob])), params["b_v"])
     return movement_logit, movement_prob, volatility_logit, sigmoid(volatility_logit)
 
 
