@@ -6,6 +6,10 @@ variable, else a per-command default).  Manifests carry timestamps, wall
 time and input hashes; the data-bearing artifacts (datasets, checkpoints,
 reports) deliberately do not, so reruns with identical inputs and seed are
 byte-identical.
+
+``synth``, ``prepare``, ``ablate`` and ``baseline`` map their independent
+items (frames to write, CSVs to parse, variants to train) over forked worker
+processes with :func:`_in_workers`; the artifacts do not depend on how many.
 """
 
 from __future__ import annotations
@@ -13,12 +17,16 @@ from __future__ import annotations
 import argparse
 import ctypes
 import os
+import pickle
 import platform
 import sys
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -68,6 +76,80 @@ def _blas_config() -> str | None:
     return None if config is None else config.decode("ascii", "replace")
 
 
+def _in_workers(fn, items: list) -> tuple[list, int]:
+    """``[fn(item) for item in items]`` from ``min(len(items), usable_cores())`` forked worker processes,
+    and the number of processes that computed it.
+
+    Worker ``w`` of ``k`` inherits ``items`` through ``os.fork``, so no input
+    is pickled, and writes the pickled ``fn`` of items ``w, w + k, w + 2k, ...``
+    to its own pipe.  The main thread reads the results in item order, so the
+    workers run side by side and no thread is started.  The first failure in
+    item order is raised: the item's own exception, or an ``AlertaNetError``
+    that names the item when its worker died first.  Every worker is reaped
+    before this returns or raises; once the parent stops reading, each worker
+    stops at its next result.
+
+    It runs in-process when one worker suffices, when ``os.fork`` is missing,
+    or when another thread is alive, which a forked child would lack while
+    inheriting the locks it might hold.
+    """
+    workers = min(len(items), usable_cores())
+    if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [fn(item) for item in items], 1
+    pids, readers = [], []
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            readers.append(os.fdopen(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(fn, items[w::workers], write_fd)
+                pids.append(pid)
+            finally:
+                os.close(write_fd)  # the worker holds the only write end, so its exit ends the pipe
+        results = []
+        for i, item in enumerate(items):
+            try:
+                ok, value = pickle.load(readers[i % workers])
+            except (EOFError, pickle.UnpicklingError):
+                pid = pids[i % workers]
+                pids.remove(pid)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise AlertaNetError(f"worker process for {item} exited with code {code} before its result") from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results, workers
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _serve(fn, share: list, write_fd: int) -> NoReturn:
+    """A worker's life: write ``(True, fn(item))`` for each item, or ``(False, exception)`` for the first
+    that fails, then ``os._exit``, so that nothing of the parent's stack runs in the child."""
+    code = 1
+    try:
+        with os.fdopen(write_fd, "wb") as out:
+            for item in share:
+                try:
+                    result = (True, fn(item))
+                except Exception as exc:
+                    result = (False, exc)
+                out.write(pickle.dumps(result))  # whole, so a result that cannot be pickled sends nothing
+                out.flush()
+                if not result[0]:
+                    break
+        code = 0
+    except BrokenPipeError:  # the parent stopped reading after an earlier item failed
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def _resolve_out(args, command: str) -> Path:
     if args.out:
         out = Path(args.out)
@@ -92,9 +174,19 @@ class _ManifestWriter:
         self.inputs: dict[str, dict] = {}
         self.outputs: list[str] = []
         self.warnings: list[str] = []
+        self.workers: int | None = None  # processes that mapped the command's items, when it has any
+        self.phase_seconds: dict[str, float] = {}
 
-    def add_input(self, label: str, path: str | Path) -> None:
-        self.inputs[label] = {"path": str(path), "sha256": serialize.sha256_file(path)}
+    @contextmanager
+    def phase(self, name: str):
+        """Time the block as the phase ``name`` of ``phase_seconds``."""
+        start = time.perf_counter()
+        yield
+        self.phase_seconds[name] = time.perf_counter() - start
+
+    def add_input(self, label: str, path: str | Path, sha256: str | None = None) -> None:
+        """Record an input file with its sha256, hashing it here unless the caller already has."""
+        self.inputs[label] = {"path": str(path), "sha256": sha256 or serialize.sha256_file(path)}
 
     def add_output(self, name: str) -> None:
         self.outputs.append(name)
@@ -117,6 +209,8 @@ class _ManifestWriter:
                 "usable_cores": usable_cores(),
                 "blas_threads": _blas_threads(),
                 "blas_config": _blas_config(),
+                "workers": self.workers,
+                "phase_seconds": self.phase_seconds,
                 "started_at": self.started_at,
                 "finished_at": datetime.now(timezone.utc).isoformat(),
                 "wall_time_seconds": time.perf_counter() - self.started,
@@ -194,10 +288,12 @@ def cmd_synth(args) -> int:
         "vol_lag": args.vol_lag, "base_price": args.base_price, "stocks": args.stocks,
         "feature_names": spec.feature_names,
     }
-    for frame in generate_universe(spec, args.stocks):
-        name = f"{frame.stock_id}.csv"
-        write_frame(frame, out / name)
-        manifest.add_output(name)
+    with manifest.phase("generate"):
+        frames = generate_universe(spec, args.stocks)
+    paths = {out / f"{frame.stock_id}.csv": frame for frame in frames}
+    with manifest.phase("write"):
+        _, manifest.workers = _in_workers(lambda path: write_frame(paths[path], path), list(paths))
+    manifest.outputs.extend(path.name for path in paths)
     manifest.write()
     print(f"wrote {args.stocks} synthetic frame(s) to {out}")
     return 0
@@ -211,27 +307,27 @@ def cmd_prepare(args) -> int:
     if not csv_paths:
         raise ConfigError(f"no input frames: no .csv files under {data_dir}")
     schema = [c.strip() for c in args.schema.split(",")] if args.schema else None
-    frames = []
-    for path in csv_paths:
-        manifest.add_input(path.name, path)
-        frames.append(load_frame(path, schema))
+    with manifest.phase("load"):
+        loaded, manifest.workers = _in_workers(lambda path: (serialize.sha256_file(path), load_frame(path, schema)),
+                                               csv_paths)
+    for path, (digest, _) in zip(csv_paths, loaded):
+        manifest.add_input(path.name, path, digest)
+    frames = [frame for _, frame in loaded]
     dead_zone = tuple(args.dead_zone)
-    split, warnings = build_dataset(
-        frames,
-        window_len=args.window,
-        dead_zone=dead_zone,
-        outlier_threshold=args.outlier,
-        train_frac=args.train_frac,
-        valid_frac=args.valid_frac,
-        epsilon=args.epsilon,
-    )
+    with manifest.phase("build"):
+        split, warnings = build_dataset(
+            frames,
+            window_len=args.window,
+            dead_zone=dead_zone,
+            outlier_threshold=args.outlier,
+            train_frac=args.train_frac,
+            valid_frac=args.valid_frac,
+            epsilon=args.epsilon,
+        )
     manifest.warnings.extend(warnings)
     for message in warnings:
         print(f"warning: {message}", file=sys.stderr)
     split.meta["manifest_file"] = MANIFEST_NAME
-    save_dataset(out / "dataset.json", split)
-    manifest.add_output("dataset.json")
-
     counts = {}
     for name, part in split.splits().items():
         abstain = int(np.count_nonzero(part.y_m == ABSTAIN))
@@ -248,26 +344,21 @@ def cmd_prepare(args) -> int:
         "train_frac": args.train_frac, "valid_frac": args.valid_frac,
         "schema": split.feature_names, "counts": counts, "boundaries": split.boundaries,
     }
-    _write_report(out, "split_manifest.json", "alertanet-split-manifest",
-                  {"counts": counts, "boundaries": split.boundaries,
-                   "feature_names": split.feature_names, "window": args.window},
-                  manifest)
+    with manifest.phase("write"):
+        save_dataset(out / "dataset.json", split)
+        manifest.add_output("dataset.json")
+        _write_report(out, "split_manifest.json", "alertanet-split-manifest",
+                      {"counts": counts, "boundaries": split.boundaries,
+                       "feature_names": split.feature_names, "window": args.window},
+                      manifest)
     manifest.write()
     print(f"prepared dataset with {sum(c['samples'] for c in counts.values())} samples -> {out}")
     return 0
 
 
-def _train_once(split, cfg, out: Path, manifest: _ManifestWriter, checkpoint_name: str, report_name: str | None):
-    params, config, report = train(split, cfg)
-    report.checkpoint_file = checkpoint_name
-    save_checkpoint(
-        out / checkpoint_name, params, config,
-        extra={"train_config": cfg.to_dict(), "manifest_file": MANIFEST_NAME},
-    )
-    manifest.add_output(checkpoint_name)
-    if report_name:
-        _write_report(out, report_name, "alertanet-train-report", report.to_json_dict(), manifest)
-    return params, config, report
+def _write_checkpoint(out: Path, name: str, params, config, cfg: TrainConfig, manifest: _ManifestWriter) -> None:
+    save_checkpoint(out / name, params, config, extra={"train_config": cfg.to_dict(), "manifest_file": MANIFEST_NAME})
+    manifest.add_output(name)
 
 
 def cmd_train(args) -> int:
@@ -277,7 +368,10 @@ def cmd_train(args) -> int:
     manifest = _ManifestWriter("train", out, cfg.seed)
     manifest.add_input("dataset", args.dataset)
     manifest.config = cfg.to_dict()
-    _, _, report = _train_once(split, cfg, out, manifest, "checkpoint.json", "train_report.json")
+    params, config, report = train(split, cfg)
+    report.checkpoint_file = "checkpoint.json"
+    _write_checkpoint(out, "checkpoint.json", params, config, cfg, manifest)
+    _write_report(out, "train_report.json", "alertanet-train-report", report.to_json_dict(), manifest)
     manifest.write()
     print(
         f"trained {cfg.arch} ({cfg.ablation}) for {len(report.epochs)} epochs; "
@@ -350,38 +444,47 @@ def _format_table(rows: list[dict]) -> str:
 
 
 def _run_variants(args, variants: list[tuple[str, dict]], command: str, report_stub: str) -> int:
-    """Shared driver for ablate/baseline: same data, same seed, varied config."""
+    """Shared driver for ablate/baseline: same data, same seed, varied config.
+
+    The variants train and evaluate in worker processes (:func:`_in_workers`);
+    this process writes their checkpoints, the table and the report in variant order.
+    """
     out = _resolve_out(args, command)
-    split = load_dataset(args.dataset)
     manifest = _ManifestWriter(command, out, None)
+    with manifest.phase("load"):
+        split = load_dataset(args.dataset)
     manifest.add_input("dataset", args.dataset)
     base = _resolve_train_config(args, split.window)
+    configs = {label: replace(base, **overrides) for label, overrides in variants}
+
+    def train_and_evaluate(label):
+        params, config, train_report = train(split, configs[label])
+        return params, config, train_report, evaluate(params, config, split.test, args.threshold, split.feature_names)
+
+    with manifest.phase("variants"):
+        trained, manifest.workers = _in_workers(train_and_evaluate, list(configs))
+    manifest.seed = base.seed
+    manifest.config = {"threshold": args.threshold, "seed": manifest.seed, "variants": list(configs)}
     rows = []
     results = {}
-    for label, overrides in variants:
-        cfg = replace(base, **overrides)
-        safe = label.replace("/", "").replace(" ", "_").lower()
-        params, config, train_report = _train_once(
-            split, cfg, out, manifest, f"checkpoint_{safe}.json", None
-        )
-        manifest.seed = cfg.seed
-        eval_report = evaluate(params, config, split.test, args.threshold, split.feature_names)
-        rows.append(_metrics_row(label, eval_report))
-        results[label] = {
-            "train_config": cfg.to_dict(),
-            "epochs_run": len(train_report.epochs),
-            "best_epoch": train_report.best_epoch,
-            "checkpoint": f"checkpoint_{safe}.json",
-            "eval": eval_report.to_json_dict(),
-        }
-    manifest.config = {"threshold": args.threshold, "seed": manifest.seed,
-                       "variants": [label for label, _ in variants]}
-    table_text = _format_table(rows)
-    with serialize.atomic_writer(out / f"{report_stub}_table.txt") as fh:
-        fh.write(table_text + "\n")
-    manifest.add_output(f"{report_stub}_table.txt")
-    _write_report(out, f"{report_stub}_report.json", f"alertanet-{report_stub}-report",
-                  {"rows": rows, "results": results}, manifest)
+    with manifest.phase("write"):
+        for (label, cfg), (params, config, train_report, eval_report) in zip(configs.items(), trained):
+            checkpoint = f"checkpoint_{label.replace('/', '').replace(' ', '_').lower()}.json"
+            _write_checkpoint(out, checkpoint, params, config, cfg, manifest)
+            rows.append(_metrics_row(label, eval_report))
+            results[label] = {
+                "train_config": cfg.to_dict(),
+                "epochs_run": len(train_report.epochs),
+                "best_epoch": train_report.best_epoch,
+                "checkpoint": checkpoint,
+                "eval": eval_report.to_json_dict(),
+            }
+        table_text = _format_table(rows)
+        with serialize.atomic_writer(out / f"{report_stub}_table.txt") as fh:
+            fh.write(table_text + "\n")
+        manifest.add_output(f"{report_stub}_table.txt")
+        _write_report(out, f"{report_stub}_report.json", f"alertanet-{report_stub}-report",
+                      {"rows": rows, "results": results}, manifest)
     manifest.write()
     print(table_text)
     return 0

@@ -121,8 +121,9 @@ def load_frame(path: str | Path, schema: list[str] | None = None) -> FeatureFram
     column after ``date``/``adj_close`` in header order.  Rows are sorted by
     date; duplicate dates, non-numeric or non-finite cells, nonpositive
     prices and negative feature values are rejected, as are files that are
-    not UTF-8 or that the CSV reader cannot split, and headers that name
-    ``date``, ``adj_close`` or a selected feature more than once.  A leading
+    not UTF-8 or that the CSV reader cannot split, headers that name
+    ``date``, ``adj_close`` or a selected feature more than once, and a
+    ``schema`` that names a column more than once.  A leading
     UTF-8 byte-order mark is skipped.
 
     Records are read ``_RECORDS_PER_PASS`` at a time, and each selected
@@ -132,6 +133,9 @@ def load_frame(path: str | Path, schema: list[str] | None = None) -> FeatureFram
     the first bad cell in file order.
     """
     path = Path(path)
+    if schema is not None and len(set(schema)) < len(schema):
+        repeated = next(c for c in schema if schema.count(c) > 1)
+        raise SchemaError(f"the schema names column {repeated!r} more than once")
     line_nos, dates, parts = [], [], []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -269,10 +273,10 @@ def label_prices(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Movement and volatility labels (int8) for every pair of previous and current prices."""
     lo, hi = dead_zone
-    if not lo < hi:
-        raise ConfigError(f"dead zone must satisfy lo < hi, got {dead_zone}")
-    if outlier_threshold <= 0:
-        raise ConfigError(f"outlier threshold must be positive, got {outlier_threshold}")
+    if not -np.inf < lo < hi < np.inf:
+        raise ConfigError(f"dead zone must satisfy lo < hi, both finite, got dead_zone={dead_zone}")
+    if not 0 < outlier_threshold < np.inf:
+        raise ConfigError(f"outlier_threshold must be a finite number > 0, got {outlier_threshold}")
     p_prev = np.asarray(p_prev, dtype=np.float64)
     bad = p_prev[p_prev <= 0]
     if bad.size:
@@ -400,9 +404,9 @@ def chrono_split(samples: SampleSet, train_frac: float, valid_frac: float) -> Da
 
     The three parts share the days of ``samples``.
     """
-    if train_frac <= 0 or valid_frac <= 0 or train_frac + valid_frac >= 1:
+    if not (0 < train_frac and 0 < valid_frac and train_frac + valid_frac < 1):  # false for a nan too
         raise ConfigError(
-            f"fractions must be positive and sum below 1, got train={train_frac} valid={valid_frac}"
+            f"fractions must be positive and sum below 1, got train_frac={train_frac} valid_frac={valid_frac}"
         )
     ordered = samples[np.lexsort((samples.stock_ids, samples.target_dates))]
     dates = ordered.target_dates

@@ -82,8 +82,8 @@ class SynthSpec:
             raise ConfigError(f"noise_flip_prob must lie in [0, 0.5), got {self.noise_flip_prob}")
         if self.volatility_lag < 1:
             raise ConfigError(f"volatility_lag must be >= 1, got {self.volatility_lag}")
-        if self.base_price <= 0:
-            raise ConfigError(f"base_price must be positive, got {self.base_price}")
+        if not 0 < self.base_price < np.inf:
+            raise ConfigError(f"base_price must be a finite number > 0, got {self.base_price}")
         if not self.feature_names:
             self.feature_names = default_feature_names(self.n_features)
         if len(self.feature_names) != self.n_features:

@@ -1,9 +1,11 @@
 import json
+import multiprocessing
 import os
 import platform
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +58,11 @@ class TestSynthCommand:
         assert manifest["command"] == "synth"
         assert manifest["outputs"] == ["SYN00.csv", "SYN01.csv"]
         assert manifest["seed"] == 3
+
+    def test_non_finite_base_price_fails_naming_it(self, tmp_path, capsys):
+        assert run_cli("synth", "--out", tmp_path / "raw", "--days", "30", "--base-price", "nan") == 1
+        err = capsys.readouterr().err
+        assert err == "error: base_price must be a finite number > 0, got nan\n"
 
 
 class TestPrepareCommand:
@@ -143,6 +150,25 @@ class TestPrepareCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert "TWICE.csv: column 'sent_0' appears more than once in the header" in err
+        assert not (out / "dataset.json").exists()
+
+    @pytest.mark.parametrize("flag, value, setting", [
+        ("--outlier", "nan", "outlier_threshold"), ("--outlier", "inf", "outlier_threshold"),
+        ("--train-frac", "nan", "train_frac"), ("--dead-zone", "nan", "dead_zone"),
+    ])
+    def test_non_finite_setting_fails_naming_it(self, tmp_path, synth_dir, capsys, flag, value, setting):
+        """``--outlier nan`` used to label every window non-volatile, ``--train-frac nan`` to print a traceback."""
+        out = tmp_path / "prep_nan"
+        values = [value, "0.005"] if flag == "--dead-zone" else [value]
+        assert run_cli("prepare", "--data", synth_dir, "--out", out, "--window", "8", flag, *values) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and setting in err and "Traceback" not in err
+        assert not (out / "dataset.json").exists()
+
+    def test_schema_that_repeats_a_column_fails_naming_it(self, tmp_path, synth_dir, capsys):
+        out = tmp_path / "prep_schema"
+        assert run_cli("prepare", "--data", synth_dir, "--out", out, "--schema", "sent_0,sent_0") == 1
+        assert capsys.readouterr().err == "error: the schema names column 'sent_0' more than once\n"
         assert not (out / "dataset.json").exists()
 
     def test_schema_error_names_file(self, tmp_path, capsys):
@@ -422,6 +448,109 @@ class TestDeterminism:
         assert configs[0] != configs[1]
         assert reports[0] == reports[1]
         assert digests[0] == digests[1]
+
+
+def with_workers(monkeypatch, workers: int) -> None:
+    """Make the worker helper see ``workers`` usable cores, whatever this machine has."""
+    monkeypatch.setattr(cli, "usable_cores", lambda: workers)
+
+
+def pipeline(out: Path) -> dict[str, bytes]:
+    """Run synth, prepare, ablate and baseline into ``out``; every artifact's bytes but the manifests', by path."""
+    assert run_cli("synth", "--out", out / "raw", "--stocks", "3", "--days", "150", "--features", "6",
+                   "--seed", "5") == 0
+    assert run_cli("prepare", "--data", out / "raw", "--out", out / "prep", "--window", "8",
+                   "--train-frac", "0.6", "--valid-frac", "0.2") == 0
+    for command in ("ablate", "baseline"):
+        assert run_cli(command, "--dataset", out / "prep" / "dataset.json", "--out", out / command,
+                       "--epochs", "2", "--hidden", "4", "--seed", "6") == 0
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"}
+
+
+class TestWorkerProcesses:
+    # the phases each command's manifest times, by the output directory of pipeline()
+    PHASES = {"raw": {"generate", "write"}, "prep": {"load", "build", "write"},
+              "ablate": {"load", "variants", "write"}, "baseline": {"load", "variants", "write"}}
+
+    def test_artifacts_identical_with_one_and_two_workers_and_on_rerun(self, tmp_path, monkeypatch, capsys):
+        runs = []
+        for name, workers in (("one", 1), ("two", 2), ("two_again", 2)):
+            with_workers(monkeypatch, workers)
+            runs.append(pipeline(tmp_path / name))
+            for stage, phases in self.PHASES.items():
+                manifest = read_json(tmp_path / name / stage / "manifest.json")
+                assert manifest["workers"] == workers
+                assert set(manifest["phase_seconds"]) == phases
+                assert all(seconds >= 0 for seconds in manifest["phase_seconds"].values())
+        assert {"raw/SYN02.csv", "prep/dataset.json", "prep/split_manifest.json", "ablate/checkpoint_wo_m.json",
+                "ablate/ablation_table.txt", "ablate/ablation_report.json", "baseline/checkpoint_gru.json",
+                "baseline/baseline_table.txt", "baseline/baseline_report.json"} <= set(runs[0])
+        assert runs[0] == runs[1] == runs[2]
+        assert capsys.readouterr().err == ""
+
+    def test_first_damaged_csv_in_sorted_order_gives_the_same_error(self, tmp_path, monkeypatch, capsys):
+        raw = tmp_path / "raw"
+        assert run_cli("synth", "--out", raw, "--stocks", "4", "--days", "40", "--seed", "1") == 0
+        for name, cell in (("SYN01.csv", "oops"), ("SYN02.csv", "-1.0")):
+            lines = (raw / name).read_text().splitlines()
+            lines[5] = ",".join([*lines[5].split(",")[:2], cell, *lines[5].split(",")[3:]])
+            (raw / name).write_text("\n".join(lines) + "\n")
+        errors = []
+        for workers in (1, 2):
+            with_workers(monkeypatch, workers)
+            assert run_cli("prepare", "--data", raw, "--out", tmp_path / f"prep{workers}") == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: ") and "SYN01.csv: row 6: non-numeric value 'oops'" in errors[0]
+        with pytest.raises(ChildProcessError):  # the failed command left no worker behind
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_results_come_back_in_item_order_from_at_most_two_workers(self, monkeypatch):
+        with_workers(monkeypatch, 2)
+        results, workers = cli._in_workers(lambda i: (i * i, os.getpid()), list(range(5)))
+        assert workers == 2 and [r for r, _ in results] == [0, 1, 4, 9, 16]
+        assert len({pid for _, pid in results}) == 2 and os.getpid() not in {pid for _, pid in results}
+        assert multiprocessing.active_children() == []
+
+    def test_first_failure_in_item_order_keeps_its_type_and_message(self, monkeypatch):
+        with_workers(monkeypatch, 2)
+
+        def fail_from_two(i):
+            if i >= 2:
+                raise ValueError(f"item {i} is bad")
+            return i
+
+        with pytest.raises(ValueError, match=r"^item 2 is bad$"):
+            cli._in_workers(fail_from_two, [0, 1, 2, 3, 4])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_that_exits_is_named_and_reaped(self, monkeypatch):
+        with_workers(monkeypatch, 2)
+        with pytest.raises(alertanet.AlertaNetError, match=r"^worker process for b exited with code 3 before"):
+            cli._in_workers(lambda item: os._exit(3) if item == "b" else item, ["a", "b", "c"])
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):  # no child is left running, nor unreaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("items, workers", [([0], 2), ([0, 1, 2], 1)])
+    def test_one_worker_runs_in_process(self, monkeypatch, items, workers):
+        with_workers(monkeypatch, workers)
+        results, used = cli._in_workers(lambda i: os.getpid(), items)
+        assert used == 1 and set(results) == {os.getpid()}
+
+    def test_another_live_thread_keeps_the_work_in_process(self, monkeypatch):
+        with_workers(monkeypatch, 2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            results, used = cli._in_workers(lambda i: os.getpid(), [0, 1, 2])
+        finally:
+            release.set()
+            other.join()
+        assert used == 1 and set(results) == {os.getpid()}
 
 
 class TestThreshold:

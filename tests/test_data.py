@@ -219,6 +219,14 @@ class TestLoadFrame:
         with pytest.raises(SchemaError, match=rf"R\.csv: column '{repeated}' appears more than once in the header"):
             dp.load_frame(path, schema=schema)
 
+    @pytest.mark.parametrize("schema", [["sent_0", "sent_0"], ["macro_0", "sent_0", "macro_0"]])
+    def test_schema_that_repeats_a_column_names_it(self, tmp_path, schema):
+        """The header names each column once; the schema used to select the same one twice."""
+        path = write_csv(tmp_path / "R.csv", ["date", "adj_close", "sent_0", "macro_0"],
+                         [["2021-01-04", "1.0", "0.5", "9.0"]])
+        with pytest.raises(SchemaError, match=rf"schema names column '{schema[0]}' more than once"):
+            dp.load_frame(path, schema=schema)
+
     def test_repeated_column_that_is_not_read_is_accepted(self, tmp_path):
         path = write_csv(tmp_path / "R.csv", ["date", "adj_close", "sent_0", "note", "note"],
                          [["2021-01-04", "1.0", "0.5", "x", "y"]])
@@ -311,6 +319,17 @@ class TestLabels:
     def test_movement_boundaries_belong_to_directional_classes(self):
         assert labels(100, 100.5)[0] == 1
         assert labels(100, 99.5)[0] == 0
+
+    @pytest.mark.parametrize("kwargs, setting", [
+        ({"outlier_threshold": float("nan")}, "outlier_threshold"),
+        ({"outlier_threshold": float("inf")}, "outlier_threshold"),
+        ({"dead_zone": (float("nan"), 0.005)}, "dead_zone"),
+        ({"dead_zone": (-0.005, float("inf"))}, "dead_zone"),
+    ])
+    def test_non_finite_setting_is_config_error_naming_it(self, kwargs, setting):
+        """A nan threshold used to label every window non-volatile, and an infinite edge to drop a class."""
+        with pytest.raises(ConfigError, match=setting):
+            labels(100, 106, **kwargs)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
@@ -473,6 +492,15 @@ class TestChronoSplit:
         for train_frac, valid_frac in [(0.0, 0.2), (0.5, 0.5), (0.9, 0.2), (-0.1, 0.3)]:
             with pytest.raises(ConfigError):
                 dp.chrono_split(samples, train_frac, valid_frac)
+
+    @pytest.mark.parametrize("train_frac, valid_frac", [
+        (float("nan"), 0.2), (0.6, float("nan")), (float("inf"), 0.2), (0.6, float("-inf")),
+    ])
+    def test_non_finite_fraction_is_config_error_naming_it(self, train_frac, valid_frac):
+        """A nan fraction used to end in int()'s ValueError."""
+        samples = dp.window(make_frame("A", 20), 10)
+        with pytest.raises(ConfigError, match=r"train_frac=\S+ valid_frac="):
+            dp.chrono_split(samples, train_frac, valid_frac)
 
     def test_multi_stock_dates_never_straddle(self):
         frames = [make_frame(sid, 24, seed=i) for i, sid in enumerate(["AAA", "BBB", "CCC"])]
@@ -680,9 +708,11 @@ class TestDatasetRoundTrip:
         (dataset_text(train_frac=0.9, valid_frac=0.5), r"malformed dataset \(fractions must be positive"),
         (dataset_text(window=0), r"malformed dataset \(window length must be >= 1"),
         (dataset_text(epsilon=-1.0), r"malformed dataset \(epsilon must be a finite number > 0"),
+        (dataset_text(outlier_threshold=float("nan")), r"malformed dataset \(outlier_threshold must be a finite"),
+        (dataset_text(train_frac=float("nan")), r"malformed dataset \(fractions must be positive .*train_frac=nan"),
     ], ids=["not-an-object", "window-not-an-int", "dead-zone-one-number", "train-frac-a-string",
             "outlier-null", "window-a-float", "dead-zone-reversed", "fractions-sum-above-1", "window-0",
-            "epsilon-negative"])
+            "epsilon-negative", "outlier-nan", "train-frac-nan"])
     def test_malformed_file_is_parse_error_naming_file(self, tmp_path, text, message):
         path = tmp_path / "dataset.json"
         path.write_text(text, encoding="utf-8")

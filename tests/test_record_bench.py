@@ -11,7 +11,8 @@ _spec = importlib.util.spec_from_file_location("record_bench", ROOT / "tools" / 
 record_bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(record_bench)
 
-END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+END_TO_END, PER_LAYER = BENCHMARK["end_to_end"], BENCHMARK["per_layer"]
 
 
 def canned(rate, setup, rss, raw=(0.5, 0.6, 0.7), calibration=(0.15, 0.16, 0.17), passed=True, failed=0):
@@ -71,3 +72,31 @@ def test_a_failed_check_or_operation_is_reported_per_side():
 def test_single_pair_has_degenerate_quartiles():
     out = record_bench.aggregate([pair(1, "parent", canned(10.0, 1.0, 5.0), canned(12.0, 1.0, 5.0))], END_TO_END)
     assert out["metrics"]["samples_per_s"]["change"] == {"median": 12.0, "q1": 12.0, "q3": 12.0}
+
+
+def traced_record(seed, overrides, passed=True, failed=0):
+    """A ``--trace 1`` record: every per-layer figure 1.0 but ``overrides``."""
+    values = {layer["name"]: 1.0 for layer in PER_LAYER} | overrides
+    return {"seed": seed, "correct": passed and failed == 0, "failed": failed, "checks": {"prepare.exit_code": passed},
+            "metrics": {name: {"value": v, "unit": "u"} for name, v in values.items()}}
+
+
+def test_traced_layers_of_both_sides_and_the_ones_worse_by_over_ten_percent():
+    records = {
+        "parent": traced_record(4, {"data.load_frame.s": 0.5, "trace.traced.samples_per_s": 100.0,
+                                    "numerics.matmul.calls": 0.0, "cli.prepare.s": 2.0}),
+        "change": traced_record(4, {"data.load_frame.s": 0.56, "trace.traced.samples_per_s": 89.0,
+                                    "numerics.matmul.calls": 0.0, "cli.prepare.s": 2.1}, passed=False),
+    }
+    out = record_bench.traced_layers(records, PER_LAYER, core=1)
+    assert (out["core"], out["seed"]) == (1, 4)
+    load = out["layers"]["data.load_frame.s"]
+    assert (load["parent"], load["change"], load["better"]) == (0.5, 0.56, "lower")
+    assert load["change_over_parent"] == pytest.approx(0.12)
+    assert out["layers"]["numerics.matmul.calls"]["change_over_parent"] is None  # a layer that never ran
+    # 5% slower, and 1.0 -> 1.0 everywhere else, are within the bound; lower and higher are both checked
+    assert sorted(out["worse_over_10pct"]) == ["data.load_frame.s", "trace.traced.samples_per_s"]
+    assert set(out["layers"]) == {layer["name"] for layer in PER_LAYER}
+    assert out["all_checks_passed"] == {"parent": True, "change": False}
+    assert out["failed_ops"] == {"parent": 0, "change": 0}
+    json.dumps(out)

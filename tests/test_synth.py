@@ -24,6 +24,12 @@ class TestSpec:
         with pytest.raises(ConfigError, match="price"):
             synth.SynthSpec(n_days=100, n_features=8, signal_weights=np.ones(8))
 
+    @pytest.mark.parametrize("base_price", [float("nan"), float("inf"), 0.0])
+    def test_rejects_base_price_that_is_not_finite_and_positive(self, base_price):
+        """A nan base price used to fail later, in a FeatureFrame message that did not name it."""
+        with pytest.raises(ConfigError, match="base_price"):
+            synth.SynthSpec(n_days=100, base_price=base_price)
+
     def test_rejects_bad_noise(self):
         with pytest.raises(ConfigError):
             synth.SynthSpec(n_days=100, noise_flip_prob=0.5)

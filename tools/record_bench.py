@@ -13,8 +13,14 @@ writes ``BENCH_<TAG>.json`` at the repository root: for every workload and
 end-to-end metric, both sides' medians and quartiles and the pairs each side
 won, plus the raw operation and set-up medians, the median calibration time,
 whether every check passed, every pair's figures, perfbench's environment
-fingerprint and the OpenBLAS build string.  The exit code is 0 only when every
-run passed every check.
+fingerprint and the OpenBLAS build string.
+
+Each workload then gets one ``--trace 1`` run per side, in a child pinned to
+one core with ``os.sched_setaffinity``.  On one core the CLI's worker helper
+runs in-process and the scoring pool has one worker, so every traced layer
+sees all of its work and the tracer's spans nest.  Their per-layer figures go
+under ``traced_one_core``, with the layers that got more than 10% worse.  The
+exit code is 0 only when every run passed every check.
 """
 
 from __future__ import annotations
@@ -69,14 +75,17 @@ def export(tree_ish: str, dest: Path) -> None:
     archive.unlink()
 
 
-def run_side(copy: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run in ``copy``; returns the record it wrote."""
+def run_side(copy: Path, command: list[str], workload: str, seed: int, seconds: float, trace: int = 0,
+             core: int | None = None) -> dict:
+    """One perfbench run in ``copy``, pinned to ``core`` when one is given; returns the record it wrote."""
     argv = [sys.executable, *command[1:], "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=copy, stdout=subprocess.PIPE, text=True, timeout=600 + 10 * seconds)
+            "--seconds", str(seconds), "--trace", str(trace)]
+    pin = None if core is None else (lambda: os.sched_setaffinity(0, {core}))
+    proc = subprocess.run(argv, cwd=copy, stdout=subprocess.PIPE, text=True, timeout=600 + 10 * seconds,
+                          preexec_fn=pin)
     if proc.returncode not in (0, 1):
         raise RuntimeError(f"{' '.join(argv[1:])} exited with code {proc.returncode}")
-    return json.loads((copy / "perfbench" / "results" / f"{workload}-seed{seed}-trace0.json").read_text())
+    return json.loads((copy / "perfbench" / "results" / f"{workload}-seed{seed}-trace{trace}.json").read_text())
 
 
 def blas_config() -> str | None:
@@ -137,6 +146,32 @@ def aggregate(pairs: list[dict], metrics: list[dict]) -> dict:
     }
 
 
+def traced_layers(records: dict[str, dict], layers: list[dict], core: int) -> dict:
+    """Both sides' per-layer figures from one traced run each on ``core``.
+
+    ``records`` maps each side to what ``perfbench/run.py --trace 1`` wrote;
+    ``layers`` are BENCHMARK.json's ``per_layer`` entries.  ``worse_over_10pct``
+    lists the layers whose figure moved the wrong way by more than 10%.
+    """
+    summary, worse = {}, []
+    for layer in layers:
+        name = layer["name"]
+        values = {side: records[side]["metrics"][name]["value"] for side in SIDES}
+        ratio = values["change"] / values["parent"] - 1.0 if values["parent"] else None
+        if ratio is not None and (ratio > 0.1 if layer["better"] == "lower" else ratio < -0.1):
+            worse.append(name)
+        summary[name] = {"unit": layer["unit"], "better": layer["better"], **values, "change_over_parent": ratio}
+    return {
+        "core": core,
+        "seed": records["parent"]["seed"],
+        "layers": summary,
+        "worse_over_10pct": worse,
+        "all_checks_passed": {side: records[side]["correct"] and all(records[side]["checks"].values())
+                              for side in SIDES},
+        "failed_ops": {side: records[side]["failed"] for side in SIDES},
+    }
+
+
 def record(args) -> dict:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parent = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
@@ -162,6 +197,10 @@ def record(args) -> dict:
                       f"{rate['parent']:.6g} change {rate['change']:.6g}", file=sys.stderr, flush=True)
             bench["workloads"][workload] = aggregate(pairs, spec["end_to_end"])
             bench.setdefault("environment", pairs[0]["change"]["environment"])
+            core = min(os.sched_getaffinity(0))
+            traced = {side: run_side(copies[side], spec["command"], workload, pairs[0]["seed"], args.seconds,
+                                     trace=1, core=core) for side in SIDES}
+            bench["workloads"][workload]["traced_one_core"] = traced_layers(traced, spec["per_layer"], core)
     return bench
 
 
@@ -174,8 +213,13 @@ def main(argv=None) -> int:
         for name, m in summary["metrics"].items():
             print(f"{workload} {name}: {m['parent']['median']:.6g} -> {m['change']['median']:.6g} "
                   f"({m['change_over_parent']:+.1%}), change won {m['pairs_won']['change']} of {bench['pairs']}")
+        traced = summary["traced_one_core"]
+        print(f"{workload} traced on core {traced['core']}: worse by over 10%: "
+              f"{', '.join(traced['worse_over_10pct']) or 'none'}")
     print(f"wrote {out.name}")
-    return 0 if all(all(s["all_checks_passed"].values()) for s in bench["workloads"].values()) else 1
+    passed = all(all(s["all_checks_passed"].values()) and all(s["traced_one_core"]["all_checks_passed"].values())
+                 for s in bench["workloads"].values())
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":
