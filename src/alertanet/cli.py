@@ -37,6 +37,7 @@ from .data import (
     DEFAULT_OUTLIER_THRESHOLD,
     ABSTAIN,
     build_dataset,
+    check_settings,
     load_dataset,
     load_frame,
     save_dataset,
@@ -300,6 +301,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_prepare(args) -> int:
+    settings = {"window_len": args.window, "dead_zone": tuple(args.dead_zone), "outlier_threshold": args.outlier,
+                "train_frac": args.train_frac, "valid_frac": args.valid_frac, "epsilon": args.epsilon}
+    check_settings(**settings)  # a bad setting fails before any CSV is read
     out = _resolve_out(args, "prepare")
     manifest = _ManifestWriter("prepare", out, None)
     data_dir = Path(args.data)
@@ -313,17 +317,8 @@ def cmd_prepare(args) -> int:
     for path, (digest, _) in zip(csv_paths, loaded):
         manifest.add_input(path.name, path, digest)
     frames = [frame for _, frame in loaded]
-    dead_zone = tuple(args.dead_zone)
     with manifest.phase("build"):
-        split, warnings = build_dataset(
-            frames,
-            window_len=args.window,
-            dead_zone=dead_zone,
-            outlier_threshold=args.outlier,
-            train_frac=args.train_frac,
-            valid_frac=args.valid_frac,
-            epsilon=args.epsilon,
-        )
+        split, warnings = build_dataset(frames, **settings)
     manifest.warnings.extend(warnings)
     for message in warnings:
         print(f"warning: {message}", file=sys.stderr)
@@ -340,7 +335,7 @@ def cmd_prepare(args) -> int:
             "abstain_rate": abstain / max(1, len(part)),
         }
     manifest.config = {
-        "window": args.window, "dead_zone": list(dead_zone), "outlier": args.outlier,
+        "window": args.window, "dead_zone": list(args.dead_zone), "outlier": args.outlier,
         "train_frac": args.train_frac, "valid_frac": args.valid_frac,
         "schema": split.feature_names, "counts": counts, "boundaries": split.boundaries,
     }
@@ -455,6 +450,7 @@ def _run_variants(args, variants: list[tuple[str, dict]], command: str, report_s
         split = load_dataset(args.dataset)
     manifest.add_input("dataset", args.dataset)
     base = _resolve_train_config(args, split.window)
+    base.validate()  # a bad setting fails here, before the workers start
     configs = {label: replace(base, **overrides) for label, overrides in variants}
 
     def train_and_evaluate(label):

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import codecs
 import csv
+import re
+import warnings
 from dataclasses import dataclass, field
 from datetime import date as _date
-from itertools import compress, count, islice, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -44,32 +45,42 @@ DEFAULT_EPSILON = 1e-8
 DATE_COLUMN = "date"
 PRICE_COLUMN = "adj_close"
 
-DATASET_VERSION = 2
+DATASET_VERSION = 3
 
-# Records that load_frame converts at a time, so that the cells of a whole file
-# are never held at once.  On a 2,500-row, 10-column file the traced peak was
-# 2.6 MB with every record held, 1.2 MB with 512 at a time, and 1.6 MB when
-# converting one row at a time; the held cells grow with the file, a pass does not.
-_RECORDS_PER_PASS = 512
+# datetime64[D] counts days from 1970-01-01, the day with this proleptic Gregorian ordinal
+_EPOCH_ORDINAL = _date(1970, 1, 1).toordinal()
+# a dataset file's dates: YYYY-MM-DD, comma-separated
+_ISO_DATES = re.compile(r"\d{4}-\d{2}-\d{2}(?:,\d{4}-\d{2}-\d{2})*")
 
 
 @dataclass
 class FeatureFrame:
-    """Aligned daily series for one stock: price plus named feature columns."""
+    """Aligned daily series for one stock: price plus named feature columns.
+
+    ``dates`` becomes a datetime64[D] array; ISO strings are read as
+    :func:`load_frame` reads a CSV's date cells, with ``date.fromisoformat``.
+    """
 
     stock_id: str
-    dates: list[str]
+    dates: np.ndarray  # (n_days,) datetime64[D], strictly ascending
     adj_close: np.ndarray
     feature_names: list[str]
     features: np.ndarray  # shape (n_days, n_features)
 
     def __post_init__(self):
+        dates = np.asarray(self.dates)
+        if dates.dtype.kind != "M":
+            try:
+                dates = np.array(list(map(_day_number, dates.tolist())), dtype=np.int64)
+            except (AttributeError, ValueError) as exc:
+                raise DataIntegrityError(f"{self.stock_id}: bad date ({exc})") from None
+        self.dates = dates.astype("datetime64[D]", copy=False)
         self.adj_close = np.asarray(self.adj_close, dtype=np.float64)
         self.features = np.asarray(self.features, dtype=np.float64)
         if self.features.ndim != 2:
             raise DataIntegrityError(f"{self.stock_id}: features must be 2-D")
         n = len(self.dates)
-        if self.adj_close.shape != (n,) or self.features.shape[0] != n:
+        if self.dates.shape != (n,) or self.adj_close.shape != (n,) or self.features.shape[0] != n:
             raise DataIntegrityError(
                 f"{self.stock_id}: {n} dates vs {self.adj_close.shape[0]} prices "
                 f"vs {self.features.shape[0]} feature rows"
@@ -79,9 +90,11 @@ class FeatureFrame:
                 f"{self.stock_id}: {len(self.feature_names)} feature names vs "
                 f"{self.features.shape[1]} feature columns"
             )
-        for prev, cur in zip(self.dates, self.dates[1:]):
-            if cur <= prev:
-                raise DataIntegrityError(f"{self.stock_id}: dates not strictly ascending at {cur}")
+        if np.isnat(self.dates).any():
+            raise DataIntegrityError(f"{self.stock_id}: a date is NaT, not a day")
+        late = np.flatnonzero(self.dates[1:] <= self.dates[:-1])
+        if late.size:
+            raise DataIntegrityError(f"{self.stock_id}: dates not strictly ascending at {self.dates[late[0] + 1]}")
         bad = np.flatnonzero(~(np.isfinite(self.adj_close) & (self.adj_close > 0)))
         if bad.size:
             raise DataIntegrityError(
@@ -100,9 +113,14 @@ class FeatureFrame:
         return len(self.dates)
 
 
-def _parse_date(cell: str, line_no: int, path) -> str:
+def _day_number(cell: str) -> int:
+    """Days from 1970-01-01 to the ISO date in ``cell``, which may have blanks around it."""
+    return _date.fromisoformat(cell.strip()).toordinal() - _EPOCH_ORDINAL
+
+
+def _parse_date(cell: str, line_no: int, path) -> int:
     try:
-        return _date.fromisoformat(cell.strip()).isoformat()
+        return _day_number(cell)
     except ValueError as exc:
         raise ParseError(f"{path}: row {line_no}: bad date {cell!r} ({exc})") from exc
 
@@ -126,81 +144,82 @@ def load_frame(path: str | Path, schema: list[str] | None = None) -> FeatureFram
     ``schema`` that names a column more than once.  A leading
     UTF-8 byte-order mark is skipped.
 
-    Records are read ``_RECORDS_PER_PASS`` at a time, and each selected
-    column of them is converted in one pass of ``float`` (the date column in
-    one of ``date.fromisoformat``).  Only when a pass fails, or a record has
-    the wrong width, do that pass's records go through one at a time, to name
-    the first bad cell in file order.
+    The file is read once as lines of text, its header split with ``csv``,
+    and every cell below it converted in one ``np.loadtxt`` call: values by
+    numpy's C parser, which gives ``float``'s bits, and dates by
+    ``date.fromisoformat`` through a converter, so that a date cell is split
+    from its record exactly as the value cells are, quotes included.  The call
+    reads every column (one that is not selected through a converter that takes
+    any cell), because with ``usecols`` numpy lets a record wider than the
+    header through.  Some files go to a walk over the ``csv`` records instead,
+    one record at a time in file order, which names the first bad cell or,
+    when there is none, reads the file as the one call would have:
+
+    * files that numpy refuses: a blank or short record (``,,,,`` as
+      spreadsheets export), a width change, a cell such as ``1_000`` that
+      ``float`` reads and numpy does not, a bad cell, or no records at all;
+    * files with a record that spans lines (a quoted line break), where the
+      row count differs from the count of non-empty lines, and files with a
+      line longer than the ``csv`` field limit.
+
+    The one call replaced passes of 512 records, each converted column by
+    column with ``float``.  The passes bounded the cell strings held at once;
+    numpy makes no object per value cell, so the largest thing held is now the
+    file's lines, and on a 2,500-row, 10-column file the traced peak stayed at
+    about 1.2 MB.
     """
     path = Path(path)
     if schema is not None and len(set(schema)) < len(schema):
         repeated = next(c for c in schema if schema.count(c) > 1)
         raise SchemaError(f"the schema names column {repeated!r} more than once")
-    line_nos, dates, parts = [], [], []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = [h.strip() for h in next(reader)]
-            except StopIteration:
-                raise SchemaError(f"{path}: empty file") from None
-            if schema is None:
-                schema = [h for h in header if h not in (DATE_COLUMN, PRICE_COLUMN)]
-            columns = [PRICE_COLUMN, *schema]
-            missing = [c for c in [DATE_COLUMN, *columns] if c not in header]
-            if missing:
-                raise SchemaError(f"{path}: missing required columns {missing}")
-            repeated = [c for c in dict.fromkeys([DATE_COLUMN, *columns]) if header.count(c) > 1]
-            if repeated:
-                raise SchemaError(f"{path}: column {repeated[0]!r} appears more than once in the header")
-            col_idx = {name: header.index(name) for name in header}
-            value_cols = [col_idx[c] for c in columns]
-            first = 2  # the header is row 1
-            while records := list(islice(reader, _RECORDS_PER_PASS)):
-                # a record with no cells or only blank ones is skipped
-                kept = list(map(any, map(map, repeat(str.strip), records)))
-                numbers = list(compress(count(first), kept))
-                first += len(records)
-                records = list(compress(records, kept))
-                converted = _convert_columns(records, len(header), col_idx[DATE_COLUMN], value_cols)
-                if converted is None:
-                    _raise_first_bad_cell(path, header, col_idx, columns, zip(numbers, records))
-                line_nos += numbers
-                dates += converted[0]
-                parts.append(converted[1])
+            lines = fh.readlines()  # the lines csv.reader splits: at "\n", "\r\n" and "\r" only
     except UnicodeDecodeError as exc:
         raise _decode_error(path) from exc
+    reader = csv.reader(lines)
+    try:
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file") from None
+        if schema is None:
+            schema = [h for h in header if h not in (DATE_COLUMN, PRICE_COLUMN)]
+        columns = [PRICE_COLUMN, *schema]
+        missing = [c for c in [DATE_COLUMN, *columns] if c not in header]
+        if missing:
+            raise SchemaError(f"{path}: missing required columns {missing}")
+        repeated = [c for c in dict.fromkeys([DATE_COLUMN, *columns]) if header.count(c) > 1]
+        if repeated:
+            raise SchemaError(f"{path}: column {repeated[0]!r} appears more than once in the header")
+        col_idx = {name: header.index(name) for name in header}
+        value_cols = [col_idx[c] for c in columns]
+        rows, days, block = (_read_all(lines[reader.line_num :], len(header), col_idx[DATE_COLUMN], value_cols)
+                             or _walk(path, reader, header, col_idx, columns))
     except csv.Error as exc:
         raise ParseError(f"{path}: line {reader.line_num}: unreadable CSV ({exc})") from None
 
-    order = sorted(range(len(dates)), key=dates.__getitem__)  # stable: duplicates keep file order
-    dates = list(map(dates.__getitem__, order))
-    line_nos = list(map(line_nos.__getitem__, order))
-    # Price then features, one row per day in date order, filled in place
-    # rather than sorted once built, which would allocate and free a second block.
-    block = np.empty((len(dates), len(columns)))
-    rows = np.array(order, dtype=np.intp)
-    for j, column in enumerate(zip(*parts)):
-        block[:, j] = np.concatenate(column)[rows]
-    same = list(map(str.__eq__, dates, dates[1:]))
-    if True in same:
-        i = same.index(True)
-        raise DataIntegrityError(f"{path}: duplicate date {dates[i]} (rows {line_nos[i]} and {line_nos[i + 1]})")
+    order = np.argsort(days, kind="stable")  # stable: duplicates keep file order
+    dates, rows, block = days[order].astype("datetime64[D]"), np.asarray(rows)[order], block[order]
+    same = np.flatnonzero(dates[1:] == dates[:-1])
+    if same.size:
+        i = same[0]
+        raise DataIntegrityError(f"{path}: duplicate date {dates[i]} (rows {rows[i]} and {rows[i + 1]})")
     bad = np.argwhere(~np.isfinite(block))
     if bad.size:
         i, j = bad[0]
-        raise ParseError(f"{path}: row {line_nos[i]}: non-finite value {block[i, j]} in column {columns[j]!r}")
+        raise ParseError(f"{path}: row {rows[i]}: non-finite value {block[i, j]} in column {columns[j]!r}")
     bad = np.argwhere(block[:, 1:] < 0)
     if bad.size:
         i, j = bad[0]
         raise PreprocessingError(
-            f"{path}: row {line_nos[i]}: negative value {block[i, j + 1]} in feature column {schema[j]!r}; "
+            f"{path}: row {rows[i]}: negative value {block[i, j + 1]} in feature column {schema[j]!r}; "
             "shift signed series before ingestion"
         )
     bad = np.flatnonzero(block[:, 0] <= 0)
     if bad.size:
         i = bad[0]
-        raise DataIntegrityError(f"{path}: row {line_nos[i]}: adj_close {block[i, 0]} is not a positive number")
+        raise DataIntegrityError(f"{path}: row {rows[i]}: adj_close {block[i, 0]} is not a positive number")
 
     return FeatureFrame(
         stock_id=path.stem,
@@ -211,27 +230,37 @@ def load_frame(path: str | Path, schema: list[str] | None = None) -> FeatureFram
     )
 
 
-def _convert_columns(records: list[list[str]], width: int, date_col: int, value_cols: list[int]):
-    """ISO dates and a float array per value column of ``records``, or None if a record or cell is bad."""
-    if not set(map(len, records)) <= {width}:
-        return None
-    cols = list(zip(*records)) or [()] * width
+def _read_all(lines: list[str], width: int, date_col: int, value_cols: list[int]):
+    """Row numbers, day numbers and the ``value_cols`` block of the records in ``lines``, from one
+    ``np.loadtxt`` call; None for a file that :func:`load_frame` must walk instead."""
+    rows = [row for row, line in enumerate(lines, 2) if line.strip("\r\n")]  # the header is row 1
+    # a column that is not read takes any cell
+    converters = {c: lambda cell: 0.0 for c in range(width) if c not in value_cols} | {date_col: _day_number}
     try:
-        dates = list(map(_date.isoformat, map(_date.fromisoformat, map(str.strip, cols[date_col]))))
-        return dates, [np.fromiter(map(float, cols[c]), np.float64, count=len(records)) for c in value_cols]
-    except ValueError:
+        with warnings.catch_warnings():  # numpy warns on a file with no records
+            warnings.simplefilter("error")
+            block = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2, converters=converters)
+    except (ValueError, Warning):
         return None
+    # a schema may select the date column as a feature, which only the walk reads as csv does
+    if date_col in value_cols or block.shape != (len(rows), width) or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    return rows, block[:, date_col].astype(np.int64), block[:, value_cols]
 
 
-def _raise_first_bad_cell(path, header, col_idx, columns, numbered_records) -> None:
-    """Check the records one at a time, in file order, and raise for the first bad one."""
-    for line_no, cells in numbered_records:
+def _walk(path, reader, header, col_idx, columns):
+    """Row numbers, day numbers and values of the records of ``reader``, one record at a time in file
+    order; the first bad cell raises."""
+    rows, days, values = [], [], []
+    for row, cells in enumerate(reader, 2):
+        if not any(map(str.strip, cells)):  # a record with no cells or only blank ones is skipped
+            continue
         if len(cells) != len(header):
-            raise ParseError(f"{path}: row {line_no}: expected {len(header)} cells, got {len(cells)}")
-        _parse_date(cells[col_idx[DATE_COLUMN]], line_no, path)
-        for c in columns:
-            _parse_float(cells[col_idx[c]], line_no, c, path)
-    raise AssertionError(f"{path}: a column failed to convert but no record has a bad cell")
+            raise ParseError(f"{path}: row {row}: expected {len(header)} cells, got {len(cells)}")
+        days.append(_parse_date(cells[col_idx[DATE_COLUMN]], row, path))
+        values.append([_parse_float(cells[col_idx[c]], row, c, path) for c in columns])
+        rows.append(row)
+    return rows, np.array(days, dtype=np.int64), np.array(values, dtype=np.float64).reshape(len(rows), len(columns))
 
 
 def _decode_error(path: Path) -> ParseError:
@@ -252,7 +281,7 @@ def write_frame(frame: FeatureFrame, path: str | Path) -> None:
     with serialize.atomic_writer(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([DATE_COLUMN, PRICE_COLUMN, *frame.feature_names])
-        writer.writerows(zip(frame.dates, *(map(repr, col) for col in values)))
+        writer.writerows(zip(frame.dates.astype(str).tolist(), *(map(repr, col) for col in values)))
 
 
 def normalize(window_values, epsilon: float = DEFAULT_EPSILON, feature_names: list[str] | None = None) -> np.ndarray:
@@ -272,11 +301,8 @@ def label_prices(
     outlier_threshold: float = DEFAULT_OUTLIER_THRESHOLD,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Movement and volatility labels (int8) for every pair of previous and current prices."""
+    check_settings(dead_zone=dead_zone, outlier_threshold=outlier_threshold)
     lo, hi = dead_zone
-    if not -np.inf < lo < hi < np.inf:
-        raise ConfigError(f"dead zone must satisfy lo < hi, both finite, got dead_zone={dead_zone}")
-    if not 0 < outlier_threshold < np.inf:
-        raise ConfigError(f"outlier_threshold must be a finite number > 0, got {outlier_threshold}")
     p_prev = np.asarray(p_prev, dtype=np.float64)
     bad = p_prev[p_prev <= 0]
     if bad.size:
@@ -311,7 +337,7 @@ class SampleSet:
     y_m: np.ndarray  # (n,) int8: 0, 1, or ABSTAIN
     y_v: np.ndarray  # (n,) int8: 0 or 1
     stock_ids: np.ndarray  # (n,) str
-    target_dates: np.ndarray  # (n,) str, ISO dates
+    target_dates: np.ndarray  # (n,) datetime64[D]; records give them as ISO str
 
     @staticmethod
     def concat(sets: list[SampleSet]) -> SampleSet:
@@ -337,7 +363,8 @@ class SampleSet:
         return SampleSet(self.days, self.window, *(c[key] for c in self._columns()))
 
     def __iter__(self):
-        for s, *rest in zip(*(c.tolist() for c in self._columns())):
+        *columns, dates = self._columns()
+        for s, *rest in zip(*(c.tolist() for c in columns), dates.astype(str).tolist()):
             yield WindowedSample(self.days[s : s + self.window].T, *rest)
 
     def __add__(self, other: SampleSet) -> SampleSet:
@@ -363,10 +390,7 @@ def window(
     temporal leakage.  Samples read the frame's logged days ``log(x + epsilon)``
     in place; a frame shorter than window+1 days yields none.
     """
-    if window_len < 1:
-        raise ConfigError(f"window length must be >= 1, got {window_len}")
-    if not 0 < epsilon < np.inf:
-        raise ConfigError(f"epsilon must be a finite number > 0, got {epsilon}")
+    check_settings(window_len, epsilon=epsilon)
     n = len(frame)
     # windows read days [t - window_len, t) for targets t in [window_len, n): day n - 1 is only a target
     n_days = n - 1 if n > window_len else 0
@@ -375,7 +399,7 @@ def window(
     y_m, y_v = label_prices(frame.adj_close[window_len - 1 : n_days], frame.adj_close[window_len : n_days + 1],
                             dead_zone, outlier_threshold)
     return SampleSet(days, window_len, np.arange(len(y_m)), y_m, y_v, np.full(len(y_m), frame.stock_id),
-                     np.array(frame.dates[window_len : n_days + 1], dtype=str))
+                     frame.dates[window_len : n_days + 1])
 
 
 @dataclass
@@ -404,10 +428,7 @@ def chrono_split(samples: SampleSet, train_frac: float, valid_frac: float) -> Da
 
     The three parts share the days of ``samples``.
     """
-    if not (0 < train_frac and 0 < valid_frac and train_frac + valid_frac < 1):  # false for a nan too
-        raise ConfigError(
-            f"fractions must be positive and sum below 1, got train_frac={train_frac} valid_frac={valid_frac}"
-        )
+    check_settings(train_frac=train_frac, valid_frac=valid_frac)
     ordered = samples[np.lexsort((samples.stock_ids, samples.target_dates))]
     dates = ordered.target_dates
     n = len(ordered)
@@ -427,6 +448,35 @@ def chrono_split(samples: SampleSet, train_frac: float, valid_frac: float) -> Da
             f"(n={n}, train_frac={train_frac}, valid_frac={valid_frac})"
         )
     return DatasetSplit(train=parts["train"], validation=parts["validation"], test=parts["test"])
+
+
+def check_settings(
+    window_len: int = 1,
+    dead_zone: tuple[float, float] = DEFAULT_DEAD_ZONE,
+    outlier_threshold: float = DEFAULT_OUTLIER_THRESHOLD,
+    train_frac: float = 0.7,
+    valid_frac: float = 0.15,
+    epsilon: float = DEFAULT_EPSILON,
+) -> None:
+    """Raise a ConfigError for the first of :func:`build_dataset`'s settings that is out of range.
+
+    :func:`window`, :func:`label_prices` and :func:`chrono_split` check their
+    own settings here, leaving the others at their defaults, which pass; so
+    ``prepare`` can check them all before it reads a CSV.
+    """
+    if window_len < 1:
+        raise ConfigError(f"window length must be >= 1, got {window_len}")
+    if not 0 < epsilon < np.inf:
+        raise ConfigError(f"epsilon must be a finite number > 0, got {epsilon}")
+    lo, hi = dead_zone
+    if not -np.inf < lo < hi < np.inf:
+        raise ConfigError(f"dead zone must satisfy lo < hi, both finite, got dead_zone={dead_zone}")
+    if not 0 < outlier_threshold < np.inf:
+        raise ConfigError(f"outlier_threshold must be a finite number > 0, got {outlier_threshold}")
+    if not (0 < train_frac and 0 < valid_frac and train_frac + valid_frac < 1):  # false for a nan too
+        raise ConfigError(
+            f"fractions must be positive and sum below 1, got train_frac={train_frac} valid_frac={valid_frac}"
+        )
 
 
 def build_dataset(
@@ -452,18 +502,12 @@ def build_dataset(
             raise SchemaError(
                 f"feature columns differ between stocks: {names} vs {frame.feature_names} ({frame.stock_id})"
             )
-    warnings: list[str] = []
-    parts: list[SampleSet] = []
-    windowed: list[FeatureFrame] = []
-    for frame in sorted(frames, key=lambda f: f.stock_id):
-        part = window(frame, window_len, dead_zone, outlier_threshold, epsilon)
-        if part:
-            windowed.append(frame)
-        else:
-            warnings.append(f"frame {frame.stock_id}: too short for window {window_len}, skipped")
-        parts.append(part)
+    frames = sorted(frames, key=lambda f: f.stock_id)
+    parts = [window(frame, window_len, dead_zone, outlier_threshold, epsilon) for frame in frames]
+    warnings = [f"frame {frame.stock_id}: too short for window {window_len}, skipped"
+                for frame, part in zip(frames, parts) if not part]
     split = chrono_split(SampleSet.concat(parts), train_frac, valid_frac)
-    split.frames = windowed
+    split.frames = [frame for frame, part in zip(frames, parts) if part]
     split.feature_names = list(names)
     split.window = window_len
     split.meta = {
@@ -498,27 +542,25 @@ def feature_category(name: str) -> str:
 
 
 def normalize_ablation_mode(mode: str) -> str:
-    cleaned = mode.strip().lower().replace("_", "-").replace("w/o-m", "wo-m")
-    if cleaned == "wo-m" or cleaned == "wom":
-        cleaned = "wo-m"
+    cleaned = mode.strip().lower().replace("_", "-").replace("w/o-m", "wo-m").replace("wom", "wo-m")
     if cleaned not in ABLATION_MODES:
         raise ConfigError(f"unknown ablation mode {mode!r}; expected one of {ABLATION_MODES}")
     return cleaned
 
 
+# the feature categories each ablation mode keeps
+_ABLATION_KEEPS = {
+    "full": lambda category: True,
+    "p": lambda category: category == "price",
+    "s": lambda category: category == "sentiment",
+    "wo-m": lambda category: category != "macro",
+}
+
+
 def ablation_feature_indices(feature_names: list[str], mode: str) -> list[int]:
     """Feature-row subset for an ablation mode (rows are removed, not zeroed)."""
     mode = normalize_ablation_mode(mode)
-    categories = [feature_category(n) for n in feature_names]
-    if mode == "full":
-        keep = [True] * len(feature_names)
-    elif mode == "p":
-        keep = [c == "price" for c in categories]
-    elif mode == "s":
-        keep = [c == "sentiment" for c in categories]
-    else:  # wo-m
-        keep = [c != "macro" for c in categories]
-    indices = [i for i, k in enumerate(keep) if k]
+    indices = [i for i, name in enumerate(feature_names) if _ABLATION_KEEPS[mode](feature_category(name))]
     if not indices:
         raise ConfigError(
             f"ablation mode {mode!r} selects no feature columns out of {feature_names}"
@@ -532,8 +574,10 @@ def ablation_feature_indices(feature_names: list[str], mode: str) -> list[int]:
 def save_dataset(path: str | Path, split: DatasetSplit) -> None:
     """Write each source frame of ``split`` once, with the settings that rebuild its samples.
 
-    :func:`load_dataset` windows, labels and splits the frames again, so any change to
-    windowing, labelling or splitting semantics has to bump ``DATASET_VERSION``.
+    A frame's dates are one string of comma-separated ISO dates, not a JSON
+    string each.  :func:`load_dataset` windows, labels and splits the frames
+    again, so any change to windowing, labelling or splitting semantics, or to
+    this layout, has to bump ``DATASET_VERSION``.
     """
     if not split.frames:
         raise UsageError("the split has no source frames; build it with build_dataset to save it")
@@ -546,7 +590,8 @@ def save_dataset(path: str | Path, split: DatasetSplit) -> None:
             "window": split.window,
             "meta": split.meta,
             "frames": [
-                {"stock_id": f.stock_id, "dates": f.dates, "adj_close": serialize.encode_array(f.adj_close),
+                {"stock_id": f.stock_id, "dates": ",".join(f.dates.astype(str).tolist()),
+                 "adj_close": serialize.encode_array(f.adj_close),
                  "features": serialize.encode_array(f.features)}
                 for f in split.frames
             ],
@@ -568,6 +613,20 @@ def _stored_setting(key: str, value):
     return value
 
 
+def _stored_dates(text: str) -> np.ndarray:
+    """The days of a dataset file's comma-separated ISO dates; ValueError for any other text.
+
+    The pattern admits only the form numpy writes, and numpy rejects a day
+    that is not on the calendar, so the text is exactly what the days format
+    back to: a round trip, checked without formatting 2,500 dates a frame.
+    Alone, numpy would read ``20220105`` as a year and ``2022-1-05`` as a day.
+    """
+    if not _ISO_DATES.fullmatch(text):
+        bad = next(cell for cell in text.split(",") if not _ISO_DATES.fullmatch(cell))
+        raise ValueError(f"stored date {bad!r} is not an ISO date")
+    return np.array(text.split(","), dtype="datetime64[D]")
+
+
 def load_dataset(path: str | Path) -> DatasetSplit:
     """Rebuild the split of a :func:`save_dataset` file; its frames pass the :class:`FeatureFrame` checks."""
     if not Path(path).is_file():
@@ -584,7 +643,7 @@ def load_dataset(path: str | Path) -> DatasetSplit:
         meta, names, window_len = obj["meta"], obj["feature_names"], _stored_setting("window", obj["window"])
         settings = {k: _stored_setting(k, meta[k])
                     for k in ("dead_zone", "outlier_threshold", "epsilon", "train_frac", "valid_frac")}
-        frames = [FeatureFrame(r["stock_id"], r["dates"], serialize.decode_array(r["adj_close"]),
+        frames = [FeatureFrame(r["stock_id"], _stored_dates(r["dates"]), serialize.decode_array(r["adj_close"]),
                                list(names), serialize.decode_array(r["features"]))
                   for r in obj["frames"]]
         split, _ = build_dataset(frames, window_len, **settings)

@@ -20,7 +20,6 @@ the generator rejects specs that put signal weight on them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from datetime import date, timedelta
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .errors import ConfigError
 QUIET_RETURN_RANGE = (0.006, 0.045)
 EVENT_RETURN_RANGE = (0.05, 0.09)
 VOLATILITY_DRIVER_QUANTILE = 0.9
-_START_DATE = date(2020, 1, 1)
+_START_DATE = np.datetime64("2020-01-01")
 
 
 def default_feature_names(n_features: int) -> list[str]:
@@ -55,9 +54,7 @@ def default_signal_weights(feature_names: list[str]) -> np.ndarray:
             "default signal weights need at least two sentiment columns; "
             "pass explicit signal_weights for this layout"
         )
-    for j, idx in enumerate(sent):
-        weights[idx] = 1.0 if j % 2 == 0 else -1.0
-    block = weights[sent]
+    block = np.where(np.arange(len(sent)) % 2 == 0, 1.0, -1.0)
     weights[sent] = block - np.mean(block)  # exact class balance in expectation
     return weights
 
@@ -82,6 +79,8 @@ class SynthSpec:
             raise ConfigError(f"noise_flip_prob must lie in [0, 0.5), got {self.noise_flip_prob}")
         if self.volatility_lag < 1:
             raise ConfigError(f"volatility_lag must be >= 1, got {self.volatility_lag}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.base_price < np.inf:
             raise ConfigError(f"base_price must be a finite number > 0, got {self.base_price}")
         if not self.feature_names:
@@ -150,15 +149,12 @@ def generate_with_truth(spec: SynthSpec, stock_id: str = "SYNTH") -> tuple[Featu
     # rewrite price-tagged columns from the realized path (all nonnegative)
     abs_returns = np.concatenate([[0.0], np.abs(returns)])
     price_cols = [i for i, name in enumerate(spec.feature_names) if feature_category(name) == "price"]
-    for j, col in enumerate(price_cols):
-        if j % 2 == 0:
-            features[:, col] = prices / spec.base_price
-        else:
-            features[:, col] = abs_returns
+    features[:, price_cols[0::2]] = (prices / spec.base_price)[:, None]
+    features[:, price_cols[1::2]] = abs_returns[:, None]
 
     frame = FeatureFrame(
         stock_id=stock_id,
-        dates=[(_START_DATE + timedelta(days=i)).isoformat() for i in range(n)],
+        dates=np.arange(_START_DATE, _START_DATE + n),
         adj_close=prices,
         feature_names=list(spec.feature_names),
         features=features,

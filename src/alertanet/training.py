@@ -75,6 +75,8 @@ class TrainConfig:
             raise ConfigError(f"window and hidden must be >= 1, got {self.window}/{self.hidden}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
             raise ConfigError(f"betas must lie in [0, 1), got {self.beta1}/{self.beta2}")
         normalize_ablation_mode(self.ablation)

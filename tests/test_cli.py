@@ -14,6 +14,7 @@ import pytest
 import alertanet
 from alertanet import cli
 from alertanet import training as tr
+from alertanet.errors import AlertaNetError
 from alertanet.serialize import read_json
 
 from testutil import BAD_CHECKPOINTS, bad_checkpoint
@@ -63,6 +64,26 @@ class TestSynthCommand:
         assert run_cli("synth", "--out", tmp_path / "raw", "--days", "30", "--base-price", "nan") == 1
         err = capsys.readouterr().err
         assert err == "error: base_price must be a finite number > 0, got nan\n"
+
+
+class TestNegativeSeed:
+    """``--seed -1`` used to reach ``np.random.default_rng`` and print its traceback."""
+
+    def test_synth(self, tmp_path, capsys):
+        assert run_cli("synth", "--out", tmp_path / "raw", "--days", "30", "--seed", "-1") == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+    def test_train(self, tmp_path, prepared, capsys):
+        assert run_cli("train", "--dataset", prepared, "--out", tmp_path / "train", "--seed", "-1") == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+    def test_ablate_fails_before_its_workers_start(self, tmp_path, prepared, capsys, monkeypatch):
+        def train(*args):
+            raise AlertaNetError("train was called")
+
+        monkeypatch.setattr(cli, "train", train)  # forked workers inherit the patch
+        assert run_cli("ablate", "--dataset", prepared, "--out", tmp_path / "ablate", "--seed", "-1") == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
 
 class TestPrepareCommand:
@@ -164,6 +185,21 @@ class TestPrepareCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and setting in err and "Traceback" not in err
         assert not (out / "dataset.json").exists()
+
+    @pytest.mark.parametrize("flag, value, setting", [
+        ("--outlier", "nan", "outlier_threshold"), ("--window", "0", "window length"),
+        ("--train-frac", "nan", "train_frac"),
+    ])
+    def test_bad_setting_fails_before_any_csv_is_read(self, tmp_path, synth_dir, capsys, monkeypatch,
+                                                      flag, value, setting):
+        """These used to fail in build_dataset, after every CSV was hashed and parsed."""
+        def load_frame(*args):
+            raise AlertaNetError("load_frame was called")
+
+        monkeypatch.setattr(cli, "load_frame", load_frame)  # forked workers inherit the patch
+        assert run_cli("prepare", "--data", synth_dir, "--out", tmp_path / "prep_bad", flag, value) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and setting in lines[0], lines
 
     def test_schema_that_repeats_a_column_fails_naming_it(self, tmp_path, synth_dir, capsys):
         out = tmp_path / "prep_schema"

@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import re
 from datetime import date, timedelta
 
 import numpy as np
@@ -45,7 +46,8 @@ class TestLoadFrame:
     def test_well_formed(self, simple_csv):
         frame = dp.load_frame(simple_csv)
         assert frame.stock_id == "ABC"
-        assert frame.dates == ["2021-01-04", "2021-01-05", "2021-01-06"]
+        assert frame.dates.dtype == "datetime64[D]"
+        assert frame.dates.astype(str).tolist() == ["2021-01-04", "2021-01-05", "2021-01-06"]
         assert frame.feature_names == ["sent_0", "macro_0"]
         assert np.array_equal(frame.adj_close, [10.0, 10.5, 11.0])
         assert np.array_equal(frame.features[:, 1], [1.0, 2.0, 3.0])
@@ -71,7 +73,7 @@ class TestLoadFrame:
         )
         sorted_frame = dp.load_frame(simple_csv)
         shuffled_frame = dp.load_frame(shuffled)
-        assert shuffled_frame.dates == sorted_frame.dates
+        assert np.array_equal(shuffled_frame.dates, sorted_frame.dates)
         assert np.array_equal(shuffled_frame.adj_close, sorted_frame.adj_close)
         assert np.array_equal(shuffled_frame.features, sorted_frame.features)
 
@@ -149,7 +151,7 @@ class TestLoadFrame:
         loaded = dp.load_frame(out)
         assert np.array_equal(loaded.adj_close, frame.adj_close)
         assert np.array_equal(loaded.features, frame.features)
-        assert loaded.dates == frame.dates
+        assert np.array_equal(loaded.dates, frame.dates)
 
     def test_write_frame_bytes_match_a_row_by_row_writer(self, tmp_path):
         values = np.array([[-0.0, 5e-324, 1e300], [0.1, 1 / 3, 2.0], [1e-7, 123456789.125, 0.0]])
@@ -164,7 +166,7 @@ class TestLoadFrame:
         assert (tmp_path / "W.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
     def test_first_defect_in_row_order_is_named(self, tmp_path):
-        """The column passes meet the bad date of row 4 first; the row check names row 3's cell."""
+        """numpy's one call refuses the file; the record walk names row 3's cell, the first bad one in file order."""
         path = write_csv(tmp_path / "M.csv", ["date", "adj_close", "sent_0", "macro_0"], [
             ["2021-01-06", "1.0", "0.5", "1.0"],
             ["2021-01-05", "1.0", "0.5", "x1"],
@@ -187,7 +189,7 @@ class TestLoadFrame:
             rows.insert(i, [" ", "", "", ""])
         path = write_csv(tmp_path / "LONG.csv", ["date", "adj_close", "sent_0", "note"], rows)
         got, want = dp.load_frame(path, ["sent_0"]), load_frame_oracle(path, ["sent_0"])
-        assert got.dates == want.dates
+        assert np.array_equal(got.dates, want.dates)
         assert got.adj_close.tobytes() == want.adj_close.tobytes()
         assert got.features.tobytes() == want.features.tobytes()
 
@@ -227,6 +229,19 @@ class TestLoadFrame:
         with pytest.raises(SchemaError, match=rf"schema names column '{schema[0]}' more than once"):
             dp.load_frame(path, schema=schema)
 
+    @pytest.mark.parametrize("day", ["2021-01-04", "20210104"])
+    def test_schema_that_selects_the_date_column_matches_oracle(self, tmp_path, day):
+        """The date cell is then a feature cell too: ``float`` reads 20210104 and rejects 2021-01-04."""
+        path = write_csv(tmp_path / "D.csv", ["date", "adj_close", "sent_0"], [[day, "1.0", "0.5"]])
+        try:
+            want = load_frame_oracle(path, ["date"])
+        except ParseError as exc:
+            with pytest.raises(ParseError, match=re.escape(str(exc))):
+                dp.load_frame(path, ["date"])
+        else:
+            got = dp.load_frame(path, ["date"])
+            assert got.features.tobytes() == want.features.tobytes() == np.array([[20210104.0]]).tobytes()
+
     def test_repeated_column_that_is_not_read_is_accepted(self, tmp_path):
         path = write_csv(tmp_path / "R.csv", ["date", "adj_close", "sent_0", "note", "note"],
                          [["2021-01-04", "1.0", "0.5", "x", "y"]])
@@ -238,7 +253,8 @@ class TestLoadFrame:
         marked = tmp_path / "bom" / simple_csv.name
         marked.write_bytes(b"\xef\xbb\xbf" + simple_csv.read_bytes())
         want, got = dp.load_frame(simple_csv), dp.load_frame(marked)
-        assert (got.stock_id, got.dates, got.feature_names) == (want.stock_id, want.dates, want.feature_names)
+        assert (got.stock_id, got.feature_names) == (want.stock_id, want.feature_names)
+        assert np.array_equal(got.dates, want.dates)
         assert np.array_equal(got.adj_close, want.adj_close) and np.array_equal(got.features, want.features)
 
     def test_undecodable_file_names_line_and_byte(self, tmp_path):
@@ -261,6 +277,22 @@ class TestLoadFrame:
 
 
 class TestFeatureFrame:
+    def test_iso_strings_become_days_read_as_load_frame_reads_them(self):
+        frame = dp.FeatureFrame("S", ["2021-01-04", " 2021-01-05 ", "20210106"], [1.0, 2.0, 3.0], [],
+                                np.zeros((3, 0)))
+        assert frame.dates.dtype == "datetime64[D]"
+        assert frame.dates.astype(str).tolist() == ["2021-01-04", "2021-01-05", "2021-01-06"]
+
+    @pytest.mark.parametrize("dates, message", [
+        (["2021-01-04", "2021-02-30"], r"S: bad date \(day is out of range for month\)"),
+        (["2021-01-04", "2021-01"], r"S: bad date \(Invalid isoformat string: '2021-01'\)"),
+        (["2021-01-05", "2021-01-04"], r"S: dates not strictly ascending at 2021-01-04"),
+        (np.array(["2021-01-04", "NaT"], dtype="datetime64[D]"), r"S: a date is NaT"),
+    ], ids=["no-such-day", "month-only", "descending", "not-a-time"])
+    def test_bad_dates_rejected(self, dates, message):
+        with pytest.raises(DataIntegrityError, match=message):
+            dp.FeatureFrame("S", dates, [1.0, 2.0], [], np.zeros((2, 0)))
+
     def test_non_finite_price_rejected(self):
         with pytest.raises(DataIntegrityError, match="adj_close nan on 2022-01-02"):
             make_frame("A", 3, prices=[10.0, np.nan, 11.0])
@@ -357,7 +389,7 @@ def make_frame(stock_id, n_days, seed=0, start_day=1, prices=None, features=None
     rng = np.random.default_rng(seed)
     return dp.FeatureFrame(
         stock_id=stock_id,
-        dates=[f"2022-01-{d:02d}" for d in range(start_day, start_day + n_days)],
+        dates=np.datetime64("2022-01-01") + np.arange(start_day - 1, start_day - 1 + n_days),
         adj_close=rng.uniform(50, 150, size=n_days) if prices is None else prices,
         feature_names=["sent_0", "price_0"],
         features=rng.uniform(0, 1, size=(n_days, 2)) if features is None else features,
@@ -375,7 +407,7 @@ def window_oracle(frame, window_len, dead_zone=dp.DEFAULT_DEAD_ZONE,
         r = (p_t - p_prev) / p_prev
         y_m = dp.ABSTAIN if lo < r < hi else (1 if r >= hi else 0)
         y_v = 1 if abs(r) >= outlier_threshold else 0
-        out.append((np.log(raw + epsilon), y_m, y_v, frame.dates[t]))
+        out.append((np.log(raw + epsilon), y_m, y_v, str(frame.dates[t])))
     return out
 
 
@@ -402,11 +434,11 @@ class TestWindow:
         samples = dp.window(frame, 5)
         for k, sample in enumerate(samples):
             t = 5 + k
-            assert sample.target_date == frame.dates[t]
+            assert sample.target_date == str(frame.dates[t])
             expected = dp.normalize(frame.features[t - 5 : t].T, dp.DEFAULT_EPSILON)
             assert np.array_equal(sample.x, expected)
             # all feature days strictly before the target day
-            assert frame.dates[t - 1] < sample.target_date
+            assert str(frame.dates[t - 1]) < sample.target_date
 
     def test_labels_follow_price_pair(self):
         frame = make_frame("A", 12, seed=4)
@@ -601,9 +633,9 @@ def dataset_text(window=10, **meta):
     settings = {"dead_zone": [-0.005, 0.005], "outlier_threshold": 0.05, "epsilon": 1e-8,
                 "train_frac": 0.7, "valid_frac": 0.15, **meta}
     frames = [make_frame("AAA", 26), make_frame("BBB", 26, seed=1)]
-    return json.dumps({"kind": "alertanet-dataset", "format_version": 2, "meta": settings,
+    return json.dumps({"kind": "alertanet-dataset", "format_version": 3, "meta": settings,
                        "feature_names": frames[0].feature_names, "window": window,
-                       "frames": [{"stock_id": f.stock_id, "dates": f.dates,
+                       "frames": [{"stock_id": f.stock_id, "dates": ",".join(f.dates.astype(str).tolist()),
                                    "adj_close": serialize.encode_array(f.adj_close),
                                    "features": serialize.encode_array(f.features)} for f in frames]})
 
@@ -664,6 +696,30 @@ class TestDatasetRoundTrip:
         with pytest.raises(ParseError, match=r"old\.json: dataset format version 1 .*rerun `alertanet prepare`"):
             dp.load_dataset(path)
 
+    def test_version_2_file_is_rejected_with_the_rerun_message(self, tmp_path):
+        """Version 2 stored a frame's dates as a list of JSON strings."""
+        path = tmp_path / "v2.json"
+        path.write_text(dataset_text().replace('"format_version": 3', '"format_version": 2'), encoding="utf-8")
+        with pytest.raises(ParseError, match=r"v2\.json: dataset format version 2 is not supported "
+                                             r"\(this version reads 3.*rerun `alertanet prepare`"):
+            dp.load_dataset(path)
+
+    def test_dates_are_one_iso_string_per_frame(self, tmp_path):
+        split, _ = dp.build_dataset([make_frame("AAA", 26)], window_len=10, train_frac=0.6, valid_frac=0.2)
+        dp.save_dataset(tmp_path / "dataset.json", split)
+        stored = serialize.read_json(tmp_path / "dataset.json")["frames"][0]["dates"]
+        assert stored == ",".join((date(2022, 1, 1) + timedelta(days=i)).isoformat() for i in range(26))
+
+    @pytest.mark.parametrize("bad", ["2022-01-32", "20220105", "2022-1-05", "2022-01-05T00", " 2022-01-05", "",
+                                     "x"])
+    def test_damaged_date_string_is_parse_error_naming_file(self, tmp_path, bad):
+        """numpy would read 20220105 as a year and 2022-1-05 as a day; a stored date must be its own ISO form."""
+        path = tmp_path / "dataset.json"
+        path.write_text(dataset_text().replace("2022-01-05", bad, 1), encoding="utf-8")
+        named = rf"""['"]{re.escape(bad)}['"]"""  # in the message of this module or of numpy
+        with pytest.raises(ParseError, match=rf"dataset\.json: malformed dataset \(.*{named}.*rerun `alertanet prepare`"):
+            dp.load_dataset(path)
+
     def test_stored_nan_price_fails_like_a_bad_csv(self, tmp_path):
         split, _ = dp.build_dataset([make_frame("AAA", 26), make_frame("BBB", 26, seed=1)], window_len=10,
                                     train_frac=0.6, valid_frac=0.2)
@@ -698,7 +754,7 @@ class TestDatasetRoundTrip:
 
     @pytest.mark.parametrize("text, message", [
         ("[1, 2]", "not a dataset file"),
-        ('{"kind": "alertanet-dataset", "format_version": 2, "meta": {}, "feature_names": [], "window": "ten"}',
+        ('{"kind": "alertanet-dataset", "format_version": 3, "meta": {}, "feature_names": [], "window": "ten"}',
          "malformed dataset"),
         (dataset_text(dead_zone=[0.01]), r"malformed dataset \('dead_zone' is \[0.01\]"),
         (dataset_text(train_frac="0.7"), r"malformed dataset \('train_frac' is '0.7'"),

@@ -1,16 +1,20 @@
 """Property tests: CSV loading, labelling, chronological splitting, array serialization and damaged artifacts."""
 
+import codecs
 import contextlib
 import functools
 import io
 import json
+import re
 import tempfile
+import warnings
 from datetime import date, timedelta
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -174,23 +178,89 @@ def _outcome(load, path, schema):
     return frame
 
 
-@PROPERTY
-@given(csv_texts(), st.sampled_from([None, ["macro_0", "sent_0"], ["sent_0"]]),
-       st.sampled_from([1, 3, dp._RECORDS_PER_PASS]))
-def test_load_frame_matches_row_by_row_oracle(text, schema, records_per_pass):
-    """Small passes put defects, blank lines and duplicates on both sides of a pass boundary."""
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(dp, "_RECORDS_PER_PASS", records_per_pass):
+def _check_against_oracle(data: bytes, schema):
+    """``load_frame`` of a file holding ``data`` gives the oracle's frame bits, or its exception type and
+    message, and lets no warning through."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         path = Path(tmp) / "S.csv"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(data)
         got, want = _outcome(dp.load_frame, path, schema), _outcome(load_frame_oracle, path, schema)
+    assert caught == []
     if isinstance(want, tuple):
         assert got == want
         return
     assert isinstance(got, dp.FeatureFrame), got
-    assert (got.stock_id, got.dates, got.feature_names) == (want.stock_id, want.dates, want.feature_names)
+    assert (got.stock_id, got.feature_names) == (want.stock_id, want.feature_names)
+    assert got.dates.astype(str).tolist() == want.dates.astype(str).tolist()
     assert np.array_equal(got.adj_close, want.adj_close) and np.array_equal(got.features, want.features)
     assert got.adj_close.tobytes() == want.adj_close.tobytes()
     assert got.features.tobytes() == want.features.tobytes()
+
+
+@PROPERTY
+@given(csv_texts(), st.sampled_from([None, ["macro_0", "sent_0"], ["sent_0"]]))
+def test_load_frame_matches_row_by_row_oracle(text, schema):
+    _check_against_oracle(text.encode(), schema)
+
+
+_HEADER = "date,adj_close,sent_0,note,macro_0\n"
+_EXPLICIT_SCHEMA = ["sent_0", "macro_0"]
+
+
+@pytest.mark.parametrize("data, message", [
+    (_HEADER.encode(), None),
+    ((_HEADER + "2021-01-04,1.5,2,x,3\n,,,,\n,,,,\n").encode(), None),  # a spreadsheet export's blank records
+    ((_HEADER + "2021-01-04,1_000,2,x,3\n").encode(), None),  # float reads 1_000, numpy does not
+    ((_HEADER + '2021-01-04," 4 ","3.0",x,3\n').encode(), None),
+    (codecs.BOM_UTF8 + (_HEADER + "2021-01-05,1.5,2,x,3\n2021-01-04,2.5,2,x,3\n").encode(), None),
+    ((_HEADER + "2021-01-05,1.5,2,x,3\n2021-01-04,2.5,2,x,3\n").replace("\n", "\r\n").encode(), None),
+    ((_HEADER + "2021-01-04,1.5,2,x,3\n2021-01-05,1.5,nan,x,3\n").encode(),
+     "row 3: non-finite value nan in column 'sent_0'"),
+    ((_HEADER + "2021-01-04,1.5,2,x,3\n2021-01-05,1.5,2,x,-1\n").encode(),
+     "row 3: negative value -1.0 in feature column 'macro_0'"),
+], ids=["header-only", "trailing-blank-records", "underscore", "quoted-cells", "byte-order-mark", "crlf",
+        "nan-cell", "negative-cell"])
+def test_load_frame_matches_oracle_on_explicit_cases(data, message):
+    _check_against_oracle(data, _EXPLICIT_SCHEMA)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "S.csv"
+        path.write_bytes(data)
+        if message is None:
+            dp.load_frame(path, _EXPLICIT_SCHEMA)
+        else:
+            with pytest.raises(AlertaNetError, match=re.escape(message)):
+                dp.load_frame(path, _EXPLICIT_SCHEMA)
+
+
+@st.composite
+def decimal_texts(draw):
+    """Decimal text with 1 to 25 significant digits and an exponent that reaches subnormal and overflowing values."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=25))
+    point = draw(st.integers(0, len(digits)))
+    exponent = draw(st.integers(-350, 330))
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    return f"{sign}{digits[:point]}.{digits[point:]}e{exponent}" if point < len(digits) else f"{sign}{digits}e{exponent}"
+
+
+@PROPERTY
+@given(st.lists(decimal_texts(), min_size=1, max_size=20))
+def test_numpy_reader_gives_float_bits_on_decimal_text(texts):
+    """The one ``np.loadtxt`` call of ``load_frame`` rounds as ``float`` does, subnormals and overflow included."""
+    lines = [f"2021-01-04,{text}\n" for text in texts]
+    rows, days, block = dp._read_all(lines, width=2, date_col=0, value_cols=[1])
+    assert rows == list(range(2, 2 + len(texts))) and days.tolist() == [18631] * len(texts)
+    assert block[:, 0].tobytes() == np.array([float(text) for text in texts]).tobytes()
+
+
+def test_benchmark_synth_csvs_never_reach_the_record_walk(tmp_path):
+    """The fast reader must not fall back silently on the files ``synth`` writes, as the benchmark's are."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["synth", "--out", str(tmp_path), "--stocks", "2", "--days", "400", "--features", "8",
+                        "--seed", "21"]) == 0
+    with mock.patch.object(dp, "_walk", side_effect=AssertionError("the record walk ran")):
+        frames = [dp.load_frame(path) for path in sorted(tmp_path.glob("*.csv"))]
+    assert [len(f) for f in frames] == [400, 400]
 
 
 @functools.lru_cache(maxsize=None)

@@ -58,6 +58,35 @@ def test_medians_quartiles_and_pairs_won_per_metric():
     json.dumps(out)
 
 
+def test_raw_verdict_beside_the_scaled_one():
+    """The raw operation medians agree with a scaled +5% in the first pairs, move the other way in the next,
+    and lie 40 points above a scaled +10% in the last."""
+    agree = [
+        pair(1, "parent", canned(100.0, 0.1, 50.0, raw=(0.6,) * 3), canned(105.0, 0.1, 50.0, raw=(0.5,) * 3)),
+        pair(2, "change", canned(100.0, 0.1, 50.0, raw=(0.6,) * 3), canned(105.0, 0.1, 50.0, raw=(0.6,) * 3)),
+        pair(3, "parent", canned(100.0, 0.1, 50.0, raw=(0.5,) * 3), canned(105.0, 0.1, 50.0, raw=(0.6,) * 3,
+                                                                           calibration=(0.32,) * 3)),
+    ]
+    raw = record_bench.aggregate(agree, END_TO_END)["raw_verdict"]
+    assert raw["pairs_won"] == {"parent": 1, "change": 1}
+    assert raw["rate_change_median"] == pytest.approx(0.0)  # ratios 1.2, 1.0 and 5/6
+    assert raw["calibration_ratio_median"] == pytest.approx(1.0)  # ratios 1, 1 and 2
+    assert raw["scaled_change"] == pytest.approx(0.05) and not raw["disagree"]
+
+    slower = [pair(i, "parent", canned(100.0, 0.1, 50.0, raw=(0.5,) * 3),
+                   canned(110.0, 0.1, 50.0, raw=(0.55,) * 3, calibration=(0.19,) * 3)) for i in range(3)]
+    raw = record_bench.aggregate(slower, END_TO_END)["raw_verdict"]
+    assert raw["pairs_won"] == {"parent": 3, "change": 0}
+    assert raw["rate_change_median"] == pytest.approx(0.5 / 0.55 - 1.0)
+    assert raw["calibration_ratio_median"] == pytest.approx(0.19 / 0.16)
+    assert raw["disagree"]  # opposite directions
+
+    apart = [pair(i, "parent", canned(100.0, 0.1, 50.0, raw=(0.6,) * 3), canned(110.0, 0.1, 50.0, raw=(0.4,) * 3))
+             for i in range(3)]
+    raw = record_bench.aggregate(apart, END_TO_END)["raw_verdict"]
+    assert raw["rate_change_median"] == pytest.approx(0.5) and raw["disagree"]  # +50% raw, +10% scaled
+
+
 def test_a_failed_check_or_operation_is_reported_per_side():
     pairs = [
         pair(7, "parent", canned(100.0, 0.1, 50.0), canned(100.0, 0.1, 50.0, passed=False)),

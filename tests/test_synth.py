@@ -44,7 +44,7 @@ class TestGenerate:
     def test_same_spec_twice_identical(self):
         a = synth.generate(synth.SynthSpec(n_days=300, seed=4))
         b = synth.generate(synth.SynthSpec(n_days=300, seed=4))
-        assert a.dates == b.dates
+        assert np.array_equal(a.dates, b.dates)
         assert np.array_equal(a.adj_close, b.adj_close)
         assert np.array_equal(a.features, b.features)
 

@@ -61,14 +61,16 @@ def sample_set(records):
     days = x.transpose(0, 2, 1).reshape(n * w, d)
     days.flags.writeable = False
     columns = [np.array([r[i] for r in records], dtype=dtype)
-               for i, dtype in ((1, np.int8), (2, np.int8), (3, str), (4, str))]
+               for i, dtype in ((1, np.int8), (2, np.int8), (3, str), (4, "datetime64[D]"))]
     return SampleSet(days, w, np.arange(n) * w, *columns)
 
 
 def load_frame_oracle(path, schema=None):
-    """The former row-by-row body of ``data.load_frame``: one record, then one cell, at a time."""
+    """The former row-by-row body of ``data.load_frame``: one record, then one cell, at a time.
+
+    Dates come back as the ISO strings that ``FeatureFrame`` reads."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]

@@ -15,6 +15,14 @@ won, plus the raw operation and set-up medians, the median calibration time,
 whether every check passed, every pair's figures, perfbench's environment
 fingerprint and the OpenBLAS build string.
 
+``samples_per_s`` is scaled by a calibration loop timed in the same process,
+and that loop has drifted between the two sides' processes.  So each
+workload also gets a ``raw_verdict`` from the unscaled operation times: the
+pairs each side won on its raw median, the median of the per-pair raw rate
+ratios, the median of the per-pair calibration ratios, and ``disagree``,
+set when the scaled and raw changes point opposite ways or lie more than
+10 points apart.
+
 Each workload then gets one ``--trace 1`` run per side, in a child pinned to
 one core with ``os.sched_setaffinity``.  On one core the CLI's worker helper
 runs in-process and the scoring pool has one worker, so every traced layer
@@ -113,6 +121,11 @@ def aggregate(pairs: list[dict], metrics: list[dict]) -> dict:
     BENCHMARK.json's ``end_to_end`` entries.
     """
     records = {side: [p[side] for p in pairs] for side in SIDES}
+    per_pair = [{"seed": p["seed"], "first": p["first"],
+                 **{side: {**{m["name"]: p[side]["metrics"][m["name"]]["value"] for m in metrics},
+                           "raw_op_median_s": float(np.median(p[side]["ops"]["raw"])),
+                           "calibration_median_s": float(np.median(p[side]["ops"]["calibration"]))}
+                    for side in SIDES}} for p in pairs]
     summary = {}
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -138,11 +151,29 @@ def aggregate(pairs: list[dict], metrics: list[dict]) -> dict:
         "all_checks_passed": {side: all(r["correct"] and all(r["checks"].values()) for r in records[side])
                               for side in SIDES},
         "failed_ops": {side: sum(r["failed"] for r in records[side]) for side in SIDES},
-        "per_pair": [{"seed": p["seed"], "first": p["first"],
-                      **{side: {**{m["name"]: p[side]["metrics"][m["name"]]["value"] for m in metrics},
-                                "raw_op_median_s": float(np.median(p[side]["ops"]["raw"])),
-                                "calibration_median_s": float(np.median(p[side]["ops"]["calibration"]))}
-                         for side in SIDES}} for p in pairs],
+        "raw_verdict": raw_verdict(per_pair, summary["samples_per_s"]["change_over_parent"]),
+        "per_pair": per_pair,
+    }
+
+
+def raw_verdict(per_pair: list[dict], scaled_change: float) -> dict:
+    """The verdict of the unscaled operation times beside ``scaled_change``, the scaled ``samples_per_s`` change.
+
+    A pair's raw rate ratio is the parent's raw operation median over the
+    change's, so above 1 means the change ran faster, as a rising
+    ``samples_per_s`` does; its calibration ratio is the change's calibration
+    median over the parent's.
+    """
+    raw = [(p["parent"]["raw_op_median_s"], p["change"]["raw_op_median_s"]) for p in per_pair]
+    raw_change = float(np.median([parent / change for parent, change in raw])) - 1.0
+    return {
+        "pairs_won": {"parent": sum(parent < change for parent, change in raw),
+                      "change": sum(change < parent for parent, change in raw)},
+        "rate_change_median": raw_change,
+        "calibration_ratio_median": float(np.median([p["change"]["calibration_median_s"]
+                                                     / p["parent"]["calibration_median_s"] for p in per_pair])),
+        "scaled_change": scaled_change,
+        "disagree": scaled_change * raw_change < 0 or abs(scaled_change - raw_change) > 0.10,
     }
 
 
@@ -213,6 +244,11 @@ def main(argv=None) -> int:
         for name, m in summary["metrics"].items():
             print(f"{workload} {name}: {m['parent']['median']:.6g} -> {m['change']['median']:.6g} "
                   f"({m['change_over_parent']:+.1%}), change won {m['pairs_won']['change']} of {bench['pairs']}")
+        raw = summary["raw_verdict"]
+        print(f"{workload} raw operation rate: {raw['rate_change_median']:+.1%} (scaled "
+              f"{raw['scaled_change']:+.1%}), change won {raw['pairs_won']['change']} of {bench['pairs']}, "
+              f"calibration ratio {raw['calibration_ratio_median']:.3f}"
+              f"{', the two disagree' if raw['disagree'] else ''}")
         traced = summary["traced_one_core"]
         print(f"{workload} traced on core {traced['core']}: worse by over 10%: "
               f"{', '.join(traced['worse_over_10pct']) or 'none'}")
