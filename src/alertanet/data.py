@@ -18,7 +18,6 @@ from __future__ import annotations
 import codecs
 import csv
 import re
-import warnings
 from dataclasses import dataclass, field
 from datetime import date as _date
 from pathlib import Path
@@ -49,6 +48,8 @@ DATASET_VERSION = 3
 
 # datetime64[D] counts days from 1970-01-01, the day with this proleptic Gregorian ordinal
 _EPOCH_ORDINAL = _date(1970, 1, 1).toordinal()
+# a line of commas and whitespace only (str.isspace's whitespace), which csv splits into blank cells
+_BLANK_RECORD = re.compile(r"[\s,]*").fullmatch
 # a dataset file's dates: YYYY-MM-DD, comma-separated
 _ISO_DATES = re.compile(r"\d{4}-\d{2}-\d{2}(?:,\d{4}-\d{2}-\d{2})*")
 
@@ -151,16 +152,19 @@ def load_frame(path: str | Path, schema: list[str] | None = None) -> FeatureFram
     from its record exactly as the value cells are, quotes included.  The call
     reads every column (one that is not selected through a converter that takes
     any cell), because with ``usecols`` numpy lets a record wider than the
-    header through.  Some files go to a walk over the ``csv`` records instead,
-    one record at a time in file order, which names the first bad cell or,
-    when there is none, reads the file as the one call would have:
+    header through.  Lines of commas and whitespace only (``,,,,`` as
+    spreadsheets export) are left out of the call, as the ``csv`` records of
+    blank cells they split into are skipped.  Some files go to a walk over the
+    ``csv`` records instead, one record at a time in file order, which names
+    the first bad cell or, when there is none, reads the file as the one call
+    would have:
 
-    * files that numpy refuses: a blank or short record (``,,,,`` as
-      spreadsheets export), a width change, a cell such as ``1_000`` that
-      ``float`` reads and numpy does not, a bad cell, or no records at all;
-    * files with a record that spans lines (a quoted line break), where the
-      row count differs from the count of non-empty lines, and files with a
-      line longer than the ``csv`` field limit.
+    * files that numpy refuses: a short record, a width change, a cell such
+      as ``1_000`` that ``float`` reads and numpy does not, or a bad cell;
+    * files with no records, with a record that spans lines (a quoted line
+      break, where the row count differs from the count of lines), with a
+      line longer than the ``csv`` field limit, or whose schema selects the
+      date column.
 
     The one call replaced passes of 512 records, each converted column by
     column with ``float``.  The passes bounded the cell strings held at once;
@@ -233,17 +237,22 @@ def load_frame(path: str | Path, schema: list[str] | None = None) -> FeatureFram
 def _read_all(lines: list[str], width: int, date_col: int, value_cols: list[int]):
     """Row numbers, day numbers and the ``value_cols`` block of the records in ``lines``, from one
     ``np.loadtxt`` call; None for a file that :func:`load_frame` must walk instead."""
-    rows = [row for row, line in enumerate(lines, 2) if line.strip("\r\n")]  # the header is row 1
+    # a schema may select the date column as a feature, which only the walk reads as csv does
+    if date_col in value_cols or max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    # records of blank cells only (",,,," as spreadsheets export) are left out, as the walk skips them;
+    # the header is row 1
+    rows = [row for row, line in enumerate(lines, 2) if not _BLANK_RECORD(line)]
+    if not rows:  # no records: numpy would warn
+        return None
+    kept = [lines[row - 2] for row in rows]
     # a column that is not read takes any cell
     converters = {c: lambda cell: 0.0 for c in range(width) if c not in value_cols} | {date_col: _day_number}
     try:
-        with warnings.catch_warnings():  # numpy warns on a file with no records
-            warnings.simplefilter("error")
-            block = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2, converters=converters)
-    except (ValueError, Warning):
+        block = np.loadtxt(kept, delimiter=",", quotechar='"', comments=None, ndmin=2, converters=converters)
+    except ValueError:
         return None
-    # a schema may select the date column as a feature, which only the walk reads as csv does
-    if date_col in value_cols or block.shape != (len(rows), width) or max(map(len, lines)) > csv.field_size_limit():
+    if block.shape != (len(rows), width):  # a record spans lines, or no record is as wide as the header
         return None
     return rows, block[:, date_col].astype(np.int64), block[:, value_cols]
 
@@ -502,12 +511,18 @@ def build_dataset(
             raise SchemaError(
                 f"feature columns differ between stocks: {names} vs {frame.feature_names} ({frame.stock_id})"
             )
-    frames = sorted(frames, key=lambda f: f.stock_id)
-    parts = [window(frame, window_len, dead_zone, outlier_threshold, epsilon) for frame in frames]
-    warnings = [f"frame {frame.stock_id}: too short for window {window_len}, skipped"
-                for frame, part in zip(frames, parts) if not part]
+    warnings: list[str] = []
+    parts: list[SampleSet] = []
+    windowed: list[FeatureFrame] = []
+    for frame in sorted(frames, key=lambda f: f.stock_id):
+        part = window(frame, window_len, dead_zone, outlier_threshold, epsilon)
+        if part:
+            windowed.append(frame)
+        else:
+            warnings.append(f"frame {frame.stock_id}: too short for window {window_len}, skipped")
+        parts.append(part)
     split = chrono_split(SampleSet.concat(parts), train_frac, valid_frac)
-    split.frames = [frame for frame, part in zip(frames, parts) if part]
+    split.frames = windowed
     split.feature_names = list(names)
     split.window = window_len
     split.meta = {
@@ -542,25 +557,27 @@ def feature_category(name: str) -> str:
 
 
 def normalize_ablation_mode(mode: str) -> str:
-    cleaned = mode.strip().lower().replace("_", "-").replace("w/o-m", "wo-m").replace("wom", "wo-m")
+    cleaned = mode.strip().lower().replace("_", "-").replace("w/o-m", "wo-m")
+    if cleaned == "wo-m" or cleaned == "wom":
+        cleaned = "wo-m"
     if cleaned not in ABLATION_MODES:
         raise ConfigError(f"unknown ablation mode {mode!r}; expected one of {ABLATION_MODES}")
     return cleaned
 
 
-# the feature categories each ablation mode keeps
-_ABLATION_KEEPS = {
-    "full": lambda category: True,
-    "p": lambda category: category == "price",
-    "s": lambda category: category == "sentiment",
-    "wo-m": lambda category: category != "macro",
-}
-
-
 def ablation_feature_indices(feature_names: list[str], mode: str) -> list[int]:
     """Feature-row subset for an ablation mode (rows are removed, not zeroed)."""
     mode = normalize_ablation_mode(mode)
-    indices = [i for i, name in enumerate(feature_names) if _ABLATION_KEEPS[mode](feature_category(name))]
+    categories = [feature_category(n) for n in feature_names]
+    if mode == "full":
+        keep = [True] * len(feature_names)
+    elif mode == "p":
+        keep = [c == "price" for c in categories]
+    elif mode == "s":
+        keep = [c == "sentiment" for c in categories]
+    else:  # wo-m
+        keep = [c != "macro" for c in categories]
+    indices = [i for i, k in enumerate(keep) if k]
     if not indices:
         raise ConfigError(
             f"ablation mode {mode!r} selects no feature columns out of {feature_names}"

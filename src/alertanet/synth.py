@@ -54,7 +54,9 @@ def default_signal_weights(feature_names: list[str]) -> np.ndarray:
             "default signal weights need at least two sentiment columns; "
             "pass explicit signal_weights for this layout"
         )
-    block = np.where(np.arange(len(sent)) % 2 == 0, 1.0, -1.0)
+    for j, idx in enumerate(sent):
+        weights[idx] = 1.0 if j % 2 == 0 else -1.0
+    block = weights[sent]
     weights[sent] = block - np.mean(block)  # exact class balance in expectation
     return weights
 
@@ -149,8 +151,11 @@ def generate_with_truth(spec: SynthSpec, stock_id: str = "SYNTH") -> tuple[Featu
     # rewrite price-tagged columns from the realized path (all nonnegative)
     abs_returns = np.concatenate([[0.0], np.abs(returns)])
     price_cols = [i for i, name in enumerate(spec.feature_names) if feature_category(name) == "price"]
-    features[:, price_cols[0::2]] = (prices / spec.base_price)[:, None]
-    features[:, price_cols[1::2]] = abs_returns[:, None]
+    for j, col in enumerate(price_cols):
+        if j % 2 == 0:
+            features[:, col] = prices / spec.base_price
+        else:
+            features[:, col] = abs_returns
 
     frame = FeatureFrame(
         stock_id=stock_id,

@@ -233,6 +233,20 @@ def test_load_frame_matches_oracle_on_explicit_cases(data, message):
                 dp.load_frame(path, _EXPLICIT_SCHEMA)
 
 
+@pytest.mark.parametrize("blank", [",,,,", " , , , , ", "", "  ", "\t,,\t"])
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_blank_records_stay_on_the_one_call_reader(blank, end):
+    """Records of blank cells only, trailing or between others, are skipped without the per-record walk."""
+    lines = [_HEADER.strip(), "2021-01-05,1.5,2,x,3", blank, "2021-01-04,2.5,2,x,3", blank, blank]
+    data = end.join(lines).encode() + end.encode()
+    with mock.patch.object(dp, "_walk", side_effect=AssertionError("the record walk ran")), \
+            tempfile.TemporaryDirectory() as tmp:
+        _check_against_oracle(data, _EXPLICIT_SCHEMA)
+        path = Path(tmp) / "S.csv"
+        path.write_bytes(data)
+        assert dp.load_frame(path, _EXPLICIT_SCHEMA).dates.astype(str).tolist() == ["2021-01-04", "2021-01-05"]
+
+
 @st.composite
 def decimal_texts(draw):
     """Decimal text with 1 to 25 significant digits and an exponent that reaches subnormal and overflowing values."""

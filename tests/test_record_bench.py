@@ -67,11 +67,13 @@ def test_raw_verdict_beside_the_scaled_one():
         pair(3, "parent", canned(100.0, 0.1, 50.0, raw=(0.5,) * 3), canned(105.0, 0.1, 50.0, raw=(0.6,) * 3,
                                                                            calibration=(0.32,) * 3)),
     ]
-    raw = record_bench.aggregate(agree, END_TO_END)["raw_verdict"]
+    summary = record_bench.aggregate(agree, END_TO_END)
+    raw = summary["raw_verdict"]
     assert raw["pairs_won"] == {"parent": 1, "change": 1}
     assert raw["rate_change_median"] == pytest.approx(0.0)  # ratios 1.2, 1.0 and 5/6
     assert raw["calibration_ratio_median"] == pytest.approx(1.0)  # ratios 1, 1 and 2
-    assert raw["scaled_change"] == pytest.approx(0.05) and not raw["disagree"]
+    assert summary["metrics"]["samples_per_s"]["change_over_parent"] == pytest.approx(0.05)
+    assert not raw["disagree"] and "scaled_change" not in raw  # the scaled change is in metrics only
 
     slower = [pair(i, "parent", canned(100.0, 0.1, 50.0, raw=(0.5,) * 3),
                    canned(110.0, 0.1, 50.0, raw=(0.55,) * 3, calibration=(0.19,) * 3)) for i in range(3)]

@@ -172,7 +172,6 @@ def raw_verdict(per_pair: list[dict], scaled_change: float) -> dict:
         "rate_change_median": raw_change,
         "calibration_ratio_median": float(np.median([p["change"]["calibration_median_s"]
                                                      / p["parent"]["calibration_median_s"] for p in per_pair])),
-        "scaled_change": scaled_change,
         "disagree": scaled_change * raw_change < 0 or abs(scaled_change - raw_change) > 0.10,
     }
 
@@ -244,9 +243,9 @@ def main(argv=None) -> int:
         for name, m in summary["metrics"].items():
             print(f"{workload} {name}: {m['parent']['median']:.6g} -> {m['change']['median']:.6g} "
                   f"({m['change_over_parent']:+.1%}), change won {m['pairs_won']['change']} of {bench['pairs']}")
-        raw = summary["raw_verdict"]
+        raw, scaled = summary["raw_verdict"], summary["metrics"]["samples_per_s"]["change_over_parent"]
         print(f"{workload} raw operation rate: {raw['rate_change_median']:+.1%} (scaled "
-              f"{raw['scaled_change']:+.1%}), change won {raw['pairs_won']['change']} of {bench['pairs']}, "
+              f"{scaled:+.1%}), change won {raw['pairs_won']['change']} of {bench['pairs']}, "
               f"calibration ratio {raw['calibration_ratio_median']:.3f}"
               f"{', the two disagree' if raw['disagree'] else ''}")
         traced = summary["traced_one_core"]
