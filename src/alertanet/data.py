@@ -48,6 +48,8 @@ DATASET_VERSION = 3
 
 # datetime64[D] counts days from 1970-01-01, the day with this proleptic Gregorian ordinal
 _EPOCH_ORDINAL = _date(1970, 1, 1).toordinal()
+# the days that date.fromisoformat reads, and so the ones a CSV written by write_frame can hold
+_FIRST_DAY, _LAST_DAY = np.datetime64("0001-01-01", "D"), np.datetime64("9999-12-31", "D")
 # a line of commas and whitespace only (str.isspace's whitespace), which csv splits into blank cells
 _BLANK_RECORD = re.compile(r"[\s,]*").fullmatch
 # a dataset file's dates: YYYY-MM-DD, comma-separated
@@ -93,6 +95,9 @@ class FeatureFrame:
             )
         if np.isnat(self.dates).any():
             raise DataIntegrityError(f"{self.stock_id}: a date is NaT, not a day")
+        outside = np.flatnonzero((self.dates < _FIRST_DAY) | (self.dates > _LAST_DAY))
+        if outside.size:
+            raise DataIntegrityError(f"{self.stock_id}: date {self.dates[outside[0]]} is outside the years 1 to 9999")
         late = np.flatnonzero(self.dates[1:] <= self.dates[:-1])
         if late.size:
             raise DataIntegrityError(f"{self.stock_id}: dates not strictly ascending at {self.dates[late[0] + 1]}")

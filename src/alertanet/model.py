@@ -17,8 +17,10 @@ the contribution of the TDA mechanism.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, asdict, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -140,6 +142,61 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> nx.ParamStore:
     return params
 
 
+def _check_fit(wx_shape: tuple[int, int], h_shape: tuple[int, int], u: int) -> None:
+    """Raise a :class:`DimensionError` unless a step's ``W x`` and state fit a cell of ``u`` hidden rows."""
+    if h_shape[0] != u or wx_shape != (3 * u, h_shape[1]):
+        raise DimensionError(f"cell_step: projection {wx_shape} and state {h_shape} do not fit hidden_dim {u}")
+
+
+def gru_cell(wx_t: np.ndarray, h: np.ndarray, r_zr: np.ndarray, r_h: np.ndarray, b: np.ndarray, *,
+             zr: np.ndarray, work: np.ndarray, mask: np.ndarray, cand: np.ndarray, zc: np.ndarray,
+             out: np.ndarray) -> np.ndarray:
+    """The GRU cell's forward arithmetic on a (hidden x batch) state, written into blocks the caller owns.
+
+    z, r = sigma((W_zr x + R_zr h) + b_zr); cand = tanh((W_h x + R_h (r*h)) + b_h)
+    out = (1-z)*h + z*cand
+
+    ``wx_t`` is this step's ``W x`` (rows z, r, h).  With u hidden rows and n
+    columns, the C-contiguous blocks get: ``zr`` (2u x n) [z; r]; ``work``
+    (2u x n) ``R_zr h`` and the sigmoid's scratch, then [r*h; 1-z]; ``mask``
+    (2u x n, bool) the sigmoid's ``x >= 0``; ``cand`` (u x n) the candidate;
+    ``zc`` (u x n) z*cand, and it may be ``cand`` when the candidate is not
+    kept; ``out`` (u x n) the new state, which is returned.  Each holds only
+    what this call wrote, so blocks can be reused from step to step.
+
+    Every entry keeps the summation order and grouping of separate per-gate
+    products, so the value is bit-identical to composing the gates op by op.
+
+    When ``h`` is all zeros, as the initial state is, and the recurrent
+    matrices are finite, ``R_zr h`` and ``R_h (r*h)`` are not formed: each
+    of their entries sums ±0.0 products onto +0.0 and so is exactly +0.0.
+    A non-finite ``R`` still takes the product, where ``inf * 0`` gives NaN.
+    """
+    u = r_h.shape[0]
+    _check_fit(wx_t.shape, h.shape, u)
+    zero_state = not h.any()
+
+    def recurrent(r_mat, state, into):
+        if zero_state and np.isfinite(r_mat).all():
+            into.fill(0.0)
+            return into
+        return nx.matmul_values(r_mat, state, out=into)
+
+    np.add(wx_t[: 2 * u], recurrent(r_zr, h, work), out=zr)
+    zr += b[: 2 * u]
+    nx.sigmoid_values(zr, out=zr, scratch=work, mask=mask)
+    z, r = zr[:u], zr[u:]
+    rh, keep = work[:u], work[u:]
+    np.multiply(r, h, out=rh)
+    np.add(wx_t[2 * u :], recurrent(r_h, rh, keep), out=cand)
+    cand += b[2 * u :]
+    np.tanh(cand, out=cand)
+    np.subtract(1.0, z, out=keep)
+    np.multiply(keep, h, out=out)
+    out += np.multiply(z, cand, out=zc)
+    return out
+
+
 def cell_step(
     wx: nx.Tensor,
     h_prev: nx.Tensor,
@@ -150,40 +207,17 @@ def cell_step(
     """One GRU cell update on a (hidden x batch) block, recorded as one tape node.
 
     ``wx`` holds the input projection ``W x`` (rows z, r, h), usually of every
-    step side by side; ``cols`` selects this step's columns of it.
-
-    z, r = sigma((W_zr x + R_zr h) + b_zr); cand = tanh((W_h x + R_h (r*h)) + b_h)
-    out = (1-z)*h + z*cand
-
-    Every entry keeps the summation order and grouping of separate per-gate
-    products, so the value is bit-identical to composing the gates op by op.
-
-    When ``h`` is all zeros, as the initial state is, and the recurrent
-    matrices are finite, ``R_zr h`` and ``R_h (r*h)`` are not formed: each
-    of their entries sums ±0.0 products onto +0.0 and so is exactly +0.0.
-    A non-finite ``R`` still takes the product, where ``inf * 0`` gives NaN.
+    step side by side; ``cols`` selects this step's columns of it.  The value
+    is :func:`gru_cell`'s, formed in new blocks that the backward then reads.
     """
     r_zr, r_h, b = params[prefix + "R_zr"], params[prefix + "R_h"], params[prefix + "b"]
-    u = r_h.rows
+    u, n = r_h.rows, h_prev.cols
     h = h_prev.value
-    wx_t = wx.value[:, cols]
-    if h.shape[0] != u or wx_t.shape != (3 * u, h.shape[1]):
-        raise DimensionError(
-            f"cell_step: projection {wx_t.shape} and state {h.shape} do not fit hidden_dim {u}"
-        )
-    zero_state = not h.any()
-
-    def recurrent(r_mat, state):
-        if zero_state and np.isfinite(r_mat).all():
-            return np.zeros((r_mat.shape[0], state.shape[1]))
-        return nx.matmul_values(r_mat, state)
-
-    zr = nx.sigmoid_values((wx_t[: 2 * u] + recurrent(r_zr.value, h)) + b.value[: 2 * u])
+    zr, work, cand = np.empty((2 * u, n)), np.empty((2 * u, n)), np.empty((u, n))
+    out = gru_cell(wx.value[:, cols], h, r_zr.value, r_h.value, b.value, zr=zr, work=work,
+                   mask=np.empty((2 * u, n), dtype=bool), cand=cand, zc=np.empty((u, n)), out=np.empty((u, n)))
     z, r = zr[:u], zr[u:]
-    rh = r * h
-    cand = np.tanh((wx_t[2 * u :] + recurrent(r_h.value, rh)) + b.value[2 * u :])
-    keep = 1.0 - z
-    out = keep * h + z * cand
+    rh, keep = work[:u], work[u:]
 
     def backward_fn(grad):
         # the gate gradients [d_zr; d_cand] fill one block in gate order, so that W x and b take one pass each;
@@ -266,21 +300,45 @@ class ForwardTrace:
     logits: nx.Tensor  # 2 x batch: movement row, volatility row
 
 
+_thread = threading.local()
+
+
+def _workspace(u: int, n: int) -> SimpleNamespace:
+    """This thread's blocks for forward-only passes of ``u`` hidden rows over ``n`` windows.
+
+    They are made on the thread's first such pass, reused at every step and
+    on every later pass of the same shape, and made anew for another shape;
+    they live as long as the thread.  ``step`` holds one step's columns of
+    ``W x``, and the rest are :func:`gru_cell`'s blocks and two states.
+    """
+    ws = getattr(_thread, "workspace", None)
+    if ws is None or ws.shape != (u, n):
+        _thread.workspace = None  # frees the old blocks before the new ones are made
+        _thread.workspace = ws = SimpleNamespace(
+            shape=(u, n), zr=np.empty((2 * u, n)), work=np.empty((2 * u, n)), mask=np.empty((2 * u, n), dtype=bool),
+            cand=np.empty((u, n)), states=(np.empty((u, n)), np.empty((u, n))), step=np.empty((3 * u, n)),
+        )
+    return ws
+
+
 def forward_batch(windows: SampleSet | np.ndarray, params: nx.ParamStore, config: ModelConfig,
                   features: list[int] | None = None) -> ForwardTrace:
     """Run the model over a :class:`SampleSet`, or a (batch, features, window) array, of windows.
 
-    ``features`` selects and orders feature columns.  The input projection
-    ``W x`` is formed once per distinct day the windows read, then gathered
-    to one column per (step, window): consecutive windows share all but one
-    day.  Values and gradients are bit-identical to projecting every column.
+    ``features`` selects and orders feature columns, as indices into the
+    windows' feature columns.  The input projection ``W x`` is formed once
+    per distinct day the windows read, then gathered to one column per
+    (step, window): consecutive windows share all but one day.  Values and
+    gradients are bit-identical to projecting every column.
 
     A taped pass gathers every step's columns up front, because its
-    backward's library product needs the gathered block.  A forward-only
-    pass gathers a step's columns, into one reused block, only when that
-    step runs, and adds ``c_t * h_t`` to the TDA mix in step order, the
-    operations of :func:`~alertanet.numerics.linear_combination`.  So it
-    holds one step's block and two states at a time, with the taped bits.
+    backward's library product needs the gathered block, and runs
+    :func:`cell_step`.  A forward-only pass, whose ``W`` requires no
+    gradient, runs :func:`gru_cell` in the blocks of this thread's
+    workspace: it gathers a step's columns only when that step runs, and
+    adds ``c_t * h_t`` to the TDA mix in step order, the operations of
+    :func:`~alertanet.numerics.linear_combination`.  So it gets the taped
+    bits, and the tensors it returns share no memory with the workspace.
     """
     if isinstance(windows, SampleSet):
         days, start, steps = windows.days, windows.start, windows.window
@@ -300,54 +358,61 @@ def forward_batch(windows: SampleSet | np.ndarray, params: nx.ParamStore, config
         )
     # column t*batch + j of the projection holds step t of window j, which reads day start[j] + t
     day_of_col = (np.arange(steps)[:, None] + start).reshape(-1)
+    last = slice((steps - 1) * batch, steps * batch)
     taped = params["W"].requires_grad
 
-    def project(w: nx.Tensor, col_days: np.ndarray):
-        """``W x`` once per distinct day, as a reader from a column slice to ``cell_step``'s (wx, cols)."""
+    def project(w: nx.Tensor, col_days: np.ndarray) -> tuple[nx.Tensor, np.ndarray]:
+        """``W x`` once per distinct day, and each column's index into it; taped, gathered to the columns."""
         used, inv = np.unique(col_days, return_inverse=True)
         x = nx.constant(days[used][:, feature_cols].T)
-        if taped:
-            wx = nx.matmul(w, x, cols=inv)
-            return lambda cols: (wx, cols)
-        wx = nx.matmul(w, x)
-        # one block for every step: a read fills all of it, and a forward-only step keeps no reference to it
-        step = nx.Tensor(np.empty((wx.rows, batch)), _validate=False)
+        return nx.matmul(w, x, cols=inv if taped else None), inv
 
-        def read(cols):
-            # inv is in range, so "wrap" moves no index; "raise" would gather into a temporary copy first
-            np.take(wx.value, inv[cols], axis=1, out=step.value, mode="wrap")
-            return step, slice(None)
-
-        return read
-
-    read_wx = project(params["W"], day_of_col)
-    h = nx.constant(np.zeros((config.hidden_dim, batch)))
-    hidden: list[nx.Tensor] = []
+    coeffs = None
     if config.uses_context:
         weights = tda_weights(steps)
         if config.tda_normalize:
             weights = weights / np.sum(weights)
         coeffs = weights.tolist()
-        mixed = None if taped else np.zeros(h.shape)
-    for t in range(steps):
-        wx, cols = read_wx(slice(t * batch, (t + 1) * batch))
-        h = cell_step(wx, h, params, cols=cols)
-        if taped:
+    wx, inv = project(params["W"], day_of_col)
+    if taped:
+        h = nx.constant(np.zeros((config.hidden_dim, batch)))
+        hidden: list[nx.Tensor] = []
+        for t in range(steps):
+            h = cell_step(wx, h, params, cols=slice(t * batch, (t + 1) * batch))
             hidden.append(h)
-        elif config.uses_context:
-            mixed += coeffs[t] * h.value
-    hidden = hidden if taped else [h]
+        context = None
+        if config.uses_context:
+            mix = nx.linear_combination(hidden, coeffs)
+            if config.shared_context_cell:
+                context = cell_step(wx, mix, params, cols=last)
+            else:
+                context = cell_step(project(params["ctx_W"], day_of_col[last])[0], mix, params, "ctx_")
+    else:
+        ws = _workspace(config.hidden_dim, batch)
 
-    context = None
-    if config.uses_context:
-        mix = nx.linear_combination(hidden, coeffs) if taped else nx.Tensor(mixed, _validate=False)
-        last = slice((steps - 1) * batch, steps * batch)
-        if config.shared_context_cell:
-            wx, cols = read_wx(last)
-            context = cell_step(wx, mix, params, cols=cols)
-        else:
-            wx, cols = project(params["ctx_W"], day_of_col[last])(slice(None))
-            context = cell_step(wx, mix, params, "ctx_", cols)
+        def step(wx: nx.Tensor, cols: np.ndarray, h: np.ndarray, prefix: str, out: np.ndarray) -> np.ndarray:
+            _check_fit((wx.rows, len(cols)), h.shape, params[prefix + "R_h"].rows)  # before the gather into ws.step
+            # cols are in range, so "wrap" moves no index; "raise" would gather into a temporary copy first
+            np.take(wx.value, cols, axis=1, out=ws.step, mode="wrap")
+            return gru_cell(ws.step, h, *(params[prefix + name].value for name in ("R_zr", "R_h", "b")),
+                            zr=ws.zr, work=ws.work, mask=ws.mask, cand=ws.cand, zc=ws.cand, out=out)
+
+        h = ws.states[0]
+        h.fill(0.0)
+        mixed = None if coeffs is None else np.zeros(h.shape)
+        for t in range(steps):
+            # the last state is returned, so it gets a new block
+            h = step(wx, inv[t * batch : (t + 1) * batch], h, "",
+                     np.empty(h.shape) if t == steps - 1 else ws.states[(t + 1) % 2])
+            if mixed is not None:
+                mixed += np.multiply(coeffs[t], h, out=ws.cand)
+        hidden = [nx.Tensor(h, _validate=False)]
+        context = None
+        if mixed is not None:
+            shared = config.shared_context_cell
+            ctx_wx, ctx_cols = (wx, inv[last]) if shared else project(params["ctx_W"], day_of_col[last])
+            context = nx.Tensor(step(ctx_wx, ctx_cols, mixed, "" if shared else "ctx_", np.empty(h.shape)),
+                                _validate=False)
     logits = heads([hidden[-1]] if context is None else [hidden[-1], context], params)
     return ForwardTrace(hidden=hidden, context=context, logits=logits)
 

@@ -97,23 +97,26 @@ def record(value: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tenso
     return Tensor(value, parents=parents, backward_fn=backward_fn, _validate=False)
 
 
-def _einsum_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _einsum_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """One ``np.einsum`` pass, in which numpy runs j innermost on C-contiguous operands.
 
     Each step is then ``out[i, j:] = a[i, k] * b[k, j:] + out[i, j:]``, k in
     order.  One column, or an F-ordered ``b``, would put k innermost, where
     numpy sums SIMD lanes in parallel, so ``b`` is made contiguous and a
-    single column is duplicated.
+    single column is duplicated, its product then copied to ``out``.
     """
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     if b.shape[1] == 1:
-        return np.einsum("ik,kj->ij", a, np.repeat(b, 2, axis=1), optimize=False)[:, :1].copy()
-    return np.einsum("ik,kj->ij", a, b, optimize=False)
+        out = np.empty((a.shape[0], 1)) if out is None else out
+        out[...] = np.einsum("ik,kj->ij", a, np.repeat(b, 2, axis=1), optimize=False)[:, :1]
+        return out
+    return np.einsum("ik,kj->ij", a, b, optimize=False, out=out)
 
 
-def _loop_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _loop_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The fallback: k rank-1 steps of elementwise ufuncs, each product added first."""
-    out = np.zeros((a.shape[0], b.shape[1]))
+    out = np.empty((a.shape[0], b.shape[1])) if out is None else out
+    out.fill(0.0)
     for k in range(a.shape[1]):
         np.add(np.multiply(a[:, k : k + 1], b[k : k + 1]), out, out=out)
     return out
@@ -140,7 +143,7 @@ def _einsum_is_fixed_order() -> bool:
 _fixed_order_product = _einsum_product if _einsum_is_fixed_order() else _loop_product
 
 
-def matmul_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def matmul_values(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix product with left-to-right accumulation over the inner index.
 
     Each output entry is ``((0 + a[i,0]*b[0,j]) + a[i,1]*b[1,j]) + ...``, one
@@ -152,10 +155,16 @@ def matmul_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     It is one einsum pass wherever the import-time probe finds numpy's loop
     unfused and in order (not on aarch64, whose NEON fuses), and otherwise
     k rank-1 ufunc steps, 4-20 times slower.  The result is C-contiguous.
+
+    ``out``, a C-contiguous float64 block of the result's shape that shares
+    no memory with ``a`` or ``b``, receives the product, which is returned;
+    its old contents are never read.  Its bits are the same as without it.
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    return _fixed_order_product(a, b)
+    if out is not None and (out.shape != (a.shape[0], b.shape[1]) or not out.flags.c_contiguous):
+        raise DimensionError(f"matmul: out {out.shape} is not a C-contiguous block for {a.shape} x {b.shape}")
+    return _fixed_order_product(a, b, out)
 
 
 def matmul(a: Tensor, b: Tensor, cols: np.ndarray | None = None) -> Tensor:
@@ -190,17 +199,23 @@ def matmul(a: Tensor, b: Tensor, cols: np.ndarray | None = None) -> Tensor:
     return record(out, (a,), backward_fn)
 
 
-def sigmoid_values(x: np.ndarray) -> np.ndarray:
+def sigmoid_values(x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None,
+                   mask: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable logistic function (no overflow for any float64).
 
     ``exp(-|x|)`` never overflows, and for negative ``x`` it is ``exp(x)``, so
     the two branches are ``1/(1+exp(-x))`` and ``exp(x)/(1+exp(x))``.  As
     ``0 <= e <= 1``, the numerator ``max(e, x >= 0)`` picks 1 or ``e`` without
     a branch, and a nan ``x`` keeps ``e``'s nan.
+
+    Blocks of ``x``'s shape may stand in for new arrays: ``out`` gets the
+    result and may be ``x`` itself, the float64 ``scratch`` holds ``e`` and
+    then ``1 + e``, and the boolean ``mask`` holds ``x >= 0``.  The bits are
+    the same with them or without.
     """
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.maximum(e, x >= 0) / d
+    e = np.exp(np.negative(np.abs(x, out=scratch), out=scratch), out=scratch)
+    out = np.maximum(e, np.greater_equal(x, 0, out=mask), out=out)
+    return np.divide(out, np.add(1.0, e, out=e), out=out)
 
 
 def linear_combination(parts: Sequence[Tensor], coeffs: Sequence[float]) -> Tensor:

@@ -195,6 +195,8 @@ def _forward_logits(params: nx.ParamStore, config: ModelConfig, samples: SampleS
 
     Untaped chunks over ``params.constants()`` run on a thread pool; the
     fixed-order product releases the GIL, so they overlap on several cores.
+    Each pool thread runs its chunks in one workspace of its own (see
+    :func:`~alertanet.model.forward_batch`), freed when the pool ends here.
     A chunk spreads the windows evenly over the usable cores, up to
     ``FORWARD_CHUNK`` windows.  Every window's logits depend only on its own
     column, so neither the chunk size nor the worker count sets a bit.  The
@@ -330,24 +332,28 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
             valid_m, valid_v, valid_total = _dataset_loss(
                 params, config, split.validation, rows, loss_weight, pos_weight
             )
-            epoch_rows.append(
-                {
-                    "epoch": global_epoch,
-                    "stage": stage_name,
-                    "train_movement": movement_sum / n_train,
-                    "train_volatility": volatility_sum / n_train,
-                    "train_total": total_sum / n_train,
-                    "valid_movement": valid_m,
-                    "valid_volatility": valid_v,
-                    "valid_total": valid_total,
-                    "grad_norm_mean": sum(grad_norms) / len(grad_norms),
-                    "grad_norm_max": max(grad_norms),
-                    "clipped_fraction": (
-                        sum(n > cfg.clip_norm for n in grad_norms) / len(grad_norms) if cfg.clip_norm else 0.0
-                    ),
-                    "param_norm": _global_norm(t.value for _, t in params.items()),
-                }
-            )
+            with np.errstate(over="ignore"):  # squares past float64's range give inf, which is refused below
+                param_norm = _global_norm(t.value for _, t in params.items())
+            row = {
+                "epoch": global_epoch,
+                "stage": stage_name,
+                "train_movement": movement_sum / n_train,
+                "train_volatility": volatility_sum / n_train,
+                "train_total": total_sum / n_train,
+                "valid_movement": valid_m,
+                "valid_volatility": valid_v,
+                "valid_total": valid_total,
+                "grad_norm_mean": sum(grad_norms) / len(grad_norms),
+                "grad_norm_max": max(grad_norms),
+                "clipped_fraction": (
+                    sum(n > cfg.clip_norm for n in grad_norms) / len(grad_norms) if cfg.clip_norm else 0.0
+                ),
+                "param_norm": param_norm,
+            }
+            for key in ("grad_norm_mean", "grad_norm_max", "param_norm"):
+                if not np.isfinite(row[key]):  # JSON has no inf or nan, so the report could not hold it
+                    raise TrainingError(f"non-finite {key} {row[key]} in stage {stage_name!r}, epoch {global_epoch}")
+            epoch_rows.append(row)
             if valid_total < best_valid:
                 best_valid = valid_total
                 best_values = params.flat_values.copy()

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,19 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert f"typed.json: training config {key!r} is {value!r}" in err and "Traceback" not in err
         assert not (out / "checkpoint.json").exists()
+
+    def test_overflowing_parameter_norm_fails_instead_of_writing_infinity(self, tmp_path, criterion8_prepared,
+                                                                          capsys):
+        """A step of 1e300 drives the squares in the epoch's parameter norm past float64's range: the run
+        stops at that epoch with one error line and no overflow warning, and writes no report or checkpoint."""
+        out = tmp_path / "x"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("train", "--dataset", criterion8_prepared, "--out", out, "--learning-rate", "1e300",
+                           "--epochs", "2", "--hidden", "4")
+        assert code == 1 and not caught, [str(w.message) for w in caught]
+        assert capsys.readouterr().err.splitlines() == ["error: non-finite param_norm inf in stage 'joint', epoch 1"]
+        assert not (out / "train_report.json").exists() and not (out / "checkpoint.json").exists()
 
     def test_negative_clip_norm_flag_fails(self, tmp_path, prepared, capsys):
         out = tmp_path / "x"

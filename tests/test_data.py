@@ -288,7 +288,12 @@ class TestFeatureFrame:
         (["2021-01-04", "2021-01"], r"S: bad date \(Invalid isoformat string: '2021-01'\)"),
         (["2021-01-05", "2021-01-04"], r"S: dates not strictly ascending at 2021-01-04"),
         (np.array(["2021-01-04", "NaT"], dtype="datetime64[D]"), r"S: a date is NaT"),
-    ], ids=["no-such-day", "month-only", "descending", "not-a-time"])
+        # days that date.fromisoformat cannot read, so a CSV that write_frame wrote could not be read back
+        (np.array(["0000-01-01", "2021-01-04"], dtype="datetime64[D]"),
+         r"S: date 0000-01-01 is outside the years 1 to 9999"),
+        (np.array(["2021-01-04", "10000-01-01"], dtype="datetime64[D]"),
+         r"S: date 10000-01-01 is outside the years 1 to 9999"),
+    ], ids=["no-such-day", "month-only", "descending", "not-a-time", "year-0", "year-10000"])
     def test_bad_dates_rejected(self, dates, message):
         with pytest.raises(DataIntegrityError, match=message):
             dp.FeatureFrame("S", dates, [1.0, 2.0], [], np.zeros((2, 0)))
@@ -718,6 +723,16 @@ class TestDatasetRoundTrip:
         path.write_text(dataset_text().replace("2022-01-05", bad, 1), encoding="utf-8")
         named = rf"""['"]{re.escape(bad)}['"]"""  # in the message of this module or of numpy
         with pytest.raises(ParseError, match=rf"dataset\.json: malformed dataset \(.*{named}.*rerun `alertanet prepare`"):
+            dp.load_dataset(path)
+
+    def test_stored_year_0_fails_naming_file_and_date(self, tmp_path):
+        """numpy reads year 0, and the stored-date pattern admits any four-digit year; the frame check rejects it."""
+        path = tmp_path / "dataset.json"
+        text = dataset_text()
+        assert '"dates": "2022-01-01,' in text
+        path.write_text(text.replace('"dates": "2022-01-01,', '"dates": "0000-01-01,', 1), encoding="utf-8")
+        with pytest.raises(DataIntegrityError,
+                           match=r"dataset\.json: AAA: date 0000-01-01 is outside the years 1 to 9999"):
             dp.load_dataset(path)
 
     def test_stored_nan_price_fails_like_a_bad_csv(self, tmp_path):

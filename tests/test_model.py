@@ -11,9 +11,9 @@ from alertanet.errors import CheckpointError, ConfigError, DimensionError, Domai
 from alertanet.synth import SynthSpec, generate_universe
 
 from testutil import (
-    BAD_CHECKPOINTS, add, affine, bad_checkpoint, bias_add, cell_step_concat_oracle, cell_step_oracle, concat_rows,
-    forward_batch_oracle, hidden_states, joint_loss, matmul, mul, per_op_heads, per_op_loss, sample_set, sigmoid,
-    stack_windows, tanh,
+    BAD_CHECKPOINTS, add, affine, bad_checkpoint, bias_add, cell_forward_oracle, cell_step_concat_oracle,
+    cell_step_oracle, cell_step_parent_oracle, concat_rows, forward_batch_oracle, hidden_states, joint_loss, matmul,
+    mul, per_op_heads, per_op_loss, sample_set, sigmoid, stack_windows, tanh,
 )
 
 
@@ -330,9 +330,9 @@ class TestForwardBatchMatchesProjectEveryColumnOracle:
         assert len(days) < 4 * 90 and len(last_days) < 90
         shapes = []
 
-        def recording(a, b):
+        def recording(a, b, out=None):
             shapes.append((a.shape, b.shape))
-            return matmul_values(a, b)
+            return matmul_values(a, b, out=out)
 
         matmul_values = nx.matmul_values
         monkeypatch.setattr(nx, "matmul_values", recording)
@@ -414,6 +414,128 @@ class TestCellBackwardMatchesConcatOracle:
             assert np.array_equal(bits(g), bits(w))
         if state == "special":  # the inputs reach the saturated and non-finite corners
             assert np.isnan(got[1]).any() and (np.abs(got[0]) == 1.0).any()
+
+
+KERNEL_WIDTHS = [1, 2, 63, 64, 512]
+KERNEL_CONFIGS = {
+    "alerta-shared": {},
+    "alerta-unshared": {"shared_context_cell": False},
+    "alerta-normalized": {"tda_normalize": True},
+    "gru": {"arch": "gru"},
+}
+SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0])
+
+
+def sprinkle(rng, arr, share=0.1, values=SPECIALS):
+    """``arr`` with about ``share`` of its entries replaced by ``values``, in place; returns it."""
+    hit = rng.random(arr.shape) < share
+    arr[hit] = rng.choice(values, size=int(hit.sum()))
+    return arr
+
+
+class TestGruCellMatchesParentOracle:
+    """``gru_cell`` in reused blocks, and both passes that call it, against the former cell arithmetic
+    (``testutil.cell_forward_oracle``), bit for bit."""
+
+    @pytest.mark.parametrize("width", KERNEL_WIDTHS)
+    @pytest.mark.parametrize("inputs", ["finite", "special"])
+    @pytest.mark.parametrize("recurrent", ["finite", "non-finite"])
+    @pytest.mark.parametrize("state", ["zero", "negative-zero", "random", "special"])
+    def test_kernel_in_reused_blocks(self, state, recurrent, inputs, width):
+        u = 5
+        rng = np.random.default_rng([width, len(state), len(recurrent), len(inputs)])
+        wx, b = rng.normal(scale=3.0, size=(3 * u, width)), rng.normal(size=(3 * u, 1))
+        r_zr, r_h = rng.normal(size=(2 * u, u)), rng.normal(size=(u, u))
+        h = {"zero": np.zeros((u, width)), "negative-zero": np.full((u, width), -0.0)}.get(
+            state, rng.uniform(-1.0, 1.0, size=(u, width)))
+        if state == "special":
+            sprinkle(rng, h)
+        if recurrent == "non-finite":
+            r_zr[1, 2], r_h[3, 0] = np.inf, -np.inf
+        if inputs == "special":
+            sprinkle(rng, wx)
+            b[[0, u + 1, 2 * u + 2, 3 * u - 1], 0] = SPECIALS
+        with np.errstate(all="ignore"):
+            want_zr, want_rh, want_cand, want = cell_forward_oracle(wx, h, r_zr, r_h, b)
+            # blocks full of nan and of random flags: nothing an earlier step left in them may reach the result
+            zr, work, cand, zc, out = (np.full(shape, np.nan) for shape in [(2 * u, width)] * 2 + [(u, width)] * 3)
+            mask = rng.random((2 * u, width)) < 0.5
+            got = md.gru_cell(wx, h, r_zr, r_h, b, zr=zr, work=work, mask=mask, cand=cand, zc=zc, out=out)
+            assert got is out
+            # what the taped backward reads: [z; r], r*h, 1 - z and the candidate
+            for g, w in [(out, want), (zr, want_zr), (work[:u], want_rh), (work[u:], 1.0 - want_zr[:u]),
+                         (cand, want_cand)]:
+                assert np.array_equal(bits(g), bits(w))
+            # again in the same blocks, with z*cand written over the candidate as the forward-only pass does
+            md.gru_cell(wx, h, r_zr, r_h, b, zr=zr, work=work, mask=mask, cand=cand, zc=cand, out=out)
+            assert np.array_equal(bits(out), bits(want))
+
+    @pytest.mark.parametrize("width", KERNEL_WIDTHS)
+    @pytest.mark.parametrize("values", ["finite", "special"])
+    @pytest.mark.parametrize("kind", sorted(KERNEL_CONFIGS))
+    def test_forward_only_and_taped_passes(self, monkeypatch, kind, values, width):
+        """The forward-only pass against the former cell run step by step, and the taped pass's values and
+        every parameter gradient against the former ``cell_step``; biases may hold nan, infinities and -0.0,
+        and windows -0.0 and values near float64's range."""
+        config = md.ModelConfig(input_dim=3, hidden_dim=5, window=4, **KERNEL_CONFIGS[kind])
+        rng = np.random.default_rng([width, len(kind), len(values)])
+        params = make_params(config, seed=width)
+        x = rng.normal(scale=2.0, size=(width, 3, 4))
+        if values == "special":
+            sprinkle(rng, x, 0.05, np.array([-0.0, 1e308, -1e308]))
+            for name in params.names():
+                if name.removeprefix("ctx_") == "b":
+                    params[name].value[[1, 7, 12, 14], 0] = SPECIALS
+        y_m, y_v = rng.integers(0, 2, size=width).astype(np.int8), rng.integers(0, 2, size=width).astype(np.int8)
+        with np.errstate(all="ignore"):
+            want = forward_batch_oracle(x, params, config, cell=cell_step_parent_oracle)
+            got = md.forward_batch(x, params.constants(), config)
+            assert np.array_equal(bits(got.logits.value), bits(want.logits.value))
+            assert np.array_equal(bits(got.hidden[-1].value), bits(want.hidden[-1].value))
+            if config.uses_context:
+                assert np.array_equal(bits(got.context.value), bits(want.context.value))
+
+            runs = []
+            for step in (md.cell_step, cell_step_concat_oracle):
+                monkeypatch.setattr(md, "cell_step", step)
+                trace = md.forward_batch(x, params, config)
+                params.zero_grads()
+                nx.backward(joint_loss(trace, y_m, y_v, 0.7, 1.3))
+                runs.append(([h.value for h in trace.hidden] + [trace.logits.value],
+                             [t.grad.copy() for _, t in params.items()]))
+        (got_values, got_grads), (want_values, want_grads) = runs
+        assert np.array_equal(bits(got_values[-1]), bits(want.logits.value))
+        for g, w in zip(got_values, want_values, strict=True):
+            assert np.array_equal(bits(g), bits(w))
+        # the two backwards group their bias sums differently, so where two nans meet either may survive
+        for g, w in zip(got_grads, want_grads, strict=True):
+            assert np.array_equal(np.isnan(g), np.isnan(w))
+            assert np.array_equal(bits(np.where(np.isnan(g), 0.0, g)), bits(np.where(np.isnan(w), 0.0, w)))
+
+    @pytest.mark.parametrize("arch", ["alerta", "gru"])
+    def test_params_that_do_not_fit_the_config_fail_alike_on_both_passes(self, arch):
+        """The forward-only pass names the misfit before it gathers a step into its workspace."""
+        params = make_params(md.ModelConfig(input_dim=3, hidden_dim=5, window=3, arch=arch))
+        config = md.ModelConfig(input_dim=3, hidden_dim=4, window=3, arch=arch)
+        x = np.ones((7, 3, 3))
+        for store in (params, params.constants()):
+            with pytest.raises(DimensionError, match=r"cell_step: projection \(15, 7\) and state \(4, 7\) do not fit "
+                                                     r"hidden_dim 5"):
+                md.forward_batch(x, store, config)
+
+    def test_returned_tensors_share_nothing_with_the_workspace(self):
+        config = md.ModelConfig(input_dim=3, hidden_dim=5, window=4)
+        params = make_params(config).constants()
+        rng = np.random.default_rng(8)
+        first = md.forward_batch(rng.normal(size=(64, 3, 4)), params, config)
+        kept = [first.hidden[-1].value.copy(), first.context.value.copy(), first.logits.value.copy()]
+        md.forward_batch(rng.normal(size=(64, 3, 4)), params, config)  # same shape, so the same workspace
+        workspace = md._thread.workspace
+        assert workspace.shape == (5, 64)
+        blocks = [workspace.zr, workspace.work, workspace.mask, workspace.cand, *workspace.states, workspace.step]
+        for returned, before in zip([first.hidden[-1], first.context, first.logits], kept):
+            assert np.array_equal(bits(returned.value), bits(before))
+            assert not any(np.shares_memory(returned.value, block) for block in blocks)
 
 
 class TestHeadsAndLossMatchPerOpOracle:

@@ -175,6 +175,22 @@ class TestFixedOrderKernelsMatchTripleLoop:
             with np.errstate(all="ignore"):
                 assert_same(product(a, b), triple_loop_matmul(a, b))
 
+    @pytest.mark.parametrize("m,inner,n", [(5, 4, 1), (1, 6, 2), (64, 32, 63), (64, 32, 512), (7, 3, 1)])
+    def test_out_block_gets_the_bits_of_a_new_result(self, kernel, m, inner, n):
+        """A reused block full of nan, as the GRU cell passes one, ends with the same bits as a new result."""
+        product, assert_same = kernel
+        a, b, want = _special_case(m, inner, n, 0.2)
+        block = np.full((m, n), np.nan)
+        with np.errstate(all="ignore"):
+            assert product(a, b, block) is block
+        assert_same(block, want)
+
+    def test_matmul_values_rejects_an_out_block_that_does_not_fit(self):
+        a, b = np.ones((3, 2)), np.ones((2, 4))
+        for block in (np.empty((3, 5)), np.empty((4, 3)).T, np.empty((3, 8))[:, ::2]):
+            with pytest.raises(DimensionError, match=r"matmul: out \(\d, \d\) is not a C-contiguous block"):
+                nx.matmul_values(a, b, out=block)
+
     def test_zero_times_infinity_is_nan_in_every_layout(self, kernel):
         product, _ = kernel
         for m, n in ((1, 1), (1, 4), (4, 1), (4, 4)):
@@ -335,6 +351,11 @@ class TestElementwise:
         for shape in ((1, -1), (-1, 1)):
             got = nx.sigmoid_values(x.reshape(shape))
             assert np.array_equal(got.view(np.int64), sigmoid_values_oracle(x.reshape(shape)).view(np.int64))
+            # in place, with reused scratch blocks that hold stale values
+            block, scratch = x.reshape(shape).copy(), np.full(got.shape, np.nan)
+            mask = np.random.default_rng(51).random(got.shape) < 0.5
+            assert nx.sigmoid_values(block, out=block, scratch=scratch, mask=mask) is block
+            assert np.array_equal(block.view(np.int64), got.view(np.int64))
 
     def test_bce_pos_weight_column_weights_each_row(self):
         rng = np.random.default_rng(8)

@@ -89,6 +89,23 @@ def test_raw_verdict_beside_the_scaled_one():
     assert raw["rate_change_median"] == pytest.approx(0.5) and raw["disagree"]  # +50% raw, +10% scaled
 
 
+def test_opposite_directions_within_the_parent_spread_do_not_disagree():
+    """A scaled +2% against a raw -2%, where the parent's scaled rates spread over 3% of their median, is noise;
+    the same changes over a parent with no spread, or a raw -4% beyond the spread, disagree."""
+    def pairs(parent_rates, change_raw):
+        return [pair(i, "parent", canned(rate, 0.1, 50.0, raw=(0.49,) * 3),
+                     canned(102.0, 0.1, 50.0, raw=(change_raw,) * 3)) for i, rate in enumerate(parent_rates)]
+
+    spread = [97.0, 100.0, 103.0]  # quartiles 98.5 and 101.5
+    summary = record_bench.aggregate(pairs(spread, 0.5), END_TO_END)
+    assert summary["metrics"]["samples_per_s"]["change_over_parent"] == pytest.approx(0.02)
+    assert summary["raw_verdict"]["rate_change_median"] == pytest.approx(-0.02)
+    assert not summary["raw_verdict"]["disagree"]
+    assert record_bench.aggregate(pairs([100.0] * 3, 0.5), END_TO_END)["raw_verdict"]["disagree"]
+    raw = record_bench.aggregate(pairs(spread, 0.49 / 0.96), END_TO_END)["raw_verdict"]
+    assert raw["rate_change_median"] == pytest.approx(-0.04) and raw["disagree"]
+
+
 def test_a_failed_check_or_operation_is_reported_per_side():
     pairs = [
         pair(7, "parent", canned(100.0, 0.1, 50.0), canned(100.0, 0.1, 50.0, passed=False)),

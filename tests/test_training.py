@@ -2,6 +2,7 @@ import math
 import os
 import re
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -16,8 +17,9 @@ from alertanet.errors import CheckpointError, ConfigError, TrainingError, UsageE
 from alertanet.synth import SynthSpec, generate
 
 from testutil import (
-    AdamOracle, clip_gradients_oracle, dataset_loss_oracle, finite_difference_grads, joint_loss, max_grad_violation,
-    predict_probs_oracle, sample_set, zero_grads_oracle,
+    AdamOracle, cell_step_parent_oracle, clip_gradients_oracle, dataset_loss_oracle, finite_difference_grads,
+    forward_batch_oracle, joint_loss, max_grad_violation, predict_probs_oracle, sample_set, stack_windows,
+    zero_grads_oracle,
 )
 from test_metrics import auc_all_pairs, mcc_exact_integer
 
@@ -542,6 +544,52 @@ class TestForwardOnlyPool:
         assert tr.usable_cores() == os.cpu_count()
 
 
+class TestForwardOnlyWorkspace:
+    """The forward-only pass reuses one workspace per thread; its bits are the former cell's, run step by step."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_pooled_logits_with_a_last_chunk_one_window_wide(self, monkeypatch, kind, workers):
+        monkeypatch.setattr(tr, "usable_cores", lambda: workers)
+        params, config, rows = seeded_model(kind)
+        samples = overlapping_samples(2 * tr.FORWARD_CHUNK + 1)  # chunks of 512, 512 and 1 windows
+        got = tr._forward_logits(params, config, samples, rows)
+        want = forward_batch_oracle(stack_windows(samples, rows), params, config, cell=cell_step_parent_oracle)
+        assert np.array_equal(got.view(np.int64), want.logits.value.view(np.int64))
+
+    def test_threads_at_once_each_get_their_own_bits(self):
+        """Four models of one shape, so one workspace shape, each scored over and over on its own thread."""
+        runs = []
+        for seed, kind in enumerate(MODELS):
+            params, config, rows = seeded_model(kind)
+            samples = overlapping_samples(300, seed=seed)
+            want = md.forward_batch(samples, params.constants(), config, rows).logits.value.copy()
+            runs.append((params.constants(), config, rows, samples, want))
+        start, mismatches, errors = threading.Barrier(len(runs)), [], []
+
+        def score(params, config, rows, samples, want):
+            try:
+                start.wait(timeout=60)
+                for _ in range(20):
+                    got = md.forward_batch(samples, params, config, rows).logits.value
+                    mismatches.append(not np.array_equal(got.view(np.int64), want.view(np.int64)))
+            except Exception as exc:  # noqa: BLE001 -- reported below, on the test's thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=score, args=run) for run in runs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and len(mismatches) == 20 * len(runs) and not any(mismatches)
+
+
 def _peak_bytes(fn) -> int:
     """The peak of memory that ``fn()`` allocates, under ``tracemalloc``, after one untraced warm-up call."""
     fn()
@@ -558,7 +606,9 @@ class TestForwardOnlyPeakMemory:
 
     At hidden 32 and window 10 the gathered block of 512 windows alone is
     96 x 5,120 entries, 3.9 MB, and the ten states 1.3 MB; keeping them peaked
-    at 6.6 MB for one chunk and 7.7 MB for the loss of 598 windows; now they peak at 2.3 and 2.7 MB.
+    at 6.6 MB for one chunk and 7.7 MB for the loss of 598 windows; now they peak at 1.4 and 2.8 MB.
+    The chunk's thread made its 1.3 MB workspace on the untraced warm-up call, while the loss's
+    pool threads each make one of 0.8 MB, for their 299 windows.
     """
 
     CONFIG = md.ModelConfig(input_dim=len(FEATURES), hidden_dim=32, window=10)

@@ -3,10 +3,11 @@ sample sets built from windows, malformed checkpoint files, and the tape ops and
 accessors that only the tests compose.
 
 Kept as oracles: the row-by-row CSV loader, the day-by-day synthetic price
-loop, the project-every-column forward pass, the serial, taped chunk loops of
-prediction and validation loss, and the per-name cell backward, Adam, clipping
-and gradient zeroing.  The per-op tape ops rebuild the per-gate cell and the
-per-op heads and loss that the fused model nodes replaced, as oracles."""
+loop, the project-every-column forward pass, the cell's forward arithmetic in
+new arrays, the serial, taped chunk loops of prediction and validation loss,
+and the per-name cell backward, Adam, clipping and gradient zeroing.  The
+per-op tape ops rebuild the per-gate cell and the per-op heads and loss that
+the fused model nodes replaced, as oracles."""
 
 import csv
 import json
@@ -202,12 +203,10 @@ BAD_CHECKPOINTS = {
 }
 
 
-def cell_step_concat_oracle(wx, h_prev, params, prefix="", cols=slice(None)):
-    """The former ``model.cell_step``, whose backward concatenates the halves of ``d_zr`` and sums with ``np.sum``."""
-    r_zr, r_h, b = params[prefix + "R_zr"], params[prefix + "R_h"], params[prefix + "b"]
-    u = r_h.rows
-    h = h_prev.value
-    wx_t = wx.value[:, cols]
+def cell_forward_oracle(wx_t, h, r_zr, r_h, b):
+    """The former forward arithmetic of ``model.cell_step``, every intermediate a new array: [z; r], r*h, the
+    candidate and the new state.  A zero state skips the recurrent products where the matrices are finite."""
+    u = r_h.shape[0]
     zero_state = not h.any()
 
     def recurrent(r_mat, state):
@@ -215,11 +214,30 @@ def cell_step_concat_oracle(wx, h_prev, params, prefix="", cols=slice(None)):
             return np.zeros((r_mat.shape[0], state.shape[1]))
         return nx.matmul_values(r_mat, state)
 
-    zr = nx.sigmoid_values((wx_t[: 2 * u] + recurrent(r_zr.value, h)) + b.value[: 2 * u])
+    x = (wx_t[: 2 * u] + recurrent(r_zr, h)) + b[: 2 * u]
+    e = np.exp(-np.abs(x))  # the former body of nx.sigmoid_values
+    zr = np.maximum(e, x >= 0) / (1.0 + e)
     z, r = zr[:u], zr[u:]
     rh = r * h
-    cand = np.tanh((wx_t[2 * u :] + recurrent(r_h.value, rh)) + b.value[2 * u :])
-    out = (1.0 - z) * h + z * cand
+    cand = np.tanh((wx_t[2 * u :] + recurrent(r_h, rh)) + b[2 * u :])
+    keep = 1.0 - z
+    return zr, rh, cand, keep * h + z * cand
+
+
+def cell_step_parent_oracle(wx, h_prev, params, prefix="", cols=slice(None)):
+    """The value of the former ``model.cell_step`` as an untaped tensor, for :func:`forward_batch_oracle`'s ``cell``."""
+    names = (prefix + "R_zr", prefix + "R_h", prefix + "b")
+    out = cell_forward_oracle(wx.value[:, cols], h_prev.value, *(params[name].value for name in names))[-1]
+    return nx.Tensor(out, _validate=False)
+
+
+def cell_step_concat_oracle(wx, h_prev, params, prefix="", cols=slice(None)):
+    """The former ``model.cell_step``, whose backward concatenates the halves of ``d_zr`` and sums with ``np.sum``."""
+    r_zr, r_h, b = params[prefix + "R_zr"], params[prefix + "R_h"], params[prefix + "b"]
+    u = r_h.rows
+    h = h_prev.value
+    zr, rh, cand, out = cell_forward_oracle(wx.value[:, cols], h, r_zr.value, r_h.value, b.value)
+    z, r = zr[:u], zr[u:]
 
     def backward_fn(grad):
         d_cand = grad * z * (1.0 - cand * cand)
@@ -282,8 +300,10 @@ def zero_grads_oracle(params):
         tensor.grad[...] = 0.0
 
 
-def forward_batch_oracle(windows, params, config):
-    """The former body of ``model.forward_batch``: ``W x`` over one column per (step, window) of an array."""
+def forward_batch_oracle(windows, params, config, cell=cell_step_oracle):
+    """The former body of ``model.forward_batch``: ``W x`` over one column per (step, window) of an array.
+
+    ``cell`` runs each step; :func:`cell_step_parent_oracle` gives the values of the former forward-only pass."""
     x = np.asarray(windows, dtype=np.float64)
     if x.ndim != 3:
         raise DimensionError(f"expected (batch, features, window) input, got shape {x.shape}")
@@ -298,7 +318,7 @@ def forward_batch_oracle(windows, params, config):
     h = nx.constant(np.zeros((config.hidden_dim, batch)))
     hidden = []
     for t in range(steps):
-        h = cell_step_oracle(wx, h, params, cols=slice(t * batch, (t + 1) * batch))
+        h = cell(wx, h, params, cols=slice(t * batch, (t + 1) * batch))
         hidden.append(h)
 
     context = None
@@ -309,10 +329,10 @@ def forward_batch_oracle(windows, params, config):
         mixed = nx.linear_combination(hidden, weights.tolist())
         last = slice((steps - 1) * batch, steps * batch)
         if config.shared_context_cell:
-            context = cell_step_oracle(wx, mixed, params, cols=last)
+            context = cell(wx, mixed, params, cols=last)
         else:
             ctx_wx = nx.matmul(params["ctx_W"], nx.constant(x_block.value[:, last]))
-            context = cell_step_oracle(ctx_wx, mixed, params, "ctx_")
+            context = cell(ctx_wx, mixed, params, "ctx_")
     logits = md.heads([hidden[-1]] if context is None else [hidden[-1], context], params)
     return md.ForwardTrace(hidden=hidden, context=context, logits=logits)
 

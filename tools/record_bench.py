@@ -20,8 +20,9 @@ and that loop has drifted between the two sides' processes.  So each
 workload also gets a ``raw_verdict`` from the unscaled operation times: the
 pairs each side won on its raw median, the median of the per-pair raw rate
 ratios, the median of the per-pair calibration ratios, and ``disagree``,
-set when the scaled and raw changes point opposite ways or lie more than
-10 points apart.
+set when the scaled and raw changes point opposite ways and one of them is
+larger than the parent's scaled interquartile range, as a share of its
+median, or when they lie more than 10 points apart.
 
 Each workload then gets one ``--trace 1`` run per side, in a child pinned to
 one core with ``os.sched_setaffinity``.  On one core the CLI's worker helper
@@ -151,28 +152,33 @@ def aggregate(pairs: list[dict], metrics: list[dict]) -> dict:
         "all_checks_passed": {side: all(r["correct"] and all(r["checks"].values()) for r in records[side])
                               for side in SIDES},
         "failed_ops": {side: sum(r["failed"] for r in records[side]) for side in SIDES},
-        "raw_verdict": raw_verdict(per_pair, summary["samples_per_s"]["change_over_parent"]),
+        "raw_verdict": raw_verdict(per_pair, summary["samples_per_s"]),
         "per_pair": per_pair,
     }
 
 
-def raw_verdict(per_pair: list[dict], scaled_change: float) -> dict:
-    """The verdict of the unscaled operation times beside ``scaled_change``, the scaled ``samples_per_s`` change.
+def raw_verdict(per_pair: list[dict], scaled: dict) -> dict:
+    """The verdict of the unscaled operation times beside ``scaled``, :func:`aggregate`'s ``samples_per_s`` entry.
 
     A pair's raw rate ratio is the parent's raw operation median over the
     change's, so above 1 means the change ran faster, as a rising
     ``samples_per_s`` does; its calibration ratio is the change's calibration
-    median over the parent's.
+    median over the parent's.  Opposite directions count as a disagreement
+    only when one of the two changes is larger than the parent's spread, so
+    two changes within noise of zero do not.
     """
     raw = [(p["parent"]["raw_op_median_s"], p["change"]["raw_op_median_s"]) for p in per_pair]
     raw_change = float(np.median([parent / change for parent, change in raw])) - 1.0
+    scaled_change, parent = scaled["change_over_parent"], scaled["parent"]
+    spread = (parent["q3"] - parent["q1"]) / parent["median"]
     return {
         "pairs_won": {"parent": sum(parent < change for parent, change in raw),
                       "change": sum(change < parent for parent, change in raw)},
         "rate_change_median": raw_change,
         "calibration_ratio_median": float(np.median([p["change"]["calibration_median_s"]
                                                      / p["parent"]["calibration_median_s"] for p in per_pair])),
-        "disagree": scaled_change * raw_change < 0 or abs(scaled_change - raw_change) > 0.10,
+        "disagree": ((scaled_change * raw_change < 0 and max(abs(scaled_change), abs(raw_change)) > spread)
+                     or abs(scaled_change - raw_change) > 0.10),
     }
 
 
