@@ -23,7 +23,7 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import astuple, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NoReturn
@@ -36,8 +36,8 @@ from .data import (
     DEFAULT_EPSILON,
     DEFAULT_OUTLIER_THRESHOLD,
     ABSTAIN,
+    PrepareSettings,
     build_dataset,
-    check_settings,
     load_dataset,
     load_frame,
     save_dataset,
@@ -165,7 +165,7 @@ def _resolve_out(args, command: str) -> Path:
 class _ManifestWriter:
     """Collects run metadata and writes manifest.json as the final artifact."""
 
-    def __init__(self, command: str, out_dir: Path, seed: int | None):
+    def __init__(self, command: str, out_dir: Path | None, seed: int | None):
         self.command = command
         self.out_dir = out_dir
         self.seed = seed
@@ -274,8 +274,6 @@ def _resolve_train_config(args, dataset_window: int) -> TrainConfig:
 
 
 def cmd_synth(args) -> int:
-    out = _resolve_out(args, "synth")
-    manifest = _ManifestWriter("synth", out, args.seed)
     spec = SynthSpec(
         n_days=args.days,
         n_features=args.features,
@@ -284,6 +282,7 @@ def cmd_synth(args) -> int:
         volatility_lag=args.vol_lag,
         base_price=args.base_price,
     )
+    manifest = _ManifestWriter("synth", None, args.seed)
     manifest.config = {
         "days": args.days, "features": args.features, "noise": args.noise,
         "vol_lag": args.vol_lag, "base_price": args.base_price, "stocks": args.stocks,
@@ -291,6 +290,7 @@ def cmd_synth(args) -> int:
     }
     with manifest.phase("generate"):
         frames = generate_universe(spec, args.stocks)
+    manifest.out_dir = out = _resolve_out(args, "synth")  # made once the settings and the price paths passed
     paths = {out / f"{frame.stock_id}.csv": frame for frame in frames}
     with manifest.phase("write"):
         _, manifest.workers = _in_workers(lambda path: write_frame(paths[path], path), list(paths))
@@ -301,9 +301,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_prepare(args) -> int:
-    settings = {"window_len": args.window, "dead_zone": tuple(args.dead_zone), "outlier_threshold": args.outlier,
-                "train_frac": args.train_frac, "valid_frac": args.valid_frac, "epsilon": args.epsilon}
-    check_settings(**settings)  # a bad setting fails before any CSV is read
+    # a bad setting fails before any CSV is read
+    settings = PrepareSettings(args.window, tuple(args.dead_zone), args.outlier, args.train_frac, args.valid_frac,
+                               args.epsilon)
     out = _resolve_out(args, "prepare")
     manifest = _ManifestWriter("prepare", out, None)
     data_dir = Path(args.data)
@@ -318,7 +318,7 @@ def cmd_prepare(args) -> int:
         manifest.add_input(path.name, path, digest)
     frames = [frame for _, frame in loaded]
     with manifest.phase("build"):
-        split, warnings = build_dataset(frames, **settings)
+        split, warnings = build_dataset(frames, *astuple(settings))
     manifest.warnings.extend(warnings)
     for message in warnings:
         print(f"warning: {message}", file=sys.stderr)
@@ -357,9 +357,10 @@ def _write_checkpoint(out: Path, name: str, params, config, cfg: TrainConfig, ma
 
 
 def cmd_train(args) -> int:
-    out = _resolve_out(args, "train")
     split = load_dataset(args.dataset)
     cfg = _resolve_train_config(args, split.window)
+    cfg.validate()  # a bad setting fails before --out is made
+    out = _resolve_out(args, "train")
     manifest = _ManifestWriter("train", out, cfg.seed)
     manifest.add_input("dataset", args.dataset)
     manifest.config = cfg.to_dict()
@@ -444,13 +445,13 @@ def _run_variants(args, variants: list[tuple[str, dict]], command: str, report_s
     The variants train and evaluate in worker processes (:func:`_in_workers`);
     this process writes their checkpoints, the table and the report in variant order.
     """
-    out = _resolve_out(args, command)
-    manifest = _ManifestWriter(command, out, None)
+    manifest = _ManifestWriter(command, None, None)
     with manifest.phase("load"):
         split = load_dataset(args.dataset)
     manifest.add_input("dataset", args.dataset)
     base = _resolve_train_config(args, split.window)
-    base.validate()  # a bad setting fails here, before the workers start
+    base.validate()  # a bad setting fails here, before --out is made and the workers start
+    manifest.out_dir = out = _resolve_out(args, command)
     configs = {label: replace(base, **overrides) for label, overrides in variants}
 
     def train_and_evaluate(label):

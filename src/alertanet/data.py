@@ -18,7 +18,7 @@ from __future__ import annotations
 import codecs
 import csv
 import re
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields, replace
 from datetime import date as _date
 from pathlib import Path
 from typing import NamedTuple
@@ -34,6 +34,7 @@ from .errors import (
     PreprocessingError,
     SchemaError,
     UsageError,
+    check_fields,
 )
 
 ABSTAIN = -1
@@ -315,7 +316,7 @@ def label_prices(
     outlier_threshold: float = DEFAULT_OUTLIER_THRESHOLD,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Movement and volatility labels (int8) for every pair of previous and current prices."""
-    check_settings(dead_zone=dead_zone, outlier_threshold=outlier_threshold)
+    PrepareSettings(dead_zone=dead_zone, outlier_threshold=outlier_threshold)
     lo, hi = dead_zone
     p_prev = np.asarray(p_prev, dtype=np.float64)
     bad = p_prev[p_prev <= 0]
@@ -404,7 +405,7 @@ def window(
     temporal leakage.  Samples read the frame's logged days ``log(x + epsilon)``
     in place; a frame shorter than window+1 days yields none.
     """
-    check_settings(window_len, epsilon=epsilon)
+    PrepareSettings(window_len, epsilon=epsilon)
     n = len(frame)
     # windows read days [t - window_len, t) for targets t in [window_len, n): day n - 1 is only a target
     n_days = n - 1 if n > window_len else 0
@@ -442,7 +443,7 @@ def chrono_split(samples: SampleSet, train_frac: float, valid_frac: float) -> Da
 
     The three parts share the days of ``samples``.
     """
-    check_settings(train_frac=train_frac, valid_frac=valid_frac)
+    PrepareSettings(train_frac=train_frac, valid_frac=valid_frac)
     ordered = samples[np.lexsort((samples.stock_ids, samples.target_dates))]
     dates = ordered.target_dates
     n = len(ordered)
@@ -464,33 +465,29 @@ def chrono_split(samples: SampleSet, train_frac: float, valid_frac: float) -> Da
     return DatasetSplit(train=parts["train"], validation=parts["validation"], test=parts["test"])
 
 
-def check_settings(
-    window_len: int = 1,
-    dead_zone: tuple[float, float] = DEFAULT_DEAD_ZONE,
-    outlier_threshold: float = DEFAULT_OUTLIER_THRESHOLD,
-    train_frac: float = 0.7,
-    valid_frac: float = 0.15,
-    epsilon: float = DEFAULT_EPSILON,
-) -> None:
-    """Raise a ConfigError for the first of :func:`build_dataset`'s settings that is out of range.
+@dataclass
+class PrepareSettings:
+    """The settings of :func:`build_dataset`, in the order of its parameters; checked when made.
 
     :func:`window`, :func:`label_prices` and :func:`chrono_split` check their
     own settings here, leaving the others at their defaults, which pass; so
     ``prepare`` can check them all before it reads a CSV.
     """
-    if window_len < 1:
-        raise ConfigError(f"window length must be >= 1, got {window_len}")
-    if not 0 < epsilon < np.inf:
-        raise ConfigError(f"epsilon must be a finite number > 0, got {epsilon}")
-    lo, hi = dead_zone
-    if not -np.inf < lo < hi < np.inf:
-        raise ConfigError(f"dead zone must satisfy lo < hi, both finite, got dead_zone={dead_zone}")
-    if not 0 < outlier_threshold < np.inf:
-        raise ConfigError(f"outlier_threshold must be a finite number > 0, got {outlier_threshold}")
-    if not (0 < train_frac and 0 < valid_frac and train_frac + valid_frac < 1):  # false for a nan too
-        raise ConfigError(
-            f"fractions must be positive and sum below 1, got train_frac={train_frac} valid_frac={valid_frac}"
-        )
+
+    window: int = field(default=10, metadata={"min": 1})
+    dead_zone: tuple[float, float] = DEFAULT_DEAD_ZONE
+    outlier_threshold: float = field(default=DEFAULT_OUTLIER_THRESHOLD, metadata={"above": 0})
+    train_frac: float = field(default=0.7, metadata={"above": 0})
+    valid_frac: float = field(default=0.15, metadata={"above": 0})
+    epsilon: float = field(default=DEFAULT_EPSILON, metadata={"above": 0})
+
+    def __post_init__(self):
+        check_fields(self)
+        if not self.dead_zone[0] < self.dead_zone[1]:
+            raise ConfigError(f"dead zone must satisfy lo < hi, got dead_zone={self.dead_zone}")
+        if not self.train_frac + self.valid_frac < 1:
+            raise ConfigError(f"fractions must be positive and sum below 1, "
+                              f"got train_frac={self.train_frac} valid_frac={self.valid_frac}")
 
 
 def build_dataset(
@@ -621,20 +618,6 @@ def save_dataset(path: str | Path, split: DatasetSplit) -> None:
     )
 
 
-def _stored_setting(key: str, value):
-    """``value``, if a stored setting is an int window, two dead-zone numbers, or a number; else ``ValueError``."""
-    if key == "window":
-        ok, want = type(value) is int, "an integer"
-    elif key == "dead_zone":
-        ok = isinstance(value, list) and len(value) == 2 and all(type(v) in (int, float) for v in value)
-        want = "a list of two numbers"
-    else:
-        ok, want = type(value) in (int, float), "a number"
-    if not ok:
-        raise ValueError(f"{key!r} is {value!r}, expected {want}")
-    return value
-
-
 def _stored_dates(text: str) -> np.ndarray:
     """The days of a dataset file's comma-separated ISO dates; ValueError for any other text.
 
@@ -662,13 +645,14 @@ def load_dataset(path: str | Path) -> DatasetSplit:
             f"reads {DATASET_VERSION}, which stores each source frame once); rerun `alertanet prepare`"
         )
     try:
-        meta, names, window_len = obj["meta"], obj["feature_names"], _stored_setting("window", obj["window"])
-        settings = {k: _stored_setting(k, meta[k])
-                    for k in ("dead_zone", "outlier_threshold", "epsilon", "train_frac", "valid_frac")}
+        meta, names = obj["meta"], obj["feature_names"]
+        # the window is stored outside meta, and checked first: a malformed one fails whatever else is missing
+        settings = replace(PrepareSettings(obj["window"]), **{f.name: meta[f.name]
+                                                              for f in fields(PrepareSettings)[1:]})
         frames = [FeatureFrame(r["stock_id"], _stored_dates(r["dates"]), serialize.decode_array(r["adj_close"]),
                                list(names), serialize.decode_array(r["features"]))
                   for r in obj["frames"]]
-        split, _ = build_dataset(frames, window_len, **settings)
+        split, _ = build_dataset(frames, *astuple(settings))
     except KeyError as exc:
         raise ParseError(f"{path}: missing key {exc.args[0]!r}; rerun `alertanet prepare`") from None
     except (TypeError, ValueError, ConfigError) as exc:

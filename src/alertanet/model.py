@@ -16,9 +16,8 @@ the contribution of the TDA mechanism.
 
 from __future__ import annotations
 
-import math
 import threading
-from dataclasses import dataclass, field, asdict, fields
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -27,7 +26,7 @@ import numpy as np
 from . import numerics as nx
 from . import serialize
 from .data import SampleSet
-from .errors import CheckpointError, ConfigError, DimensionError, DomainError, ParseError
+from .errors import CheckpointError, ConfigError, DimensionError, DomainError, ParseError, check_fields
 
 CHECKPOINT_VERSION = 2
 
@@ -37,33 +36,11 @@ ARCHITECTURES = ("alerta", "gru")
 _CELL_MATRICES = ("W", "R_zr", "R_h")
 
 
-# accepted types and their names, by field annotation; bools pass isinstance(v, int), so they are rejected by hand
-_FIELD_TYPES = {
-    "bool": ((bool, np.bool_), "true or false"),
-    "int": ((int, np.integer), "an integer"),
-    "float": ((int, float, np.integer, np.floating), "a finite number"),
-    "str": (str, "a string"),
-    "list[str]": (list, "a list of strings"),
-}
-
-
-def check_fields(config, what: str) -> None:
-    """Raise a :class:`ConfigError` naming the first field of dataclass ``config`` whose value has the wrong type."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        types, want = _FIELD_TYPES[f.type]
-        is_bool = isinstance(value, (bool, np.bool_))
-        if (not isinstance(value, types) or is_bool != (f.type == "bool")
-                or (f.type == "float" and not abs(value) < math.inf)
-                or (f.type == "list[str]" and not all(isinstance(v, str) for v in value))):
-            raise ConfigError(f"{what} {f.name!r} is {value!r}, expected {want}")
-
-
 @dataclass
 class ModelConfig:
-    input_dim: int
-    hidden_dim: int
-    window: int
+    input_dim: int = field(metadata={"min": 1})
+    hidden_dim: int = field(metadata={"min": 1})
+    window: int = field(metadata={"min": 1})
     arch: str = "alerta"
     shared_context_cell: bool = True
     tda_normalize: bool = False
@@ -73,11 +50,6 @@ class ModelConfig:
         check_fields(self, "model config")
         if self.arch not in ARCHITECTURES:
             raise ConfigError(f"unknown architecture {self.arch!r}; expected one of {ARCHITECTURES}")
-        if self.input_dim < 1 or self.hidden_dim < 1 or self.window < 1:
-            raise ConfigError(
-                f"input_dim, hidden_dim and window must be >= 1, got "
-                f"{self.input_dim}/{self.hidden_dim}/{self.window}"
-            )
         if self.feature_names and len(self.feature_names) != self.input_dim:
             raise ConfigError(
                 f"{len(self.feature_names)} feature names vs input_dim {self.input_dim}"

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import FeatureFrame, feature_category
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 
 # magnitude bands: [dead zone .. below outlier) and [outlier .. cap)
 QUIET_RETURN_RANGE = (0.006, 0.045)
@@ -63,28 +63,17 @@ def default_signal_weights(feature_names: list[str]) -> np.ndarray:
 
 @dataclass
 class SynthSpec:
-    n_days: int = 5000
-    n_features: int = 8
-    seed: int = 0
+    n_days: int = field(default=5000, metadata={"min": 3})
+    n_features: int = field(default=8, metadata={"min": 1})
+    seed: int = field(default=0, metadata={"min": 0})
     signal_weights: np.ndarray | None = None
-    noise_flip_prob: float = 0.1
-    volatility_lag: int = 7
-    base_price: float = 100.0
+    noise_flip_prob: float = field(default=0.1, metadata={"min": 0, "below": 0.5})
+    volatility_lag: int = field(default=7, metadata={"min": 1})
+    base_price: float = field(default=100.0, metadata={"above": 0})
     feature_names: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.n_days < 3:
-            raise ConfigError(f"n_days must be >= 3, got {self.n_days}")
-        if self.n_features < 1:
-            raise ConfigError(f"n_features must be >= 1, got {self.n_features}")
-        if not 0 <= self.noise_flip_prob < 0.5:
-            raise ConfigError(f"noise_flip_prob must lie in [0, 0.5), got {self.noise_flip_prob}")
-        if self.volatility_lag < 1:
-            raise ConfigError(f"volatility_lag must be >= 1, got {self.volatility_lag}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not 0 < self.base_price < np.inf:
-            raise ConfigError(f"base_price must be a finite number > 0, got {self.base_price}")
+        check_fields(self, "synth spec")
         if not self.feature_names:
             self.feature_names = default_feature_names(self.n_features)
         if len(self.feature_names) != self.n_features:
@@ -146,7 +135,10 @@ def generate_with_truth(spec: SynthSpec, stock_id: str = "SYNTH") -> tuple[Featu
     returns = sign * magnitude
 
     # one rounded multiply per day, in order: prices[t] = prices[t - 1] * (1 + returns[t - 1])
-    prices = np.multiply.accumulate(np.concatenate([[spec.base_price], 1.0 + returns]))
+    with np.errstate(over="ignore"):
+        prices = np.multiply.accumulate(np.concatenate([[spec.base_price], 1.0 + returns]))
+    if not np.isfinite(prices).all():
+        raise ConfigError(f"base_price {spec.base_price} overflows float64 within n_days {n}; lower either")
 
     # rewrite price-tagged columns from the realized path (all nonnegative)
     abs_returns = np.concatenate([[0.0], np.abs(returns)])

@@ -25,8 +25,8 @@ from .data import (
     ablation_feature_indices,
     normalize_ablation_mode,
 )
-from .errors import CheckpointError, ConfigError, TrainingError, UndefinedMetricError
-from .model import ModelConfig, check_fields, forward_batch, init_params
+from .errors import CheckpointError, ConfigError, TrainingError, UndefinedMetricError, check_fields
+from .model import ModelConfig, forward_batch, init_params
 
 # the widest chunk of windows one forward-only pass runs; it bounds a worker's memory and sets no bits
 FORWARD_CHUNK = 512
@@ -36,22 +36,24 @@ LOSS_GROUP = 1024
 
 @dataclass
 class TrainConfig:
-    """Training hyperparameters; defaults follow the shipped configuration."""
+    """Training hyperparameters; defaults follow the shipped configuration, bounds sit in the fields' metadata."""
 
-    window: int = 10
-    hidden: int = 32
-    epochs: int = 200
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    seed: int = 0
-    loss_weight: float = 1.0  # lambda on the volatility term
+    window: int = field(default=10, metadata={"min": 1})
+    hidden: int = field(default=32, metadata={"min": 1})
+    epochs: int = field(default=200, metadata={"min": 1})
+    batch_size: int = field(default=64, metadata={"min": 1})
+    # a learning_rate of 0 is allowed deliberately: it must leave parameters unchanged
+    learning_rate: float = field(default=1e-3, metadata={"min": 0})
+    beta1: float = field(default=0.9, metadata={"min": 0, "below": 1})
+    beta2: float = field(default=0.999, metadata={"min": 0, "below": 1})
+    adam_eps: float = field(default=1e-8, metadata={"above": 0})
+    seed: int = field(default=0, metadata={"min": 0})
+    loss_weight: float = field(default=1.0, metadata={"min": 0})  # lambda on the volatility term
     ablation: str = "full"
     tda_normalize: bool = False
-    patience: int = 20
-    clip_norm: float = 5.0
+    patience: int = field(default=20, metadata={"min": 1})
+    # a negative clip_norm would scale gradients uphill
+    clip_norm: float = field(default=5.0, metadata={"min": 0, "note": "0 turns clipping off"})
     pos_weight_auto: bool = True
     two_stage: bool = False
     arch: str = "alerta"
@@ -59,26 +61,6 @@ class TrainConfig:
 
     def validate(self) -> None:
         check_fields(self, "training config")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError(f"epochs and batch_size must be >= 1, got {self.epochs}/{self.batch_size}")
-        # learning_rate == 0 is allowed deliberately: it must leave parameters unchanged.
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.loss_weight < 0:
-            raise ConfigError(f"loss_weight must be >= 0, got {self.loss_weight}")
-        # clip_norm == 0 turns clipping off; a negative one would scale gradients uphill.
-        if self.clip_norm < 0:
-            raise ConfigError(f"clip_norm must be >= 0 (0 turns clipping off), got {self.clip_norm}")
-        if self.adam_eps <= 0:
-            raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
-        if self.window < 1 or self.hidden < 1:
-            raise ConfigError(f"window and hidden must be >= 1, got {self.window}/{self.hidden}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise ConfigError(f"betas must lie in [0, 1), got {self.beta1}/{self.beta2}")
         normalize_ablation_mode(self.ablation)
 
     def to_dict(self) -> dict:

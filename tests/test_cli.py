@@ -64,7 +64,16 @@ class TestSynthCommand:
     def test_non_finite_base_price_fails_naming_it(self, tmp_path, capsys):
         assert run_cli("synth", "--out", tmp_path / "raw", "--days", "30", "--base-price", "nan") == 1
         err = capsys.readouterr().err
-        assert err == "error: base_price must be a finite number > 0, got nan\n"
+        assert err == "error: synth spec 'base_price' is nan, expected a finite number\n"
+
+    def test_base_price_that_overflows_fails_naming_it(self, tmp_path, capsys):
+        """It used to print numpy's overflow warning, then an error naming SYN00, not the setting."""
+        assert run_cli("synth", "--out", tmp_path / "raw", "--base-price", "1e308") == 1
+        assert capsys.readouterr().err == (
+            "error: base_price 1e+308 overflows float64 within n_days 1200; lower either\n")
+        assert not (tmp_path / "raw").exists()
+        assert run_cli("synth", "--out", tmp_path / "raw30", "--base-price", "1e308", "--days", "30") == 0
+        assert (tmp_path / "raw30" / "SYN00.csv").is_file()
 
 
 class TestNegativeSeed:
@@ -85,6 +94,14 @@ class TestNegativeSeed:
         monkeypatch.setattr(cli, "train", train)  # forked workers inherit the patch
         assert run_cli("ablate", "--dataset", prepared, "--out", tmp_path / "ablate", "--seed", "-1") == 1
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("command", ["synth", "train", "ablate", "baseline"])
+    def test_makes_no_out_directory(self, tmp_path, prepared, capsys, command):
+        source = ("--days", "30") if command == "synth" else ("--dataset", prepared)
+        out = tmp_path / f"{command}_out"
+        assert run_cli(command, *source, "--out", out, "--seed", "-1") == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
 
 
 class TestPrepareCommand:
@@ -188,7 +205,7 @@ class TestPrepareCommand:
         assert not (out / "dataset.json").exists()
 
     @pytest.mark.parametrize("flag, value, setting", [
-        ("--outlier", "nan", "outlier_threshold"), ("--window", "0", "window length"),
+        ("--outlier", "nan", "outlier_threshold"), ("--window", "0", "error: window must be >= 1, got 0"),
         ("--train-frac", "nan", "train_frac"),
     ])
     def test_bad_setting_fails_before_any_csv_is_read(self, tmp_path, synth_dir, capsys, monkeypatch,

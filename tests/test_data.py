@@ -426,9 +426,13 @@ class TestWindow:
         samples = dp.window(make_frame("A", 10), 10)
         assert len(samples) == 0 and list(samples) == []
 
-    @pytest.mark.parametrize("epsilon", [-1.0, 0.0, float("nan"), float("inf")])
-    def test_epsilon_must_be_finite_and_positive(self, epsilon):
-        with pytest.raises(ConfigError, match=r"epsilon must be a finite number > 0"):
+    @pytest.mark.parametrize("epsilon, message", [
+        (-1.0, "epsilon must be > 0, got -1.0"), (0.0, "epsilon must be > 0, got 0.0"),
+        (float("nan"), "'epsilon' is nan, expected a finite number"),
+        (float("inf"), "'epsilon' is inf, expected a finite number"),
+    ], ids=["-1.0", "0.0", "nan", "inf"])
+    def test_epsilon_must_be_finite_and_positive(self, epsilon, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             dp.window(make_frame("A", 12), 10, epsilon=epsilon)
 
     def test_sample_count(self):
@@ -530,13 +534,16 @@ class TestChronoSplit:
             with pytest.raises(ConfigError):
                 dp.chrono_split(samples, train_frac, valid_frac)
 
-    @pytest.mark.parametrize("train_frac, valid_frac", [
-        (float("nan"), 0.2), (0.6, float("nan")), (float("inf"), 0.2), (0.6, float("-inf")),
-    ])
-    def test_non_finite_fraction_is_config_error_naming_it(self, train_frac, valid_frac):
+    @pytest.mark.parametrize("train_frac, valid_frac, message", [
+        (float("nan"), 0.2, "'train_frac' is nan, expected a finite number"),
+        (0.6, float("nan"), "'valid_frac' is nan, expected a finite number"),
+        (float("inf"), 0.2, "'train_frac' is inf, expected a finite number"),
+        (0.6, float("-inf"), "'valid_frac' is -inf, expected a finite number"),
+    ], ids=["nan-0.2", "0.6-nan", "inf-0.2", "0.6--inf"])
+    def test_non_finite_fraction_is_config_error_naming_it(self, train_frac, valid_frac, message):
         """A nan fraction used to end in int()'s ValueError."""
         samples = dp.window(make_frame("A", 20), 10)
-        with pytest.raises(ConfigError, match=r"train_frac=\S+ valid_frac="):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             dp.chrono_split(samples, train_frac, valid_frac)
 
     def test_multi_stock_dates_never_straddle(self):
@@ -777,10 +784,12 @@ class TestDatasetRoundTrip:
         (dataset_text(window=8.5), r"malformed dataset \('window' is 8.5"),
         (dataset_text(dead_zone=[0.01, -0.01]), r"malformed dataset \(dead zone must satisfy lo < hi"),
         (dataset_text(train_frac=0.9, valid_frac=0.5), r"malformed dataset \(fractions must be positive"),
-        (dataset_text(window=0), r"malformed dataset \(window length must be >= 1"),
-        (dataset_text(epsilon=-1.0), r"malformed dataset \(epsilon must be a finite number > 0"),
-        (dataset_text(outlier_threshold=float("nan")), r"malformed dataset \(outlier_threshold must be a finite"),
-        (dataset_text(train_frac=float("nan")), r"malformed dataset \(fractions must be positive .*train_frac=nan"),
+        (dataset_text(window=0), r"malformed dataset \(window must be >= 1, got 0\);"),
+        (dataset_text(epsilon=-1.0), r"malformed dataset \(epsilon must be > 0, got -1\.0\);"),
+        (dataset_text(outlier_threshold=float("nan")),
+         r"malformed dataset \('outlier_threshold' is nan, expected a finite number\);"),
+        (dataset_text(train_frac=float("nan")),
+         r"malformed dataset \('train_frac' is nan, expected a finite number\);"),
     ], ids=["not-an-object", "window-not-an-int", "dead-zone-one-number", "train-frac-a-string",
             "outlier-null", "window-a-float", "dead-zone-reversed", "fractions-sum-above-1", "window-0",
             "epsilon-negative", "outlier-nan", "train-frac-nan"])

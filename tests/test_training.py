@@ -649,7 +649,7 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("changes, message", [
         ({"clip_norm": -1.0}, "clip_norm must be >= 0 (0 turns clipping off), got -1.0"),
-        ({"clip_norm": -1.0, "adam_eps": -1.0}, "clip_norm must be >= 0 (0 turns clipping off), got -1.0"),
+        ({"clip_norm": -1.0, "adam_eps": -1.0}, "adam_eps must be > 0, got -1.0"),
         ({"adam_eps": 0.0}, "adam_eps must be > 0, got 0.0"),
         ({"adam_eps": -1e-8}, "adam_eps must be > 0, got -1e-08"),
     ])
