@@ -304,12 +304,12 @@ def cmd_prepare(args) -> int:
     # a bad setting fails before any CSV is read
     settings = PrepareSettings(args.window, tuple(args.dead_zone), args.outlier, args.train_frac, args.valid_frac,
                                args.epsilon)
-    out = _resolve_out(args, "prepare")
-    manifest = _ManifestWriter("prepare", out, None)
     data_dir = Path(args.data)
     csv_paths = sorted(data_dir.glob("*.csv"))
     if not csv_paths:
         raise ConfigError(f"no input frames: no .csv files under {data_dir}")
+    out = _resolve_out(args, "prepare")  # made once the settings passed and there are frames to read
+    manifest = _ManifestWriter("prepare", out, None)
     schema = [c.strip() for c in args.schema.split(",")] if args.schema else None
     with manifest.phase("load"):
         loaded, manifest.workers = _in_workers(lambda path: (serialize.sha256_file(path), load_frame(path, schema)),
@@ -377,9 +377,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    out = _resolve_out(args, "eval")
     split = load_dataset(args.dataset)
     params, config, _ = load_checkpoint(args.checkpoint)
+    out = _resolve_out(args, "eval")  # made once the dataset and the checkpoint loaded
     manifest = _ManifestWriter("eval", out, None)
     manifest.add_input("dataset", args.dataset)
     manifest.add_input("checkpoint", args.checkpoint)

@@ -657,7 +657,7 @@ def load_dataset(path: str | Path) -> DatasetSplit:
         raise ParseError(f"{path}: missing key {exc.args[0]!r}; rerun `alertanet prepare`") from None
     except (TypeError, ValueError, ConfigError) as exc:
         raise ParseError(f"{path}: malformed dataset ({exc}); rerun `alertanet prepare`") from exc
-    except (DataIntegrityError, ParseError) as exc:
+    except (DataIntegrityError, ParseError, PreprocessingError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
     split.meta = meta
     return split

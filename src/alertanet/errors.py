@@ -74,7 +74,6 @@ _FIELD_TYPES = {
     "list[str]": (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v), "a list of strings"),
     "tuple[float, float]": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)),
                             "a pair of finite numbers"),
-    "np.ndarray | None": (lambda v: True, "anything"),  # the owner converts and checks it
 }
 
 

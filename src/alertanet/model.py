@@ -32,6 +32,13 @@ CHECKPOINT_VERSION = 2
 
 ARCHITECTURES = ("alerta", "gru")
 
+
+def check_architecture(arch: str) -> None:
+    """Raise a :class:`ConfigError` unless ``arch`` is one of :data:`ARCHITECTURES`."""
+    if arch not in ARCHITECTURES:
+        raise ConfigError(f"unknown architecture {arch!r}; expected one of {ARCHITECTURES}")
+
+
 # Cell matrices stack one hidden_dim-row block per gate, in the order z, r, h.
 _CELL_MATRICES = ("W", "R_zr", "R_h")
 
@@ -48,8 +55,7 @@ class ModelConfig:
 
     def __post_init__(self):
         check_fields(self, "model config")
-        if self.arch not in ARCHITECTURES:
-            raise ConfigError(f"unknown architecture {self.arch!r}; expected one of {ARCHITECTURES}")
+        check_architecture(self.arch)
         if self.feature_names and len(self.feature_names) != self.input_dim:
             raise ConfigError(
                 f"{len(self.feature_names)} feature names vs input_dim {self.input_dim}"

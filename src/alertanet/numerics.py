@@ -11,16 +11,18 @@ product.  A forward-only pass (see :meth:`ParamStore.constants`) projects with
 
 Gradients are computed with a small tape: every operation returns a
 :class:`Tensor` that remembers its parents and how to push gradients back to
-them.  Calling :func:`backward` on a 1x1 scalar walks the tape in reverse
-topological order.  A node that no gradient can reach keeps neither, so a
+them.  Calling :func:`backward` on a 1x1 scalar walks the nodes it reaches
+in reverse creation order: a node is made after its parents, so that order
+is topological.  A node that no gradient can reach keeps neither, so a
 pass over :meth:`ParamStore.constants` frees each op's intermediates as soon
 as it is done with them.  Parameters live in a :class:`ParamStore`: every
 value is a view into one flat buffer and every gradient a view into another,
-so the optimizer updates a run of parameters in one pass.
+so the optimizer updates adjacent parameters in one pass.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -38,6 +40,11 @@ def as_matrix(data) -> np.ndarray:
     return arr
 
 
+# every Tensor takes the next number, so a node's number is above its parents'; only that order is used,
+# so one counter serves every thread, and forward-only threads, which record no tape, use numbers up harmlessly
+_creation_index = itertools.count()
+
+
 class Tensor:
     """A float64 matrix plus the bookkeeping needed for reverse mode.
 
@@ -45,10 +52,11 @@ class Tensor:
     of every backward walk, so it keeps no parents and no backward closure.
     ``grad`` is a zeroed buffer from the start only for leaves that require
     it, such as :class:`ParamStore` entries; a recorded node gets one from
-    :func:`backward`, so a forward-only pass allocates none.
+    :func:`backward`, so a forward-only pass allocates none.  ``_index``
+    counts creation across the process; :func:`backward` walks by it.
     """
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward_fn", "_index")
 
     def __init__(
         self,
@@ -63,6 +71,7 @@ class Tensor:
         self.grad = np.zeros_like(self.value) if requires_grad and not parents else None
         self._parents = parents if self.requires_grad else ()
         self._backward_fn = backward_fn if self.requires_grad else None
+        self._index = next(_creation_index)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -270,43 +279,32 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray, pos_weight: np.ndarray)
     return record(out, (logits,), backward_fn)
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in seen:
-                stack.append((parent, False))
-    return order
-
-
 def backward(loss: Tensor) -> None:
     """Populate gradients of every trainable tensor reachable from ``loss``.
 
     ``loss`` must be a 1x1 scalar recorded from an input that requires a
     gradient.  Every node on the walk that has no ``grad`` buffer yet gets a
     zeroed one first; gradients accumulate into existing buffers, so call
-    :meth:`ParamStore.zero_grads` first when starting a fresh step.
+    :meth:`ParamStore.zero_grads` first when starting a fresh step.  Nodes
+    push their gradients in reverse creation order, so each has all of its
+    gradient before it pushes, and shared gradients sum in a fixed order.
     """
     if loss.value.shape != (1, 1):
         raise UsageError(f"backward requires a 1x1 scalar loss, got shape {loss.value.shape}")
     if loss._backward_fn is None and not loss._parents:
         raise UsageError("backward called on a tensor with no recorded computation")
-    order = _topo_order(loss)
+    reached, stack = {loss}, [loss]  # a Tensor hashes and compares by identity
+    while stack:
+        for parent in stack.pop()._parents:
+            if parent.requires_grad and parent not in reached:
+                reached.add(parent)
+                stack.append(parent)
+    order = sorted(reached, key=lambda node: node._index, reverse=True)
     for node in order:
         if node.grad is None:
             node.grad = np.zeros_like(node.value)
     loss.grad += 1.0
-    for node in reversed(order):
+    for node in order:
         if node._backward_fn is not None:
             node._backward_fn(node.grad)
 
@@ -350,17 +348,14 @@ class ParamStore:
     def items(self) -> Iterable[tuple[str, Tensor]]:
         return self._slots.items()
 
-    def runs(self, names: Iterable[str]) -> list[slice]:
-        """The flat-buffer slices of ``names``, in order, with adjacent ones merged."""
-        runs: list[slice] = []
+    def span(self, names: Sequence[str]) -> slice:
+        """The one flat-buffer slice of ``names``, which must be adjacent and in store order."""
         for name in names:
             self[name]  # rejects an unknown name
-            span = self._spans[name]
-            if runs and runs[-1].stop == span.start:
-                runs[-1] = slice(runs[-1].start, span.stop)
-            else:
-                runs.append(span)
-        return runs
+        spans = [self._spans[name] for name in names]
+        if not spans or any(a.stop != b.start for a, b in zip(spans, spans[1:])):
+            raise UsageError(f"parameters {list(names)} are not adjacent in the store")
+        return slice(spans[0].start, spans[-1].stop)
 
     def constants(self) -> ParamStore:
         """The same parameters as non-grad leaves over the same value arrays.

@@ -12,9 +12,11 @@ model to remember an old input, which is what the temporal-distance context
 is supposed to be good at; the plain GRU baseline has to carry the same
 information through its recurrence.
 
-Price-tagged columns are rewritten after the price path is drawn (level and
-absolute-return features); they carry no movement signal by construction and
-the generator rejects specs that put signal weight on them.
+The layout follows from ``n_features`` alone: :func:`default_feature_names`
+names the columns and :func:`default_signal_weights` weighs them.  Price
+columns are rewritten after the price path is drawn (level and
+absolute-return features); they carry no weight, and so no movement signal,
+by construction.
 """
 
 from __future__ import annotations
@@ -49,11 +51,6 @@ def default_signal_weights(feature_names: list[str]) -> np.ndarray:
     """Zero-sum alternating weights on the sentiment columns, zero elsewhere."""
     weights = np.zeros(len(feature_names))
     sent = [i for i, n in enumerate(feature_names) if feature_category(n) == "sentiment"]
-    if len(sent) < 2:
-        raise ConfigError(
-            "default signal weights need at least two sentiment columns; "
-            "pass explicit signal_weights for this layout"
-        )
     for j, idx in enumerate(sent):
         weights[idx] = 1.0 if j % 2 == 0 else -1.0
     block = weights[sent]
@@ -64,35 +61,23 @@ def default_signal_weights(feature_names: list[str]) -> np.ndarray:
 @dataclass
 class SynthSpec:
     n_days: int = field(default=5000, metadata={"min": 3})
-    n_features: int = field(default=8, metadata={"min": 1})
+    # three columns are the fewest whose default layout has the two sentiment columns zero-sum weights need
+    n_features: int = field(default=8, metadata={"min": 3})
     seed: int = field(default=0, metadata={"min": 0})
-    signal_weights: np.ndarray | None = None
     noise_flip_prob: float = field(default=0.1, metadata={"min": 0, "below": 0.5})
     volatility_lag: int = field(default=7, metadata={"min": 1})
     base_price: float = field(default=100.0, metadata={"above": 0})
-    feature_names: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         check_fields(self, "synth spec")
-        if not self.feature_names:
-            self.feature_names = default_feature_names(self.n_features)
-        if len(self.feature_names) != self.n_features:
-            raise ConfigError(
-                f"{len(self.feature_names)} feature names vs n_features {self.n_features}"
-            )
-        if self.signal_weights is None:
-            self.signal_weights = default_signal_weights(self.feature_names)
-        self.signal_weights = np.asarray(self.signal_weights, dtype=np.float64)
-        if self.signal_weights.shape != (self.n_features,):
-            raise ConfigError(
-                f"signal_weights shape {self.signal_weights.shape} vs n_features {self.n_features}"
-            )
-        for i, name in enumerate(self.feature_names):
-            if feature_category(name) == "price" and self.signal_weights[i] != 0.0:
-                raise ConfigError(
-                    f"signal weight on price-derived column {name!r} is not allowed: "
-                    "price columns are overwritten with realized prices"
-                )
+
+    @property
+    def feature_names(self) -> list[str]:
+        return default_feature_names(self.n_features)
+
+    @property
+    def signal_weights(self) -> np.ndarray:
+        return default_signal_weights(self.feature_names)
 
 
 def bayes_rate(spec: SynthSpec) -> float:
@@ -153,7 +138,7 @@ def generate_with_truth(spec: SynthSpec, stock_id: str = "SYNTH") -> tuple[Featu
         stock_id=stock_id,
         dates=np.arange(_START_DATE, _START_DATE + n),
         adj_close=prices,
-        feature_names=list(spec.feature_names),
+        feature_names=spec.feature_names,
         features=features,
     )
     truth = {

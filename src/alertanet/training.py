@@ -26,7 +26,7 @@ from .data import (
     normalize_ablation_mode,
 )
 from .errors import CheckpointError, ConfigError, TrainingError, UndefinedMetricError, check_fields
-from .model import ModelConfig, forward_batch, init_params
+from .model import ModelConfig, check_architecture, forward_batch, init_params
 
 # the widest chunk of windows one forward-only pass runs; it bounds a worker's memory and sets no bits
 FORWARD_CHUNK = 512
@@ -62,6 +62,7 @@ class TrainConfig:
     def validate(self) -> None:
         check_fields(self, "training config")
         normalize_ablation_mode(self.ablation)
+        check_architecture(self.arch)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -97,8 +98,9 @@ def _loss_terms(logits: nx.Tensor, y_m, y_v, loss_weight, pos_weight):
 class Adam:
     """Adam with bias correction and flat moments ``m`` and ``v``, parallel to the store's buffers.
 
-    A step updates each contiguous run of the named parameters in one pass,
-    with the expressions of a per-parameter loop, so every entry keeps its bits.
+    A step updates the named parameters, which must be adjacent in the store
+    (see :meth:`~alertanet.numerics.ParamStore.span`), in one pass, with the
+    expressions of a per-parameter loop, so every entry keeps its bits.
     """
 
     def __init__(self, learning_rate: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -110,18 +112,18 @@ class Adam:
         self.m = self.v = None  # allocated at the first step
 
     def step(self, params: nx.ParamStore, names: list[str] | None = None) -> None:
+        span = params.span(names if names is not None else params.names())
         self.steps += 1
         bc1 = 1.0 - self.beta1 ** self.steps
         bc2 = 1.0 - self.beta2 ** self.steps
         if self.m is None:
             self.m, self.v = np.zeros_like(params.flat_grads), np.zeros_like(params.flat_grads)
-        for run in params.runs(names if names is not None else params.names()):
-            grad, m, v = params.flat_grads[run], self.m[run], self.v[run]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            params.flat_values[run] -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        grad, m, v = params.flat_grads[span], self.m[span], self.v[span]
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad * grad
+        params.flat_values[span] -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 def _global_norm(arrays) -> float:
@@ -136,15 +138,14 @@ def _global_norm(arrays) -> float:
 
 
 def clip_gradients(params: nx.ParamStore, names: list[str], max_norm: float) -> float:
-    """Scale the named gradients, a contiguous run at a time, so their joint L2 norm is at most ``max_norm``.
+    """Scale the named gradients, adjacent in the store, so their joint L2 norm is at most ``max_norm``.
 
     Returns the norm before clipping.
     """
+    span = params.span(names)
     norm = _global_norm(params[name].grad for name in names)
     if max_norm and norm > max_norm:
-        factor = max_norm / norm
-        for run in params.runs(names):
-            params.flat_grads[run] *= factor
+        params.flat_grads[span] *= max_norm / norm
     return norm
 
 

@@ -75,6 +75,13 @@ class TestSynthCommand:
         assert run_cli("synth", "--out", tmp_path / "raw30", "--base-price", "1e308", "--days", "30") == 0
         assert (tmp_path / "raw30" / "SYN00.csv").is_file()
 
+    def test_too_few_features_fails_naming_the_bound(self, tmp_path, capsys):
+        """It used to ask for explicit signal weights, which no flag can pass."""
+        out = tmp_path / "raw"
+        assert run_cli("synth", "--out", out, "--days", "30", "--features", "2") == 1
+        assert capsys.readouterr().err == "error: n_features must be >= 3, got 2\n"
+        assert not out.exists()
+
 
 class TestNegativeSeed:
     """``--seed -1`` used to reach ``np.random.default_rng`` and print its traceback."""
@@ -127,6 +134,14 @@ class TestPrepareCommand:
         empty.mkdir()
         assert run_cli("prepare", "--data", empty, "--out", tmp_path / "o") == 1
         assert "no input frames" in capsys.readouterr().err
+
+    def test_dir_without_csv_makes_no_out_directory(self, tmp_path, capsys):
+        empty, out = tmp_path / "none", tmp_path / "o"
+        empty.mkdir()
+        (empty / "notes.txt").write_text("no frames here")
+        assert run_cli("prepare", "--data", empty, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: no input frames: no .csv files under {empty}\n"
+        assert not out.exists()
 
     def test_short_frame_warns_but_continues(self, tmp_path, synth_dir, capsys):
         (synth_dir / "TINY.csv").write_text(
@@ -331,6 +346,27 @@ class TestTrainEval:
                        "--epochs", "1") == 1
         err = capsys.readouterr().err
         assert "eps.json: adam_eps must be > 0, got 0" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "baseline"])
+    def test_unknown_arch_in_config_file_names_file_and_makes_no_out_directory(self, tmp_path, prepared, capsys,
+                                                                                command):
+        """``train`` used to fail only once training began, after making ``--out``; ``baseline``, which
+        sets the arch of each variant, used to accept the file."""
+        cfg_path, out = tmp_path / "arch.json", tmp_path / command
+        cfg_path.write_text(json.dumps({"arch": "lstm"}))
+        assert run_cli(command, "--dataset", prepared, "--out", out, "--config", cfg_path, "--epochs", "1") == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg_path}: unknown architecture 'lstm'; expected one of ('alerta', 'gru')\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("missing", ["dataset", "checkpoint"])
+    def test_eval_of_a_missing_input_makes_no_out_directory(self, tmp_path, prepared, capsys, missing):
+        dataset = tmp_path / "nope.json" if missing == "dataset" else prepared
+        out = tmp_path / "e"
+        assert run_cli("eval", "--dataset", dataset, "--checkpoint", tmp_path / "nope.json", "--out", out) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "nope.json" in lines[0], lines
+        assert not out.exists()
 
     def test_config_file_not_an_object_names_file(self, tmp_path, prepared, capsys):
         cfg_path = tmp_path / "scalar.json"

@@ -799,6 +799,17 @@ class TestDatasetRoundTrip:
         with pytest.raises(ParseError, match=rf"dataset\.json: {message}"):
             dp.load_dataset(path)
 
+    def test_stored_negative_feature_names_file(self, tmp_path):
+        """A negative stored feature used to fail with a message that did not name the file."""
+        obj = json.loads(dataset_text())
+        features = serialize.decode_array(obj["frames"][1]["features"])
+        features[3, 0] = -1.0
+        obj["frames"][1]["features"] = serialize.encode_array(features)
+        path = tmp_path / "dataset.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(PreprocessingError, match=r"dataset\.json: negative entry in feature sent_0; "):
+            dp.load_dataset(path)
+
     def test_save_without_frames_is_usage_error(self, tmp_path):
         split = dp.chrono_split(dp.window(make_frame("A", 20), 10), 0.6, 0.2)
         path = tmp_path / "dataset.json"

@@ -11,9 +11,10 @@ from alertanet.errors import CheckpointError, ConfigError, DimensionError, Domai
 from alertanet.synth import SynthSpec, generate_universe
 
 from testutil import (
-    BAD_CHECKPOINTS, add, affine, bad_checkpoint, bias_add, cell_forward_oracle, cell_step_concat_oracle,
-    cell_step_oracle, cell_step_parent_oracle, concat_rows, forward_batch_oracle, hidden_states, joint_loss, matmul,
-    mul, per_op_heads, per_op_loss, sample_set, sigmoid, stack_windows, tanh,
+    BAD_CHECKPOINTS, add, affine, backward_oracle, bad_checkpoint, bias_add, cell_forward_oracle,
+    cell_step_concat_oracle, cell_step_oracle, cell_step_parent_oracle, concat_rows, forward_batch_oracle,
+    hidden_states, joint_loss, matmul, mul, per_op_heads, per_op_loss, sample_set, sigmoid, stack_windows, tanh,
+    topo_order_oracle,
 )
 
 
@@ -365,6 +366,55 @@ class TestZeroStateProducts:
 
 def bits(arr):
     return np.ascontiguousarray(arr).view(np.int64)
+
+
+# model overrides, batch and loss weight of each graph ``train`` backpropagates; two-stage trains
+# the movement stage with no volatility term, then the volatility head with it
+WALK_GRAPHS = {
+    "alerta-shared": ({}, 16, 0.7),
+    "alerta-unshared": ({"shared_context_cell": False}, 16, 0.7),
+    "gru": ({"arch": "gru"}, 16, 0.7),
+    "tda-normalize": ({"tda_normalize": True}, 16, 0.7),
+    "single-window": ({}, 1, 0.7),
+    "two-stage-movement": ({"arch": "gru"}, 16, 0.0),
+    "two-stage-volatility": ({"arch": "gru"}, 16, 1.0),
+}
+
+
+class TestBackwardWalksInCreationOrder:
+    """``nx.backward`` runs the closures of the nodes it reaches in reverse creation order; the
+    former walk, the reverse of a post-order depth-first search, is the oracle."""
+
+    @pytest.mark.parametrize("kind", sorted(WALK_GRAPHS))
+    def test_closures_run_in_the_oracle_order_and_gradients_bit_identical(self, two_stock_samples, kind):
+        overrides, batch, loss_weight = WALK_GRAPHS[kind]
+        config = md.ModelConfig(input_dim=8, hidden_dim=6, window=4, **overrides)
+        samples = two_stock_samples[mixed_rows(two_stock_samples, batch, np.random.default_rng(batch))]
+        grads = []
+        for walk in (nx.backward, backward_oracle):
+            params = make_params(config, seed=4)
+            loss = joint_loss(md.forward_batch(samples, params, config), samples.y_m, samples.y_v, loss_weight, 1.3)
+            want = [node for node in reversed(topo_order_oracle(loss)) if node._backward_fn is not None]
+            called = []
+            for node in want:
+                node._backward_fn = self.recording(node, called)
+            walk(loss)
+            assert [id(node) for node in called] == [id(node) for node in want]
+            grads.append([t.grad.copy() for _, t in params.items()])
+        assert len(want) > config.window  # a closure for each step of the encoder, and more
+        for g, w in zip(*grads):
+            assert np.array_equal(bits(g), bits(w))
+
+    @staticmethod
+    def recording(node, called):
+        """``node``'s closure, which first appends ``node`` to ``called``."""
+        fn = node._backward_fn
+
+        def backward_fn(grad):
+            called.append(node)
+            fn(grad)
+
+        return backward_fn
 
 
 class TestCellBackwardMatchesConcatOracle:

@@ -605,16 +605,18 @@ class TestParamStore:
         b.value[0, 0] = 9.0
         assert consts["b"].value[0, 0] == 9.0
 
-    def test_runs_merge_adjacent_names_in_the_order_given(self):
+    def test_span_of_adjacent_names_is_one_slice(self):
         params = nx.ParamStore()
         for name, size in (("a", 2), ("b", 3), ("c", 1), ("d", 4)):
             params.add(name, np.ones((1, size)))
-        assert params.runs(params.names()) == [slice(0, 10)]
-        assert params.runs(["c", "d"]) == [slice(5, 10)]
-        assert params.runs(["a", "c"]) == [slice(0, 2), slice(5, 6)]
-        assert params.runs(["b", "a"]) == [slice(2, 5), slice(0, 2)]
-        with pytest.raises(UsageError):
-            params.runs(["a", "z"])
+        assert params.span(params.names()) == slice(0, 10)
+        assert params.span(["c", "d"]) == slice(5, 10)
+        assert params.span(["b"]) == slice(2, 5)
+        for names in (["a", "c"], ["b", "a"], ["a", "b", "d"], []):
+            with pytest.raises(UsageError, match="not adjacent"):
+                params.span(names)
+        with pytest.raises(UsageError, match="unknown parameter 'z'"):
+            params.span(["a", "z"])
 
 
 def test_non_finite_input_rejected():

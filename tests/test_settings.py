@@ -17,10 +17,6 @@ TINY = 5e-324  # the smallest float above 0
 BELOW_1 = float(np.nextafter(1.0, 0.0))
 BELOW_HALF = float(np.nextafter(0.5, 0.0))
 
-# the other fields a value needs to pass: one sentiment column has no default signal weights
-CONTEXT = {
-    (SynthSpec, "n_features"): {"feature_names": ["sent_0"], "signal_weights": [1.0]},
-}
 MODEL = {"input_dim": 2, "hidden_dim": 2, "window": 2}
 
 # class, field, key of the bound, the value at its edge that passes, the value just past it, its message
@@ -40,7 +36,7 @@ BOUNDS = [
     (TrainConfig, "patience", "min", 1, 0, "patience must be >= 1, got 0"),
     (TrainConfig, "clip_norm", "min", 0.0, -TINY, "clip_norm must be >= 0 (0 turns clipping off), got -5e-324"),
     (SynthSpec, "n_days", "min", 3, 2, "n_days must be >= 3, got 2"),
-    (SynthSpec, "n_features", "min", 1, 0, "n_features must be >= 1, got 0"),
+    (SynthSpec, "n_features", "min", 3, 2, "n_features must be >= 3, got 2"),
     (SynthSpec, "seed", "min", 0, -1, "seed must be >= 0, got -1"),
     (SynthSpec, "noise_flip_prob", "min", 0.0, -TINY, "noise_flip_prob must be in [0, 0.5), got -5e-324"),
     (SynthSpec, "noise_flip_prob", "below", BELOW_HALF, 0.5, "noise_flip_prob must be in [0, 0.5), got 0.5"),
@@ -74,10 +70,9 @@ def test_the_table_holds_every_declared_bound():
 @pytest.mark.parametrize("cls, name, key, edge, past, message", BOUNDS,
                          ids=[f"{row[0].__name__}-{row[1]}-{row[2]}" for row in BOUNDS])
 def test_edge_passes_and_the_value_past_it_fails(cls, name, key, edge, past, message):
-    context = CONTEXT.get((cls, name), {})
-    assert getattr(make(cls, **context, **{name: edge}), name) == edge
+    assert getattr(make(cls, **{name: edge}), name) == edge
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-        make(cls, **context, **{name: past})
+        make(cls, **{name: past})
 
 
 @pytest.mark.parametrize("cls, values, message", [

@@ -20,10 +20,6 @@ class TestSpec:
         assert np.sum(w) == pytest.approx(0.0, abs=1e-15)
         assert np.any(w != 0.0)
 
-    def test_rejects_weight_on_price_column(self):
-        with pytest.raises(ConfigError, match="price"):
-            synth.SynthSpec(n_days=100, n_features=8, signal_weights=np.ones(8))
-
     @pytest.mark.parametrize("base_price", [float("nan"), float("inf"), 0.0])
     def test_rejects_base_price_that_is_not_finite_and_positive(self, base_price):
         """A nan base price used to fail later, in a FeatureFrame message that did not name it."""

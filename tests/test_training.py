@@ -117,9 +117,9 @@ class TestAdam:
 
 
 class TestFlatOptimizerMatchesPerNameOracle:
-    """Zeroing, clipping and Adam over runs of the flat buffers against the former per-name loops."""
+    """Zeroing, clipping and Adam over one span of the flat buffers against the former per-name loops."""
 
-    @pytest.mark.parametrize("names", [None, ["W_v", "b_v"], ["W", "b"], ["b_v", "R_h", "W_m"]])
+    @pytest.mark.parametrize("names", [None, ["W_v", "b_v"], ["W_m", "b_m", "W_v", "b_v"]])
     @pytest.mark.parametrize("shared", [True, False])
     def test_parameters_after_five_clipped_steps_bit_identical(self, names, shared):
         config = md.ModelConfig(input_dim=5, hidden_dim=6, window=4, shared_context_cell=shared)
@@ -149,6 +149,19 @@ class TestFlatOptimizerMatchesPerNameOracle:
         if names is not None:  # names outside the run kept their initial values
             init = md.init_params(config, np.random.default_rng(3))
             assert all(np.array_equal(got_values[n], init[n].value) for n in init.names() if n not in names)
+
+    @pytest.mark.parametrize("names", [["W", "b"], ["b_v", "R_h", "W_m"]])
+    def test_names_not_adjacent_in_the_store_raise_and_change_nothing(self, names):
+        params = md.init_params(md.ModelConfig(input_dim=5, hidden_dim=6, window=4), np.random.default_rng(3))
+        values = params.flat_values.copy()
+        params.flat_grads[:] = 1.0
+        adam = tr.Adam(0.05)
+        with pytest.raises(UsageError, match="not adjacent"):
+            tr.clip_gradients(params, names, 0.05)
+        with pytest.raises(UsageError, match="not adjacent"):
+            adam.step(params, names)
+        assert np.all(params.flat_grads == 1.0) and np.array_equal(params.flat_values, values)
+        assert adam.steps == 0 and adam.m is None
 
 
 class TestClip:

@@ -294,6 +294,38 @@ def clip_gradients_oracle(params, names, max_norm):
     return norm
 
 
+def topo_order_oracle(root):
+    """The former ``numerics._topo_order``: the nodes that need a gradient, by a post-order depth-first search."""
+    order = []
+    seen = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                stack.append((parent, False))
+    return order
+
+
+def backward_oracle(loss):
+    """The former ``numerics.backward``: the closures run in the reverse of :func:`topo_order_oracle`."""
+    order = topo_order_oracle(loss)
+    for node in order:
+        if node.grad is None:
+            node.grad = np.zeros_like(node.value)
+    loss.grad += 1.0
+    for node in reversed(order):
+        if node._backward_fn is not None:
+            node._backward_fn(node.grad)
+
+
 def zero_grads_oracle(params):
     """The former ``ParamStore.zero_grads``: each gradient filled on its own."""
     for _, tensor in params.items():
