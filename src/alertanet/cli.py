@@ -38,6 +38,7 @@ from .data import (
     ABSTAIN,
     PrepareSettings,
     build_dataset,
+    check_schema,
     load_dataset,
     load_frame,
     save_dataset,
@@ -251,7 +252,9 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
 def _resolve_train_config(args, dataset_window: int) -> TrainConfig:
     """Defaults, then the ``--config`` file, then flags; the window defaults to the prepared dataset's.
 
-    The file's values are validated here, so that an error names the file; ``train`` validates the rest.
+    The file's values are validated first, so that an error names the file;
+    then the whole config, and its window against the dataset's, so that a
+    bad setting fails before ``--out`` is made.
     """
     cfg = TrainConfig(window=dataset_window)
     if args.config:
@@ -267,7 +270,11 @@ def _resolve_train_config(args, dataset_window: int) -> TrainConfig:
         except ConfigError as exc:
             raise ConfigError(f"{args.config}: {exc}") from None
     flags = {name: getattr(args, name, None) for name in cfg.to_dict()}
-    return replace(cfg, **{name: value for name, value in flags.items() if value is not None})
+    cfg = replace(cfg, **{name: value for name, value in flags.items() if value is not None})
+    cfg.validate()
+    if cfg.window != dataset_window:
+        raise ConfigError(f"dataset window {dataset_window} does not match config window {cfg.window}")
+    return cfg
 
 
 # --- commands ---------------------------------------------------------------
@@ -301,16 +308,17 @@ def cmd_synth(args) -> int:
 
 
 def cmd_prepare(args) -> int:
-    # a bad setting fails before any CSV is read
+    # a bad setting fails before any CSV is listed
     settings = PrepareSettings(args.window, tuple(args.dead_zone), args.outlier, args.train_frac, args.valid_frac,
                                args.epsilon)
+    schema = [c.strip() for c in args.schema.split(",")] if args.schema else None
+    check_schema(schema)
     data_dir = Path(args.data)
     csv_paths = sorted(data_dir.glob("*.csv"))
     if not csv_paths:
         raise ConfigError(f"no input frames: no .csv files under {data_dir}")
     out = _resolve_out(args, "prepare")  # made once the settings passed and there are frames to read
     manifest = _ManifestWriter("prepare", out, None)
-    schema = [c.strip() for c in args.schema.split(",")] if args.schema else None
     with manifest.phase("load"):
         loaded, manifest.workers = _in_workers(lambda path: (serialize.sha256_file(path), load_frame(path, schema)),
                                                csv_paths)
@@ -359,7 +367,6 @@ def _write_checkpoint(out: Path, name: str, params, config, cfg: TrainConfig, ma
 def cmd_train(args) -> int:
     split = load_dataset(args.dataset)
     cfg = _resolve_train_config(args, split.window)
-    cfg.validate()  # a bad setting fails before --out is made
     out = _resolve_out(args, "train")
     manifest = _ManifestWriter("train", out, cfg.seed)
     manifest.add_input("dataset", args.dataset)
@@ -449,8 +456,7 @@ def _run_variants(args, variants: list[tuple[str, dict]], command: str, report_s
     with manifest.phase("load"):
         split = load_dataset(args.dataset)
     manifest.add_input("dataset", args.dataset)
-    base = _resolve_train_config(args, split.window)
-    base.validate()  # a bad setting fails here, before --out is made and the workers start
+    base = _resolve_train_config(args, split.window)  # a bad setting fails before --out is made and workers start
     manifest.out_dir = out = _resolve_out(args, command)
     configs = {label: replace(base, **overrides) for label, overrides in variants}
 

@@ -139,6 +139,13 @@ def _parse_float(cell: str, line_no: int, column: str, path) -> float:
         raise ParseError(f"{path}: row {line_no}: non-numeric value {cell!r} in column {column!r}") from None
 
 
+def check_schema(schema: list[str] | None) -> None:
+    """Raise a :class:`SchemaError` if ``schema`` names a column more than once."""
+    if schema is not None and len(set(schema)) < len(schema):
+        repeated = next(c for c in schema if schema.count(c) > 1)
+        raise SchemaError(f"the schema names column {repeated!r} more than once")
+
+
 def load_frame(path: str | Path, schema: list[str] | None = None) -> FeatureFrame:
     """Load one per-stock CSV.
 
@@ -179,9 +186,7 @@ def load_frame(path: str | Path, schema: list[str] | None = None) -> FeatureFram
     about 1.2 MB.
     """
     path = Path(path)
-    if schema is not None and len(set(schema)) < len(schema):
-        repeated = next(c for c in schema if schema.count(c) > 1)
-        raise SchemaError(f"the schema names column {repeated!r} more than once")
+    check_schema(schema)
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             lines = fh.readlines()  # the lines csv.reader splits: at "\n", "\r\n" and "\r" only

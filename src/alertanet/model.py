@@ -12,6 +12,10 @@ and differentiable end to end.
 The plain-GRU baseline ("gru" arch) drops the context entirely: movement
 reads h^T alone and volatility reads [h^T; p_move].  It exists to isolate
 the contribution of the TDA mechanism.
+
+A pass takes its blocks from a :class:`~alertanet.numerics.Arena`: a taped
+pass from the one its caller passes, as ``train`` passes one for all its
+steps, or else new ones; a forward-only pass from its thread's own.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -181,42 +184,52 @@ def cell_step(
     params: nx.ParamStore,
     prefix: str = "",
     cols: slice = slice(None),
+    arena: nx.Arena | None = None,
 ) -> nx.Tensor:
     """One GRU cell update on a (hidden x batch) block, recorded as one tape node.
 
     ``wx`` holds the input projection ``W x`` (rows z, r, h), usually of every
     step side by side; ``cols`` selects this step's columns of it.  The value
-    is :func:`gru_cell`'s, formed in new blocks that the backward then reads.
+    is :func:`gru_cell`'s, formed in blocks of ``arena`` (new blocks without
+    one) that the backward then reads; the backward's scratch comes from the
+    same arena, inside a scope, so every cell's backward reuses it.
     """
+    arena = nx.Arena() if arena is None else arena
     r_zr, r_h, b = params[prefix + "R_zr"], params[prefix + "R_h"], params[prefix + "b"]
     u, n = r_h.rows, h_prev.cols
     h = h_prev.value
-    zr, work, cand = np.empty((2 * u, n)), np.empty((2 * u, n)), np.empty((u, n))
+    zr, work, cand = arena.take((2 * u, n)), arena.take((2 * u, n)), arena.take((u, n))
     out = gru_cell(wx.value[:, cols], h, r_zr.value, r_h.value, b.value, zr=zr, work=work,
-                   mask=np.empty((2 * u, n), dtype=bool), cand=cand, zc=np.empty((u, n)), out=np.empty((u, n)))
+                   mask=arena.take((2 * u, n), bool), cand=cand, zc=arena.take((u, n)), out=arena.take((u, n)))
     z, r = zr[:u], zr[u:]
     rh, keep = work[:u], work[u:]
 
     def backward_fn(grad):
         # the gate gradients [d_zr; d_cand] fill one block in gate order, so that W x and b take one pass each;
-        # d_cand is (grad * z) * (1 - cand^2) and d_zr (concatenate([grad * (cand - h), d_rh * h]) * zr) * (1 - zr)
-        d = np.empty((3 * u, grad.shape[1]))
-        d_zr, d_cand = d[: 2 * u], d[2 * u :]
-        np.multiply(grad, z, out=d_cand)
-        d_cand *= 1.0 - cand * cand
-        d_rh = np.dot(r_h.value.T, d_cand)
-        np.multiply(grad, cand - h, out=d_zr[:u])
-        np.multiply(d_rh, h, out=d_zr[u:])
-        d_zr *= zr
-        d_zr *= 1.0 - zr
-        if h_prev.requires_grad:
-            h_prev.grad += grad * keep + d_rh * r + np.dot(r_zr.value.T, d_zr)
-        if wx.requires_grad:
-            wx.grad[:, cols] += d
-        # ParamStore entries always require gradients in a recorded node
-        r_zr.grad += np.dot(d_zr, h.T)
-        r_h.grad += np.dot(d_cand, rh.T)
-        b.grad += np.add.reduce(d, axis=1, keepdims=True)
+        # d_cand is (grad * z) * (1 - cand^2) and d_zr (concatenate([grad * (cand - h), d_rh * h]) * zr) * (1 - zr),
+        # each temporary written into scratch in the order and grouping of those expressions
+        with arena.scope():
+            d, d_rh, s = arena.take((3 * u, n)), arena.take((u, n)), arena.take((2 * u, n))
+            d_zr, d_cand, t = d[: 2 * u], d[2 * u :], s[:u]
+            np.multiply(grad, z, out=d_cand)
+            d_cand *= np.subtract(1.0, np.multiply(cand, cand, out=t), out=t)
+            np.dot(r_h.value.T, d_cand, out=d_rh)
+            np.multiply(grad, np.subtract(cand, h, out=t), out=d_zr[:u])
+            np.multiply(d_rh, h, out=d_zr[u:])
+            d_zr *= zr
+            d_zr *= np.subtract(1.0, zr, out=s)
+            if h_prev.requires_grad:  # += (grad * keep + d_rh * r) + R_zr^T d_zr
+                np.multiply(grad, keep, out=t)
+                t += np.multiply(d_rh, r, out=d_rh)
+                t += np.dot(r_zr.value.T, d_zr, out=d_rh)
+                h_prev.grad += t
+            if wx.requires_grad:
+                wx.grad[:, cols] += d
+            # ParamStore entries always require gradients in a recorded node
+            g = arena.take((2 * u, u))
+            r_zr.grad += np.dot(d_zr, h.T, out=g)
+            r_h.grad += np.dot(d_cand, rh.T, out=g[:u])
+            b.grad += np.add.reduce(d, axis=1, keepdims=True, out=arena.take((3 * u, 1)))
 
     return nx.record(out, (wx, h_prev, r_zr, r_h, b), backward_fn)
 
@@ -281,42 +294,34 @@ class ForwardTrace:
 _thread = threading.local()
 
 
-def _workspace(u: int, n: int) -> SimpleNamespace:
-    """This thread's blocks for forward-only passes of ``u`` hidden rows over ``n`` windows.
-
-    They are made on the thread's first such pass, reused at every step and
-    on every later pass of the same shape, and made anew for another shape;
-    they live as long as the thread.  ``step`` holds one step's columns of
-    ``W x``, and the rest are :func:`gru_cell`'s blocks and two states.
-    """
-    ws = getattr(_thread, "workspace", None)
-    if ws is None or ws.shape != (u, n):
-        _thread.workspace = None  # frees the old blocks before the new ones are made
-        _thread.workspace = ws = SimpleNamespace(
-            shape=(u, n), zr=np.empty((2 * u, n)), work=np.empty((2 * u, n)), mask=np.empty((2 * u, n), dtype=bool),
-            cand=np.empty((u, n)), states=(np.empty((u, n)), np.empty((u, n))), step=np.empty((3 * u, n)),
-        )
-    return ws
+def _workspace() -> nx.Arena:
+    """This thread's arena for forward-only passes, made on its first such pass; it lives as long as the thread."""
+    arena = getattr(_thread, "arena", None)
+    if arena is None:
+        arena = _thread.arena = nx.Arena()
+    return arena
 
 
 def forward_batch(windows: SampleSet | np.ndarray, params: nx.ParamStore, config: ModelConfig,
-                  features: list[int] | None = None) -> ForwardTrace:
+                  features: list[int] | None = None, arena: nx.Arena | None = None) -> ForwardTrace:
     """Run the model over a :class:`SampleSet`, or a (batch, features, window) array, of windows.
 
     ``features`` selects and orders feature columns, as indices into the
-    windows' feature columns.  The input projection ``W x`` is formed once
-    per distinct day the windows read, then gathered to one column per
-    (step, window): consecutive windows share all but one day.  Values and
-    gradients are bit-identical to projecting every column.
+    windows' feature columns.  The call resets ``arena`` and takes its
+    blocks from it: by default a new arena for a taped pass, so new blocks,
+    and this thread's own for a forward-only pass, whose ``W`` requires no
+    gradient.  A taped trace is valid until the next pass over its arena; a
+    forward-only pass returns tensors that share no memory with its arena.
 
-    A taped pass gathers every step's columns up front, because its
-    backward's library product needs the gathered block, and runs
-    :func:`cell_step`.  A forward-only pass, whose ``W`` requires no
-    gradient, runs :func:`gru_cell` in the blocks of this thread's
-    workspace: it gathers a step's columns only when that step runs, and
+    A taped pass projects ``W x`` over all (step, window) columns in one
+    product into its block, because its backward's library product needs
+    every column.  A forward-only pass, whose date-sorted chunks read
+    consecutive windows that share all but one day, projects once per
+    distinct day, gathers a step's columns only when that step runs, and
     adds ``c_t * h_t`` to the TDA mix in step order, the operations of
-    :func:`~alertanet.numerics.linear_combination`.  So it gets the taped
-    bits, and the tensors it returns share no memory with the workspace.
+    :func:`~alertanet.numerics.linear_combination`.  Each column of the
+    product sees the same operands in the same order either way, so both
+    passes get the bits of projecting every column.
     """
     if isinstance(windows, SampleSet):
         days, start, steps = windows.days, windows.start, windows.window
@@ -328,7 +333,7 @@ def forward_batch(windows: SampleSet | np.ndarray, params: nx.ParamStore, config
         # one day row per (window, step), window j starting at row j*steps
         days, start = x.transpose(0, 2, 1).reshape(len(x) * steps, x.shape[1]), np.arange(len(x)) * steps
     feature_cols = np.arange(days.shape[1]) if features is None else np.asarray(features)
-    batch, dim = len(start), len(feature_cols)
+    batch, dim, u = len(start), len(feature_cols), config.hidden_dim
     if dim != config.input_dim or steps != config.window:
         raise DimensionError(
             f"window block {dim}x{steps} does not match model config "
@@ -338,12 +343,9 @@ def forward_batch(windows: SampleSet | np.ndarray, params: nx.ParamStore, config
     day_of_col = (np.arange(steps)[:, None] + start).reshape(-1)
     last = slice((steps - 1) * batch, steps * batch)
     taped = params["W"].requires_grad
-
-    def project(w: nx.Tensor, col_days: np.ndarray) -> tuple[nx.Tensor, np.ndarray]:
-        """``W x`` once per distinct day, and each column's index into it; taped, gathered to the columns."""
-        used, inv = np.unique(col_days, return_inverse=True)
-        x = nx.constant(days[used][:, feature_cols].T)
-        return nx.matmul(w, x, cols=inv if taped else None), inv
+    if arena is None:
+        arena = nx.Arena() if taped else _workspace()
+    arena.reset()
 
     coeffs = None
     if config.uses_context:
@@ -351,39 +353,56 @@ def forward_batch(windows: SampleSet | np.ndarray, params: nx.ParamStore, config
         if config.tda_normalize:
             weights = weights / np.sum(weights)
         coeffs = weights.tolist()
-    wx, inv = project(params["W"], day_of_col)
     if taped:
-        h = nx.constant(np.zeros((config.hidden_dim, batch)))
+        x = arena.take((dim, steps * batch))
+        np.copyto(x, days[day_of_col[:, None], feature_cols].T)
+        wx = nx.matmul(params["W"], nx.constant(x), out=arena.take((params["W"].rows, steps * batch)))
+        h = nx.constant(arena.zeros((u, batch)))
         hidden: list[nx.Tensor] = []
         for t in range(steps):
-            h = cell_step(wx, h, params, cols=slice(t * batch, (t + 1) * batch))
+            h = cell_step(wx, h, params, cols=slice(t * batch, (t + 1) * batch), arena=arena)
             hidden.append(h)
         context = None
         if config.uses_context:
             mix = nx.linear_combination(hidden, coeffs)
             if config.shared_context_cell:
-                context = cell_step(wx, mix, params, cols=last)
+                context = cell_step(wx, mix, params, cols=last, arena=arena)
             else:
-                context = cell_step(project(params["ctx_W"], day_of_col[last])[0], mix, params, "ctx_")
+                x_last = arena.take((dim, batch))
+                np.copyto(x_last, x[:, last])
+                ctx_wx = nx.matmul(params["ctx_W"], nx.constant(x_last), out=arena.take((params["ctx_W"].rows, batch)))
+                context = cell_step(ctx_wx, mix, params, "ctx_", arena=arena)
     else:
-        ws = _workspace(config.hidden_dim, batch)
+        def project(w: nx.Tensor, col_days: np.ndarray) -> tuple[nx.Tensor, np.ndarray]:
+            """``W x`` once per distinct day, and each column's index into it."""
+            used, inv = np.unique(col_days, return_inverse=True)
+            return nx.matmul(w, nx.constant(days[used][:, feature_cols].T)), inv
+
+        wx, inv = project(params["W"], day_of_col)
+        # every block is taken here, so dry takes size the arena before any block is written: in a pass that
+        # does not fit, their new blocks stay unwritten and cost no page faults, where written ones would
+        requests = [((rows, batch), np.float64) for rows in (3 * u, 2 * u, 2 * u, u, u, u)] + [((2 * u, batch), bool)]
+        for shape, dtype in requests:
+            arena.take(shape, dtype)
+        arena.reset()
+        wx_t, zr, work, cand, *states, mask = (arena.take(shape, dtype) for shape, dtype in requests)
 
         def step(wx: nx.Tensor, cols: np.ndarray, h: np.ndarray, prefix: str, out: np.ndarray) -> np.ndarray:
-            _check_fit((wx.rows, len(cols)), h.shape, params[prefix + "R_h"].rows)  # before the gather into ws.step
+            _check_fit((wx.rows, len(cols)), h.shape, params[prefix + "R_h"].rows)  # before the gather into wx_t
             # cols are in range, so "wrap" moves no index; "raise" would gather into a temporary copy first
-            np.take(wx.value, cols, axis=1, out=ws.step, mode="wrap")
-            return gru_cell(ws.step, h, *(params[prefix + name].value for name in ("R_zr", "R_h", "b")),
-                            zr=ws.zr, work=ws.work, mask=ws.mask, cand=ws.cand, zc=ws.cand, out=out)
+            np.take(wx.value, cols, axis=1, out=wx_t, mode="wrap")
+            return gru_cell(wx_t, h, *(params[prefix + name].value for name in ("R_zr", "R_h", "b")),
+                            zr=zr, work=work, mask=mask, cand=cand, zc=cand, out=out)
 
-        h = ws.states[0]
+        h = states[0]
         h.fill(0.0)
         mixed = None if coeffs is None else np.zeros(h.shape)
         for t in range(steps):
             # the last state is returned, so it gets a new block
             h = step(wx, inv[t * batch : (t + 1) * batch], h, "",
-                     np.empty(h.shape) if t == steps - 1 else ws.states[(t + 1) % 2])
+                     np.empty(h.shape) if t == steps - 1 else states[(t + 1) % 2])
             if mixed is not None:
-                mixed += np.multiply(coeffs[t], h, out=ws.cand)
+                mixed += np.multiply(coeffs[t], h, out=cand)
         hidden = [nx.Tensor(h, _validate=False)]
         context = None
         if mixed is not None:

@@ -6,8 +6,7 @@ is no implicit broadcasting, and any shape violation raises
 forms its value with a fixed left-to-right sum over the contraction index and
 no BLAS call, so values are bit-identical to a naive triple loop on any CPU,
 except which nan survives where two meet; only its backward uses the library
-product.  A forward-only pass (see :meth:`ParamStore.constants`) projects with
-``matmul`` and no ``cols``, and gathers a step's columns as the step runs.
+product.  ``matmul`` writes its value into an ``out`` block when given one.
 
 Gradients are computed with a small tape: every operation returns a
 :class:`Tensor` that remembers its parents and how to push gradients back to
@@ -18,11 +17,18 @@ pass over :meth:`ParamStore.constants` frees each op's intermediates as soon
 as it is done with them.  Parameters live in a :class:`ParamStore`: every
 value is a view into one flat buffer and every gradient a view into another,
 so the optimizer updates adjacent parameters in one pass.
+
+An :class:`Arena` hands out the blocks of one pass after another from one
+flat buffer, so that passes of the same shapes reuse the same memory: a
+training step takes its projection, its cells' blocks, the gradient buffers
+:func:`backward` makes and the cells' backward scratch from one.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -176,36 +182,24 @@ def matmul_values(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -
     return _fixed_order_product(a, b, out)
 
 
-def matmul(a: Tensor, b: Tensor, cols: np.ndarray | None = None) -> Tensor:
+def matmul(a: Tensor, b: Tensor, out: np.ndarray | None = None) -> Tensor:
     """Product whose forward value uses the fixed left-to-right contraction.
 
-    ``cols`` (an int array) makes column ``k`` of the result column
-    ``cols[k]`` of ``a b``, so each column of ``b`` is multiplied once however
-    often ``cols`` repeats it.  ``matmul_values`` forms every column on its
-    own, so the value is bit-identical to the product with the gathered
-    ``b``.  ``np.take`` keeps the result C-ordered; an F-ordered one would
-    pass its layout to the gradient buffer and change the backward's bits.
-
-    Only ``a`` gets a gradient: the model's one product is ``W x`` over a
-    constant input, so a ``b`` that requires a gradient is a
-    :class:`UsageError` rather than a gradient silently dropped.  The
-    backward accumulation uses the library product: gradient summation order
-    is unconstrained as long as it is deterministic for a fixed thread
-    count, and it sits on the training hot path.  With ``cols`` it gathers
-    ``b`` before the product, so ``a``'s gradient multiplies the same
-    operands as without them; summing the gradients of repeated columns
-    first would regroup the sum and change its bits.
+    ``out``, as for :func:`matmul_values`, receives the value, which the
+    returned tensor then holds.  Only ``a`` gets a gradient: the model's one
+    product is ``W x`` over a constant input, so a ``b`` that requires a
+    gradient is a :class:`UsageError` rather than a gradient silently
+    dropped.  The backward accumulation uses the library product: gradient
+    summation order is unconstrained as long as it is deterministic for a
+    fixed thread count, and it sits on the training hot path.
     """
     if b.requires_grad:
         raise UsageError("matmul: only the left operand may require a gradient")
-    out = matmul_values(a.value, b.value)
-    if cols is not None:
-        out = np.take(out, cols, axis=1)
 
     def backward_fn(grad):
-        a.grad += np.dot(grad, (b.value if cols is None else np.take(b.value, cols, axis=1)).T)
+        a.grad += np.dot(grad, b.value.T)
 
-    return record(out, (a,), backward_fn)
+    return record(matmul_values(a.value, b.value, out=out), (a,), backward_fn)
 
 
 def sigmoid_values(x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None,
@@ -279,15 +273,17 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray, pos_weight: np.ndarray)
     return record(out, (logits,), backward_fn)
 
 
-def backward(loss: Tensor) -> None:
+def backward(loss: Tensor, arena: Arena | None = None) -> None:
     """Populate gradients of every trainable tensor reachable from ``loss``.
 
     ``loss`` must be a 1x1 scalar recorded from an input that requires a
     gradient.  Every node on the walk that has no ``grad`` buffer yet gets a
-    zeroed one first; gradients accumulate into existing buffers, so call
-    :meth:`ParamStore.zero_grads` first when starting a fresh step.  Nodes
-    push their gradients in reverse creation order, so each has all of its
-    gradient before it pushes, and shared gradients sum in a fixed order.
+    zeroed one first: from ``arena``, C-ordered as every recorded value of
+    the model is, or else made with ``np.zeros_like``.  Gradients accumulate
+    into existing buffers, so call :meth:`ParamStore.zero_grads` first when
+    starting a fresh step.  Nodes push their gradients in reverse creation
+    order, so each has all of its gradient before it pushes, and shared
+    gradients sum in a fixed order.
     """
     if loss.value.shape != (1, 1):
         raise UsageError(f"backward requires a 1x1 scalar loss, got shape {loss.value.shape}")
@@ -302,11 +298,70 @@ def backward(loss: Tensor) -> None:
     order = sorted(reached, key=lambda node: node._index, reverse=True)
     for node in order:
         if node.grad is None:
-            node.grad = np.zeros_like(node.value)
+            node.grad = np.zeros_like(node.value) if arena is None else arena.zeros(node.value.shape)
     loss.grad += 1.0
     for node in order:
         if node._backward_fn is not None:
             node._backward_fn(node.grad)
+
+
+class Arena:
+    """Blocks for passes that take blocks of the same sizes, one pass after another.
+
+    :meth:`take` cuts each block, C-contiguous and at a 64-byte offset, from
+    one flat buffer, in request order, and :meth:`reset` starts the next pass
+    at the buffer's start: every block handed out before is then handed out
+    again, so whatever a pass left in its blocks is valid only until the next
+    reset.  A block past the buffer's end is a new array, and the next reset
+    makes the buffer as large as the widest pass so far; so an arena with no
+    buffer yet hands out new arrays, and its first pass sizes it.  The arena
+    keeps each view it makes, so a pass that repeats an earlier pass's
+    requests gets the same view objects back.
+    """
+
+    ALIGN = 64
+
+    def __init__(self):
+        self._buffer = np.empty(0, dtype=np.uint8)
+        self._base = self._capacity = 0  # the buffer's first 64-byte boundary, and the bytes after it
+        self._used = self._peak = 0  # bytes taken in this pass, and in the widest pass that did not fit
+        self._views: dict[tuple, tuple[np.ndarray, int]] = {}  # (offset, shape, dtype) -> (view, offset after it)
+
+    def reset(self) -> None:
+        if self._peak > self._capacity:
+            self._views = {}
+            self._buffer = None  # frees the old buffer, unless a block still holds it, before the new one is made
+            self._buffer = np.empty(self._peak + self.ALIGN, dtype=np.uint8)
+            self._base, self._capacity = -self._buffer.ctypes.data % self.ALIGN, self._peak
+        self._used = 0
+
+    def take(self, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """The pass's next block of ``shape``; its old contents are undefined."""
+        key = (self._used, shape, dtype)
+        view = self._views.get(key)
+        if view is None:
+            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+            end = self._used + -(-nbytes // self.ALIGN) * self.ALIGN
+            if end > self._capacity:
+                self._used, self._peak = end, max(self._peak, end)
+                return np.empty(shape, dtype)
+            view = self._views[key] = np.ndarray(shape, dtype, self._buffer, self._base + self._used), end
+        block, self._used = view
+        return block
+
+    def zeros(self, shape: tuple[int, int]) -> np.ndarray:
+        block = self.take(shape)
+        block.fill(0.0)
+        return block
+
+    @contextmanager
+    def scope(self):
+        """Blocks taken inside are handed out again after it ends, as scratch that no later block outlives."""
+        used = self._used
+        try:
+            yield
+        finally:
+            self._used = used
 
 
 class ParamStore:

@@ -6,6 +6,9 @@ with the numerically stable form.  A batch optimizes the uniform mean of the
 per-sample losses, so dead-zone (ABSTAIN) samples still contribute their
 volatility term.  Optimization is Adam with global-norm gradient clipping;
 everything downstream of (dataset, config) is a pure function of the seed.
+A ``train`` call runs every taped step in the blocks of one
+:class:`~alertanet.numerics.Arena` that it keeps, so its steps reuse one
+set of blocks rather than allocate and free them.
 """
 
 from __future__ import annotations
@@ -178,7 +181,7 @@ def _forward_logits(params: nx.ParamStore, config: ModelConfig, samples: SampleS
 
     Untaped chunks over ``params.constants()`` run on a thread pool; the
     fixed-order product releases the GIL, so they overlap on several cores.
-    Each pool thread runs its chunks in one workspace of its own (see
+    Each pool thread runs its chunks in one arena of its own (see
     :func:`~alertanet.model.forward_batch`), freed when the pool ends here.
     A chunk spreads the windows evenly over the usable cores, up to
     ``FORWARD_CHUNK`` windows.  Every window's logits depend only on its own
@@ -234,7 +237,11 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
     Returns the parameters restored to the best validation epoch, by one copy
     of the flat value buffer each way.  Two runs with the same split and
     config produce bit-identical parameters.  Each forward pass reads one
-    batch, or one chunk of validation windows, from the split's days.
+    batch, or one chunk of validation windows, from the split's days.  Every
+    taped step takes its blocks from one :class:`~alertanet.numerics.Arena`
+    that this call keeps, sized by its first, widest batch: the forward pass
+    (see :func:`~alertanet.model.forward_batch`), the gradient buffers of
+    :func:`~alertanet.numerics.backward` and the cells' backward scratch.
     """
     cfg.validate()
     if not split.train:
@@ -273,6 +280,7 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
     else:
         stage_plan = [("joint", params.names(), cfg.loss_weight)]
 
+    arena = nx.Arena()  # a step's trace stays valid until the next step
     epoch_rows: list[dict] = []
     stage_rows: list[dict] = []
     global_epoch = 0
@@ -294,7 +302,7 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
             grad_norms: list[float] = []
             for lo in range(0, n_train, cfg.batch_size):
                 batch = split.train[perm[lo : lo + cfg.batch_size]]
-                trace = forward_batch(batch, params, config, rows)
+                trace = forward_batch(batch, params, config, rows, arena)
                 loss, m_term, v_term = _loss_terms(trace.logits, batch.y_m, batch.y_v, loss_weight, pos_weight)
                 loss_value = loss.item()
                 if not np.isfinite(loss_value):
@@ -304,7 +312,7 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
                         f"batch starting at {lo}; first offender: {culprit}"
                     )
                 params.zero_grads()
-                nx.backward(loss)
+                nx.backward(loss, arena)
                 grad_norms.append(clip_gradients(params, trainable, cfg.clip_norm))
                 optimizer.step(params, trainable)
                 weight = len(batch)

@@ -234,11 +234,15 @@ class TestPrepareCommand:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and setting in lines[0], lines
 
-    def test_schema_that_repeats_a_column_fails_naming_it(self, tmp_path, synth_dir, capsys):
+    @pytest.mark.parametrize("data", ["csvs", "missing"])
+    def test_schema_that_repeats_a_column_fails_naming_it(self, tmp_path, synth_dir, capsys, data):
+        """The schema is checked with the other settings, before the CSVs are listed and ``--out`` is made;
+        it used to be checked only in ``load_frame``, after both."""
         out = tmp_path / "prep_schema"
-        assert run_cli("prepare", "--data", synth_dir, "--out", out, "--schema", "sent_0,sent_0") == 1
+        source = synth_dir if data == "csvs" else tmp_path / "nowhere"
+        assert run_cli("prepare", "--data", source, "--out", out, "--schema", "sent_0,sent_0") == 1
         assert capsys.readouterr().err == "error: the schema names column 'sent_0' more than once\n"
-        assert not (out / "dataset.json").exists()
+        assert not out.exists()
 
     def test_schema_error_names_file(self, tmp_path, capsys):
         bad = tmp_path / "bad"
@@ -428,10 +432,18 @@ class TestTrainEval:
         named = out if case == "out under a file" else config
         assert len(lines) == 1 and lines[0].startswith("error: ") and str(named) in lines[0], lines
 
-    def test_window_flag_mismatch_fails(self, tmp_path, prepared, capsys):
-        assert run_cli("train", "--dataset", prepared, "--out", tmp_path / "w",
-                       "--epochs", "1", "--window", "9") == 1
-        assert "window" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["train", "ablate", "baseline"])
+    def test_window_flag_mismatch_fails(self, tmp_path, criterion8_prepared, capsys, monkeypatch, command):
+        """The windows are compared before ``--out`` is made and workers start; they used to be compared
+        only in ``training.train``, after both."""
+        def train(*args):
+            raise AlertaNetError("train was called")
+
+        monkeypatch.setattr(cli, "train", train)  # forked workers inherit the patch
+        out = tmp_path / "w"
+        assert run_cli(command, "--dataset", criterion8_prepared, "--out", out, "--epochs", "1", "--window", "9") == 1
+        assert capsys.readouterr().err == "error: dataset window 8 does not match config window 9\n"
+        assert not out.exists()
 
     def test_env_var_out_dir(self, tmp_path, prepared, monkeypatch):
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "env_out"))

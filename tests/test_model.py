@@ -323,28 +323,39 @@ class TestForwardBatchMatchesProjectEveryColumnOracle:
     @pytest.mark.parametrize("kind", sorted(FUSED_ORACLE_CONFIGS))
     def test_projection_per_distinct_day_and_no_products_of_the_zero_state(self, two_stock_samples, monkeypatch,
                                                                            kind):
+        """A taped pass projects every (step, window) column in one product; a forward-only pass projects each
+        distinct day once."""
         config = md.ModelConfig(input_dim=8, hidden_dim=6, window=4, **FUSED_ORACLE_CONFIGS[kind])
         params = make_params(config)
         samples = two_stock_samples[np.r_[0:40, 0:40, 100:110]]  # 90 windows, repeats and overlaps among them
         days = np.unique(samples.start[:, None] + np.arange(4))
         last_days = np.unique(samples.start + 3)
         assert len(days) < 4 * 90 and len(last_days) < 90
-        shapes = []
+        shapes, calls = [], []
 
         def recording(a, b, out=None):
             shapes.append((a.shape, b.shape))
             return matmul_values(a, b, out=out)
 
-        matmul_values = nx.matmul_values
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return matmul(*args, **kwargs)
+
+        matmul_values, matmul = nx.matmul_values, nx.matmul
         monkeypatch.setattr(nx, "matmul_values", recording)
-        md.forward_batch(samples, params, config)
-        w_cols = [b[1] for a, b in shapes if a[1] == 8]
-        recurrent = [b for a, b in shapes if a[1] == 6 and a[0] > 1]
-        # the context cell's own W reads the distinct days of the last step
-        assert w_cols == [len(days), len(last_days)] if kind == "alerta-ctx-normalized" else [len(days)]
-        # both products at steps 2..4, none at step 1, and two more for the context step
-        assert len(recurrent) == 2 * 3 + (2 if config.uses_context else 0)
-        assert all(b == (6, 90) for b in recurrent)
+        monkeypatch.setattr(nx, "matmul", counting)
+        # the context cell's own W reads the last step's columns, or the distinct days of the last step
+        unshared = kind == "alerta-ctx-normalized"
+        for store, w_cols in ((params, [4 * 90, 90]), (params.constants(), [len(days), len(last_days)])):
+            shapes.clear()
+            calls.clear()
+            md.forward_batch(samples, store, config)
+            assert [b[1] for a, b in shapes if a[1] == 8] == (w_cols if unshared else w_cols[:1])
+            assert len(calls) == (2 if unshared else 1)
+            recurrent = [b for a, b in shapes if a[1] == 6 and a[0] > 1]
+            # both products at steps 2..4, none at step 1, and two more for the context step
+            assert len(recurrent) == 2 * 3 + (2 if config.uses_context else 0)
+            assert all(b == (6, 90) for b in recurrent)
 
 
 class TestZeroStateProducts:
@@ -564,7 +575,7 @@ class TestGruCellMatchesParentOracle:
 
     @pytest.mark.parametrize("arch", ["alerta", "gru"])
     def test_params_that_do_not_fit_the_config_fail_alike_on_both_passes(self, arch):
-        """The forward-only pass names the misfit before it gathers a step into its workspace."""
+        """The forward-only pass names the misfit before it gathers a step into its arena."""
         params = make_params(md.ModelConfig(input_dim=3, hidden_dim=5, window=3, arch=arch))
         config = md.ModelConfig(input_dim=3, hidden_dim=4, window=3, arch=arch)
         x = np.ones((7, 3, 3))
@@ -573,19 +584,19 @@ class TestGruCellMatchesParentOracle:
                                                      r"hidden_dim 5"):
                 md.forward_batch(x, store, config)
 
-    def test_returned_tensors_share_nothing_with_the_workspace(self):
+    def test_returned_tensors_share_nothing_with_the_arena(self):
         config = md.ModelConfig(input_dim=3, hidden_dim=5, window=4)
         params = make_params(config).constants()
         rng = np.random.default_rng(8)
+        md.forward_batch(rng.normal(size=(64, 3, 4)), params, config)  # sizes this thread's arena
         first = md.forward_batch(rng.normal(size=(64, 3, 4)), params, config)
         kept = [first.hidden[-1].value.copy(), first.context.value.copy(), first.logits.value.copy()]
-        md.forward_batch(rng.normal(size=(64, 3, 4)), params, config)  # same shape, so the same workspace
-        workspace = md._thread.workspace
-        assert workspace.shape == (5, 64)
-        blocks = [workspace.zr, workspace.work, workspace.mask, workspace.cand, *workspace.states, workspace.step]
+        md.forward_batch(rng.normal(size=(64, 3, 4)), params, config)  # same shape, so the same blocks
+        buffer = md._thread.arena._buffer
+        assert buffer.size > 0
         for returned, before in zip([first.hidden[-1], first.context, first.logits], kept):
             assert np.array_equal(bits(returned.value), bits(before))
-            assert not any(np.shares_memory(returned.value, block) for block in blocks)
+            assert not np.shares_memory(returned.value, buffer)
 
 
 class TestHeadsAndLossMatchPerOpOracle:

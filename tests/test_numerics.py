@@ -453,7 +453,6 @@ class TestTapeKeepsOnlyActiveNodes:
         """Each tape op with ``w`` as its first operand and the constant ``x`` as the rest."""
         return {
             "matmul": nx.matmul(w, x),
-            "matmul_cols": nx.matmul(w, x, cols=np.array([0, 0])),
             "linear_combination": nx.linear_combination([w, nx.constant(w.value)], [0.5, 2.0]),
             "bce_with_logits": nx.bce_with_logits(w, np.array([[1.0, 0.0]]), np.array([[1.5]])),
         }
@@ -518,28 +517,28 @@ class TestTapeKeepsOnlyActiveNodes:
 class TestMatmulGatheredColumns:
     COLS = np.array([2, 0, 2, 3, 2, 1, 0])
 
-    def test_value_and_left_gradient_match_the_gathered_operand(self):
-        rng = np.random.default_rng(8)
-        params = nx.ParamStore()
-        a = params.add("a", rng.normal(size=(5, 3)))
-        b = rng.normal(size=(3, 4))
-        g = rng.normal(size=(5, len(self.COLS)))
-        got = nx.matmul(a, nx.constant(b), cols=self.COLS)
-        nx.backward(total_sum(mul_const(got, g)))
-        got_grad = params["a"].grad.copy()
-        want = nx.matmul(a, nx.constant(b[:, self.COLS]))
-        params.zero_grads()
-        nx.backward(total_sum(mul_const(want, g)))
-        assert np.array_equal(got.value, want.value) and got.value.flags.c_contiguous
-        assert np.array_equal(got_grad, params["a"].grad)
-
     def test_right_operand_that_requires_a_gradient_is_rejected(self):
         params = nx.ParamStore()
         a, b = params.add("a", np.ones((2, 3))), params.add("b", np.ones((3, 4)))
         for left in (a, nx.constant(a.value)):
-            for cols in (None, self.COLS):
-                with pytest.raises(UsageError, match="only the left operand"):
-                    nx.matmul(left, b, cols=cols)
+            with pytest.raises(UsageError, match="only the left operand"):
+                nx.matmul(left, b)
+
+    def test_value_into_an_out_block_has_the_bits_of_a_new_one_and_the_same_gradient(self):
+        rng = np.random.default_rng(8)
+        params = nx.ParamStore()
+        a = params.add("a", rng.normal(size=(5, 3)))
+        b, g = nx.constant(rng.normal(size=(3, 7))), rng.normal(size=(5, 7))
+        grads = []
+        for out in (None, np.full((5, 7), np.nan)):
+            got = nx.matmul(a, b, out=out)
+            assert out is None or got.value is out
+            params.zero_grads()
+            nx.backward(total_sum(mul_const(got, g)))
+            grads.append((got.value.copy(), a.grad.copy()))
+        (new_value, new_grad), (out_value, out_grad) = grads
+        assert np.array_equal(out_value.view(np.int64), new_value.view(np.int64))
+        assert np.array_equal(out_grad.view(np.int64), new_grad.view(np.int64))
 
     def test_oracle_right_gradient_sums_over_repeated_columns(self):
         """The per-op oracles' ``matmul`` gives ``b`` the gradient that ``nx.matmul`` declines to."""
@@ -617,6 +616,46 @@ class TestParamStore:
                 params.span(names)
         with pytest.raises(UsageError, match="unknown parameter 'z'"):
             params.span(["a", "z"])
+
+
+class TestArena:
+    def test_blocks_are_c_contiguous_at_64_byte_offsets_and_reused_after_reset(self):
+        arena = nx.Arena()
+        shapes = [((3, 5), np.float64), ((7, 1), bool), ((2, 9), np.float64)]
+        first = [arena.take(shape, dtype) for shape, dtype in shapes]  # no buffer yet: new arrays
+        assert not any(np.shares_memory(a, b) for a in first for b in first if a is not b)
+        arena.reset()
+        second = [arena.take(shape, dtype) for shape, dtype in shapes]
+        for block, (shape, dtype) in zip(second, shapes):
+            assert block.shape == shape and block.dtype == dtype and block.flags.c_contiguous
+            assert block.ctypes.data % 64 == 0 and np.shares_memory(block, arena._buffer)
+            assert not any(np.shares_memory(block, old) for old in first)
+        assert not any(np.shares_memory(a, b) for a in second for b in second if a is not b)
+        arena.reset()
+        assert all(arena.take(shape, dtype).ctypes.data == block.ctypes.data
+                   for block, (shape, dtype) in zip(second, shapes))
+
+    def test_a_wider_pass_gets_new_blocks_past_the_end_then_a_larger_buffer(self):
+        arena = nx.Arena()
+        arena.take((4, 4))
+        arena.reset()
+        inside, outside = arena.take((4, 4)), arena.take((4, 4))
+        assert np.shares_memory(inside, arena._buffer) and not np.shares_memory(outside, arena._buffer)
+        arena.reset()
+        blocks = [arena.take((4, 4)), arena.take((2, 2))]  # a narrower pass after the wide one
+        assert all(np.shares_memory(block, arena._buffer) for block in blocks)
+        assert not arena.zeros((3, 2)).any()
+
+    def test_blocks_taken_in_a_scope_are_handed_out_again_after_it(self):
+        arena = nx.Arena()
+        for _ in range(2):  # the first pass sizes the buffer
+            arena.reset()
+            kept = arena.take((2, 8))
+            with arena.scope():
+                scratch = arena.take((4, 8))
+            after = arena.take((4, 8))
+        assert np.shares_memory(scratch, after) and not np.shares_memory(kept, after)
+        assert arena._buffer.size == (2 * 8 + 4 * 8) * 8 + 64  # the widest moment of a pass, and room to align
 
 
 def test_non_finite_input_rejected():

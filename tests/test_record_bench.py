@@ -15,10 +15,12 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 END_TO_END, PER_LAYER = BENCHMARK["end_to_end"], BENCHMARK["per_layer"]
 
 
-def canned(rate, setup, rss, raw=(0.5, 0.6, 0.7), calibration=(0.15, 0.16, 0.17), passed=True, failed=0):
-    """A record shaped like the one ``perfbench/run.py`` writes."""
+def canned(rate, setup, rss, raw=(0.5, 0.6, 0.7), calibration=(0.15, 0.16, 0.17), passed=True, failed=0,
+           faults=1000):
+    """A record shaped like the one ``perfbench/run.py`` writes, with the minor page faults ``run_side`` adds."""
     values = {"samples_per_s": rate, "setup_s": setup, "peak_rss_mb": rss}
     return {
+        "minor_faults": faults,
         "correct": passed and failed == 0, "attempted": 3, "failed": failed,
         "metrics": {name: {"value": v, "unit": "u"} for name, v in values.items()},
         "checks": {"train.params_repeat": passed}, "environment": {"python": "3.x"},
@@ -54,7 +56,8 @@ def test_medians_quartiles_and_pairs_won_per_metric():
     assert out["seeds"] == [1, 2, 3, 4] and out["first"] == ["parent", "change", "parent", "change"]
     assert out["all_checks_passed"] == {"parent": True, "change": True}
     assert out["per_pair"][1]["change"] == {"samples_per_s": 101.0, "setup_s": 0.11, "peak_rss_mb": 49.0,
-                                            "raw_op_median_s": 0.4, "calibration_median_s": 0.16}
+                                            "raw_op_median_s": 0.4, "calibration_median_s": 0.16,
+                                            "minor_faults": 1000}
     json.dumps(out)
 
 
@@ -104,6 +107,26 @@ def test_opposite_directions_within_the_parent_spread_do_not_disagree():
     assert record_bench.aggregate(pairs([100.0] * 3, 0.5), END_TO_END)["raw_verdict"]["disagree"]
     raw = record_bench.aggregate(pairs(spread, 0.49 / 0.96), END_TO_END)["raw_verdict"]
     assert raw["rate_change_median"] == pytest.approx(-0.04) and raw["disagree"]
+
+
+def test_minor_page_faults_median_per_side():
+    pairs = [pair(i, "parent", canned(100.0, 0.1, 50.0, faults=parent), canned(100.0, 0.1, 50.0, faults=change))
+             for i, (parent, change) in enumerate([(9000, 40), (6000, 10), (12000, 20), (7000, 30)])]
+    out = record_bench.aggregate(pairs, END_TO_END)
+    assert out["minor_faults_median"] == {"parent": 8000.0, "change": 25.0}
+    assert [p["change"]["minor_faults"] for p in out["per_pair"]] == [40, 10, 20, 30]
+
+
+def test_run_side_adds_the_faults_of_its_subprocess(tmp_path, monkeypatch):
+    """The rise of the children's fault count across the run, whatever the children before it took."""
+    results = tmp_path / "perfbench" / "results"
+    results.mkdir(parents=True)
+    (results / "train-seed5-trace0.json").write_text(json.dumps({"correct": True}))
+    counts = iter([1200, 1234])
+    monkeypatch.setattr(record_bench.resource, "getrusage", lambda who: type("Usage", (), {"ru_minflt": next(counts)}))
+    monkeypatch.setattr(record_bench.subprocess, "run", lambda *args, **kwargs: type("Done", (), {"returncode": 0}))
+    record = record_bench.run_side(tmp_path, ["python3", "perfbench/run.py"], "train", 5, 1.0)
+    assert record == {"correct": True, "minor_faults": 34}
 
 
 def test_a_failed_check_or_operation_is_reported_per_side():

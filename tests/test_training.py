@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -14,12 +15,12 @@ from alertanet import numerics as nx
 from alertanet import training as tr
 from alertanet.data import ABSTAIN, SampleSet, build_dataset
 from alertanet.errors import CheckpointError, ConfigError, TrainingError, UsageError
-from alertanet.synth import SynthSpec, generate
+from alertanet.synth import SynthSpec, generate, generate_universe
 
 from testutil import (
     AdamOracle, cell_step_parent_oracle, clip_gradients_oracle, dataset_loss_oracle, finite_difference_grads,
-    forward_batch_oracle, joint_loss, max_grad_violation, predict_probs_oracle, sample_set, stack_windows,
-    zero_grads_oracle,
+    forward_batch_fresh_oracle, forward_batch_oracle, joint_loss, max_grad_violation, predict_probs_oracle,
+    sample_set, stack_windows, zero_grads_oracle,
 )
 from test_metrics import auc_all_pairs, mcc_exact_integer
 
@@ -308,6 +309,79 @@ class TestTrain:
         assert config.input_dim < len(split.feature_names)
 
 
+def criterion8_split():
+    """The split of acceptance criterion 8's dataset: 2 stocks x 220 days, 6 features, window 8; 254 train windows."""
+    frames = generate_universe(SynthSpec(n_days=220, n_features=6, seed=9), 2)
+    return build_dataset(frames, 8, train_frac=0.6, valid_frac=0.2)[0]
+
+
+# config overrides of each training run that the arena must leave bit-identical
+ARENA_RUNS = {
+    "alerta-shared": {},
+    "alerta-unshared": {"shared_context_cell": False},
+    "gru": {"arch": "gru"},
+    "tda-normalize": {"tda_normalize": True},
+    "two-stage": {"two_stage": True},
+    "ablation-wo-m": {"ablation": "wo-m"},
+}
+
+
+def train_bits(split, cfg):
+    """The raw bits of every trained parameter, and the report as JSON, whose floats round-trip exactly."""
+    params, _, report = tr.train(split, cfg)
+    return [t.value.tobytes() for _, t in params.items()], json.dumps(report.to_json_dict())
+
+
+class TestTrainingArenaMatchesPerStepAllocationOracle:
+    """``train`` runs every taped step in blocks of one arena; the oracle, the former taped pass, projects each
+    distinct day and takes new blocks at every step, and ``nx.backward`` makes new gradient buffers for it."""
+
+    # batches of 48 leave a last batch of 14 of the 254 windows, which runs in the arena's first blocks
+    BASE = dict(window=8, hidden=6, epochs=2, batch_size=48, seed=13, patience=2)
+
+    @pytest.fixture(scope="class")
+    def split(self):
+        return criterion8_split()
+
+    @pytest.mark.parametrize("kind", sorted(ARENA_RUNS))
+    def test_parameters_losses_and_report_bit_identical(self, split, monkeypatch, kind):
+        cfg = tr.TrainConfig(**self.BASE, **ARENA_RUNS[kind])
+        got = train_bits(split, cfg)
+        backward = nx.backward
+        monkeypatch.setattr(tr, "forward_batch", forward_batch_fresh_oracle)
+        monkeypatch.setattr(nx, "backward", lambda loss, arena=None: backward(loss))
+        want = train_bits(split, cfg)
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+
+    def test_passes_without_the_arena_share_no_memory_with_it(self, split, monkeypatch):
+        """Between two steps, a taped pass with no arena takes new blocks; a forward-only pass on a pool thread
+        returns tensors outside that thread's arena.  Neither changes what training computes."""
+        cfg = tr.TrainConfig(**self.BASE)
+        want = train_bits(split, cfg)
+        checked = {"taped": [], "forward-only": []}
+
+        def forward_batch(windows, params, config, features=None, arena=None):
+            if arena is not None and arena._buffer.size:  # the arena's buffer exists from the second step on
+                free = md.forward_batch(windows, params, config, features)
+                blocks = [free.logits.value, free.context.value, *(h.value for h in free.hidden),
+                          free.hidden[0]._parents[0].value]  # the last is the W x projection
+                checked["taped"].append(any(np.shares_memory(b, arena._buffer) for b in blocks))
+            trace = md.forward_batch(windows, params, config, features, arena)
+            if arena is None:
+                own = md._thread.arena._buffer  # the pool thread's arena, made in the call above
+                returned = [trace.logits.value, trace.context.value, trace.hidden[-1].value]
+                checked["forward-only"].append((own.size > 0, any(np.shares_memory(b, own) for b in returned)))
+            return trace
+
+        monkeypatch.setattr(tr, "forward_batch", forward_batch)
+        monkeypatch.setattr(tr, "FORWARD_CHUNK", 16)  # so each pool thread runs several chunks in its arena
+        assert train_bits(split, cfg) == want
+        assert checked["taped"] and not any(checked["taped"])
+        assert any(has_buffer for has_buffer, _ in checked["forward-only"])
+        assert not any(shared for _, shared in checked["forward-only"])
+
+
 def random_samples(n, d=3, t=4, seed=0, abstain_rate=0.2):
     rng = np.random.default_rng(seed)
     records = []
@@ -558,7 +632,7 @@ class TestForwardOnlyPool:
 
 
 class TestForwardOnlyWorkspace:
-    """The forward-only pass reuses one workspace per thread; its bits are the former cell's, run step by step."""
+    """The forward-only pass reuses one arena per thread; its bits are the former cell's, run step by step."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kind", MODELS)
@@ -571,7 +645,7 @@ class TestForwardOnlyWorkspace:
         assert np.array_equal(got.view(np.int64), want.logits.value.view(np.int64))
 
     def test_threads_at_once_each_get_their_own_bits(self):
-        """Four models of one shape, so one workspace shape, each scored over and over on its own thread."""
+        """Four models of one shape, so blocks of one size, each scored over and over on its own thread."""
         runs = []
         for seed, kind in enumerate(MODELS):
             params, config, rows = seeded_model(kind)
@@ -619,9 +693,10 @@ class TestForwardOnlyPeakMemory:
 
     At hidden 32 and window 10 the gathered block of 512 windows alone is
     96 x 5,120 entries, 3.9 MB, and the ten states 1.3 MB; keeping them peaked
-    at 6.6 MB for one chunk and 7.7 MB for the loss of 598 windows; now they peak at 1.4 and 2.8 MB.
-    The chunk's thread made its 1.3 MB workspace on the untraced warm-up call, while the loss's
-    pool threads each make one of 0.8 MB, for their 299 windows.
+    at 6.6 MB for one chunk and 7.7 MB for the loss of 598 windows; now they
+    peak at 1.4 and 2.8 to 3.0 MB.  The chunk's thread made its arena's 1.3 MB
+    buffer on the untraced warm-up call, while the loss's pool threads each
+    make one of 0.8 MB, for their 299 windows.
     """
 
     CONFIG = md.ModelConfig(input_dim=len(FEATURES), hidden_dim=32, window=10)

@@ -4,8 +4,10 @@ accessors that only the tests compose.
 
 Kept as oracles: the row-by-row CSV loader, the day-by-day synthetic price
 loop, the project-every-column forward pass, the cell's forward arithmetic in
-new arrays, the serial, taped chunk loops of prediction and validation loss,
-and the per-name cell backward, Adam, clipping and gradient zeroing.  The
+new arrays, the taped pass that projects each distinct day and takes new
+blocks at every step, the serial, taped chunk loops of prediction and
+validation loss, and the per-name cell backward, Adam, clipping and gradient
+zeroing.  The
 per-op tape ops rebuild the per-gate cell and the per-op heads and loss that
 the fused model nodes replaced, as oracles."""
 
@@ -146,7 +148,7 @@ def sigmoid_values_oracle(x):
     return np.where(x >= 0, 1.0 / d, e / d)
 
 
-def cell_step_oracle(wx, h_prev, params, prefix="", cols=slice(None)):
+def cell_step_oracle(wx, h_prev, params, prefix="", cols=slice(None), arena=None):
     """The former body of ``model.cell_step``: both recurrent products formed even for a zero state."""
     r_zr, r_h, b = params[prefix + "R_zr"], params[prefix + "R_h"], params[prefix + "b"]
     u = r_h.rows
@@ -224,14 +226,14 @@ def cell_forward_oracle(wx_t, h, r_zr, r_h, b):
     return zr, rh, cand, keep * h + z * cand
 
 
-def cell_step_parent_oracle(wx, h_prev, params, prefix="", cols=slice(None)):
+def cell_step_parent_oracle(wx, h_prev, params, prefix="", cols=slice(None), arena=None):
     """The value of the former ``model.cell_step`` as an untaped tensor, for :func:`forward_batch_oracle`'s ``cell``."""
     names = (prefix + "R_zr", prefix + "R_h", prefix + "b")
     out = cell_forward_oracle(wx.value[:, cols], h_prev.value, *(params[name].value for name in names))[-1]
     return nx.Tensor(out, _validate=False)
 
 
-def cell_step_concat_oracle(wx, h_prev, params, prefix="", cols=slice(None)):
+def cell_step_concat_oracle(wx, h_prev, params, prefix="", cols=slice(None), arena=None):
     """The former ``model.cell_step``, whose backward concatenates the halves of ``d_zr`` and sums with ``np.sum``."""
     r_zr, r_h, b = params[prefix + "R_zr"], params[prefix + "R_h"], params[prefix + "b"]
     u = r_h.rows
@@ -254,6 +256,75 @@ def cell_step_concat_oracle(wx, h_prev, params, prefix="", cols=slice(None)):
         b.grad[2 * u :] += np.sum(d_cand, axis=1, keepdims=True)
 
     return nx.record(out, (wx, h_prev, r_zr, r_h, b), backward_fn)
+
+
+def cell_step_fresh_oracle(wx, h_prev, params, prefix="", cols=slice(None), arena=None):
+    """The former ``model.cell_step``: its blocks are new arrays at every step, and so are its backward's
+    temporaries; ``arena`` is ignored."""
+    r_zr, r_h, b = params[prefix + "R_zr"], params[prefix + "R_h"], params[prefix + "b"]
+    u, n = r_h.rows, h_prev.cols
+    h = h_prev.value
+    zr, work, cand = np.empty((2 * u, n)), np.empty((2 * u, n)), np.empty((u, n))
+    out = md.gru_cell(wx.value[:, cols], h, r_zr.value, r_h.value, b.value, zr=zr, work=work,
+                      mask=np.empty((2 * u, n), dtype=bool), cand=cand, zc=np.empty((u, n)), out=np.empty((u, n)))
+    z, r = zr[:u], zr[u:]
+    rh, keep = work[:u], work[u:]
+
+    def backward_fn(grad):
+        d = np.empty((3 * u, grad.shape[1]))
+        d_zr, d_cand = d[: 2 * u], d[2 * u :]
+        np.multiply(grad, z, out=d_cand)
+        d_cand *= 1.0 - cand * cand
+        d_rh = np.dot(r_h.value.T, d_cand)
+        np.multiply(grad, cand - h, out=d_zr[:u])
+        np.multiply(d_rh, h, out=d_zr[u:])
+        d_zr *= zr
+        d_zr *= 1.0 - zr
+        if h_prev.requires_grad:
+            h_prev.grad += grad * keep + d_rh * r + np.dot(r_zr.value.T, d_zr)
+        if wx.requires_grad:
+            wx.grad[:, cols] += d
+        r_zr.grad += np.dot(d_zr, h.T)
+        r_h.grad += np.dot(d_cand, rh.T)
+        b.grad += np.add.reduce(d, axis=1, keepdims=True)
+
+    return nx.record(out, (wx, h_prev, r_zr, r_h, b), backward_fn)
+
+
+def forward_batch_fresh_oracle(windows, params, config, features=None, arena=None):
+    """The former taped ``model.forward_batch``: ``W x`` once per distinct day of a :class:`SampleSet`, gathered to
+    one column per (step, window), and every block a new array; ``arena`` is ignored.  A forward-only pass runs
+    ``model.forward_batch``, whose blocks are the same as before."""
+    if not params["W"].requires_grad:
+        return md.forward_batch(windows, params, config, features)
+    days, start, steps = windows.days, windows.start, windows.window
+    feature_cols = np.arange(days.shape[1]) if features is None else np.asarray(features)
+    batch = len(start)
+    day_of_col = (np.arange(steps)[:, None] + start).reshape(-1)
+    last = slice((steps - 1) * batch, steps * batch)
+
+    def project(w, col_days):
+        used, inv = np.unique(col_days, return_inverse=True)
+        return matmul(w, nx.constant(days[used][:, feature_cols].T), cols=inv)
+
+    wx = project(params["W"], day_of_col)
+    h = nx.constant(np.zeros((config.hidden_dim, batch)))
+    hidden = []
+    for t in range(steps):
+        h = cell_step_fresh_oracle(wx, h, params, cols=slice(t * batch, (t + 1) * batch))
+        hidden.append(h)
+    context = None
+    if config.uses_context:
+        weights = md.tda_weights(steps)
+        if config.tda_normalize:
+            weights = weights / np.sum(weights)
+        mix = nx.linear_combination(hidden, weights.tolist())
+        if config.shared_context_cell:
+            context = cell_step_fresh_oracle(wx, mix, params, cols=last)
+        else:
+            context = cell_step_fresh_oracle(project(params["ctx_W"], day_of_col[last]), mix, params, "ctx_")
+    logits = md.heads([hidden[-1]] if context is None else [hidden[-1], context], params)
+    return md.ForwardTrace(hidden=hidden, context=context, logits=logits)
 
 
 class AdamOracle:
@@ -446,9 +517,12 @@ def max_grad_violation(analytic, numeric, rel=1e-5, floor=1e-8):
 def matmul(a, b, cols=None):
     """The former body of ``nx.matmul``, with a gradient for ``b`` too, for the per-op oracles.
 
-    The program never asks for ``b``'s gradient, so ``nx.matmul`` rejects a
-    ``b`` that requires one.  Here a repeated column of ``cols`` sums its
-    gradients into ``b`` through ``np.add.at``.
+    ``cols`` (an int array), the former parameter that
+    :func:`forward_batch_fresh_oracle` uses, makes column ``k`` of the result
+    column ``cols[k]`` of ``a b``, and ``a``'s gradient multiplies the
+    gathered ``b``.  The program never asks for ``b``'s gradient, so
+    ``nx.matmul`` rejects a ``b`` that requires one.  Here a repeated column
+    of ``cols`` sums its gradients into ``b`` through ``np.add.at``.
     """
     out = nx.matmul_values(a.value, b.value)
     if cols is not None:

@@ -12,8 +12,11 @@ reads the record each run writes under the copy's ``perfbench/results/`` and
 writes ``BENCH_<TAG>.json`` at the repository root: for every workload and
 end-to-end metric, both sides' medians and quartiles and the pairs each side
 won, plus the raw operation and set-up medians, the median calibration time,
-whether every check passed, every pair's figures, perfbench's environment
-fingerprint and the OpenBLAS build string.
+the median of each run's minor page faults, whether every check passed,
+every pair's figures, perfbench's environment fingerprint and the OpenBLAS
+build string.  A run's minor page faults are the rise of
+``getrusage(RUSAGE_CHILDREN)`` across its subprocess, so they count its
+set-ups, operations and imports, and the worker processes it waited for.
 
 ``samples_per_s`` is scaled by a calibration loop timed in the same process,
 and that loop has drifted between the two sides' processes.  So each
@@ -37,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 import tarfile
@@ -86,15 +90,21 @@ def export(tree_ish: str, dest: Path) -> None:
 
 def run_side(copy: Path, command: list[str], workload: str, seed: int, seconds: float, trace: int = 0,
              core: int | None = None) -> dict:
-    """One perfbench run in ``copy``, pinned to ``core`` when one is given; returns the record it wrote."""
+    """One perfbench run in ``copy``, pinned to ``core`` when one is given.
+
+    Returns the record it wrote, with the run's ``minor_faults`` added.
+    """
     argv = [sys.executable, *command[1:], "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
     pin = None if core is None else (lambda: os.sched_setaffinity(0, {core}))
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(argv, cwd=copy, stdout=subprocess.PIPE, text=True, timeout=600 + 10 * seconds,
                           preexec_fn=pin)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     if proc.returncode not in (0, 1):
         raise RuntimeError(f"{' '.join(argv[1:])} exited with code {proc.returncode}")
-    return json.loads((copy / "perfbench" / "results" / f"{workload}-seed{seed}-trace{trace}.json").read_text())
+    record = json.loads((copy / "perfbench" / "results" / f"{workload}-seed{seed}-trace{trace}.json").read_text())
+    return {**record, "minor_faults": faults}
 
 
 def blas_config() -> str | None:
@@ -125,7 +135,8 @@ def aggregate(pairs: list[dict], metrics: list[dict]) -> dict:
     per_pair = [{"seed": p["seed"], "first": p["first"],
                  **{side: {**{m["name"]: p[side]["metrics"][m["name"]]["value"] for m in metrics},
                            "raw_op_median_s": float(np.median(p[side]["ops"]["raw"])),
-                           "calibration_median_s": float(np.median(p[side]["ops"]["calibration"]))}
+                           "calibration_median_s": float(np.median(p[side]["ops"]["calibration"])),
+                           "minor_faults": p[side]["minor_faults"]}
                     for side in SIDES}} for p in pairs]
     summary = {}
     for metric in metrics:
@@ -149,6 +160,7 @@ def aggregate(pairs: list[dict], metrics: list[dict]) -> dict:
         "raw_op_median_s": {side: _median_of_medians(records[side], "ops", "raw") for side in SIDES},
         "raw_setup_median_s": {side: _median_of_medians(records[side], "setups", "raw") for side in SIDES},
         "calibration_median_s": {side: _median_of_medians(records[side], "ops", "calibration") for side in SIDES},
+        "minor_faults_median": {side: float(np.median([r["minor_faults"] for r in records[side]])) for side in SIDES},
         "all_checks_passed": {side: all(r["correct"] and all(r["checks"].values()) for r in records[side])
                               for side in SIDES},
         "failed_ops": {side: sum(r["failed"] for r in records[side]) for side in SIDES},
@@ -254,6 +266,8 @@ def main(argv=None) -> int:
               f"{scaled:+.1%}), change won {raw['pairs_won']['change']} of {bench['pairs']}, "
               f"calibration ratio {raw['calibration_ratio_median']:.3f}"
               f"{', the two disagree' if raw['disagree'] else ''}")
+        faults = summary["minor_faults_median"]
+        print(f"{workload} minor page faults per run: {faults['parent']:.0f} -> {faults['change']:.0f}")
         traced = summary["traced_one_core"]
         print(f"{workload} traced on core {traced['core']}: worse by over 10%: "
               f"{', '.join(traced['worse_over_10pct']) or 'none'}")
