@@ -55,6 +55,10 @@ _FIRST_DAY, _LAST_DAY = np.datetime64("0001-01-01", "D"), np.datetime64("9999-12
 _BLANK_RECORD = re.compile(r"[\s,]*").fullmatch
 # a dataset file's dates: YYYY-MM-DD, comma-separated
 _ISO_DATES = re.compile(r"\d{4}-\d{2}-\d{2}(?:,\d{4}-\d{2}-\d{2})*")
+# a dataset file's date text read as 11-byte cells, once a comma is appended: each day's ISO form and a comma
+_DATE_CELL = np.frombuffer(b"0000-00-00,", np.uint8)
+# a cell's bytes b pass where b ^ _DATE_CELL < _CELL_LIMIT: a digit where _DATE_CELL has 0, else _DATE_CELL's byte
+_CELL_LIMIT = np.where(_DATE_CELL == ord("0"), 10, 1).astype(np.uint8)
 
 
 @dataclass
@@ -296,12 +300,31 @@ def _decode_error(path: Path) -> ParseError:
 
 
 def write_frame(frame: FeatureFrame, path: str | Path) -> None:
-    """Write a frame back to CSV, atomically, with full float64 round-trip precision (``repr`` of every value)."""
+    """Write a frame back to CSV, atomically, with full float64 round-trip precision (``repr`` of every value).
+
+    ``csv`` writes the header, whose names may need quoting.  Each row is the
+    ``","``-join of its ISO date and its values' ``repr`` with ``csv``'s
+    ``"\\r\\n"`` line end: neither a date nor a float's ``repr`` ever needs
+    quoting, so the bytes are those of ``csv.writer`` without its per-cell
+    quoting checks.
+    """
     values = np.column_stack([frame.adj_close, frame.features]).T.tolist()
     with serialize.atomic_writer(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([DATE_COLUMN, PRICE_COLUMN, *frame.feature_names])
-        writer.writerows(zip(frame.dates.astype(str).tolist(), *(map(repr, col) for col in values)))
+        csv.writer(fh).writerow([DATE_COLUMN, PRICE_COLUMN, *frame.feature_names])
+        fh.writelines(",".join(row) + "\r\n"
+                      for row in zip(_date_text(frame.dates).split(","), *(map(repr, col) for col in values)))
+
+
+def _date_text(days: np.ndarray) -> str:
+    """``days``, of the years 1 to 9999, as comma-separated ISO dates.
+
+    numpy formats them all at once (``astype("S10")``) into the first ten
+    bytes of 11-byte cells whose last byte is a comma; the text is the cells'
+    bytes less the last comma, with no Python string made per day.
+    """
+    cells = np.full((len(days), 11), ord(","), np.uint8)
+    cells[:, :10] = days.astype("S10")[:, None].view(np.uint8)
+    return cells.tobytes()[:-1].decode("ascii")
 
 
 def normalize(window_values, epsilon: float = DEFAULT_EPSILON, feature_names: list[str] | None = None) -> np.ndarray:
@@ -490,6 +513,9 @@ class PrepareSettings:
         check_fields(self)
         if not self.dead_zone[0] < self.dead_zone[1]:
             raise ConfigError(f"dead zone must satisfy lo < hi, got dead_zone={self.dead_zone}")
+        if not self.dead_zone[0] <= 0 <= self.dead_zone[1]:  # else every return is on one side of it
+            raise ConfigError(f"dead zone must contain 0 (lo <= 0 <= hi), "
+                              f"got lo={self.dead_zone[0]} and hi={self.dead_zone[1]}")
         if not self.train_frac + self.valid_frac < 1:
             raise ConfigError(f"fractions must be positive and sum below 1, "
                               f"got train_frac={self.train_frac} valid_frac={self.valid_frac}")
@@ -599,7 +625,10 @@ def save_dataset(path: str | Path, split: DatasetSplit) -> None:
     """Write each source frame of ``split`` once, with the settings that rebuild its samples.
 
     A frame's dates are one string of comma-separated ISO dates, not a JSON
-    string each.  :func:`load_dataset` windows, labels and splits the frames
+    string each, which :func:`_date_text` formats as one block of bytes.
+    :func:`_stored_dates` reads that exact form back as one block too, and
+    sends any other text to its slower, per-date check, which names the first
+    bad date.  :func:`load_dataset` windows, labels and splits the frames
     again, so any change to windowing, labelling or splitting semantics, or to
     this layout, has to bump ``DATASET_VERSION``.
     """
@@ -614,7 +643,7 @@ def save_dataset(path: str | Path, split: DatasetSplit) -> None:
             "window": split.window,
             "meta": split.meta,
             "frames": [
-                {"stock_id": f.stock_id, "dates": ",".join(f.dates.astype(str).tolist()),
+                {"stock_id": f.stock_id, "dates": _date_text(f.dates),
                  "adj_close": serialize.encode_array(f.adj_close),
                  "features": serialize.encode_array(f.features)}
                 for f in split.frames
@@ -626,11 +655,23 @@ def save_dataset(path: str | Path, split: DatasetSplit) -> None:
 def _stored_dates(text: str) -> np.ndarray:
     """The days of a dataset file's comma-separated ISO dates; ValueError for any other text.
 
-    The pattern admits only the form numpy writes, and numpy rejects a day
-    that is not on the calendar, so the text is exactly what the days format
-    back to: a round trip, checked without formatting 2,500 dates a frame.
-    Alone, numpy would read ``20220105`` as a year and ``2022-1-05`` as a day.
+    Only the form numpy writes is read, and numpy rejects a day that is not
+    on the calendar, so the text is exactly what the days format back to: a
+    round trip, checked without formatting 2,500 dates a frame.  Alone, numpy
+    would read ``20220105`` as a year and ``2022-1-05`` as a day.
+
+    Text as :func:`save_dataset` writes it, ASCII and 11n - 1 bytes long with
+    ``-`` at bytes 4 and 7 of each 11, ``,`` at byte 10 and digits elsewhere,
+    is checked as one block of bytes and parsed by numpy as ``S10`` cells,
+    with no Python string made per day.  Any other text falls back to
+    a regular expression and numpy's parse of the split strings, which names
+    the first bad date; numpy's parse of a cell that is not on the calendar
+    gives the same message either way.
     """
+    if text.isascii() and len(text) % 11 == 10:
+        cells = np.frombuffer(text.encode("ascii") + b",", np.uint8).reshape(-1, 11)
+        if ((cells ^ _DATE_CELL) < _CELL_LIMIT).all():
+            return cells[:, :10].view("S10")[:, 0].astype("datetime64[D]")
     if not _ISO_DATES.fullmatch(text):
         bad = next(cell for cell in text.split(",") if not _ISO_DATES.fullmatch(cell))
         raise ValueError(f"stored date {bad!r} is not an ISO date")

@@ -133,21 +133,24 @@ def _global_norm(arrays) -> float:
     """Joint L2 norm of several arrays, each summed on its own and accumulated in the order given.
 
     One sum over their concatenation would regroup numpy's pairwise sum and change the bits.
+    Squares past float64's range give an infinite norm, without a warning; callers refuse it.
     """
     total = 0.0
-    for arr in arrays:
-        total += float(np.sum(arr * arr))
+    with np.errstate(over="ignore"):
+        for arr in arrays:
+            total += float(np.sum(arr * arr))
     return float(np.sqrt(total))
 
 
 def clip_gradients(params: nx.ParamStore, names: list[str], max_norm: float) -> float:
     """Scale the named gradients, adjacent in the store, so their joint L2 norm is at most ``max_norm``.
 
-    Returns the norm before clipping.
+    Returns the norm before clipping.  A norm that is not finite scales nothing, since inf
+    would scale every gradient to 0 or nan; the caller decides what to do with it.
     """
     span = params.span(names)
     norm = _global_norm(params[name].grad for name in names)
-    if max_norm and norm > max_norm:
+    if max_norm and max_norm < norm < np.inf:
         params.flat_grads[span] *= max_norm / norm
     return norm
 
@@ -314,6 +317,9 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
                 params.zero_grads()
                 nx.backward(loss, arena)
                 grad_norms.append(clip_gradients(params, trainable, cfg.clip_norm))
+                if not np.isfinite(grad_norms[-1]):  # the report could not hold it, and Adam would spread it
+                    raise TrainingError(f"non-finite gradient norm {grad_norms[-1]} in stage {stage_name!r}, "
+                                        f"epoch {global_epoch}, batch starting at {lo}")
                 optimizer.step(params, trainable)
                 weight = len(batch)
                 movement_sum += m_term * weight
@@ -323,8 +329,7 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
             valid_m, valid_v, valid_total = _dataset_loss(
                 params, config, split.validation, rows, loss_weight, pos_weight
             )
-            with np.errstate(over="ignore"):  # squares past float64's range give inf, which is refused below
-                param_norm = _global_norm(t.value for _, t in params.items())
+            param_norm = _global_norm(t.value for _, t in params.items())  # an inf norm is refused below
             row = {
                 "epoch": global_epoch,
                 "stage": stage_name,

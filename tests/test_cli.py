@@ -16,7 +16,7 @@ import alertanet
 from alertanet import cli
 from alertanet import training as tr
 from alertanet.errors import AlertaNetError
-from alertanet.serialize import read_json
+from alertanet.serialize import read_json, sha256_file
 
 from testutil import BAD_CHECKPOINTS, bad_checkpoint
 
@@ -179,6 +179,14 @@ class TestPrepareCommand:
         assert "epsilon" in capsys.readouterr().err
         assert not (out / "dataset.json").exists()
 
+    def test_dead_zone_without_0_fails_naming_both_edges(self, tmp_path, synth_dir, capsys):
+        """It used to exit 0 and label every training window "down"."""
+        out = tmp_path / "prep_zone"
+        assert run_cli("prepare", "--data", synth_dir, "--out", out, "--dead-zone", "1e300", "1e301") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: dead zone must contain 0 (lo <= 0 <= hi), got lo=1e+300 and hi=1e+301"]
+        assert not out.exists()
+
     def test_undecodable_csv_fails_naming_file_and_line(self, tmp_path, synth_dir, capsys):
         (synth_dir / "LATIN1.csv").write_bytes(b"date,adj_close,sent_0\n2020-01-01,1.0,0.5\n2020-01-02,1.0,caf\xe9\n")
         out = tmp_path / "prep_bad"
@@ -336,6 +344,20 @@ class TestTrainEval:
         assert capsys.readouterr().err.splitlines() == ["error: non-finite param_norm inf in stage 'joint', epoch 1"]
         assert not (out / "train_report.json").exists() and not (out / "checkpoint.json").exists()
 
+    def test_overflowing_gradient_norm_fails_naming_the_batch(self, tmp_path, criterion8_prepared, capsys):
+        """A volatility weight of 1e308 drives the squares in the first batch's gradient norm past float64's
+        range.  That used to warn of overflow in the norm, which a RuntimeWarning filter turns into a
+        traceback, and to stop only at the epoch's end."""
+        out = tmp_path / "x"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("train", "--dataset", criterion8_prepared, "--out", out, "--lambda", "1e308",
+                           "--epochs", "2", "--hidden", "4", "--seed", "3")
+        assert code == 1 and not caught, [str(w.message) for w in caught]
+        assert capsys.readouterr().err.splitlines() == [
+            "error: non-finite gradient norm inf in stage 'joint', epoch 1, batch starting at 0"]
+        assert not (out / "train_report.json").exists() and not (out / "checkpoint.json").exists()
+
     def test_negative_clip_norm_flag_fails(self, tmp_path, prepared, capsys):
         out = tmp_path / "x"
         assert run_cli("train", "--dataset", prepared, "--out", out, "--epochs", "1", "--clip-norm=-1") == 1
@@ -468,6 +490,21 @@ class TestDeterminism:
         assert (run_a / "checkpoint.json").read_bytes() == (run_b / "checkpoint.json").read_bytes()
         assert (run_a / "train_report.json").read_bytes() == (run_b / "train_report.json").read_bytes()
         assert (eval_a / "eval_report.json").read_bytes() == (eval_b / "eval_report.json").read_bytes()
+
+    def test_synth_and_prepare_bytes_are_pinned(self, tmp_path):
+        """The CSVs and ``dataset.json`` as their writers gave them before rows and dates were formatted a
+        column at a time.  They depend on neither BLAS nor numpy's SIMD level, so a digest that moves is a
+        change to a writer."""
+        raw, prep = tmp_path / "raw", tmp_path / "prep"
+        assert run_cli("synth", "--out", raw, "--stocks", "2", "--days", "300", "--seed", "9") == 0
+        assert run_cli("prepare", "--data", raw, "--out", prep) == 0
+        digests = {path: sha256_file(tmp_path / path)
+                   for path in ("raw/SYN00.csv", "raw/SYN01.csv", "prep/dataset.json")}
+        assert digests == {
+            "raw/SYN00.csv": "5fe4d8720984b5c9d49c28e881e18d326ab802fd33b42ccb73ca5575e9f296c3",
+            "raw/SYN01.csv": "7c7be5687396fae5a34061dc72493d0784c3fe6ceb214b21e447acad4432c743",
+            "prep/dataset.json": "9cb0ac1e9e3934b49ac6e51657c69e5c84bd7f59d0e074e39deae75e736ddee8",
+        }
 
     def test_environment_fingerprint_only_in_manifest(self, tmp_path, criterion8_prepared):
         """The fingerprint goes into manifest.json; the train report stays byte-identical."""

@@ -6,6 +6,8 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alertanet import data as dp
 from alertanet import serialize
@@ -20,7 +22,15 @@ from alertanet.errors import (
 )
 from alertanet.synth import SynthSpec, generate
 
-from testutil import GOLDEN_PRICES, golden_label_oracle, load_frame_oracle, stack_windows
+from testutil import (
+    GOLDEN_PRICES,
+    date_text_oracle,
+    golden_label_oracle,
+    load_frame_oracle,
+    stack_windows,
+    stored_dates_oracle,
+    write_frame_oracle,
+)
 
 
 def write_csv(path, header, rows):
@@ -164,6 +174,20 @@ class TestLoadFrame:
             for i, day in enumerate(frame.dates):
                 writer.writerow([day, repr(float(frame.adj_close[i])), *(repr(float(v)) for v in frame.features[i])])
         assert (tmp_path / "W.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("names, values", [
+        (["sent_0", "trend_0", "macro_0"], [[5e-324, 1e16, -0.0], [1e16, -0.0, 5e-324]]),
+        (['sent "0", raw', "line\nbreak", "trend_0"], [[0.1, 2.0, 1e-300], [3.0, 1e300, 0.0]]),
+        (["sent_0"], [[-0.0]]),
+        (["sent_0", "macro_0"], np.empty((0, 2))),
+    ], ids=["subnormal-1e16-negative-zero", "names-that-need-quoting", "one-row", "zero-rows"])
+    def test_write_frame_bytes_match_the_csv_writer_oracle(self, tmp_path, names, values):
+        values = np.asarray(values, dtype=np.float64)
+        frame = dp.FeatureFrame("W", np.datetime64("2021-02-01") + np.arange(len(values)),
+                                np.arange(1.0, len(values) + 1), names, values)
+        dp.write_frame(frame, tmp_path / "W.csv")
+        write_frame_oracle(frame, tmp_path / "oracle.csv")
+        assert (tmp_path / "W.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_first_defect_in_row_order_is_named(self, tmp_path):
         """numpy's one call refuses the file; the record walk names row 3's cell, the first bad one in file order."""
@@ -732,6 +756,14 @@ class TestDatasetRoundTrip:
         with pytest.raises(ParseError, match=rf"dataset\.json: malformed dataset \(.*{named}.*rerun `alertanet prepare`"):
             dp.load_dataset(path)
 
+    def test_dead_zone_without_0_fails_naming_file_and_both_edges(self, tmp_path):
+        """Such a zone used to load, and label every window on one side of it."""
+        path = tmp_path / "dataset.json"
+        path.write_text(dataset_text(dead_zone=[1e300, 1e301]), encoding="utf-8")
+        message = "malformed dataset (dead zone must contain 0 (lo <= 0 <= hi), got lo=1e+300 and hi=1e+301)"
+        with pytest.raises(ParseError, match=re.escape(f"dataset.json: {message}; rerun `alertanet prepare`")):
+            dp.load_dataset(path)
+
     def test_stored_year_0_fails_naming_file_and_date(self, tmp_path):
         """numpy reads year 0, and the stored-date pattern admits any four-digit year; the frame check rejects it."""
         path = tmp_path / "dataset.json"
@@ -832,3 +864,70 @@ class TestDatasetRoundTrip:
     def test_build_dataset_requires_frames(self):
         with pytest.raises(ConfigError, match="no input frames"):
             dp.build_dataset([], window_len=5)
+
+
+def date_outcome(read, text):
+    """What ``read`` makes of ``text``: the dtype and day numbers it returns, or the ValueError it raises."""
+    try:
+        days = read(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return days.dtype, days.view(np.int64).tolist()
+
+
+class TestDateCodecMatchesTheOracles:
+    """``_date_text`` and ``_stored_dates`` against the former day-by-day formatter and regex reader."""
+
+    @pytest.mark.parametrize("first_year", range(1, 10000, 1000))
+    def test_every_day_of_the_years_1_to_9999_formats_and_reads_back_as_the_oracle(self, first_year):
+        """Blocks of 1,000 years (the last of 999), each from its first January 1 to its last December 31,
+        leap days included."""
+        first = np.datetime64(f"{first_year:04d}-01-01")
+        last = np.datetime64(f"{min(first_year + 999, 9999):04d}-12-31")
+        days = np.arange(first, last + 1)
+        text = dp._date_text(days)
+        assert text == date_text_oracle(days)
+        assert date_outcome(dp._stored_dates, text) == date_outcome(stored_dates_oracle, text)
+        assert np.array_equal(dp._stored_dates(text), days)
+
+    def test_empty_days_format_as_empty_text(self):
+        days = np.array([], dtype="datetime64[D]")
+        assert dp._date_text(days) == date_text_oracle(days) == ""
+
+    @pytest.mark.parametrize("year", ["0000", "0001", "1900", "2000", "2024", "9999"])
+    def test_every_month_and_day_cell_of_a_year_reads_as_the_oracle(self, year):
+        """Cells that have the form but not a day on the calendar, such as month 13 or February 30."""
+        for month in range(20):
+            for day in range(40):
+                text = f"{year}-{month:02d}-{day:02d}"
+                assert date_outcome(dp._stored_dates, text) == date_outcome(stored_dates_oracle, text), text
+
+    @pytest.mark.parametrize("text", [
+        "0000-01-01", "2022-02-29", "2024-02-29", "2022-13-01", "2022-01-00", "", ",", "2022-01-05,",
+        ",2022-01-05", "2022-01-05,,2022-01-06", "2022-01-05 ", "2022-01-05,2022-01-0", "20220105,2022-01-06",
+        "\u0662\u0660\u0662\u0662-01-05", "2022-01-0\u0665", "\uff12\uff10\uff12\uff12-01-05",
+        "2022-01-05,2022-01-0\u0666", "2022\u201101\u201105",
+    ])
+    def test_text_outside_the_block_form_reads_or_fails_as_the_oracle(self, text):
+        """Year 0 reads on both (the frame check rejects it); non-ASCII digits fail with numpy's message."""
+        assert date_outcome(dp._stored_dates, text) == date_outcome(stored_dates_oracle, text)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(-719162, 2932896), min_size=1, max_size=4), st.data())
+    def test_single_character_corruption_reads_or_fails_as_the_oracle(self, day_numbers, data):
+        """One character of a stored date text replaced, deleted or inserted: any of the first 256 code points,
+        or a digit of another script."""
+        text = dp._date_text(np.array(sorted(day_numbers), dtype="datetime64[D]"))
+        at = data.draw(st.integers(0, len(text)))
+        char = data.draw(st.one_of(st.characters(max_codepoint=255), st.sampled_from(NON_ASCII_DIGITS)))
+        edit = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+        if edit == "insert":
+            text = text[:at] + char + text[at:]
+        elif at < len(text):
+            text = text[:at] + (char if edit == "replace" else "") + text[at + 1 :]
+        assert date_outcome(dp._stored_dates, text) == date_outcome(stored_dates_oracle, text)
+
+
+# a digit in Arabic-Indic, extended Arabic-Indic, Devanagari, fullwidth and NKo: regular expressions read them
+# as \d, numpy's date parser does not
+NON_ASCII_DIGITS = ["\u0663", "\u06f7", "\u0969", "\uff11", "\u07c2"]

@@ -1,4 +1,4 @@
-"""Property tests: CSV loading, labelling, chronological splitting, array serialization and damaged artifacts."""
+"""Property tests: CSV loading and writing, labelling, chronological splitting, array serialization and damaged artifacts."""
 
 import codecs
 import contextlib
@@ -26,7 +26,7 @@ from alertanet.errors import AlertaNetError, ConfigError
 from alertanet.serialize import decode_array, encode_array
 from alertanet.synth import SynthSpec, generate
 
-from testutil import golden_label_oracle, load_frame_oracle, sample_set
+from testutil import golden_label_oracle, load_frame_oracle, sample_set, write_frame_oracle
 
 # Derandomized and without an example database, so every run draws the same examples.
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -275,6 +275,23 @@ def test_benchmark_synth_csvs_never_reach_the_record_walk(tmp_path):
     with mock.patch.object(dp, "_walk", side_effect=AssertionError("the record walk ran")):
         frames = [dp.load_frame(path) for path in sorted(tmp_path.glob("*.csv"))]
     assert [len(f) for f in frames] == [400, 400]
+
+
+@PROPERTY
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    hnp.arrays(np.float64, (n, 3), elements=st.floats(allow_nan=False, allow_infinity=False)),
+    st.lists(st.integers(1, 60), min_size=n, max_size=n),
+    st.integers(-719162, 2900000),
+)))
+def test_write_frame_writes_the_bytes_of_the_csv_writer_oracle(case):
+    """Any finite values, signed zeros and subnormals included, on ascending days from years 1 to 9999."""
+    values, gaps, first = case
+    frame = dp.FeatureFrame("W", np.datetime64(first, "D") + np.cumsum(gaps, dtype=np.int64), np.ones(len(values)),
+                            ["sent_0", "macro_0", "price_0"], values)
+    with tempfile.TemporaryDirectory() as tmp:
+        dp.write_frame(frame, Path(tmp) / "W.csv")
+        write_frame_oracle(frame, Path(tmp) / "oracle.csv")
+        assert (Path(tmp) / "W.csv").read_bytes() == (Path(tmp) / "oracle.csv").read_bytes()
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,6 +1,6 @@
 """Artifacts are written whole or not at all, and JSON is streamed without a text copy."""
 
-import csv
+import contextlib
 import dataclasses
 import json
 import tracemalloc
@@ -50,21 +50,30 @@ class TestAtomicWrites:
         dp.write_frame(frame, path)
         old = path.read_bytes()
 
-        real_writer = csv.writer
+        real_writer = serialize.atomic_writer
 
-        class FailingWriter:
+        class FailingFile:
             """Writes the header, then fails on the rows."""
 
             def __init__(self, fh):
-                self.inner = real_writer(fh)
+                self.fh, self.writes = fh, 0
 
-            def writerow(self, row):
-                self.inner.writerow(row)
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError("disk full")
+                return self.fh.write(text)
 
-            def writerows(self, rows):
-                raise OSError("disk full")
+            def writelines(self, lines):
+                for line in lines:
+                    self.write(line)
 
-        monkeypatch.setattr(dp.csv, "writer", FailingWriter)
+        @contextlib.contextmanager
+        def failing_writer(path, newline=None):
+            with real_writer(path, newline) as fh:
+                yield FailingFile(fh)
+
+        monkeypatch.setattr(dp.serialize, "atomic_writer", failing_writer)
         with pytest.raises(OSError, match="disk full"):
             dp.write_frame(dataclasses.replace(frame, adj_close=frame.adj_close * 2), path)
         assert path.read_bytes() == old

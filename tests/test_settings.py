@@ -98,3 +98,19 @@ def test_stored_dead_zone_of_one_number_fails_naming_it(tmp_path):
     message = "'dead_zone' is [0.01], expected a pair of finite numbers"
     with pytest.raises(ParseError, match=re.escape(f"dataset.json: malformed dataset ({message}); rerun")):
         dp.load_dataset(path)
+
+
+@pytest.mark.parametrize("dead_zone", [(0.0, 0.005), (-0.005, 0.0), (-1e300, 1e300)])
+def test_dead_zone_with_0_on_or_inside_its_edges_passes(dead_zone):
+    assert dp.PrepareSettings(dead_zone=dead_zone).dead_zone == dead_zone
+
+
+@pytest.mark.parametrize("dead_zone, message", [
+    ((1e300, 1e301), "dead zone must contain 0 (lo <= 0 <= hi), got lo=1e+300 and hi=1e+301"),
+    ((TINY, 0.01), "dead zone must contain 0 (lo <= 0 <= hi), got lo=5e-324 and hi=0.01"),
+    ((-0.01, -TINY), "dead zone must contain 0 (lo <= 0 <= hi), got lo=-0.01 and hi=-5e-324"),
+])
+def test_dead_zone_without_0_fails_naming_both_edges(dead_zone, message):
+    """Such a zone used to pass, and label every return on one side of it."""
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        dp.PrepareSettings(dead_zone=dead_zone)

@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -182,6 +183,29 @@ class TestClip:
         assert np.allclose(params["w"].grad, [[0.3, 0.4]])
 
 
+    @pytest.mark.parametrize("grad", [1e200, np.nan], ids=["squares-overflow", "nan"])
+    def test_norm_that_is_not_finite_is_returned_without_a_warning_or_scaling(self, grad):
+        """The squares of 1e200 used to warn of overflow, and the inf norm scaled every gradient to 0."""
+        params = nx.ParamStore()
+        params.add("w", np.ones((1, 2)))
+        params["w"].grad[...] = grad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = tr.clip_gradients(params, ["w"], 5.0)
+        assert not math.isfinite(norm) and np.array_equal(params["w"].grad, [[grad, grad]], equal_nan=True)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-3, 1.0, 1e3, 1e150])
+    @pytest.mark.parametrize("max_norm", [0.0, 1e-3, 5.0, 1e160])
+    def test_finite_norms_keep_the_oracle_bits(self, scale, max_norm):
+        config = md.ModelConfig(input_dim=3, hidden_dim=4, window=3)
+        got, want = (md.init_params(config, np.random.default_rng(5)) for _ in range(2))
+        grads = np.random.default_rng(6).standard_normal(got.flat_grads.shape) * scale
+        got.flat_grads[:] = want.flat_grads[:] = grads
+        names = got.names()
+        assert tr.clip_gradients(got, names, max_norm) == clip_gradients_oracle(want, names, max_norm)
+        assert got.flat_grads.tobytes() == want.flat_grads.tobytes()
+
+
 class TestTrain:
     def test_loss_decreases_on_separable_toy(self):
         split = toy_split(noise=0.0)
@@ -275,9 +299,12 @@ class TestTrain:
 
     def test_non_finite_loss_aborts_with_diagnostic(self):
         split = toy_split(n_days=200)
-        # finite, so the config is valid, but the weighted volatility term overflows
+        # finite, so the config is valid, but the weighted volatility term's gradients overflow the first
+        # batch's norm; clipping by that inf norm used to spread nan, and the run stopped at the next batch
+        # with "non-finite loss ... first offender: batch inputs"
         cfg = tr.TrainConfig(window=5, hidden=4, epochs=1, batch_size=16, loss_weight=1e308)
-        with np.errstate(over="ignore"), pytest.raises(TrainingError, match="non-finite loss"):
+        with np.errstate(over="ignore"), pytest.raises(
+                TrainingError, match=r"^non-finite gradient norm inf in stage 'joint', epoch 1, batch starting at 0$"):
             tr.train(split, cfg)
 
     @pytest.mark.parametrize("arch", ["alerta", "gru"])

@@ -2,7 +2,9 @@
 sample sets built from windows, malformed checkpoint files, and the tape ops and
 accessors that only the tests compose.
 
-Kept as oracles: the row-by-row CSV loader, the day-by-day synthetic price
+Kept as oracles: the row-by-row CSV loader and ``csv.writer`` CSV writer,
+the day-by-day ISO date formatter and the regular-expression date reader of
+dataset files, the day-by-day synthetic price
 loop, the project-every-column forward pass, the cell's forward arithmetic in
 new arrays, the taped pass that projects each distinct day and takes new
 blocks at every step, the serial, taped chunk loops of prediction and
@@ -13,6 +15,7 @@ the fused model nodes replaced, as oracles."""
 
 import csv
 import json
+import re
 from datetime import date
 from fractions import Fraction
 from pathlib import Path
@@ -130,6 +133,31 @@ def load_frame_oracle(path, schema=None):
         raise DataIntegrityError(f"{path}: row {rows[i][1]}: adj_close {block[i, 0]} is not a positive number")
     return FeatureFrame(stock_id=path.stem, dates=[r[0] for r in rows], adj_close=block[:, 0],
                         feature_names=list(schema), features=block[:, 1:])
+
+
+def write_frame_oracle(frame, path):
+    """The former ``data.write_frame``: every row, header included, through ``csv.writer``."""
+    values = np.column_stack([frame.adj_close, frame.features]).T.tolist()
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([DATE_COLUMN, PRICE_COLUMN, *frame.feature_names])
+        writer.writerows(zip(frame.dates.astype(str).tolist(), *(map(repr, col) for col in values)))
+
+
+def date_text_oracle(days):
+    """The former date text of ``data.save_dataset``: each day formatted as a string, then joined."""
+    return ",".join(days.astype(str).tolist())
+
+
+_ISO_DATES = re.compile(r"\d{4}-\d{2}-\d{2}(?:,\d{4}-\d{2}-\d{2})*")
+
+
+def stored_dates_oracle(text):
+    """The former ``data._stored_dates``: a regular expression, then numpy's parse of the split strings."""
+    if not _ISO_DATES.fullmatch(text):
+        bad = next(cell for cell in text.split(",") if not _ISO_DATES.fullmatch(cell))
+        raise ValueError(f"stored date {bad!r} is not an ISO date")
+    return np.array(text.split(","), dtype="datetime64[D]")
 
 
 def price_path_oracle(base_price, returns):
