@@ -33,7 +33,7 @@ class SchemaError(AlertaNetError):
 
 
 class ParseError(AlertaNetError):
-    """An input file contains a cell that cannot be parsed."""
+    """An input file contains a cell that cannot be parsed, or a value cannot be written in a file's format."""
 
 
 class DataIntegrityError(AlertaNetError):

@@ -13,13 +13,17 @@ The plain-GRU baseline ("gru" arch) drops the context entirely: movement
 reads h^T alone and volatility reads [h^T; p_move].  It exists to isolate
 the contribution of the TDA mechanism.
 
-A pass takes its blocks from a :class:`~alertanet.numerics.Arena`: a taped
-pass from the one its caller passes, as ``train`` passes one for all its
-steps, or else new ones; a forward-only pass from its thread's own.
+Both passes run every encoder step, and the context step, through
+:func:`cell_step`.  A pass takes its blocks from a
+:class:`~alertanet.numerics.Arena`: a taped pass from the one its caller
+passes, as ``train`` passes one for all its steps, or else new ones; a
+forward-only pass from its thread's own, and each of its steps writes the
+new state over the one before it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -123,12 +127,6 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> nx.ParamStore:
     return params
 
 
-def _check_fit(wx_shape: tuple[int, int], h_shape: tuple[int, int], u: int) -> None:
-    """Raise a :class:`DimensionError` unless a step's ``W x`` and state fit a cell of ``u`` hidden rows."""
-    if h_shape[0] != u or wx_shape != (3 * u, h_shape[1]):
-        raise DimensionError(f"cell_step: projection {wx_shape} and state {h_shape} do not fit hidden_dim {u}")
-
-
 def gru_cell(wx_t: np.ndarray, h: np.ndarray, r_zr: np.ndarray, r_h: np.ndarray, b: np.ndarray, *,
              zr: np.ndarray, work: np.ndarray, mask: np.ndarray, cand: np.ndarray, zc: np.ndarray,
              out: np.ndarray) -> np.ndarray:
@@ -142,8 +140,10 @@ def gru_cell(wx_t: np.ndarray, h: np.ndarray, r_zr: np.ndarray, r_h: np.ndarray,
     (2u x n) ``R_zr h`` and the sigmoid's scratch, then [r*h; 1-z]; ``mask``
     (2u x n, bool) the sigmoid's ``x >= 0``; ``cand`` (u x n) the candidate;
     ``zc`` (u x n) z*cand, and it may be ``cand`` when the candidate is not
-    kept; ``out`` (u x n) the new state, which is returned.  Each holds only
-    what this call wrote, so blocks can be reused from step to step.
+    kept; ``out`` (u x n) the new state, which is returned, and it may be
+    ``h``, which is last read by the ``(1-z)*h`` product that writes ``out``.
+    Each holds only what this call wrote, so blocks can be reused from step
+    to step.
 
     Every entry keeps the summation order and grouping of separate per-gate
     products, so the value is bit-identical to composing the gates op by op.
@@ -154,7 +154,8 @@ def gru_cell(wx_t: np.ndarray, h: np.ndarray, r_zr: np.ndarray, r_h: np.ndarray,
     A non-finite ``R`` still takes the product, where ``inf * 0`` gives NaN.
     """
     u = r_h.shape[0]
-    _check_fit(wx_t.shape, h.shape, u)
+    if h.shape[0] != u or wx_t.shape != (3 * u, h.shape[1]):
+        raise DimensionError(f"cell_step: projection {wx_t.shape} and state {h.shape} do not fit hidden_dim {u}")
     zero_state = not h.any()
 
     def recurrent(r_mat, state, into):
@@ -183,31 +184,43 @@ def cell_step(
     h_prev: nx.Tensor,
     params: nx.ParamStore,
     prefix: str = "",
-    cols: slice = slice(None),
+    cols: slice | np.ndarray = slice(None),
     arena: nx.Arena | None = None,
 ) -> nx.Tensor:
     """One GRU cell update on a (hidden x batch) block, recorded as one tape node.
 
     ``wx`` holds the input projection ``W x`` (rows z, r, h), usually of every
-    step side by side; ``cols`` selects this step's columns of it.  The value
-    is :func:`gru_cell`'s, formed in blocks of ``arena`` (new blocks without
-    one) that the backward then reads; the backward's scratch comes from the
-    same arena, inside a scope, so every cell's backward reuses it.
+    step side by side; ``cols``, a slice or an index array, selects this
+    step's columns of it, and the backward adds through them, so a step that
+    records a node needs distinct columns.  The value is :func:`gru_cell`'s,
+    formed in blocks of ``arena`` (new blocks without one).  A step that
+    records a node keeps its blocks, which the backward reads; the
+    backward's scratch comes from the same arena, inside a scope, so every
+    cell's backward reuses it.  A step that records none, because nothing it
+    reads requires a gradient, takes its blocks inside a scope, so every
+    such step reuses them, and writes the new state over ``h_prev``'s block,
+    which it returns.
     """
     arena = nx.Arena() if arena is None else arena
     r_zr, r_h, b = params[prefix + "R_zr"], params[prefix + "R_h"], params[prefix + "b"]
+    parents = (wx, h_prev, r_zr, r_h, b)
+    taped = any(p.requires_grad for p in parents)
     u, n = r_h.rows, h_prev.cols
     h = h_prev.value
-    zr, work, cand = arena.take((2 * u, n)), arena.take((2 * u, n)), arena.take((u, n))
-    out = gru_cell(wx.value[:, cols], h, r_zr.value, r_h.value, b.value, zr=zr, work=work,
-                   mask=arena.take((2 * u, n), bool), cand=cand, zc=arena.take((u, n)), out=arena.take((u, n)))
-    z, r = zr[:u], zr[u:]
-    rh, keep = work[:u], work[u:]
+    with contextlib.nullcontext() if taped else arena.scope():
+        # cols are in range, so "wrap" moves no index; "raise" would gather into a temporary copy first
+        wx_t = wx.value[:, cols] if isinstance(cols, slice) else np.take(
+            wx.value, cols, axis=1, out=arena.take((wx.rows, len(cols))), mode="wrap")
+        zr, work, cand = arena.take((2 * u, n)), arena.take((2 * u, n)), arena.take((u, n))
+        out = gru_cell(wx_t, h, r_zr.value, r_h.value, b.value, zr=zr, work=work, mask=arena.take((2 * u, n), bool),
+                       cand=cand, zc=arena.take((u, n)) if taped else cand, out=arena.take((u, n)) if taped else h)
 
     def backward_fn(grad):
         # the gate gradients [d_zr; d_cand] fill one block in gate order, so that W x and b take one pass each;
         # d_cand is (grad * z) * (1 - cand^2) and d_zr (concatenate([grad * (cand - h), d_rh * h]) * zr) * (1 - zr),
         # each temporary written into scratch in the order and grouping of those expressions
+        z, r = zr[:u], zr[u:]
+        rh, keep = work[:u], work[u:]
         with arena.scope():
             d, d_rh, s = arena.take((3 * u, n)), arena.take((u, n)), arena.take((2 * u, n))
             d_zr, d_cand, t = d[: 2 * u], d[2 * u :], s[:u]
@@ -231,7 +244,7 @@ def cell_step(
             r_h.grad += np.dot(d_cand, rh.T, out=g[:u])
             b.grad += np.add.reduce(d, axis=1, keepdims=True, out=arena.take((3 * u, 1)))
 
-    return nx.record(out, (wx, h_prev, r_zr, r_h, b), backward_fn)
+    return nx.record(out, parents, backward_fn)
 
 
 def tda_weights(t: int) -> np.ndarray:
@@ -313,13 +326,15 @@ def forward_batch(windows: SampleSet | np.ndarray, params: nx.ParamStore, config
     gradient.  A taped trace is valid until the next pass over its arena; a
     forward-only pass returns tensors that share no memory with its arena.
 
-    A taped pass projects ``W x`` over all (step, window) columns in one
-    product into its block, because its backward's library product needs
-    every column.  A forward-only pass, whose date-sorted chunks read
-    consecutive windows that share all but one day, projects once per
-    distinct day, gathers a step's columns only when that step runs, and
-    adds ``c_t * h_t`` to the TDA mix in step order, the operations of
-    :func:`~alertanet.numerics.linear_combination`.  Each column of the
+    Both passes project ``W x`` into arena blocks and run one step loop and
+    one context step through :func:`cell_step`.  A taped pass projects all
+    (step, window) columns in one product, because its backward's library
+    product needs every column, and keeps every state for the tape.  A
+    forward-only pass, whose date-sorted chunks read consecutive windows
+    that share all but one day, projects once per distinct day, so each
+    step gathers its columns; its steps write each state over the last,
+    and it adds ``c_t * h_t`` to the TDA mix in step order, the operations
+    of :func:`~alertanet.numerics.linear_combination`.  Each column of the
     product sees the same operands in the same order either way, so both
     passes get the bits of projecting every column.
     """
@@ -341,77 +356,46 @@ def forward_batch(windows: SampleSet | np.ndarray, params: nx.ParamStore, config
         )
     # column t*batch + j of the projection holds step t of window j, which reads day start[j] + t
     day_of_col = (np.arange(steps)[:, None] + start).reshape(-1)
-    last = slice((steps - 1) * batch, steps * batch)
     taped = params["W"].requires_grad
     if arena is None:
         arena = nx.Arena() if taped else _workspace()
     arena.reset()
 
-    coeffs = None
+    def project(w: nx.Tensor, col_days: np.ndarray) -> tuple[nx.Tensor, list]:
+        """``W x`` in arena blocks for the steps that read ``col_days``, and each step's columns of it: of every
+        (step, window) column on a taped pass, of each distinct day once on a forward-only pass."""
+        used, inv = (col_days, None) if taped else np.unique(col_days, return_inverse=True)
+        x = arena.take((dim, len(used)))
+        np.copyto(x, days[used[:, None], feature_cols].T)
+        wx = nx.matmul(w, nx.constant(x), out=arena.take((w.rows, len(used))))
+        los = range(0, len(col_days), batch)
+        return wx, [slice(lo, lo + batch) if inv is None else inv[lo : lo + batch] for lo in los]
+
+    wx, cols = project(params["W"], day_of_col)
+    # the state and the TDA mix are new arrays, which forward-only steps overwrite, so their trace holds no arena block
+    h, hidden = nx.constant(np.zeros((u, batch))), []
+    mixed = coeffs = None
     if config.uses_context:
         weights = tda_weights(steps)
         if config.tda_normalize:
             weights = weights / np.sum(weights)
         coeffs = weights.tolist()
-    if taped:
-        x = arena.take((dim, steps * batch))
-        np.copyto(x, days[day_of_col[:, None], feature_cols].T)
-        wx = nx.matmul(params["W"], nx.constant(x), out=arena.take((params["W"].rows, steps * batch)))
-        h = nx.constant(arena.zeros((u, batch)))
-        hidden: list[nx.Tensor] = []
-        for t in range(steps):
-            h = cell_step(wx, h, params, cols=slice(t * batch, (t + 1) * batch), arena=arena)
+        if not taped:
+            mixed, fold = np.zeros((u, batch)), arena.take((u, batch))
+    for t in range(steps):
+        h = cell_step(wx, h, params, cols=cols[t], arena=arena)
+        if taped:
             hidden.append(h)
-        context = None
-        if config.uses_context:
-            mix = nx.linear_combination(hidden, coeffs)
-            if config.shared_context_cell:
-                context = cell_step(wx, mix, params, cols=last, arena=arena)
-            else:
-                x_last = arena.take((dim, batch))
-                np.copyto(x_last, x[:, last])
-                ctx_wx = nx.matmul(params["ctx_W"], nx.constant(x_last), out=arena.take((params["ctx_W"].rows, batch)))
-                context = cell_step(ctx_wx, mix, params, "ctx_", arena=arena)
-    else:
-        def project(w: nx.Tensor, col_days: np.ndarray) -> tuple[nx.Tensor, np.ndarray]:
-            """``W x`` once per distinct day, and each column's index into it."""
-            used, inv = np.unique(col_days, return_inverse=True)
-            return nx.matmul(w, nx.constant(days[used][:, feature_cols].T)), inv
-
-        wx, inv = project(params["W"], day_of_col)
-        # every block is taken here, so dry takes size the arena before any block is written: in a pass that
-        # does not fit, their new blocks stay unwritten and cost no page faults, where written ones would
-        requests = [((rows, batch), np.float64) for rows in (3 * u, 2 * u, 2 * u, u, u, u)] + [((2 * u, batch), bool)]
-        for shape, dtype in requests:
-            arena.take(shape, dtype)
-        arena.reset()
-        wx_t, zr, work, cand, *states, mask = (arena.take(shape, dtype) for shape, dtype in requests)
-
-        def step(wx: nx.Tensor, cols: np.ndarray, h: np.ndarray, prefix: str, out: np.ndarray) -> np.ndarray:
-            _check_fit((wx.rows, len(cols)), h.shape, params[prefix + "R_h"].rows)  # before the gather into wx_t
-            # cols are in range, so "wrap" moves no index; "raise" would gather into a temporary copy first
-            np.take(wx.value, cols, axis=1, out=wx_t, mode="wrap")
-            return gru_cell(wx_t, h, *(params[prefix + name].value for name in ("R_zr", "R_h", "b")),
-                            zr=zr, work=work, mask=mask, cand=cand, zc=cand, out=out)
-
-        h = states[0]
-        h.fill(0.0)
-        mixed = None if coeffs is None else np.zeros(h.shape)
-        for t in range(steps):
-            # the last state is returned, so it gets a new block
-            h = step(wx, inv[t * batch : (t + 1) * batch], h, "",
-                     np.empty(h.shape) if t == steps - 1 else states[(t + 1) % 2])
-            if mixed is not None:
-                mixed += np.multiply(coeffs[t], h, out=cand)
-        hidden = [nx.Tensor(h, _validate=False)]
-        context = None
-        if mixed is not None:
-            shared = config.shared_context_cell
-            ctx_wx, ctx_cols = (wx, inv[last]) if shared else project(params["ctx_W"], day_of_col[last])
-            context = nx.Tensor(step(ctx_wx, ctx_cols, mixed, "" if shared else "ctx_", np.empty(h.shape)),
-                                _validate=False)
-    logits = heads([hidden[-1]] if context is None else [hidden[-1], context], params)
-    return ForwardTrace(hidden=hidden, context=context, logits=logits)
+        elif mixed is not None:
+            mixed += np.multiply(coeffs[t], h.value, out=fold)
+    context = None
+    if coeffs is not None:
+        mix = nx.linear_combination(hidden, coeffs) if taped else nx.Tensor(mixed, _validate=False)
+        shared = config.shared_context_cell
+        ctx_wx, ctx_cols = (wx, cols) if shared else project(params["ctx_W"], day_of_col[-batch:])
+        context = cell_step(ctx_wx, mix, params, "" if shared else "ctx_", ctx_cols[-1], arena)
+    logits = heads([h] if context is None else [h, context], params)
+    return ForwardTrace(hidden=hidden if taped else [h], context=context, logits=logits)
 
 
 def forward(x, params: nx.ParamStore, config: ModelConfig) -> ForwardTrace:

@@ -315,8 +315,10 @@ class Arena:
     reset.  A block past the buffer's end is a new array, and the next reset
     makes the buffer as large as the widest pass so far; so an arena with no
     buffer yet hands out new arrays, and its first pass sizes it.  The arena
-    keeps each view it makes, so a pass that repeats an earlier pass's
-    requests gets the same view objects back.
+    keeps each block it hands out until the buffer changes, so a request
+    repeated at the same offset gets the same array back: in a later pass,
+    and, for a block past the end, after a :meth:`scope` of the same pass,
+    whose scratch is then made once however often the scope runs.
     """
 
     ALIGN = 64
@@ -324,8 +326,8 @@ class Arena:
     def __init__(self):
         self._buffer = np.empty(0, dtype=np.uint8)
         self._base = self._capacity = 0  # the buffer's first 64-byte boundary, and the bytes after it
-        self._used = self._peak = 0  # bytes taken in this pass, and in the widest pass that did not fit
-        self._views: dict[tuple, tuple[np.ndarray, int]] = {}  # (offset, shape, dtype) -> (view, offset after it)
+        self._used = self._peak = 0  # bytes taken in this pass, and in the widest pass so far
+        self._views: dict[tuple, tuple[np.ndarray, int]] = {}  # (offset, shape, dtype) -> (block, offset after it)
 
     def reset(self) -> None:
         if self._peak > self._capacity:
@@ -342,10 +344,10 @@ class Arena:
         if view is None:
             nbytes = math.prod(shape) * np.dtype(dtype).itemsize
             end = self._used + -(-nbytes // self.ALIGN) * self.ALIGN
-            if end > self._capacity:
-                self._used, self._peak = end, max(self._peak, end)
-                return np.empty(shape, dtype)
-            view = self._views[key] = np.ndarray(shape, dtype, self._buffer, self._base + self._used), end
+            self._peak = max(self._peak, end)
+            block = np.ndarray(shape, dtype, self._buffer, self._base + self._used) if end <= self._capacity else (
+                np.empty(shape, dtype))
+            view = self._views[key] = block, end
         block, self._used = view
         return block
 

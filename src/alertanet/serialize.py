@@ -72,10 +72,17 @@ def atomic_writer(path: str | Path, newline: str | None = None):
 
 
 def write_json(path: str | Path, obj) -> None:
-    """Stream ``obj`` as sorted, indented JSON plus a newline into ``path``, atomically."""
-    with atomic_writer(path) as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    """Stream ``obj`` as sorted, indented JSON plus a newline into ``path``, atomically.
+
+    JSON has no nan or infinity, so a float that is one raises a
+    :class:`ParseError` naming ``path``, and ``path`` is left as it was.
+    """
+    try:
+        with atomic_writer(path) as fh:
+            json.dump(obj, fh, sort_keys=True, indent=2, allow_nan=False)
+            fh.write("\n")
+    except ValueError as exc:
+        raise ParseError(f"{path}: cannot be written as JSON ({exc})") from exc
 
 
 def read_json(path: str | Path):

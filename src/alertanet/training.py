@@ -309,10 +309,12 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
                 loss, m_term, v_term = _loss_terms(trace.logits, batch.y_m, batch.y_v, loss_weight, pos_weight)
                 loss_value = loss.item()
                 if not np.isfinite(loss_value):
-                    culprit = _first_nonfinite_param(params) or "batch inputs"
+                    # every input passed nx.constant's finiteness check, so with nothing non-finite, values overflowed
+                    culprit = _first_nonfinite_param(params)
                     raise TrainingError(
-                        f"non-finite loss in stage {stage_name!r}, epoch {global_epoch}, "
-                        f"batch starting at {lo}; first offender: {culprit}"
+                        f"non-finite loss in stage {stage_name!r}, epoch {global_epoch}, batch starting at {lo}; "
+                        + (f"first offender: {culprit}" if culprit else
+                           "no parameter, gradient or input is non-finite, so the forward pass overflowed")
                     )
                 params.zero_grads()
                 nx.backward(loss, arena)

@@ -358,6 +358,26 @@ class TestForwardBatchMatchesProjectEveryColumnOracle:
             assert all(b == (6, 90) for b in recurrent)
 
 
+class TestCellStepBlocks:
+    """A step that records a tape node returns its state in a new block; one that records none, because nothing it
+    reads requires a gradient, writes it over ``h_prev``'s block, whatever ``cols`` selects."""
+
+    @pytest.mark.parametrize("cols", [slice(5, 10), np.array([9, 0, 4, 7, 2])])
+    def test_untaped_state_in_h_prev_block_and_taped_in_a_new_one(self, cols):
+        config = md.ModelConfig(input_dim=3, hidden_dim=4, window=2)
+        params = make_params(config, seed=3)
+        rng = np.random.default_rng(4)
+        wx, h = rng.normal(size=(12, 10)), rng.normal(size=(4, 5))
+        want = md.cell_step(nx.constant(wx[:, cols]), nx.constant(h.copy()), params).value
+        for store, taped in ((params, True), (params.constants(), False)):
+            h_prev, arena = nx.constant(h.copy()), nx.Arena()
+            got = md.cell_step(nx.constant(wx), h_prev, store, cols=cols, arena=arena)
+            assert got.requires_grad is taped
+            assert (got.value is h_prev.value) is not taped
+            assert np.shares_memory(got.value, h_prev.value) is not taped
+            assert np.array_equal(bits(got.value), bits(want))
+
+
 class TestZeroStateProducts:
     @pytest.mark.parametrize("fill", [0.0, -0.0, 0.5])
     @pytest.mark.parametrize("bad", [None, ("R_zr", np.inf), ("R_h", -np.inf), ("R_zr", np.nan)])
@@ -530,6 +550,10 @@ class TestGruCellMatchesParentOracle:
             # again in the same blocks, with z*cand written over the candidate as the forward-only pass does
             md.gru_cell(wx, h, r_zr, r_h, b, zr=zr, work=work, mask=mask, cand=cand, zc=cand, out=out)
             assert np.array_equal(bits(out), bits(want))
+            # and with the new state written over the state, as a forward-only step does
+            state = h.copy()
+            got = md.gru_cell(wx, state, r_zr, r_h, b, zr=zr, work=work, mask=mask, cand=cand, zc=cand, out=state)
+            assert got is state and np.array_equal(bits(state), bits(want))
 
     @pytest.mark.parametrize("width", KERNEL_WIDTHS)
     @pytest.mark.parametrize("values", ["finite", "special"])

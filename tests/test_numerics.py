@@ -657,6 +657,25 @@ class TestArena:
         assert np.shares_memory(scratch, after) and not np.shares_memory(kept, after)
         assert arena._buffer.size == (2 * 8 + 4 * 8) * 8 + 64  # the widest moment of a pass, and room to align
 
+    def test_a_pass_that_does_not_fit_gets_the_same_block_again_after_a_scope(self):
+        arena = nx.Arena()
+        arena.take((1, 8))
+        arena.reset()  # a buffer too small for the pass below
+        kept, scratch = arena.take((2, 8)), []
+        for _ in range(3):
+            with arena.scope():
+                scratch.append((arena.take((4, 8)), arena.take((3, 8), bool)))
+        # past the end, so new arrays, each made once for the three scopes
+        assert all(block is first for blocks in scratch for block, first in zip(blocks, scratch[0]))
+        assert not any(np.shares_memory(block, arena._buffer) for block in (kept, *scratch[0]))
+        assert arena.take((4, 8)) is scratch[0][0]  # the same request at the same offset after a scope
+        wide = arena.take((5, 8))
+        arena.reset()  # grows the buffer to the widest moment of the pass, as before
+        assert arena._buffer.size == (2 + 4 + 5) * 8 * 8 + 64
+        blocks = [arena.take((2, 8)), arena.take((4, 8)), arena.take((5, 8))]
+        assert all(np.shares_memory(block, arena._buffer) for block in blocks)
+        assert not any(np.shares_memory(block, old) for block in blocks for old in (kept, *scratch[0], wide))
+
 
 def test_non_finite_input_rejected():
     with pytest.raises(DimensionError):

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,7 @@ def _temporaries(directory):
 
 class TestAtomicWrites:
     def test_write_json_bytes_are_the_one_shot_text(self, tmp_path):
-        obj = {"b": [1.5, None, {"z": "é", "a": float("nan")}], "a": serialize.encode_array(np.arange(5.0))}
+        obj = {"b": [1.5, None, {"z": "é", "a": -0.0}], "a": serialize.encode_array(np.arange(5.0))}
         serialize.write_json(tmp_path / "x.json", obj)
         want = json.dumps(obj, sort_keys=True, indent=2) + "\n"
         assert (tmp_path / "x.json").read_bytes() == want.encode("utf-8")
@@ -35,6 +36,16 @@ class TestAtomicWrites:
         # sorted keys put "z" last, so a megabyte of text is streamed before the encoder fails
         with pytest.raises(TypeError, match="Unencodable"):
             serialize.write_json(path, {"a": ["x" * 100] * 10_000, "z": Unencodable()})
+        assert path.read_bytes() == old
+        assert _temporaries(tmp_path) == []
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_float_is_refused_naming_the_path_and_keeps_the_old_file(self, tmp_path, bad):
+        path = tmp_path / "report.json"
+        serialize.write_json(path, {"old": True})
+        old = path.read_bytes()
+        with pytest.raises(ParseError, match=re.escape(f"{path}: cannot be written as JSON (Out of range float")):
+            serialize.write_json(path, {"a": ["x" * 100] * 10_000, "z": {"auc": bad}})
         assert path.read_bytes() == old
         assert _temporaries(tmp_path) == []
 

@@ -321,6 +321,20 @@ class TestTrain:
         with np.errstate(invalid="ignore"), pytest.raises(TrainingError, match="first offender: parameter 'R_zr'"):
             tr.train(toy_split(n_days=200), cfg)
 
+    def test_overflow_of_finite_values_is_named_as_such(self, monkeypatch):
+        # finite head weights of 1e308 turn the movement logits infinite; no offender is non-finite to name
+        def init_params(config, rng):
+            params = md.init_params(config, rng)
+            params["W_m"].value[...] = params["b_m"].value[...] = 1e308
+            return params
+
+        monkeypatch.setattr(tr, "init_params", init_params)
+        cfg = tr.TrainConfig(window=5, hidden=4, epochs=1, batch_size=16)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingError, match=re.escape(
+                "non-finite loss in stage 'joint', epoch 1, batch starting at 0; no parameter, gradient or input "
+                "is non-finite, so the forward pass overflowed")):
+            tr.train(toy_split(n_days=200), cfg)
+
     def test_split_without_feature_names_is_rejected(self):
         nameless = replace(toy_split(n_days=200), feature_names=[])
         cfg = tr.TrainConfig(window=5, hidden=4, epochs=1, batch_size=16)
