@@ -252,9 +252,10 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
 def _resolve_train_config(args, dataset_window: int) -> TrainConfig:
     """Defaults, then the ``--config`` file, then flags; the window defaults to the prepared dataset's.
 
-    The file's values are validated first, so that an error names the file;
-    then the whole config, and its window against the dataset's, so that a
-    bad setting fails before ``--out`` is made.
+    A :class:`TrainConfig` checks itself when it is made, so the file's
+    values fail first, naming the file; then the flags' values, and last the
+    window against the dataset's, so that a bad setting fails before
+    ``--out`` is made.
     """
     cfg = TrainConfig(window=dataset_window)
     if args.config:
@@ -264,14 +265,12 @@ def _resolve_train_config(args, dataset_window: int) -> TrainConfig:
         unknown = set(file_cfg) - set(cfg.to_dict())
         if unknown:
             raise ConfigError(f"{args.config}: unknown training config keys {sorted(unknown)}")
-        cfg = replace(cfg, **file_cfg)
         try:
-            cfg.validate()
+            cfg = replace(cfg, **file_cfg)
         except ConfigError as exc:
             raise ConfigError(f"{args.config}: {exc}") from None
     flags = {name: getattr(args, name, None) for name in cfg.to_dict()}
     cfg = replace(cfg, **{name: value for name, value in flags.items() if value is not None})
-    cfg.validate()
     if cfg.window != dataset_window:
         raise ConfigError(f"dataset window {dataset_window} does not match config window {cfg.window}")
     return cfg
@@ -327,14 +326,11 @@ def cmd_prepare(args) -> int:
     frames = [frame for _, frame in loaded]
     with manifest.phase("build"):
         split, warnings = build_dataset(frames, *astuple(settings))
-    manifest.warnings.extend(warnings)
-    for message in warnings:
-        print(f"warning: {message}", file=sys.stderr)
     split.meta["manifest_file"] = MANIFEST_NAME
     counts = {}
     for name, part in split.splits().items():
         abstain = int(np.count_nonzero(part.y_m == ABSTAIN))
-        counts[name] = {
+        tally = counts[name] = {
             "samples": len(part),
             "movement_up": int(np.count_nonzero(part.y_m == 1)),
             "movement_down": int(np.count_nonzero(part.y_m == 0)),
@@ -342,6 +338,18 @@ def cmd_prepare(args) -> int:
             "volatility_positive": int(np.count_nonzero(part.y_v == 1)),
             "abstain_rate": abstain / max(1, len(part)),
         }
+        # one class leaves a label's loss term nothing to separate and its AUC undefined
+        positive = tally["volatility_positive"]
+        for label, kinds, sizes, setting in (
+                ("movement", ("up", "down"), (tally["movement_up"], tally["movement_down"]), "--dead-zone"),
+                ("volatility", ("volatile", "calm"), (positive, len(part) - positive), "--outlier")):
+            if 0 in sizes:
+                shown = ", ".join(f"{size} {kind}" for kind, size in zip(kinds, sizes))
+                warnings.append(f"{name} split: the {label} labels hold fewer than two classes ({shown}); "
+                                f"check {setting}")
+    manifest.warnings.extend(warnings)
+    for message in warnings:
+        print(f"warning: {message}", file=sys.stderr)
     manifest.config = {
         "window": args.window, "dead_zone": list(args.dead_zone), "outlier": args.outlier,
         "train_frac": args.train_frac, "valid_frac": args.valid_frac,
@@ -535,8 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--schema", default=None, help="comma-separated feature columns (default: all)")
     p.add_argument("--window", type=int, default=10)
-    p.add_argument("--dead-zone", nargs=2, type=float, default=list(DEFAULT_DEAD_ZONE),
-                   metavar=("LO", "HI"))
+    p.add_argument("--dead-zone", nargs=2, type=float, default=list(DEFAULT_DEAD_ZONE), metavar=("LO", "HI"),
+                   help="abstain on returns strictly between LO <= 0 and HI >= 0; write a negative LO in decimal form "
+                        "(-0.005), since argparse reads -5e-3 as a flag")
     p.add_argument("--outlier", type=float, default=DEFAULT_OUTLIER_THRESHOLD)
     p.add_argument("--train-frac", type=float, default=0.7)
     p.add_argument("--valid-frac", type=float, default=0.15)

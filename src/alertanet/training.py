@@ -62,6 +62,9 @@ class TrainConfig:
     arch: str = "alerta"
     shared_context_cell: bool = True
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         check_fields(self, "training config")
         normalize_ablation_mode(self.ablation)
@@ -234,19 +237,120 @@ def _first_nonfinite_param(params: nx.ParamStore) -> str | None:
     return None
 
 
+def _where(stage_name: str, epoch: int, lo: int | None = None) -> str:
+    """The place a training error names: its stage and epoch and, inside the batch loop, its first window."""
+    return f"in stage {stage_name!r}, epoch {epoch}" + ("" if lo is None else f", batch starting at {lo}")
+
+
+def _run_epoch(split, cfg, rng, params, config, rows, arena, stage, pos_weight, optimizer, epoch) -> dict:
+    """Train one epoch of ``stage`` on a fresh permutation of ``split.train``; return its report row.
+
+    Each batch runs its forward pass, loss and backward pass in ``arena``,
+    then clips the stage's trainable gradients and takes one ``optimizer``
+    step.  The row holds the epoch's window-weighted training losses, its
+    validation losses, the gradient norms before clipping and the norm of
+    the parameters.  A non-finite loss, gradient norm or report norm raises
+    :class:`~alertanet.errors.TrainingError` naming where it happened.
+    """
+    stage_name, trainable, loss_weight = stage
+    n_train = len(split.train)
+    perm = rng.permutation(n_train)
+    movement_sum = volatility_sum = total_sum = 0.0
+    grad_norms: list[float] = []
+    for lo in range(0, n_train, cfg.batch_size):
+        batch = split.train[perm[lo : lo + cfg.batch_size]]
+        trace = forward_batch(batch, params, config, rows, arena)
+        loss, m_term, v_term = _loss_terms(trace.logits, batch.y_m, batch.y_v, loss_weight, pos_weight)
+        loss_value = loss.item()
+        if not np.isfinite(loss_value):
+            # every input passed nx.constant's finiteness check, so with nothing non-finite, values overflowed
+            culprit = _first_nonfinite_param(params)
+            raise TrainingError(
+                f"non-finite loss {_where(stage_name, epoch, lo)}; "
+                + (f"first offender: {culprit}" if culprit else
+                   "no parameter, gradient or input is non-finite, so the forward pass overflowed")
+            )
+        params.zero_grads()
+        nx.backward(loss, arena)
+        grad_norms.append(clip_gradients(params, trainable, cfg.clip_norm))
+        if not np.isfinite(grad_norms[-1]):  # the report could not hold it, and Adam would spread it
+            raise TrainingError(f"non-finite gradient norm {grad_norms[-1]} {_where(stage_name, epoch, lo)}")
+        optimizer.step(params, trainable)
+        movement_sum += m_term * len(batch)
+        volatility_sum += v_term * len(batch)
+        total_sum += loss_value * len(batch)
+
+    valid_m, valid_v, valid_total = _dataset_loss(params, config, split.validation, rows, loss_weight, pos_weight)
+    row = {
+        "epoch": epoch,
+        "stage": stage_name,
+        "train_movement": movement_sum / n_train,
+        "train_volatility": volatility_sum / n_train,
+        "train_total": total_sum / n_train,
+        "valid_movement": valid_m,
+        "valid_volatility": valid_v,
+        "valid_total": valid_total,
+        "grad_norm_mean": sum(grad_norms) / len(grad_norms),
+        "grad_norm_max": max(grad_norms),
+        "clipped_fraction": sum(n > cfg.clip_norm for n in grad_norms) / len(grad_norms) if cfg.clip_norm else 0.0,
+        "param_norm": _global_norm(t.value for _, t in params.items()),
+    }
+    for key in ("grad_norm_mean", "grad_norm_max", "param_norm"):
+        if not np.isfinite(row[key]):  # JSON has no inf or nan, so the report could not hold it
+            raise TrainingError(f"non-finite {key} {row[key]} {_where(stage_name, epoch)}")
+    return row
+
+
+def _run_stage(split, cfg, rng, params, config, rows, arena, stage, pos_weight, epoch_rows) -> dict:
+    """Train ``stage`` with a fresh Adam and early stopping; append its epoch rows to ``epoch_rows``.
+
+    The stage's epochs number on from the rows already in ``epoch_rows``.  It
+    keeps one copy of the best validation epoch's values, restores them at
+    its end and returns the stage row.  The stage stops after ``cfg.epochs``
+    epochs, or once ``cfg.patience`` epochs in a row have not lowered the
+    best validation loss: the epoch minus the best epoch is that count.
+    """
+    stage_name, trainable, loss_weight = stage
+    optimizer = Adam(cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    best_valid = float("inf")
+    best_values = params.flat_values.copy()
+    best_epoch = len(epoch_rows)
+    for epoch in range(best_epoch + 1, best_epoch + cfg.epochs + 1):
+        row = _run_epoch(split, cfg, rng, params, config, rows, arena, stage, pos_weight, optimizer, epoch)
+        epoch_rows.append(row)
+        if row["valid_total"] < best_valid:
+            best_valid, best_epoch = row["valid_total"], epoch
+            best_values[:] = params.flat_values
+        elif epoch - best_epoch >= cfg.patience:
+            break
+    params.flat_values[:] = best_values
+    stalled = epoch - best_epoch >= cfg.patience  # the loop ends early exactly when this holds
+    return {
+        "stage": stage_name,
+        "trainable": list(trainable),
+        "loss_weight": loss_weight,
+        "best_epoch": best_epoch,
+        "best_valid_total": best_valid,
+        "stop_reason": f"no validation improvement for {cfg.patience} epochs" if stalled else "epoch budget exhausted",
+    }
+
+
 def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelConfig, TrainReport]:
     """Fit the model on ``split.train``, early-stopping on validation loss.
 
-    Returns the parameters restored to the best validation epoch, by one copy
-    of the flat value buffer each way.  Two runs with the same split and
-    config produce bit-identical parameters.  Each forward pass reads one
-    batch, or one chunk of validation windows, from the split's days.  Every
-    taped step takes its blocks from one :class:`~alertanet.numerics.Arena`
-    that this call keeps, sized by its first, widest batch: the forward pass
-    (see :func:`~alertanet.model.forward_batch`), the gradient buffers of
+    Runs each stage of the plan (one joint stage, or the movement stage and
+    then the volatility head's) through :func:`_run_stage`, which runs its
+    epochs through :func:`_run_epoch`.  Each stage ends with its parameters
+    restored to its best validation epoch, by one copy of the flat value
+    buffer each way; the report's best epoch and stop reason are the last
+    stage's.  Two runs with the same split and config produce bit-identical
+    parameters.  Each forward pass reads one batch, or one chunk of
+    validation windows, from the split's days.  Every taped step takes its
+    blocks from one :class:`~alertanet.numerics.Arena` that lives for this
+    call, sized by its first, widest batch: the forward pass (see
+    :func:`~alertanet.model.forward_batch`), the gradient buffers of
     :func:`~alertanet.numerics.backward` and the cells' backward scratch.
     """
-    cfg.validate()
     if not split.train:
         raise ConfigError("training split is empty")
     if not split.validation:
@@ -254,15 +358,12 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
 
     rows = ablation_feature_indices(split.feature_names, cfg.ablation)
     names_used = [split.feature_names[i] for i in rows]
-
-    n_train, window = len(split.train), split.train.window
-    if window != cfg.window:
-        raise ConfigError(f"dataset window {window} does not match config window {cfg.window}")
-
+    if split.train.window != cfg.window:
+        raise ConfigError(f"dataset window {split.train.window} does not match config window {cfg.window}")
     config = ModelConfig(
         input_dim=len(rows),
         hidden_dim=cfg.hidden,
-        window=window,
+        window=cfg.window,
         arch=cfg.arch,
         shared_context_cell=cfg.shared_context_cell,
         tda_normalize=cfg.tda_normalize,
@@ -275,112 +376,16 @@ def train(split: DatasetSplit, cfg: TrainConfig) -> tuple[nx.ParamStore, ModelCo
     n_neg = int(np.sum(split.train.y_v == 0))
     pos_weight = (n_neg / n_pos) if (cfg.pos_weight_auto and n_pos > 0 and n_neg > 0) else 1.0
 
-    if cfg.two_stage:
-        stage_plan = [
-            ("movement", params.names(), 0.0),
-            ("volatility", ["W_v", "b_v"], cfg.loss_weight),
-        ]
-    else:
-        stage_plan = [("joint", params.names(), cfg.loss_weight)]
-
+    plan = ([("movement", params.names(), 0.0), ("volatility", ["W_v", "b_v"], cfg.loss_weight)] if cfg.two_stage
+            else [("joint", params.names(), cfg.loss_weight)])
     arena = nx.Arena()  # a step's trace stays valid until the next step
     epoch_rows: list[dict] = []
-    stage_rows: list[dict] = []
-    global_epoch = 0
-    best_epoch = 0
-    stop_reason = "epoch budget exhausted"
-
-    for stage_name, trainable, loss_weight in stage_plan:
-        optimizer = Adam(cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
-        best_valid = float("inf")
-        best_values = params.flat_values.copy()
-        stage_best_epoch = global_epoch
-        stall = 0
-        stage_reason = "epoch budget exhausted"
-
-        for _ in range(cfg.epochs):
-            global_epoch += 1
-            perm = rng.permutation(n_train)
-            movement_sum = volatility_sum = total_sum = 0.0
-            grad_norms: list[float] = []
-            for lo in range(0, n_train, cfg.batch_size):
-                batch = split.train[perm[lo : lo + cfg.batch_size]]
-                trace = forward_batch(batch, params, config, rows, arena)
-                loss, m_term, v_term = _loss_terms(trace.logits, batch.y_m, batch.y_v, loss_weight, pos_weight)
-                loss_value = loss.item()
-                if not np.isfinite(loss_value):
-                    # every input passed nx.constant's finiteness check, so with nothing non-finite, values overflowed
-                    culprit = _first_nonfinite_param(params)
-                    raise TrainingError(
-                        f"non-finite loss in stage {stage_name!r}, epoch {global_epoch}, batch starting at {lo}; "
-                        + (f"first offender: {culprit}" if culprit else
-                           "no parameter, gradient or input is non-finite, so the forward pass overflowed")
-                    )
-                params.zero_grads()
-                nx.backward(loss, arena)
-                grad_norms.append(clip_gradients(params, trainable, cfg.clip_norm))
-                if not np.isfinite(grad_norms[-1]):  # the report could not hold it, and Adam would spread it
-                    raise TrainingError(f"non-finite gradient norm {grad_norms[-1]} in stage {stage_name!r}, "
-                                        f"epoch {global_epoch}, batch starting at {lo}")
-                optimizer.step(params, trainable)
-                weight = len(batch)
-                movement_sum += m_term * weight
-                volatility_sum += v_term * weight
-                total_sum += loss_value * weight
-
-            valid_m, valid_v, valid_total = _dataset_loss(
-                params, config, split.validation, rows, loss_weight, pos_weight
-            )
-            param_norm = _global_norm(t.value for _, t in params.items())  # an inf norm is refused below
-            row = {
-                "epoch": global_epoch,
-                "stage": stage_name,
-                "train_movement": movement_sum / n_train,
-                "train_volatility": volatility_sum / n_train,
-                "train_total": total_sum / n_train,
-                "valid_movement": valid_m,
-                "valid_volatility": valid_v,
-                "valid_total": valid_total,
-                "grad_norm_mean": sum(grad_norms) / len(grad_norms),
-                "grad_norm_max": max(grad_norms),
-                "clipped_fraction": (
-                    sum(n > cfg.clip_norm for n in grad_norms) / len(grad_norms) if cfg.clip_norm else 0.0
-                ),
-                "param_norm": param_norm,
-            }
-            for key in ("grad_norm_mean", "grad_norm_max", "param_norm"):
-                if not np.isfinite(row[key]):  # JSON has no inf or nan, so the report could not hold it
-                    raise TrainingError(f"non-finite {key} {row[key]} in stage {stage_name!r}, epoch {global_epoch}")
-            epoch_rows.append(row)
-            if valid_total < best_valid:
-                best_valid = valid_total
-                best_values = params.flat_values.copy()
-                stage_best_epoch = global_epoch
-                stall = 0
-            else:
-                stall += 1
-                if stall >= cfg.patience:
-                    stage_reason = f"no validation improvement for {cfg.patience} epochs"
-                    break
-
-        params.flat_values[:] = best_values
-        best_epoch = stage_best_epoch
-        stop_reason = stage_reason
-        stage_rows.append(
-            {
-                "stage": stage_name,
-                "trainable": list(trainable),
-                "loss_weight": loss_weight,
-                "best_epoch": stage_best_epoch,
-                "best_valid_total": best_valid,
-                "stop_reason": stage_reason,
-            }
-        )
-
+    stage_rows = [_run_stage(split, cfg, rng, params, config, rows, arena, stage, pos_weight, epoch_rows)
+                  for stage in plan]
     report = TrainReport(
         epochs=epoch_rows,
-        best_epoch=best_epoch,
-        stop_reason=stop_reason,
+        best_epoch=stage_rows[-1]["best_epoch"],
+        stop_reason=stage_rows[-1]["stop_reason"],
         pos_weight=pos_weight,
         ablation=normalize_ablation_mode(cfg.ablation),
         feature_names_used=names_used,

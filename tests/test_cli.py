@@ -187,6 +187,31 @@ class TestPrepareCommand:
             "error: dead zone must contain 0 (lo <= 0 <= hi), got lo=1e+300 and hi=1e+301"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, values, label, classes", [
+        ("--outlier", ["1e-300"], "volatility", ["212 volatile, 0 calm", "46 volatile, 0 calm", "46 volatile, 0 calm"]),
+        ("--dead-zone", ["-1000000", "1000000"], "movement", ["0 up, 0 down"] * 3),
+    ])
+    def test_split_of_one_label_class_warns_naming_the_setting(self, tmp_path, synth_dir, capsys, flag, values,
+                                                                label, classes):
+        """Each run used to exit 0 with ``"warnings": []``: every window volatile, or every one abstaining."""
+        out = tmp_path / "prep_one_class"
+        assert run_cli("prepare", "--data", synth_dir, "--out", out, "--window", "8", flag, *values) == 0
+        want = [f"{name} split: the {label} labels hold fewer than two classes ({shown}); check {flag}"
+                for name, shown in zip(["train", "validation", "test"], classes)]
+        assert read_json(out / "manifest.json")["warnings"] == want
+        assert capsys.readouterr().err.splitlines() == [f"warning: {message}" for message in want]
+
+    def test_negative_dead_zone_edge_is_read_in_decimal_form(self, tmp_path, synth_dir, capsys):
+        """argparse reads ``-5e-3`` as a flag, and the help text says to write ``-0.005``."""
+        out = tmp_path / "prep_decimal"
+        assert run_cli("prepare", "--data", synth_dir, "--out", out, "--window", "8",
+                       "--dead-zone", "-0.005", "0.005") == 0
+        assert read_json(out / "manifest.json")["config"]["dead_zone"] == [-0.005, 0.005]
+        with pytest.raises(SystemExit) as exc:
+            run_cli("prepare", "--help")
+        assert exc.value.code == 0
+        assert "decimal form (-0.005)" in " ".join(capsys.readouterr().out.split())
+
     def test_undecodable_csv_fails_naming_file_and_line(self, tmp_path, synth_dir, capsys):
         (synth_dir / "LATIN1.csv").write_bytes(b"date,adj_close,sent_0\n2020-01-01,1.0,0.5\n2020-01-02,1.0,caf\xe9\n")
         out = tmp_path / "prep_bad"

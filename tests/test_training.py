@@ -21,7 +21,7 @@ from alertanet.synth import SynthSpec, generate, generate_universe
 from testutil import (
     AdamOracle, cell_step_parent_oracle, clip_gradients_oracle, dataset_loss_oracle, finite_difference_grads,
     forward_batch_fresh_oracle, forward_batch_oracle, joint_loss, max_grad_violation, predict_probs_oracle,
-    sample_set, stack_windows, zero_grads_oracle,
+    sample_set, stack_windows, train_oracle, zero_grads_oracle,
 )
 from test_metrics import auc_all_pairs, mcc_exact_integer
 
@@ -423,6 +423,40 @@ class TestTrainingArenaMatchesPerStepAllocationOracle:
         assert not any(shared for _, shared in checked["forward-only"])
 
 
+class TestTrainMatchesSingleBodyOracle:
+    """``train`` runs each stage in ``_run_stage`` and each epoch in ``_run_epoch``, and derives the stall count,
+    the best epoch and the stop reason; the oracle, the former body, nests the three loops and tracks them."""
+
+    # beyond the arena's runs: two that stop early and restore an earlier epoch, one per stage plan, and no clipping
+    RUNS = {
+        **ARENA_RUNS,
+        "early-stop": {"epochs": 5, "patience": 1, "learning_rate": 0.3},
+        "two-stage-early-stop": {"epochs": 5, "patience": 1, "learning_rate": 3.0, "two_stage": True},
+        "clip-off": {"clip_norm": 0.0},
+    }
+
+    @pytest.fixture(scope="class")
+    def split(self):
+        return criterion8_split()
+
+    def config(self, kind):
+        return tr.TrainConfig(**{**TestTrainingArenaMatchesPerStepAllocationOracle.BASE, **self.RUNS[kind]})
+
+    @pytest.mark.parametrize("kind", sorted(RUNS))
+    def test_parameters_and_report_bit_identical(self, split, monkeypatch, kind):
+        cfg = self.config(kind)
+        got = train_bits(split, cfg)
+        monkeypatch.setattr(tr, "train", train_oracle)
+        assert train_bits(split, cfg) == got
+
+    @pytest.mark.parametrize("kind, epochs, best", [("early-stop", 3, [2]), ("two-stage-early-stop", 6, [3, 5])])
+    def test_the_early_stopping_runs_stop_and_restore_an_earlier_epoch(self, split, kind, epochs, best):
+        _, _, report = tr.train(split, self.config(kind))
+        assert len(report.epochs) == epochs and [stage["best_epoch"] for stage in report.stages] == best
+        assert report.best_epoch == best[-1] < epochs
+        assert {stage["stop_reason"] for stage in report.stages} == {"no validation improvement for 1 epochs"}
+
+
 def random_samples(n, d=3, t=4, seed=0, abstain_rate=0.2):
     rng = np.random.default_rng(seed)
     records = []
@@ -789,6 +823,10 @@ class TestTrainConfig:
     def test_zero_clip_norm_turns_clipping_off_and_is_valid(self):
         tr.TrainConfig(clip_norm=0.0).validate()
         tr.TrainConfig(clip_norm=0).validate()
+
+    def test_invalid_config_fails_when_it_is_made(self):
+        with pytest.raises(ConfigError, match="^epochs must be >= 1, got 0$"):
+            tr.TrainConfig(epochs=0)
 
     def test_validation_rules(self):
         with pytest.raises(ConfigError):

@@ -8,8 +8,8 @@ dataset files, the day-by-day synthetic price
 loop, the project-every-column forward pass, the cell's forward arithmetic in
 new arrays, the taped pass that projects each distinct day and takes new
 blocks at every step, the serial, taped chunk loops of prediction and
-validation loss, and the per-name cell backward, Adam, clipping and gradient
-zeroing.  The
+validation loss, the per-name cell backward, Adam, clipping and gradient
+zeroing, and the training loop in one body.  The
 per-op tape ops rebuild the per-gate cell and the per-op heads and loss that
 the fused model nodes replaced, as oracles."""
 
@@ -26,7 +26,8 @@ from alertanet import model as md
 from alertanet import numerics as nx
 from alertanet import training as tr
 from alertanet.data import ABSTAIN, DATE_COLUMN, PRICE_COLUMN, FeatureFrame, SampleSet
-from alertanet.errors import DataIntegrityError, DimensionError, ParseError, PreprocessingError, SchemaError, UsageError
+from alertanet.errors import (ConfigError, DataIntegrityError, DimensionError, ParseError, PreprocessingError,
+                              SchemaError, TrainingError, UsageError)
 
 # 51 hand-picked prices -> 50 labeled days.  Covers both dead-zone edges
 # (+0.5%, -0.5%), both outlier edges (+5%, -5%) at float-exact price pairs,
@@ -495,6 +496,153 @@ def dataset_loss_oracle(params, config, samples, rows, loss_weight, pos_weight):
         volatility += v_term * weight
         total += loss.item() * weight
     return movement / n, volatility / n, total / n
+
+
+def train_oracle(split, cfg):
+    """The former ``training.train``: its stage, epoch and batch loops in one body, with ``stall``, ``best_epoch``
+    and ``stop_reason`` tracked; its module-level names are looked up in ``training``, so patches there apply."""
+    cfg.validate()
+    if not split.train:
+        raise ConfigError("training split is empty")
+    if not split.validation:
+        raise ConfigError("validation split is empty")
+
+    rows = tr.ablation_feature_indices(split.feature_names, cfg.ablation)
+    names_used = [split.feature_names[i] for i in rows]
+
+    n_train, window = len(split.train), split.train.window
+    if window != cfg.window:
+        raise ConfigError(f"dataset window {window} does not match config window {cfg.window}")
+
+    config = tr.ModelConfig(
+        input_dim=len(rows),
+        hidden_dim=cfg.hidden,
+        window=window,
+        arch=cfg.arch,
+        shared_context_cell=cfg.shared_context_cell,
+        tda_normalize=cfg.tda_normalize,
+        feature_names=names_used,
+    )
+    rng = np.random.default_rng(cfg.seed)
+    params = tr.init_params(config, rng)
+
+    n_pos = int(np.sum(split.train.y_v == 1))
+    n_neg = int(np.sum(split.train.y_v == 0))
+    pos_weight = (n_neg / n_pos) if (cfg.pos_weight_auto and n_pos > 0 and n_neg > 0) else 1.0
+
+    if cfg.two_stage:
+        stage_plan = [
+            ("movement", params.names(), 0.0),
+            ("volatility", ["W_v", "b_v"], cfg.loss_weight),
+        ]
+    else:
+        stage_plan = [("joint", params.names(), cfg.loss_weight)]
+
+    arena = nx.Arena()  # a step's trace stays valid until the next step
+    epoch_rows: list[dict] = []
+    stage_rows: list[dict] = []
+    global_epoch = 0
+    best_epoch = 0
+    stop_reason = "epoch budget exhausted"
+
+    for stage_name, trainable, loss_weight in stage_plan:
+        optimizer = tr.Adam(cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
+        best_valid = float("inf")
+        best_values = params.flat_values.copy()
+        stage_best_epoch = global_epoch
+        stall = 0
+        stage_reason = "epoch budget exhausted"
+
+        for _ in range(cfg.epochs):
+            global_epoch += 1
+            perm = rng.permutation(n_train)
+            movement_sum = volatility_sum = total_sum = 0.0
+            grad_norms: list[float] = []
+            for lo in range(0, n_train, cfg.batch_size):
+                batch = split.train[perm[lo : lo + cfg.batch_size]]
+                trace = tr.forward_batch(batch, params, config, rows, arena)
+                loss, m_term, v_term = tr._loss_terms(trace.logits, batch.y_m, batch.y_v, loss_weight, pos_weight)
+                loss_value = loss.item()
+                if not np.isfinite(loss_value):
+                    # every input passed nx.constant's finiteness check, so with nothing non-finite, values overflowed
+                    culprit = tr._first_nonfinite_param(params)
+                    raise TrainingError(
+                        f"non-finite loss in stage {stage_name!r}, epoch {global_epoch}, batch starting at {lo}; "
+                        + (f"first offender: {culprit}" if culprit else
+                           "no parameter, gradient or input is non-finite, so the forward pass overflowed")
+                    )
+                params.zero_grads()
+                nx.backward(loss, arena)
+                grad_norms.append(tr.clip_gradients(params, trainable, cfg.clip_norm))
+                if not np.isfinite(grad_norms[-1]):  # the report could not hold it, and Adam would spread it
+                    raise TrainingError(f"non-finite gradient norm {grad_norms[-1]} in stage {stage_name!r}, "
+                                        f"epoch {global_epoch}, batch starting at {lo}")
+                optimizer.step(params, trainable)
+                weight = len(batch)
+                movement_sum += m_term * weight
+                volatility_sum += v_term * weight
+                total_sum += loss_value * weight
+
+            valid_m, valid_v, valid_total = tr._dataset_loss(
+                params, config, split.validation, rows, loss_weight, pos_weight
+            )
+            param_norm = tr._global_norm(t.value for _, t in params.items())  # an inf norm is refused below
+            row = {
+                "epoch": global_epoch,
+                "stage": stage_name,
+                "train_movement": movement_sum / n_train,
+                "train_volatility": volatility_sum / n_train,
+                "train_total": total_sum / n_train,
+                "valid_movement": valid_m,
+                "valid_volatility": valid_v,
+                "valid_total": valid_total,
+                "grad_norm_mean": sum(grad_norms) / len(grad_norms),
+                "grad_norm_max": max(grad_norms),
+                "clipped_fraction": (
+                    sum(n > cfg.clip_norm for n in grad_norms) / len(grad_norms) if cfg.clip_norm else 0.0
+                ),
+                "param_norm": param_norm,
+            }
+            for key in ("grad_norm_mean", "grad_norm_max", "param_norm"):
+                if not np.isfinite(row[key]):  # JSON has no inf or nan, so the report could not hold it
+                    raise TrainingError(f"non-finite {key} {row[key]} in stage {stage_name!r}, epoch {global_epoch}")
+            epoch_rows.append(row)
+            if valid_total < best_valid:
+                best_valid = valid_total
+                best_values = params.flat_values.copy()
+                stage_best_epoch = global_epoch
+                stall = 0
+            else:
+                stall += 1
+                if stall >= cfg.patience:
+                    stage_reason = f"no validation improvement for {cfg.patience} epochs"
+                    break
+
+        params.flat_values[:] = best_values
+        best_epoch = stage_best_epoch
+        stop_reason = stage_reason
+        stage_rows.append(
+            {
+                "stage": stage_name,
+                "trainable": list(trainable),
+                "loss_weight": loss_weight,
+                "best_epoch": stage_best_epoch,
+                "best_valid_total": best_valid,
+                "stop_reason": stage_reason,
+            }
+        )
+
+    report = tr.TrainReport(
+        epochs=epoch_rows,
+        best_epoch=best_epoch,
+        stop_reason=stop_reason,
+        pos_weight=pos_weight,
+        ablation=tr.normalize_ablation_mode(cfg.ablation),
+        feature_names_used=names_used,
+        seed=cfg.seed,
+        stages=stage_rows,
+    )
+    return params, config, report
 
 
 def joint_loss(trace, y_m, y_v, loss_weight, volatility_pos_weight=1.0):
